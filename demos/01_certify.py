@@ -49,4 +49,4 @@ print(table)
 # about nine times the V it actually reaches (0.01)
 print(f"certified ceiling v_* = {cert.v_small_star:.6g}")
 print(f"closed-form (window-free) ceiling = "
-      f"{cert.constants.f1_inv(0.5 * cert.v0 * 2.0):.6g} at spread 2")
+      f"{cert.growth_pair().f1_inv(0.5 * cert.v0 * 2.0):.6g} at spread 2")

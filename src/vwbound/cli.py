@@ -83,7 +83,7 @@ def _apply_overrides(doc, args):
 
 
 def _sigma_grid(args):
-    if getattr(args, "sigma", None):
+    if args.sigma:
         return (args.sigma,)
     return SIGMA_GRID
 
@@ -283,7 +283,7 @@ def cmd_report(args) -> int:
         rep = parse_csv_report(text)
     else:
         rep = RunReport.from_text(text)
-    fmt = getattr(args, "format", None) or "text"
+    fmt = args.format or "text"
     if fmt == "csv":
         rendered = render_csv(rep)
     elif fmt == "text":
@@ -310,23 +310,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, problem=True):
-        if problem:
-            p.add_argument("problem", help="problem document path")
+    def common(p):
+        p.add_argument("problem", help="problem document path")
         p.add_argument("--window", help="override window as 'T-,T+'")
         p.add_argument("--grid", type=int, help="override grid size")
         p.add_argument("--tol", type=float, help="override tolerance")
         p.add_argument("--seed", type=int, help="override sampling seed")
-        p.add_argument(
-            "--sigma", type=float,
-            help="fix the growth exponent instead of searching the grid",
-        )
         p.add_argument("--out", help="output file (certify/verify/report) "
                                      "or directory (solve)")
-        p.add_argument("--format", help="report rendering: text or csv")
 
     p_cert = sub.add_parser("certify", help="check conditions, emit report")
     common(p_cert)
+    p_cert.add_argument(
+        "--sigma", type=float,
+        help="fix the growth exponent instead of searching the grid",
+    )
     p_solve = sub.add_parser("solve", help="find the trapped solution")
     common(p_solve)
     p_solve.add_argument("--cert", help="certificate report from certify")

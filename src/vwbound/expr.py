@@ -353,7 +353,7 @@ class _Parser:
         )
 
 
-def parse_expr(text: str, n_states: int = 0, state_names=None) -> ExprAST:
+def parse_expr(text: str, n_states: int = 0) -> ExprAST:
     """Parse ``text`` into an AST.
 
     Parameters
@@ -361,10 +361,7 @@ def parse_expr(text: str, n_states: int = 0, state_names=None) -> ExprAST:
     text : str
         Expression source.
     n_states : int
-        Number of state variables; they are named ``x1 ... x<n>`` unless
-        ``state_names`` overrides the spelling.
-    state_names : sequence of str, optional
-        Custom variable names (e.g. ``("v",)`` for a scalar growth law).
+        Number of state variables, named ``x1 ... x<n>``.
 
     Raises
     ------
@@ -373,9 +370,7 @@ def parse_expr(text: str, n_states: int = 0, state_names=None) -> ExprAST:
     UnknownIdentifier
         For identifiers outside ``t``, the state names and the function set.
     """
-    if state_names is None:
-        state_names = tuple(f"x{i + 1}" for i in range(n_states))
-    names = {name: i for i, name in enumerate(state_names)}
+    names = {f"x{i + 1}": i for i in range(n_states)}
     parser = _Parser(text, names)
     node = parser.expr()
     kind, value, off = parser.peek()
@@ -458,36 +453,29 @@ def _pow(base, exponent):
         return float("nan")
 
 
-def depends_on_t(ast: ExprAST) -> bool:
-    if isinstance(ast, TimeVar):
+def _mentions(ast: ExprAST, leaf: type) -> bool:
+    """True when some node of ``ast`` is an instance of ``leaf``."""
+    if isinstance(ast, leaf):
         return True
-    if isinstance(ast, (Num, StateVar)):
+    if isinstance(ast, (Num, TimeVar, StateVar)):
         return False
     if isinstance(ast, Neg):
-        return depends_on_t(ast.arg)
+        return _mentions(ast.arg, leaf)
     if isinstance(ast, BinOp):
-        return depends_on_t(ast.lhs) or depends_on_t(ast.rhs)
+        return _mentions(ast.lhs, leaf) or _mentions(ast.rhs, leaf)
     if isinstance(ast, Pow):
-        return depends_on_t(ast.base)
+        return _mentions(ast.base, leaf)
     if isinstance(ast, Call):
-        return depends_on_t(ast.arg)
+        return _mentions(ast.arg, leaf)
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+def depends_on_t(ast: ExprAST) -> bool:
+    return _mentions(ast, TimeVar)
 
 
 def depends_on_state(ast: ExprAST) -> bool:
-    if isinstance(ast, StateVar):
-        return True
-    if isinstance(ast, (Num, TimeVar)):
-        return False
-    if isinstance(ast, Neg):
-        return depends_on_state(ast.arg)
-    if isinstance(ast, BinOp):
-        return depends_on_state(ast.lhs) or depends_on_state(ast.rhs)
-    if isinstance(ast, Pow):
-        return depends_on_state(ast.base)
-    if isinstance(ast, Call):
-        return depends_on_state(ast.arg)
-    raise TypeError(f"not an expression node: {ast!r}")
+    return _mentions(ast, StateVar)
 
 
 def eval_expr(ast: ExprAST, t: float, x=()) -> float:

@@ -1,10 +1,14 @@
 """Scalar growth-pair calculus.
 
 A *growth pair* is a threshold ``v0 > 0`` together with two scalar laws
-``g`` and ``G`` of one variable ``v`` satisfying ``0 < g(v0) <= g(v)`` and
-``G(v) > 0`` for ``v >= v0``.  Along any trajectory whose quadratic pair
-(V, W) obeys ``|dV/dt| <= a(t) G(V)`` and ``dW/dt >= a(t) g(V)`` above the
-threshold, the increasing function
+of one variable ``v``; every ceiling in the package uses the one family
+
+    ``g(v) = v - c2 sqrt(v)``  and  ``G(v) = c3 v^sigma (v + c1 sqrt(v))``
+
+with ``0 < sigma <= 1``, ``c1, c2 >= 0``, ``c3 > 0`` and ``c2^2 < v0``, so
+that ``0 < g(v0) <= g(v)`` and ``G(v) > 0`` for ``v >= v0``.  Along any
+trajectory whose quadratic pair (V, W) obeys ``|dV/dt| <= a(t) G(V)`` and
+``dW/dt >= a(t) g(V)`` above the threshold, the increasing function
 
     ``F(v) = integral from v0 to v of g(u)/G(u) du``
 
@@ -22,23 +26,26 @@ converts a budget on W into certified ceilings for V, which is what the
 * :func:`global_sup_bound` / :func:`sup_bound_curve` — ceilings along the
   whole line from the W-window alone.
 
-:func:`check_uniqueness` is the sampled separation test for two solutions:
-a comparison function U squeezed between ``b(t) H(V)`` from above and an
-accumulating rate ``beta(t) h(V)`` from below forces any two distinct
-V-bounded solutions apart unless the normalized rate integral diverges —
-so divergence (certified on the finite window) yields uniqueness.
+:func:`growth_integral` and :func:`growth_integral_inv` are the one F /
+F^-1 engine (adaptive quadrature, bracketed root-finding); the closed-form
+surrogate :meth:`GrowthPair.f1` bounds F from below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import DomainError, NoUpperBracket, WindowExhausted
-from .expr import ExprAST, compile_expr, diff_t, eval_expr, parse_expr, to_text
+from .errors import (
+    DomainError,
+    InfeasibleConditionE,
+    NoUpperBracket,
+    WindowExhausted,
+)
 
 __all__ = [
     "GrowthPair",
@@ -51,82 +58,104 @@ __all__ = [
     "return_time",
     "global_sup_bound",
     "sup_bound_curve",
-    "UniquenessReport",
-    "check_uniqueness",
 ]
 
 #: default ceiling multiplier for inverse bracketing
 VMAX_FACTOR = 1.0e6
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrowthPair:
-    """Threshold ``v0`` with the laws ``g`` and ``G`` as expressions in the
-    single variable ``v``.
+    """The growth pair ``g(v) = v - c2 sqrt(v)``,
+    ``G(v) = c3 v^sigma (v + c1 sqrt(v))`` above the threshold ``v0``.
 
-    Construction validates on a logarithmic grid over
-    ``[v0, VMAX_FACTOR * v0]`` that ``g(v0) > 0``, ``g`` never drops below
-    ``g(v0)`` and ``G`` stays positive; a pair failing these cannot certify
-    anything and is rejected immediately.
+    Construction rejects non-finite fields, ``sigma`` outside (0, 1],
+    negative ``c1`` or ``c2``, nonpositive ``c3`` and ``c2^2 >= v0``.
+    Those bounds alone give ``g >= g(v0) > 0`` and ``G > 0`` on
+    ``v >= v0``.  A :class:`DomainError` names the offending field in its
+    ``where``; ``c2^2 >= v0`` raises :class:`InfeasibleConditionE`.
     """
 
+    sigma: float
+    c1: float
+    c2: float
+    c3: float
     v0: float
-    g_ast: ExprAST
-    big_g_ast: ExprAST
-    _g: callable = field(init=False, repr=False)
-    _big_g: callable = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.v0 = float(self.v0)
-        if not self.v0 > 0.0:
-            raise ValueError(f"v0 must be positive, got {self.v0:.6g}")
-        self._g = compile_expr(self.g_ast)
-        self._big_g = compile_expr(self.big_g_ast)
-        self._validate()
-
-    @classmethod
-    def from_strings(cls, v0: float, g_text: str, big_g_text: str) -> "GrowthPair":
-        return cls(
-            v0=v0,
-            g_ast=parse_expr(g_text, 1, state_names=("v",)),
-            big_g_ast=parse_expr(big_g_text, 1, state_names=("v",)),
-        )
+        for name in ("sigma", "c1", "c2", "c3", "v0"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"non-finite value {value!r}", where=name)
+        if not 0.0 < self.sigma <= 1.0:
+            raise DomainError(
+                f"value {self.sigma!r} outside (0, 1]", where="sigma"
+            )
+        for name in ("c1", "c2"):
+            if getattr(self, name) < 0.0:
+                raise DomainError(
+                    f"negative value {getattr(self, name)!r}", where=name
+                )
+        if not self.c3 > 0.0:
+            raise DomainError(f"nonpositive value {self.c3!r}", where="c3")
+        if not self.c2**2 < self.v0:
+            raise InfeasibleConditionE(
+                f"c2^2 = {self.c2**2:.6g} must stay below v0 = {self.v0:.6g}"
+            )
 
     def g(self, v: float) -> float:
-        return self._g(0.0, (v,))
+        return v - self.c2 * math.sqrt(v)
 
     def big_g(self, v: float) -> float:
-        return self._big_g(0.0, (v,))
+        return self.c3 * v**self.sigma * (v + self.c1 * math.sqrt(v))
+
+    def ratio(self, v: float) -> float:
+        """The clock rate ``g(v) / G(v)``."""
+        return self.g(v) / self.big_g(v)
 
     @property
     def vmax(self) -> float:
         return VMAX_FACTOR * self.v0
 
-    def _validate(self):
-        grid = np.geomspace(self.v0, self.vmax, 256)
-        g0 = self.g(self.v0)
-        if not g0 > 0.0:
-            raise ValueError(
-                f"g(v0) = {g0:.6g} must be positive (v0 = {self.v0:.6g})"
+    # closed-form surrogate: a lower bound F1 <= F with explicit inverse
+    def f1(self, v: float) -> float:
+        """Closed-form lower bound for :func:`growth_integral`, exact
+        enough for ceilings: conservative because smaller F means larger
+        F^-1."""
+        if v < self.v0:
+            raise DomainError(f"f1 needs v >= v0, got {v} < {self.v0}")
+        c1, c2, c3, v0 = self.c1, self.c2, self.c3, self.v0
+        if self.sigma == 1.0:
+            lead = math.sqrt(v0) / ((math.sqrt(v0) + c1) * c3)
+            return lead * (math.log(v) - math.log(v0) - 2.0 * c2 / math.sqrt(v0))
+        s = self.sigma
+        p = (1.0 - s) / 2.0
+        m = c2 ** (1.0 - s)
+        lead = math.sqrt(v0) / ((1.0 - s) * (math.sqrt(v0) + c1) * c3)
+        return lead * ((v**p - m) ** 2 - (v0**p - m) ** 2)
+
+    def f1_inv(self, z: float) -> float:
+        """Inverse of :meth:`f1`.
+
+        For sigma = 1 the algebraically consistent inverse carries the
+        c3 factor (exp((sqrt(v0)+c1) c3 z / sqrt(v0) + 2 c2/sqrt(v0)));
+        dropping c3 would not invert f1.
+        """
+        c1, c2, c3, v0 = self.c1, self.c2, self.c3, self.v0
+        if self.sigma == 1.0:
+            arg = (math.sqrt(v0) + c1) * c3 / math.sqrt(v0) * z + 2.0 * c2 / math.sqrt(
+                v0
             )
-        slack = 1e-12 * (1.0 + abs(g0))
-        for v in grid:
-            gv = self.g(float(v))
-            if gv < g0 - slack:
-                raise ValueError(
-                    f"g({v:.6g}) = {gv:.6g} drops below g(v0) = {g0:.6g}"
-                )
-            bg = self.big_g(float(v))
-            if not bg > 0.0:
-                raise ValueError(f"G({v:.6g}) = {bg:.6g} is not positive")
-
-    def texts(self) -> tuple[str, str]:
-        return to_text(self.g_ast), to_text(self.big_g_ast)
-
-
-def _ratio(gp: GrowthPair):
-    g, big_g = gp._g, gp._big_g
-    return lambda u: g(0.0, (u,)) / big_g(0.0, (u,))
+            return v0 * math.exp(arg)
+        if z < self.f1(self.v0):
+            raise DomainError("f1_inv argument below the range of f1")
+        s = self.sigma
+        m = c2 ** (1.0 - s)
+        p = (1.0 - s) / 2.0
+        rad = (1.0 - s) * (math.sqrt(v0) + c1) * c3 / math.sqrt(
+            v0
+        ) * z + (v0**p - m) ** 2
+        return (math.sqrt(rad) + m) ** (2.0 / (1.0 - s))
 
 
 def growth_integral(gp: GrowthPair, v: float) -> float:
@@ -142,7 +171,7 @@ def growth_integral(gp: GrowthPair, v: float) -> float:
         )
     if v == gp.v0:
         return 0.0
-    value, _ = quad(_ratio(gp), gp.v0, v, epsabs=1e-12, epsrel=1e-12, limit=200)
+    value, _ = quad(gp.ratio, gp.v0, v, epsabs=1e-12, epsrel=1e-12, limit=200)
     return float(value)
 
 
@@ -166,7 +195,7 @@ def growth_integral_inv(gp: GrowthPair, z: float, vmax: float | None = None) -> 
         return gp.v0
     if vmax is None:
         vmax = gp.vmax
-    ratio = _ratio(gp)
+    ratio = gp.ratio
 
     # doubling bracket with accumulated quadrature so each rung costs one
     # local integral, not one global one
@@ -332,171 +361,4 @@ def sup_bound_curve(
             growth_integral_inv(gp, max(0.0, 0.5 * (hi - lo)))
             for hi, lo in zip(sup_right, inf_left)
         ]
-    )
-
-
-# ---------------------------------------------------------------------------
-# sampled uniqueness test
-
-
-@dataclass
-class UniquenessReport:
-    """Outcome of the sampled two-solution separation test."""
-
-    status: str  # "pass" | "fail" | "vacuous"
-    n_samples: int
-    min_bound_margin: float
-    min_rate_margin: float
-    bound_witness: tuple | None
-    rate_witness: tuple | None
-    h_nondecreasing: bool
-    big_h_increasing: bool
-    divergence_left: float
-    divergence_right: float
-    divergence_threshold: float
-    diverges: bool
-    notes: list = field(default_factory=list)
-
-
-def _increasing_inverse(fn, target: float, hi0: float) -> float:
-    """Inverse of a continuous increasing ``fn`` with ``fn(0) <= target``."""
-    hi = max(hi0, 1e-30)
-    for _ in range(200):
-        if fn(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise NoUpperBracket(target, hi, fn(hi))
-    return float(brentq(lambda v: fn(v) - target, 0.0, hi, maxiter=200))
-
-
-def check_uniqueness(
-    u_ast: ExprAST,
-    big_h,
-    small_h,
-    b_fn,
-    beta_fn,
-    v_fn,
-    f_fn,
-    samples,
-    window: tuple[float, float],
-    n_states: int,
-    probe_u: float = 1.0,
-    threshold: float = 10.0,
-    n_grid: int = 2001,
-) -> UniquenessReport:
-    """Sampled check of the two-solution separation hypotheses.
-
-    Parameters
-    ----------
-    u_ast : ExprAST
-        Comparison function ``U(t, z)`` of time and the difference state
-        ``z = x - y`` (state variables of the expression are the
-        components of z).  Its time derivative is exact (symbolic); the
-        z-gradient uses central differences, adequate for a sampled check.
-    big_h, small_h, b_fn, beta_fn : callables
-        ``H`` (strictly increasing), ``h`` (nondecreasing), weight ``b(t) >
-        0`` and rate ``beta(t)``.
-    v_fn : callable
-        Estimating value ``V(t, z)`` of the difference.
-    f_fn : callable
-        Right-hand side ``f(t, x)`` of the system.
-    samples : iterable of (t, x, y)
-        Probe pairs; an empty iterable yields a vacuous report.
-    window : (t_minus, t_plus)
-        Divergence of the normalized rate integral is certified on this
-        window only.
-
-    The hypotheses verified per sample: ``|U(t, z)| <= b(t) H(V(t, z))``
-    and ``dU/dt along the pair >= beta(t) h(V(t, z))``.  Divergence
-    evidence: ``D(T) = |integral_0^T beta(s) h(H^-1(probe_u / b(s))) ds| /
-    b(T)`` at both window ends, compared against ``threshold``.
-    """
-    notes = []
-    u_dt_ast = diff_t(u_ast)
-    u_c = compile_expr(u_ast)
-    u_dt_c = compile_expr(u_dt_ast)
-
-    # monotonicity probes
-    probe_hi = 10.0
-    grid = np.linspace(0.0, probe_hi, 101)
-    big_vals = np.array([big_h(float(v)) for v in grid])
-    small_vals = np.array([small_h(float(v)) for v in grid])
-    big_h_increasing = bool(np.all(np.diff(big_vals) > 0.0))
-    h_nondecreasing = bool(np.all(np.diff(small_vals) >= -1e-14))
-    if not big_h_increasing:
-        notes.append("H fails the strict-increase probe")
-    if not h_nondecreasing:
-        notes.append("h fails the nondecrease probe")
-
-    min_bound = np.inf
-    min_rate = np.inf
-    bound_witness = None
-    rate_witness = None
-    count = 0
-    for t, x, y in samples:
-        t = float(t)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = x - y
-        vz = float(v_fn(t, z))
-        bound_margin = b_fn(t) * big_h(vz) - abs(u_c(t, z))
-        if bound_margin < min_bound:
-            min_bound, bound_witness = bound_margin, (t, x.copy(), y.copy())
-        # dU/dt along the pair: exact in t, central differences in z
-        dz = f_fn(t, x) - f_fn(t, y)
-        udot = u_dt_c(t, z)
-        for i in range(n_states):
-            step = 1e-6 * (1.0 + abs(z[i]))
-            zp = z.copy()
-            zm = z.copy()
-            zp[i] += step
-            zm[i] -= step
-            udot += (u_c(t, zp) - u_c(t, zm)) / (2.0 * step) * dz[i]
-        rate_margin = udot - beta_fn(t) * small_h(vz)
-        if rate_margin < min_rate:
-            min_rate, rate_witness = rate_margin, (t, x.copy(), y.copy())
-        count += 1
-
-    # normalized divergence evidence at both window ends
-    def divergence_at(t_end: float) -> float:
-        if t_end == 0.0:
-            return 0.0
-        s_grid = np.linspace(0.0, t_end, n_grid)
-        vals = np.empty_like(s_grid)
-        for i, s in enumerate(s_grid):
-            bs = b_fn(float(s))
-            level = _increasing_inverse(big_h, probe_u / bs, 1.0)
-            vals[i] = beta_fn(float(s)) * small_h(level)
-        integral = np.trapezoid(vals, s_grid)
-        return abs(float(integral)) / b_fn(float(t_end))
-
-    div_left = divergence_at(float(window[0]))
-    div_right = divergence_at(float(window[1]))
-    diverges = min(div_left, div_right) >= threshold
-
-    if count == 0:
-        status = "vacuous"
-        notes.append("no samples supplied")
-    elif not (big_h_increasing and h_nondecreasing):
-        status = "fail"
-    elif min_bound < 0.0 or min_rate < 0.0:
-        status = "fail"
-    else:
-        status = "pass"
-
-    return UniquenessReport(
-        status=status,
-        n_samples=count,
-        min_bound_margin=float(min_bound) if count else float("nan"),
-        min_rate_margin=float(min_rate) if count else float("nan"),
-        bound_witness=bound_witness,
-        rate_witness=rate_witness,
-        h_nondecreasing=h_nondecreasing,
-        big_h_increasing=big_h_increasing,
-        divergence_left=div_left,
-        divergence_right=div_right,
-        divergence_threshold=threshold,
-        diverges=diverges,
-        notes=notes,
     )

@@ -515,8 +515,8 @@ def eval_v_w_along(qp, traj: Trajectory, gp=None) -> VWCurves:
     w = np.empty(m)
     v_dot = np.empty(m)
     w_dot = np.empty(m)
-    b_dot = qp.b.diff_t()
-    c_dot = qp.c.diff_t()
+    b_dot = qp.b_dot
+    c_dot = qp.c_dot
     rhs = qp.rhs
     for i in range(m):
         t = float(traj.ts[i])
@@ -533,5 +533,5 @@ def eval_v_w_along(qp, traj: Trajectory, gp=None) -> VWCurves:
         f_dot = np.full(m, np.nan)
         above = v >= gp.v0
         for i in np.nonzero(above)[0]:
-            f_dot[i] = gp.g(v[i]) / gp.big_g(v[i]) * v_dot[i]
+            f_dot[i] = gp.ratio(v[i]) * v_dot[i]
     return VWCurves(ts=traj.ts.copy(), v=v, w=w, v_dot=v_dot, w_dot=w_dot, f_dot=f_dot)

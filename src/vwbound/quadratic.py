@@ -59,7 +59,6 @@ __all__ = [
     "RateCheckReport",
     "rate_inequalities_check",
     "sample_region_states",
-    "FittedConstants",
     "fit_constants",
     "closed_form_ceiling",
     "alpha_curve",
@@ -313,92 +312,12 @@ def rate_inequalities_check(
 # constant fitting and the scalar growth pair
 
 
-@dataclass(frozen=True)
-class FittedConstants:
-    """The scalar data feeding the growth pair: exponent ``sigma`` in
-    (0, 1] and positive ``c1, c2, c3`` with ``c2**2 < v0``."""
-
-    sigma: float
-    c1: float
-    c2: float
-    c3: float
-    v0: float
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma <= 1.0:
-            raise DomainError(f"sigma must lie in (0, 1], got {self.sigma}")
-        if self.c2**2 >= self.v0:
-            raise InfeasibleConditionE(
-                f"c2^2 = {self.c2**2:.6g} must stay below v0 = {self.v0:.6g}"
-            )
-
-    def growth_pair(self) -> GrowthPair:
-        g_text = f"v - {self.c2!r}*sqrt(v)"
-        big_g_text = f"{self.c3!r}*v^{self.sigma!r}*(v + {self.c1!r}*sqrt(v))"
-        return GrowthPair.from_strings(self.v0, g_text, big_g_text)
-
-    # the growth pair is immutable; build it once on demand
-    def _gp(self) -> GrowthPair:
-        gp = getattr(self, "_gp_cache", None)
-        if gp is None:
-            gp = self.growth_pair()
-            object.__setattr__(self, "_gp_cache", gp)
-        return gp
-
-    def f(self, v: float) -> float:
-        """Growth clock ``F(v) = (1/c3) int_{v0}^{v} g/G*c3 du`` (the c3
-        sits inside G)."""
-        return growth_integral(self._gp(), v)
-
-    def f_inv(self, z: float) -> float:
-        return growth_integral_inv(self._gp(), z)
-
-    # closed-form surrogate: a lower bound F1 <= F with explicit inverse
-    def f1(self, v: float) -> float:
-        """Closed-form lower bound for :meth:`f`, exact enough for
-        ceilings: conservative because smaller F means larger F^-1."""
-        if v < self.v0:
-            raise DomainError(f"f1 needs v >= v0, got {v} < {self.v0}")
-        c1, c2, c3, v0 = self.c1, self.c2, self.c3, self.v0
-        if self.sigma == 1.0:
-            lead = math.sqrt(v0) / ((math.sqrt(v0) + c1) * c3)
-            return lead * (math.log(v) - math.log(v0) - 2.0 * c2 / math.sqrt(v0))
-        s = self.sigma
-        p = (1.0 - s) / 2.0
-        m = c2 ** (1.0 - s)
-        lead = math.sqrt(v0) / ((1.0 - s) * (math.sqrt(v0) + c1) * c3)
-        return lead * ((v**p - m) ** 2 - (v0**p - m) ** 2)
-
-    def f1_inv(self, z: float) -> float:
-        """Inverse of :meth:`f1`.
-
-        For sigma = 1 the algebraically consistent inverse carries the
-        c3 factor (exp((sqrt(v0)+c1) c3 z / sqrt(v0) + 2 c2/sqrt(v0)));
-        dropping c3 would not invert f1.
-        """
-        c1, c2, c3, v0 = self.c1, self.c2, self.c3, self.v0
-        if self.sigma == 1.0:
-            arg = (math.sqrt(v0) + c1) * c3 / math.sqrt(v0) * z + 2.0 * c2 / math.sqrt(
-                v0
-            )
-            return v0 * math.exp(arg)
-        if z < self.f1(self.v0):
-            raise DomainError("f1_inv argument below the range of f1")
-        s = self.sigma
-        m = c2 ** (1.0 - s)
-        p = (1.0 - s) / 2.0
-        rad = (1.0 - s) * (math.sqrt(v0) + c1) * c3 / math.sqrt(
-            v0
-        ) * z + (v0**p - m) ** 2
-        return (math.sqrt(rad) + m) ** (2.0 / (1.0 - s))
-
-
 def fit_constants(
     qp: QuadraticProblem,
     sigma: float,
     samples: list[tuple[float, np.ndarray]],
     v0: float,
-) -> FittedConstants:
+) -> GrowthPair:
     """Smallest admissible ``c1, c2, c3`` over the sample set, inflated by
     1.01 because finitely many samples under-cover the region.
 
@@ -450,10 +369,10 @@ def fit_constants(
             "|Lam_V| = 0 on every sample; the growth pair degenerates "
             "(nothing to certify through G)"
         )
-    return FittedConstants(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
+    return GrowthPair(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
 
 
-def closed_form_ceiling(consts: FittedConstants, delta: float) -> float:
+def closed_form_ceiling(consts: GrowthPair, delta: float) -> float:
     """Window-free ceiling for V from the constants alone, at threshold
     ``v0 -> c2^2``: for spread ``delta = sup lam_plus - inf lam_minus``,
 
@@ -609,14 +528,10 @@ class Certificate:
     seed: int = 0
     notes: list = field(default_factory=list, repr=False)
 
-    @property
-    def constants(self) -> FittedConstants:
-        return FittedConstants(
+    def growth_pair(self) -> GrowthPair:
+        return GrowthPair(
             sigma=self.sigma, c1=self.c1, c2=self.c2, c3=self.c3, v0=self.v0
         )
-
-    def growth_pair(self) -> GrowthPair:
-        return self.constants.growth_pair()
 
     @property
     def feasible(self) -> bool:
@@ -812,7 +727,7 @@ def certify(
     v_star = float(qp.v_star) if qp.v_star is not None else 4.0 * v0
     spread = float(np.max(lam_plus) - np.min(lam_minus))
 
-    def fit_for(sigma: float, v_hi: float) -> FittedConstants:
+    def fit_for(sigma: float, v_hi: float) -> GrowthPair:
         if state_free:
             # lam/phi/psi do not depend on x, and V^-sigma is maximal at
             # v0, so per-t samples at V = v0 fit the whole region exactly
@@ -840,7 +755,7 @@ def certify(
             )
         return fit_constants(qp, sigma, samples, v0)
 
-    best: FittedConstants | None = None
+    best: GrowthPair | None = None
     best_bound = math.inf
     infeasible_reasons = []
     for _round in range(6):
@@ -849,8 +764,7 @@ def certify(
         infeasible_reasons = []
         for sigma in sigma_grid:
             try:
-                consts = fit_for(sigma, v_star)
-                gp_try = consts.growth_pair()
+                gp_try = fit_for(sigma, v_star)
                 bound0 = growth_integral_inv(
                     gp_try, max(0.0, 0.5 * v0 * spread)
                 )
@@ -858,7 +772,7 @@ def certify(
                 infeasible_reasons.append(f"sigma={sigma:g}: {exc}")
                 continue
             if bound0 < best_bound:
-                best, best_bound = consts, bound0
+                best, best_bound = gp_try, bound0
         if best is None:
             conditions["e"] = ConditionResult(
                 name="growth constants fit",
@@ -866,9 +780,8 @@ def certify(
                 note="; ".join(infeasible_reasons),
             )
             raise InfeasibleConditionE("; ".join(infeasible_reasons))
-        gp = best.growth_pair()
         (term1, term2), slack = check_v_star(
-            v_star, gp, tail.nu, tail.omega_tilde, tail.omega0, qp.w_plus
+            v_star, best, tail.nu, tail.omega_tilde, tail.omega0, qp.w_plus
         )
         if not v_star_auto:
             break
@@ -877,7 +790,8 @@ def certify(
             v_star = needed
             # one more pass so the fit region matches the final V*
             (term1, term2), slack = check_v_star(
-                v_star, gp, tail.nu, tail.omega_tilde, tail.omega0, qp.w_plus
+                v_star, best, tail.nu, tail.omega_tilde, tail.omega0,
+                qp.w_plus,
             )
             break
         v_star = needed
@@ -903,7 +817,7 @@ def certify(
             "sigma=1 surrogate inverse carries the c3 factor required for "
             "algebraic consistency with the surrogate itself"
         )
-    gp = best.growth_pair()
+    gp = best
 
     # alpha curve, (f) and (B): window divergence of the return clock
     alpha = alpha_curve(qp, ts, v0, v_star, rng)

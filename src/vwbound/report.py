@@ -19,7 +19,7 @@ import io
 
 import numpy as np
 
-from .errors import DocumentError
+from .errors import DocumentError, DomainError, InfeasibleConditionE
 from .quadratic import Certificate, ConditionResult, closed_form_ceiling
 
 __all__ = [
@@ -176,7 +176,8 @@ def report_from_certificate(
     i0 = int(np.argmin(np.abs(cert.ts)))
     rep.add("bound.curve_t0", cert.ceiling[i0])
     spread = float(np.max(cert.lam_plus) - np.min(cert.lam_minus))
-    rep.add("bound.closed_form", closed_form_ceiling(cert.constants, spread))
+    rep.add("bound.closed_form",
+            closed_form_ceiling(cert.growth_pair(), spread))
     for tag in CONDITION_ORDER:
         cond = cert.conditions[tag]
         prefix = f"cond.{tag}"
@@ -196,7 +197,13 @@ def report_from_certificate(
 
 
 def certificate_from_report(rep: RunReport) -> Certificate:
-    """Rebuild the certificate a report was written from."""
+    """Rebuild the certificate a report was written from.
+
+    Raises
+    ------
+    DocumentError
+        Naming the ``cert.*`` key whose growth constant is out of range.
+    """
     conditions = {}
     for tag in CONDITION_ORDER:
         prefix = f"cond.{tag}"
@@ -212,7 +219,7 @@ def certificate_from_report(rep: RunReport) -> Certificate:
     while rep.has(f"note.{i}"):
         notes.append(rep.get(f"note.{i}"))
         i += 1
-    return Certificate(
+    cert = Certificate(
         sigma=rep.get_float("cert.sigma"),
         c1=rep.get_float("cert.c1"),
         c2=rep.get_float("cert.c2"),
@@ -242,6 +249,17 @@ def certificate_from_report(rep: RunReport) -> Certificate:
         seed=rep.get_int("seed"),
         notes=notes,
     )
+    try:
+        cert.growth_pair()
+    except DomainError as exc:
+        raise DocumentError(
+            f"growth constant out of range: {exc}", key=f"cert.{exc.where}"
+        ) from None
+    except InfeasibleConditionE as exc:
+        raise DocumentError(
+            f"growth constants out of range: {exc}", key="cert.c2"
+        ) from None
+    return cert
 
 
 def attach_solution(rep: RunReport, sol, exit_code: int) -> None:

@@ -23,8 +23,6 @@ bookkeeping and its convergence rule are unchanged.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,16 +54,6 @@ __all__ = [
     "verify_bound",
     "write_xi_csv",
 ]
-
-
-def _worker_count() -> int:
-    env = os.environ.get("VWBOUND_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass
@@ -320,31 +308,6 @@ def find_trapped_start(
     best_exit = -math.inf
     kinds: set[str] = set()
 
-    def eval_batch(us):
-        nonlocal spent
-        results = []
-        workers = _worker_count()
-        if workers > 1 and len(us) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda u: classify_start(
-                            qp, chart, u, horizon, v0, v_star,
-                            config.integrator_tol,
-                        ),
-                        us,
-                    )
-                )
-        else:
-            results = [
-                classify_start(
-                    qp, chart, u, horizon, v0, v_star, config.integrator_tol
-                )
-                for u in us
-            ]
-        spent += len(us)
-        return results
-
     while spent < budget:
         candidates = [center]
         for k in range(chart.n_plus):
@@ -355,7 +318,13 @@ def find_trapped_start(
                 if norm > chart.radius:
                     cand *= chart.radius / norm
                 candidates.append(cand)
-        results = eval_batch(candidates)
+        results = [
+            classify_start(
+                qp, chart, u, horizon, v0, v_star, config.integrator_tol
+            )
+            for u in candidates
+        ]
+        spent += len(candidates)
         for u, res in zip(candidates, results):
             if res.is_stayed:
                 return TrappedStart(
@@ -599,9 +568,12 @@ def verify_bound(
     idx = np.searchsorted(cert.ts, traj.ts, side="right") - 1
     idx = np.clip(idx, 0, cert.ts.size - 2)
     z_cons = 0.5 * (hi_env[idx] - lo_env[idx + 1])
+    # one F^-1 per distinct argument (at most one per grid interval),
+    # spread back over the nodes
+    z_distinct, node_of = np.unique(z_cons, return_inverse=True)
     ceiling = np.array(
-        [growth_integral_inv(gp, max(0.0, float(z))) for z in z_cons]
-    )
+        [growth_integral_inv(gp, max(0.0, float(z))) for z in z_distinct]
+    )[node_of]
     slack_env = float(np.min(ceiling - curves.v))
     if slack_env <= 0.0:
         violations.append(
@@ -618,7 +590,7 @@ def verify_bound(
             f"{cert.v_small_star:.9g}"
         )
     spread = float(np.max(cert.lam_plus) - np.min(cert.lam_minus))
-    closed = closed_form_ceiling(cert.constants, spread)
+    closed = closed_form_ceiling(gp, spread)
     slack_closed = closed - sup_v
     if slack_closed <= 0.0:
         violations.append(

@@ -18,6 +18,7 @@ from vwbound.cli import main
 from vwbound.errors import NoSignChange
 from vwbound.expr import MatrixFunction
 from vwbound.growth import (
+    GrowthPair,
     bound_excursion,
     growth_integral,
     growth_integral_inv,
@@ -25,7 +26,6 @@ from vwbound.growth import (
 from vwbound.ode import EventSpec, eval_v_w_along, integrate, make_region_events
 from vwbound.pencil import SymmetricPencil, solve_pencil, spectral_projectors
 from vwbound.quadratic import (
-    FittedConstants,
     certify,
     closed_form_ceiling,
     sample_region_states,
@@ -55,7 +55,7 @@ def _random_constants(rng):
     c1 = float(10.0 ** rng.uniform(-2, 0.0))
     c3 = float(10.0 ** rng.uniform(-1.0, 1.0))
     sigma = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
-    return FittedConstants(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
+    return GrowthPair(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
 
 
 def test_criterion_1_pencil_oracle(capsys):
@@ -100,7 +100,7 @@ def test_criterion_2_growth_clock(capsys):
     rng = np.random.default_rng(7)
     failures = []
     for case in range(20):
-        gp = _random_constants(rng).growth_pair()
+        gp = _random_constants(rng)
         if growth_integral(gp, gp.v0) != 0.0:
             failures.append((case, "F(v0) != 0"))
         grid = np.geomspace(gp.v0, 1e3 * gp.v0, 200)
@@ -116,7 +116,7 @@ def test_criterion_2_growth_clock(capsys):
     # surrogate ordering F1 <= F up to the certified ceiling
     for case in range(20):
         consts = _random_constants(rng)
-        gp = consts.growth_pair()
+        gp = consts
         for v in np.linspace(consts.v0, 50.0 * consts.v0, 100):
             if consts.f1(float(v)) > growth_integral(gp, float(v)) + 1e-12:
                 failures.append((case, "F1 > F", v))
@@ -142,13 +142,13 @@ def test_criterion_3_closed_form_ceiling(capsys):
         v0 = c2**2 * (1.0 + 1e-8)
         c_two = (c1 + c2) * c2 * c3 / 2.0
         # sigma = 1: the exponential form
-        consts = FittedConstants(sigma=1.0, c1=c1, c2=c2, c3=c3, v0=v0)
+        consts = GrowthPair(sigma=1.0, c1=c1, c2=c2, c3=c3, v0=v0)
         got = consts.f1_inv(0.5 * v0 * delta)
         want = (math.e * c2) ** 2 * math.exp(c_two * delta)
         worst = max(worst, abs(got - want) / want)
         # sigma < 1: the power form, same threshold limit
         sigma = float(rng.choice([0.25, 0.5, 0.75]))
-        consts = FittedConstants(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
+        consts = GrowthPair(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
         got = consts.f1_inv(0.5 * v0 * delta)
         want = closed_form_ceiling(consts, delta)
         worst = max(worst, abs(got - want) / want)

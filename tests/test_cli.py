@@ -165,6 +165,35 @@ class TestVerify:
         assert "does not match" in capsys.readouterr().err
 
 
+class TestCertificateConstants:
+    # each edit puts one growth constant outside the family's range:
+    # c3 <= 0, c2^2 >= v0 (v0 = 0.02 here), sigma outside (0, 1]
+    @pytest.mark.parametrize("key,value", [
+        ("cert.c3", "-1"),
+        ("cert.c2", "1"),
+        ("cert.sigma", "1.5"),
+    ])
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    def test_out_of_range_constant_is_usage_error(
+        self, ref_doc, cert_file, solve_dir, tmp_path, capsys,
+        command, key, value,
+    ):
+        text = open(cert_file).read()
+        target = next(
+            ln for ln in text.splitlines() if ln.startswith(f"{key} = ")
+        )
+        bad = tmp_path / "bad-constants.txt"
+        bad.write_text(text.replace(target, f"{key} = {value}"))
+        if command == "verify":
+            argv = ["verify", ref_doc, "--cert", str(bad),
+                    "--traj", str(solve_dir / "trajectory.csv")]
+        else:
+            argv = ["solve", ref_doc, "--cert", str(bad),
+                    "--out", str(tmp_path / "run")]
+        assert main(argv) == 64
+        assert f"key '{key}'" in capsys.readouterr().err
+
+
 class TestReport:
     def test_renders_table(self, cert_file, capsys):
         assert main(["report", cert_file]) == 0
@@ -198,6 +227,14 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 64
+
+    def test_options_only_on_their_subcommand(self, ref_doc, cert_file,
+                                              solve_dir, capsys):
+        # --sigma belongs to certify and --format to report
+        assert main(["verify", ref_doc, "--cert", cert_file,
+                     "--traj", str(solve_dir / "trajectory.csv"),
+                     "--sigma", "0.5"]) == 64
+        assert main(["certify", ref_doc, "--format", "csv"]) == 64
 
     def test_console_script_installed(self):
         exe = shutil.which("vwbound")

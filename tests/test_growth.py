@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import simpson_fixed
-from vwbound.errors import DomainError, WindowExhausted
+from vwbound.errors import DomainError, InfeasibleConditionE, WindowExhausted
 from vwbound.growth import (
     GrowthPair,
     bound_excursion,
@@ -23,13 +23,10 @@ from vwbound.growth import (
     return_time,
     sup_bound_curve,
 )
-from vwbound.quadratic import FittedConstants
 
 
 def make_pair(v0=0.02, c1=0.101, c2=0.101, c3=2.686, sigma=0.25):
-    return FittedConstants(
-        sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0
-    ).growth_pair()
+    return GrowthPair(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
 
 
 # admissible random constant sets: c2^2 < v0, 0 < sigma <= 1
@@ -39,26 +36,57 @@ def random_constants(rng):
     c1 = float(10.0 ** rng.uniform(-2, 0.5))
     c3 = float(10.0 ** rng.uniform(-1.5, 1.0))
     sigma = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
-    return FittedConstants(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
+    return GrowthPair(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
 
 
 class TestGrowthPair:
-    def test_from_strings_and_eval(self):
-        gp = GrowthPair.from_strings(1.0, "v - 0.5*sqrt(v)", "v^2 + v")
+    def test_family_values(self):
+        gp = GrowthPair(sigma=1.0, c1=1.0, c2=0.5, c3=2.0, v0=1.0)
+        # g(4) = 4 - 0.5*2; G(4) = 2 * 4 * (4 + 2)
         assert gp.g(4.0) == pytest.approx(3.0)
-        assert gp.big_g(2.0) == pytest.approx(6.0)
+        assert gp.big_g(4.0) == pytest.approx(48.0)
+        assert gp.ratio(4.0) == pytest.approx(3.0 / 48.0)
+        half = GrowthPair(sigma=0.5, c1=0.0, c2=0.0, c3=1.0, v0=1.0)
+        assert half.big_g(9.0) == pytest.approx(27.0)
+        assert half.vmax == pytest.approx(1e6)
 
     def test_rejects_nonpositive_g_at_v0(self):
-        with pytest.raises(ValueError):
-            GrowthPair.from_strings(1.0, "v - 2*sqrt(v)", "v")
+        # c2^2 >= v0 puts g(v0) = v0 - c2 sqrt(v0) at or below zero
+        for c2 in (1.0, 2.0):
+            with pytest.raises(InfeasibleConditionE):
+                GrowthPair(sigma=0.5, c1=0.1, c2=c2, c3=1.0, v0=1.0)
 
-    def test_rejects_decreasing_g(self):
-        with pytest.raises(ValueError):
-            GrowthPair.from_strings(1.0, "2 - v", "v")
+    def test_rejects_sigma_outside_unit_interval(self):
+        for sigma in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(DomainError) as info:
+                GrowthPair(sigma=sigma, c1=0.1, c2=0.1, c3=1.0, v0=1.0)
+            assert info.value.where == "sigma"
 
     def test_rejects_nonpositive_big_g(self):
-        with pytest.raises(ValueError):
-            GrowthPair.from_strings(1.0, "v", "v - 100")
+        # c3 <= 0 makes G nonpositive everywhere
+        for c3 in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError) as info:
+                GrowthPair(sigma=0.5, c1=0.1, c2=0.1, c3=c3, v0=1.0)
+            assert info.value.where == "c3"
+
+    def test_rejects_negative_or_nan_constants(self):
+        for field, value in (("c1", -0.1), ("c2", -0.1), ("c1", math.nan),
+                             ("c2", math.nan), ("v0", math.nan)):
+            kwargs = dict(sigma=0.5, c1=0.1, c2=0.1, c3=1.0, v0=1.0)
+            kwargs[field] = value
+            with pytest.raises(DomainError) as info:
+                GrowthPair(**kwargs)
+            assert info.value.where == field
+
+    def test_family_bounds_imply_positive_laws(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            gp = random_constants(rng)
+            g0 = gp.g(gp.v0)
+            assert g0 > 0.0
+            for v in np.geomspace(gp.v0, gp.vmax, 64):
+                assert gp.g(float(v)) >= g0
+                assert gp.big_g(float(v)) > 0.0
 
 
 class TestGrowthIntegral:
@@ -75,7 +103,7 @@ class TestGrowthIntegral:
         rng = np.random.default_rng(3)
         for _ in range(8):
             consts = random_constants(rng)
-            gp = consts.growth_pair()
+            gp = consts
             for mult in (1.5, 4.0, 40.0):
                 v = mult * gp.v0
                 ref = simpson_fixed(
@@ -93,7 +121,7 @@ class TestGrowthIntegral:
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            gp = random_constants(rng).growth_pair()
+            gp = random_constants(rng)
             z_hi = growth_integral(gp, 1e4 * gp.v0)
             for z in np.linspace(0.0, 0.95 * z_hi, 20):
                 v = growth_integral_inv(gp, float(z))
@@ -119,7 +147,7 @@ class TestSurrogateOrdering:
         rng = np.random.default_rng(9)
         for _ in range(12):
             consts = random_constants(rng)
-            gp = consts.growth_pair()
+            gp = consts
             for mult in (1.2, 3.0, 10.0, 100.0):
                 v = mult * consts.v0
                 assert consts.f1(v) <= growth_integral(gp, v) + 1e-10
@@ -143,7 +171,7 @@ class TestSurrogateOrdering:
 
 
 def make_consts_sigma(sigma):
-    return FittedConstants(sigma=sigma, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
+    return GrowthPair(sigma=sigma, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
 
 
 class TestCeilings:

@@ -17,9 +17,9 @@ from vwbound.errors import (
     NotRetractable,
 )
 from vwbound.expr import MatrixFunction, VectorFunction
+from vwbound.growth import GrowthPair
 from vwbound.quadratic import (
     Certificate,
-    FittedConstants,
     QuadraticProblem,
     alpha_curve,
     certify,
@@ -162,14 +162,14 @@ class TestConstantFitting:
 
     def test_constants_validate_on_construction(self):
         with pytest.raises(InfeasibleConditionE):
-            FittedConstants(sigma=0.5, c1=0.1, c2=0.2, c3=1.0, v0=0.01)
+            GrowthPair(sigma=0.5, c1=0.1, c2=0.2, c3=1.0, v0=0.01)
         with pytest.raises(DomainError):
-            FittedConstants(sigma=1.5, c1=0.1, c2=0.05, c3=1.0, v0=0.01)
+            GrowthPair(sigma=1.5, c1=0.1, c2=0.05, c3=1.0, v0=0.01)
 
 
 class TestClosedFormCeiling:
     def test_sigma_one_form(self):
-        consts = FittedConstants(sigma=1.0, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
+        consts = GrowthPair(sigma=1.0, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
         c_two = (0.2 + 0.1) * 0.1 * 1.5 / 2.0
         for delta in (0.0, 0.5, 2.0):
             assert closed_form_ceiling(consts, delta) == pytest.approx(
@@ -177,7 +177,7 @@ class TestClosedFormCeiling:
             )
 
     def test_sigma_below_one_form(self):
-        consts = FittedConstants(sigma=0.5, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
+        consts = GrowthPair(sigma=0.5, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
         c_two = (0.2 + 0.1) * 0.1 * 1.5 / 2.0
         c_one = math.sqrt(0.5 * c_two)
         delta = 2.0
@@ -185,16 +185,16 @@ class TestClosedFormCeiling:
         assert closed_form_ceiling(consts, delta) == pytest.approx(expected)
 
     def test_zero_spread_reduces_to_threshold(self):
-        consts = FittedConstants(sigma=0.5, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
+        consts = GrowthPair(sigma=0.5, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
         assert closed_form_ceiling(consts, 0.0) == pytest.approx(0.1**2)
 
     def test_negative_spread_rejected(self):
-        consts = FittedConstants(sigma=0.5, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
+        consts = GrowthPair(sigma=0.5, c1=0.2, c2=0.1, c3=1.5, v0=0.04)
         with pytest.raises(DomainError):
             closed_form_ceiling(consts, -0.1)
 
     def test_monotone_in_spread(self):
-        consts = FittedConstants(sigma=0.25, c1=0.1, c2=0.1, c3=2.7, v0=0.02)
+        consts = GrowthPair(sigma=0.25, c1=0.1, c2=0.1, c3=2.7, v0=0.02)
         vals = [closed_form_ceiling(consts, d) for d in (0.0, 1.0, 2.0, 4.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 

@@ -17,6 +17,8 @@ from vwbound.errors import (
     NotConverged,
 )
 from vwbound.expr import MatrixFunction, VectorFunction
+from vwbound.growth import growth_integral_inv
+from vwbound.ode import eval_v_w_along
 from vwbound.quadratic import QuadraticProblem, certify
 from vwbound.shooting import (
     ShootingConfig,
@@ -262,6 +264,34 @@ class TestVerifyBound:
         assert rep.clock_nodes == 0
         assert any("above the threshold" in n or "vacuous" in n
                    for n in rep.notes)
+
+    def test_envelope_matches_per_node_inversion(self, reference_problem,
+                                                 reference_certificate,
+                                                 reference_solution_run):
+        # time-varying curves give every grid interval its own F^-1
+        # argument; the reference inverts once per node
+        cert = reference_certificate
+        cert = dataclasses.replace(
+            cert,
+            lam_plus=cert.lam_plus * (1.0 + 0.2 * np.cos(0.1 * cert.ts)),
+            lam_minus=cert.lam_minus * (1.0 + 0.1 * np.sin(0.2 * cert.ts)),
+        )
+        traj = reference_solution_run.traj
+        rep = verify_bound(reference_problem, cert, traj)
+        gp = cert.growth_pair()
+        hi_env = np.maximum.accumulate((cert.lam_plus * cert.v0)[::-1])[::-1]
+        lo_env = np.minimum.accumulate(cert.lam_minus * cert.v0)
+        idx = np.clip(np.searchsorted(cert.ts, traj.ts, side="right") - 1,
+                      0, cert.ts.size - 2)
+        ceiling = np.array([
+            growth_integral_inv(
+                gp, max(0.0, float(0.5 * (hi_env[i] - lo_env[i + 1])))
+            )
+            for i in idx
+        ])
+        v = eval_v_w_along(reference_problem, traj).v
+        assert np.unique(ceiling).size > 50
+        assert rep.slack_envelope == float(np.min(ceiling - v))
 
     def test_corrupted_ceiling_flagged(self, reference_problem,
                                        reference_certificate,
