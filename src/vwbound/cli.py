@@ -63,7 +63,7 @@ EXIT_USAGE = 64
 
 
 def _apply_overrides(doc, args):
-    if getattr(args, "window", None):
+    if args.window is not None:
         parts = args.window.split(",")
         if len(parts) != 2:
             raise DocumentError("--window expects 'T-,T+'", key="window")
@@ -74,18 +74,22 @@ def _apply_overrides(doc, args):
                 f"--window values not numeric: {args.window!r}",
                 key="window",
             ) from None
-    if getattr(args, "grid", None):
+    if args.grid is not None:
         doc.grid = args.grid
-    if getattr(args, "tol", None):
+    if args.tol is not None:
         doc.tol = args.tol
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         doc.seed = args.seed
 
 
 def _sigma_grid(args):
-    if args.sigma:
-        return (args.sigma,)
-    return SIGMA_GRID
+    if args.sigma is None:
+        return SIGMA_GRID
+    if not 0.0 < args.sigma <= 1.0:
+        raise DocumentError(
+            f"--sigma must lie in (0, 1], got {args.sigma:g}", key="sigma"
+        )
+    return (args.sigma,)
 
 
 # exceptions escaping certify, mapped to the condition they indict
@@ -161,7 +165,10 @@ def cmd_solve(args) -> int:
         )
     cert = certificate_from_report(rep)
     qp = doc.to_problem()
-    config = ShootingConfig(integrator_tol=doc.tol)
+    try:
+        config = ShootingConfig(integrator_tol=doc.tol)
+    except ValueError as exc:
+        raise DocumentError(str(exc), key="tol") from None
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     try:

@@ -74,20 +74,25 @@ class ProblemDocument:
         return bool(self.chat_entries)
 
     def to_problem(self) -> QuadraticProblem:
-        return QuadraticProblem(
-            a=self.matrix("A"),
-            f0=self.forcing(),
-            b=self.matrix("B"),
-            c=self.matrix("C"),
-            window=self.window,
-            v0=self.v0,
-            w_minus=self.w_minus,
-            w_plus=self.w_plus,
-            v_star=self.v_star,
-            n_grid=self.grid,
-            n_state_samples=self.samples,
-            seed=self.seed,
-        )
+        """Build the problem; a value the problem rejects (grid, window,
+        region bounds, v0, seed) raises :class:`DocumentError`."""
+        try:
+            return QuadraticProblem(
+                a=self.matrix("A"),
+                f0=self.forcing(),
+                b=self.matrix("B"),
+                c=self.matrix("C"),
+                window=self.window,
+                v0=self.v0,
+                w_minus=self.w_minus,
+                w_plus=self.w_plus,
+                v_star=self.v_star,
+                n_grid=self.grid,
+                n_state_samples=self.samples,
+                seed=self.seed,
+            )
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
 
 
 def _clean_value(value: str, line_no: int) -> str:

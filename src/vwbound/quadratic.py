@@ -113,13 +113,23 @@ class QuadraticProblem:
             raise ValueError("B and C must not depend on the state")
         t_lo, t_hi = self.window
         if not t_lo < 0.0 < t_hi:
-            raise ValueError("window must contain 0 strictly inside")
+            raise ValueError(
+                f"window ({t_lo:g}, {t_hi:g}) must contain 0 strictly inside"
+            )
         if not self.w_minus < 0.0 < self.w_plus:
-            raise ValueError("need w_minus < 0 < w_plus")
+            raise ValueError(
+                f"need w_minus < 0 < w_plus, got w_minus = {self.w_minus:g}, "
+                f"w_plus = {self.w_plus:g}"
+            )
         if self.v0 is not None and self.v0 <= 0.0:
-            raise ValueError("v0 must be positive")
+            raise ValueError(f"v0 must be positive, got {self.v0:g}")
         if self.n_grid < 9:
-            raise ValueError("n_grid too small to resolve the window")
+            raise ValueError(
+                "grid needs at least 9 points to resolve the window, "
+                f"got {self.n_grid}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         self.n = n
         self.rhs = compile_rhs(self.a, self.f0)
         self.quad_v = compile_quadform(self.b)
@@ -314,62 +324,72 @@ def rate_inequalities_check(
 
 def fit_constants(
     qp: QuadraticProblem,
-    sigma: float,
+    sigmas,
     samples: list[tuple[float, np.ndarray]],
     v0: float,
-) -> GrowthPair:
-    """Smallest admissible ``c1, c2, c3`` over the sample set, inflated by
-    1.01 because finitely many samples under-cover the region.
+) -> list[GrowthPair]:
+    """Smallest admissible ``c1, c2, c3`` over the sample set, one
+    :class:`GrowthPair` per sigma in ``sigmas``, inflated by 1.01 because
+    finitely many samples under-cover the region.
 
     The three inequalities fitted are ``2 phi <= c1 |Lam_V|``,
-    ``2 psi <= c2 lam_W`` and ``|Lam_V| <= c3 V^sigma lam_W``.
+    ``2 psi <= c2 lam_W`` and ``|Lam_V| <= c3 V^sigma lam_W``.  Only c3
+    depends on sigma, so each sample's rates are computed once.
 
     Raises
     ------
+    DomainError
+        If ``sigmas`` is empty or holds a sigma outside (0, 1].
     InfeasibleConditionE
         Naming the first unsatisfiable inequality and a witness sample
         (lam_W <= 0 somewhere, a forced rate with zero |Lam_V|, or a
-        fitted c2 with c2^2 >= v0).
+        fitted c2 with c2^2 >= v0); none of them depends on sigma.
     """
-    if not 0.0 < sigma <= 1.0:
-        raise DomainError(f"sigma must lie in (0, 1], got {sigma}")
-    c1 = c2 = c3 = 0.0
+    if not sigmas or not all(0.0 < sigma <= 1.0 for sigma in sigmas):
+        raise DomainError(f"sigma must lie in (0, 1], got {tuple(sigmas)}")
+    c1 = c2 = 0.0
+    forcing: dict[float, tuple[float, float]] = {}
+    rates = []
     for t, x in samples:
+        x = np.asarray(x, dtype=float)
+        if t not in forcing:
+            forcing[t] = (phi(qp, t), psi(qp, t))
+        ph, ps = forcing[t]
         lam_v = abs(v_rate_extreme(qp, t, x))
         lam_w = w_rate_min(qp, t, x)
-        ph = phi(qp, t)
-        ps = psi(qp, t)
-        v = float(qp.quad_v(t, np.asarray(x, dtype=float)))
         if lam_w <= 0.0:
             raise InfeasibleConditionE(
                 f"lam_W = {lam_w:.6g} <= 0 at a region sample; "
                 "the W-rate inequality 2 psi <= c2 lam_W has no positive fit",
-                witness=(t, np.asarray(x, dtype=float)),
+                witness=(t, x),
             )
         if lam_v == 0.0 and ph > 0.0:
             raise InfeasibleConditionE(
                 "|Lam_V| vanishes at a sample with phi > 0; "
                 "2 phi <= c1 |Lam_V| has no fit",
-                witness=(t, np.asarray(x, dtype=float)),
+                witness=(t, x),
             )
         if lam_v > 0.0:
             c1 = max(c1, 2.0 * ph / lam_v)
         c2 = max(c2, 2.0 * ps / lam_w)
-        c3 = max(c3, lam_v / (v**sigma * lam_w))
+        rates.append((float(qp.quad_v(t, x)), lam_v, lam_w))
     c1 *= SAFETY_INFLATION
     c2 *= SAFETY_INFLATION
-    c3 *= SAFETY_INFLATION
     if c2**2 >= v0:
         raise InfeasibleConditionE(
             f"fitted c2 = {c2:.6g} has c2^2 >= v0 = {v0:.6g}; "
             "the forcing is too large for this v0"
         )
-    if c3 == 0.0:
+    if not any(lam_v > 0.0 for _, lam_v, _ in rates):
         raise InfeasibleConditionE(
             "|Lam_V| = 0 on every sample; the growth pair degenerates "
             "(nothing to certify through G)"
         )
-    return GrowthPair(sigma=sigma, c1=c1, c2=c2, c3=c3, v0=v0)
+    pairs = []
+    for sigma in sigmas:
+        c3 = max(lam_v / (v**sigma * lam_w) for v, lam_v, lam_w in rates)
+        pairs.append(GrowthPair(sigma, c1, c2, SAFETY_INFLATION * c3, v0))
+    return pairs
 
 
 def closed_form_ceiling(consts: GrowthPair, delta: float) -> float:
@@ -727,7 +747,7 @@ def certify(
     v_star = float(qp.v_star) if qp.v_star is not None else 4.0 * v0
     spread = float(np.max(lam_plus) - np.min(lam_minus))
 
-    def fit_for(sigma: float, v_hi: float) -> GrowthPair:
+    def samples_for(v_hi: float) -> list[tuple[float, np.ndarray]]:
         if state_free:
             # lam/phi/psi do not depend on x, and V^-sigma is maximal at
             # v0, so per-t samples at V = v0 fit the whole region exactly
@@ -741,7 +761,7 @@ def certify(
                     lowt.T, e_first, lower=False, check_finite=False
                 )
                 samples.append((tt, sqv0 * direction))
-            return fit_constants(qp, sigma, samples, v0)
+            return samples
         samples = []
         for t in ts:
             tt = float(t)
@@ -753,34 +773,16 @@ def certify(
             raise InfeasibleConditionE(
                 "region sampler produced no states; region may be empty"
             )
-        return fit_constants(qp, sigma, samples, v0)
+        return samples
 
-    best: GrowthPair | None = None
-    best_bound = math.inf
-    infeasible_reasons = []
+    def clock_ceiling(gp: GrowthPair) -> float:
+        return growth_integral_inv(gp, max(0.0, 0.5 * v0 * spread))
+
     for _round in range(6):
-        best = None
-        best_bound = math.inf
-        infeasible_reasons = []
-        for sigma in sigma_grid:
-            try:
-                gp_try = fit_for(sigma, v_star)
-                bound0 = growth_integral_inv(
-                    gp_try, max(0.0, 0.5 * v0 * spread)
-                )
-            except InfeasibleConditionE as exc:
-                infeasible_reasons.append(f"sigma={sigma:g}: {exc}")
-                continue
-            if bound0 < best_bound:
-                best, best_bound = gp_try, bound0
-        if best is None:
-            conditions["e"] = ConditionResult(
-                name="growth constants fit",
-                passed=False,
-                note="; ".join(infeasible_reasons),
-            )
-            raise InfeasibleConditionE("; ".join(infeasible_reasons))
-        (term1, term2), slack = check_v_star(
+        fits = fit_constants(qp, sigma_grid, samples_for(v_star), v0)
+        # min keeps the first sigma on ties
+        best = min(fits, key=clock_ceiling)
+        (term1, term2), _ = check_v_star(
             v_star, best, tail.nu, tail.omega_tilde, tail.omega0, qp.w_plus
         )
         if not v_star_auto:
@@ -788,11 +790,6 @@ def certify(
         needed = VSTAR_HEADROOM * max(term1, term2, v0)
         if needed <= v_star * (1.0 + 1e-9):
             v_star = needed
-            # one more pass so the fit region matches the final V*
-            (term1, term2), slack = check_v_star(
-                v_star, best, tail.nu, tail.omega_tilde, tail.omega0,
-                qp.w_plus,
-            )
             break
         v_star = needed
     else:

@@ -145,8 +145,9 @@ class ShootingConfig:
             raise ValueError("need at least two rungs for xi convergence")
         for name in ("settle", "horizon_span", "sample_dt", "xi_tol",
                      "integrator_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value:g}")
         if self.spacing is not None and self.spacing <= 0.0:
             raise ValueError("spacing must be positive")
         if self.u_tol is not None and self.u_tol <= 0.0:

@@ -1,5 +1,7 @@
 """Command-line contract: subcommands, exit codes, emitted files."""
 
+import importlib.util
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -8,6 +10,9 @@ import pytest
 
 from vwbound.cli import main
 from vwbound.report import FORMAT_TAG, RunReport
+
+ROOT = pathlib.Path(__file__).parents[1]
+NONLINEAR_DOC = ROOT / "demos" / "nonlinear.problem"
 
 TINY_V0 = """\
 [problem]
@@ -165,6 +170,39 @@ class TestVerify:
         assert "does not match" in capsys.readouterr().err
 
 
+class TestRejectedDocumentValues:
+    # values the problem or the shooting configuration rejects: each must
+    # be a usage error that names the value, not a traceback
+    @pytest.mark.parametrize("command,line,edit,extra,named", [
+        ("certify", "grid = 201", "grid = 5", [], "window, got 5"),
+        ("certify", "t_minus = -40", "t_minus = 5", [], "window (5, 40)"),
+        ("certify", "w_minus = -0.02", "w_minus = 0.01", [],
+         "w_minus = 0.01"),
+        ("certify", "v0 = 0.02", "v0 = -1", [], "v0 must be positive, got -1"),
+        ("certify", "seed = 42", "seed = -1", [],
+         "seed must be non-negative, got -1"),
+        ("solve", "tol = 1e-8", "tol = 0", [],
+         "integrator_tol must be positive, got 0"),
+        ("certify", None, None, ["--grid", "5"], "window, got 5"),
+        ("certify", None, None, ["--window=3,4"], "window (3, 4)"),
+    ])
+    def test_rejected_value_is_usage_error(
+        self, ref_doc, cert_file, tmp_path, capsys,
+        command, line, edit, extra, named,
+    ):
+        doc = tmp_path / "edited.problem"
+        text = open(ref_doc).read()
+        if line is not None:
+            assert text.count(f"\n{line}\n") == 1
+            text = text.replace(f"\n{line}\n", f"\n{edit}\n")
+        doc.write_text(text)
+        argv = [command, str(doc)] + extra
+        if command == "solve":
+            argv += ["--cert", cert_file, "--out", str(tmp_path / "run")]
+        assert main(argv) == 64
+        assert named in capsys.readouterr().err
+
+
 class TestCertificateConstants:
     # each edit puts one growth constant outside the family's range:
     # c3 <= 0, c2^2 >= v0 (v0 = 0.02 here), sigma outside (0, 1]
@@ -236,6 +274,23 @@ class TestUsage:
                      "--sigma", "0.5"]) == 64
         assert main(["certify", ref_doc, "--format", "csv"]) == 64
 
+    @pytest.mark.parametrize("command,extra", [
+        ("certify", ["--sigma", "0"]),
+        ("certify", ["--sigma", "-1"]),
+        ("certify", ["--sigma", "1.5"]),
+        ("certify", ["--grid", "0"]),
+        ("solve", ["--tol", "0"]),
+    ])
+    def test_out_of_range_override_is_usage_error(
+        self, ref_doc, cert_file, tmp_path, capsys, command, extra,
+    ):
+        # a zero override is applied, not mistaken for "no override"
+        argv = [command, ref_doc] + extra
+        if command == "solve":
+            argv += ["--cert", cert_file, "--out", str(tmp_path / "run")]
+        assert main(argv) == 64
+        assert f"got {extra[-1]}" in capsys.readouterr().err
+
     def test_console_script_installed(self):
         exe = shutil.which("vwbound")
         if exe is None:
@@ -243,3 +298,27 @@ class TestUsage:
         proc = subprocess.run([exe, "--help"], capture_output=True)
         assert proc.returncode == 0
         assert b"certify" in proc.stdout
+
+
+class TestNonlinear:
+    """State-dependent A: certify fits the growth pair on sampled states
+    instead of the state-free fast path."""
+
+    def test_pipeline_exit_codes(self, tmp_path, capsys):
+        doc = str(NONLINEAR_DOC)
+        cert = tmp_path / "cert.txt"
+        run = tmp_path / "run"
+        assert main(["certify", doc, "--out", str(cert)]) == 2
+        assert main(["solve", doc, "--cert", str(cert),
+                     "--out", str(run)]) == 0
+        assert main(["verify", doc, "--cert", str(cert),
+                     "--traj", str(run / "trajectory.csv")]) == 0
+        assert "verify pass" in capsys.readouterr().out
+
+    def test_same_text_as_benchmark_workload(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert NONLINEAR_DOC.read_text() == workloads.nonlinear_text(ROOT)

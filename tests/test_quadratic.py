@@ -19,6 +19,8 @@ from vwbound.errors import (
 from vwbound.expr import MatrixFunction, VectorFunction
 from vwbound.growth import GrowthPair
 from vwbound.quadratic import (
+    SAFETY_INFLATION,
+    SIGMA_GRID,
     Certificate,
     QuadraticProblem,
     alpha_curve,
@@ -135,7 +137,9 @@ class TestConstantFitting:
                 reference_problem, float(t), rng, 4, 0.02, 0.12
             ):
                 samples.append((float(t), x))
-        consts = fit_constants(reference_problem, 0.25, samples, v0=0.02)
+        consts = fit_constants(
+            reference_problem, (0.25,), samples, v0=0.02
+        )[0]
         # Lam_V = lam_W = 2 and phi = psi = 0.1 everywhere, so the raw
         # fits are c1 = c2 = 0.1 and c3 = v0^-0.25 at the smallest sampled
         # V; the 1.01 inflation sits on top
@@ -143,6 +147,44 @@ class TestConstantFitting:
         assert consts.c2 == pytest.approx(0.101, rel=1e-12)
         v_min = min(reference_problem.quad_v(t, x) for t, x in samples)
         assert consts.c3 == pytest.approx(1.01 * v_min**-0.25, rel=1e-9)
+
+    def test_sigma_grid_fits_on_state_dependent_a(self):
+        qp = make_reference_problem(
+            a=MatrixFunction.from_strings(
+                [["1 + 0.5*x1*x2", "0"], ["0", "-1"]], n_states=2
+            )
+        )
+        rng = np.random.default_rng(3)
+        samples = []
+        for t in np.linspace(-40.0, 40.0, 9):
+            for x in sample_region_states(qp, float(t), rng, 6, 0.02, 0.15):
+                samples.append((float(t), x))
+        fits = fit_constants(qp, SIGMA_GRID, samples, v0=0.02)
+        assert [gp.sigma for gp in fits] == list(SIGMA_GRID)
+        for k, sigma in enumerate(SIGMA_GRID):
+            # fitting the grid at once equals fitting each sigma alone
+            assert fits[k] == fit_constants(qp, (sigma,), samples, 0.02)[0]
+            # c1, c2 do not depend on sigma
+            assert (fits[k].c1, fits[k].c2) == (fits[0].c1, fits[0].c2)
+            # brute-force c3 from the per-point rate routines
+            c3 = SAFETY_INFLATION * max(
+                abs(v_rate_extreme(qp, t, x))
+                / (qp.quad_v(t, x) ** sigma * w_rate_min(qp, t, x))
+                for t, x in samples
+            )
+            assert fits[k].c3 == c3
+
+    def test_sigma_checked_before_any_rate(self):
+        # the samples are infeasible (lam_W < 0), but a bad sigma grid is
+        # reported first
+        qp = constant_problem(
+            np.diag([-1.0, 1.0]), np.eye(2), np.diag([1.0, -1.0]),
+            [0.0, 0.0],
+        )
+        samples = [(0.0, np.array([0.2, 0.0]))]
+        for sigmas in ((), (0.5, 0.0), (1.5,)):
+            with pytest.raises(DomainError):
+                fit_constants(qp, sigmas, samples, v0=0.02)
 
     def test_negative_w_rate_is_infeasible(self):
         # reversing the saddle makes W shrink: lam_W = -2 < 0
@@ -152,12 +194,12 @@ class TestConstantFitting:
         )
         samples = [(0.0, np.array([0.2, 0.0]))]
         with pytest.raises(InfeasibleConditionE):
-            fit_constants(qp, 0.5, samples, v0=0.02)
+            fit_constants(qp, (0.5,), samples, v0=0.02)
 
     def test_c2_square_exceeding_v0_is_infeasible(self, reference_problem):
         samples = [(0.0, np.array([0.18, 0.05]))]
         with pytest.raises(InfeasibleConditionE) as info:
-            fit_constants(reference_problem, 0.5, samples, v0=1e-6)
+            fit_constants(reference_problem, (0.5,), samples, v0=1e-6)
         assert "c2" in str(info.value)
 
     def test_constants_validate_on_construction(self):
