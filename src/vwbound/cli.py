@@ -31,6 +31,7 @@ from .errors import (
     ConditionGFailed,
     DegeneratePencil,
     DocumentError,
+    EmptyPositiveSubspace,
     InfeasibleConditionE,
     NoSignChange,
     NotConverged,
@@ -63,7 +64,9 @@ EXIT_USAGE = 64
 
 
 def _apply_overrides(doc, args):
-    if args.window is not None:
+    """Copy the document overrides the subcommand accepts onto ``doc``."""
+    overrides = vars(args)
+    if overrides.get("window") is not None:
         parts = args.window.split(",")
         if len(parts) != 2:
             raise DocumentError("--window expects 'T-,T+'", key="window")
@@ -74,12 +77,9 @@ def _apply_overrides(doc, args):
                 f"--window values not numeric: {args.window!r}",
                 key="window",
             ) from None
-    if args.grid is not None:
-        doc.grid = args.grid
-    if args.tol is not None:
-        doc.tol = args.tol
-    if args.seed is not None:
-        doc.seed = args.seed
+    for key in ("grid", "tol", "seed"):
+        if overrides.get(key) is not None:
+            setattr(doc, key, overrides[key])
 
 
 def _sigma_grid(args):
@@ -92,10 +92,12 @@ def _sigma_grid(args):
     return (args.sigma,)
 
 
-# exceptions escaping certify, mapped to the condition they indict
+# exceptions escaping certify, mapped to the condition they indict; a C
+# with no positive eigenvalue has no entry disks, which fails (g)
 _FAILURE_TAGS = (
     (InfeasibleConditionE, "e"),
     (ConditionGFailed, "g"),
+    (EmptyPositiveSubspace, "g"),
     (NotPositiveDefinite, "a"),
     (DegeneratePencil, "b"),
 )
@@ -249,7 +251,6 @@ def _read_trajectory_csv(path, n: int) -> Trajectory:
 
 def cmd_verify(args) -> int:
     doc = load_problem_document(args.problem)
-    _apply_overrides(doc, args)
     if not args.cert:
         raise DocumentError("verify requires --cert CERTIFICATE", key="cert")
     if not args.traj:
@@ -319,21 +320,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("problem", help="problem document path")
-        p.add_argument("--window", help="override window as 'T-,T+'")
-        p.add_argument("--grid", type=int, help="override grid size")
-        p.add_argument("--tol", type=float, help="override tolerance")
-        p.add_argument("--seed", type=int, help="override sampling seed")
         p.add_argument("--out", help="output file (certify/verify/report) "
                                      "or directory (solve)")
 
+    def window(p):
+        p.add_argument("--window", help="override window as 'T-,T+'")
+
     p_cert = sub.add_parser("certify", help="check conditions, emit report")
     common(p_cert)
+    window(p_cert)
+    p_cert.add_argument("--grid", type=int, help="override grid size")
+    p_cert.add_argument("--seed", type=int, help="override sampling seed")
     p_cert.add_argument(
         "--sigma", type=float,
         help="fix the growth exponent instead of searching the grid",
     )
     p_solve = sub.add_parser("solve", help="find the trapped solution")
     common(p_solve)
+    window(p_solve)
+    p_solve.add_argument("--tol", type=float,
+                         help="override integrator tolerance")
     p_solve.add_argument("--cert", help="certificate report from certify")
     p_verify = sub.add_parser("verify", help="check a trajectory against "
                                              "a certificate")

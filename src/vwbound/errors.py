@@ -72,20 +72,38 @@ class NotDifferentiable(VWBoundError):
 
 
 class NotPositiveDefinite(VWBoundError):
-    """Cholesky factorization hit a nonpositive pivot."""
+    """Cholesky factorization hit a nonpositive pivot; ``index`` is the
+    failing matrix's position in a stack (None for a single matrix)."""
 
-    def __init__(self, pivot: int, value: float):
+    def __init__(
+        self,
+        pivot: int,
+        value: float,
+        index: int | None = None,
+        where: str | None = None,
+    ):
+        if where is None:
+            where = "matrix" if index is None else f"matrix {index} of the stack"
         super().__init__(
-            f"matrix is not positive definite: pivot {pivot} has "
+            f"{where} is not positive definite: pivot {pivot} has "
             f"nonpositive value {value:.6g}"
         )
         self.pivot = pivot
         self.value = value
+        self.index = index
 
 
 class DegeneratePencil(VWBoundError):
     """An eigenvalue sits inside the degeneracy tolerance band around zero,
-    so the positive/negative splitting is not well defined."""
+    or the signature changes across a stack, so the positive/negative
+    splitting is not well defined; ``index`` is the offending matrix's
+    position in a stack (None for a single matrix)."""
+
+    def __init__(self, message: str, index: int | None = None):
+        if index is not None:
+            message += f" (matrix {index} of the stack)"
+        super().__init__(message)
+        self.index = index
 
 
 class EmptyPositiveSubspace(VWBoundError):

@@ -5,10 +5,11 @@ spectral raw material for everything downstream: rate extremes of the
 quadratic pair, the positive/negative splitting of the guiding matrix, and
 the disks the shooting stage launches from.
 
-The solve route is a Cholesky reduction ``B = L L^T`` (our own, so a
-failing pivot index can be reported) followed by a symmetric
-eigendecomposition of ``L^-1 C L^-T``; characteristic vectors map back
-through ``L^-T`` and are exactly B-orthonormal up to roundoff.
+Every function takes one ``(n, n)`` matrix or an ``(m, n, n)`` stack of
+them and runs on ``numpy.linalg`` only, so a whole time grid is one call.
+The solve route is a Cholesky reduction ``B = L L^T`` followed by a
+symmetric eigendecomposition of ``L^-1 C L^-T``; characteristic vectors
+map back through ``L^-T`` and are exactly B-orthonormal up to roundoff.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DegeneratePencil,
@@ -42,17 +42,21 @@ _SYM_TOL = 1e-10
 
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = 1.0 + float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.T))) > _SYM_TOL * scale:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(
+            f"{name} must be square or a stack of square matrices, "
+            f"got shape {a.shape}"
+        )
+    scale = 1.0 + np.max(np.abs(a), axis=(-2, -1))
+    if np.any(np.max(np.abs(a - a.mT), axis=(-2, -1)) > _SYM_TOL * scale):
         raise ValueError(f"{name} is not symmetric")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 @dataclass
 class SymmetricPencil:
-    """The pair (C, B); both symmetric, B positive definite.
+    """The pair (C, B); both symmetric, B positive definite.  ``c`` and
+    ``b`` are both ``(n, n)`` or both ``(m, n, n)`` stacks.
 
     Positive definiteness of B is established lazily by the Cholesky step
     of :func:`solve_pencil`; construction only enforces symmetry so that a
@@ -68,35 +72,25 @@ class SymmetricPencil:
         if self.c.shape != self.b.shape:
             raise ValueError("C and B must have equal shape")
 
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
-
 
 @dataclass
 class PencilEigen:
-    """Characteristic values (ascending) and B-orthonormal vectors
-    (columns of ``vectors``, aligned with ``values``)."""
+    """Characteristic values (ascending, last axis) and B-orthonormal
+    vectors (columns of ``vectors``, aligned with ``values``)."""
 
     values: np.ndarray
     vectors: np.ndarray
 
 
-def cholesky_spd(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        With the index and value of the first nonpositive pivot.
-    """
-    a = np.asarray(a, dtype=float)
+def _pivot_loop(a: np.ndarray, index: int | None) -> np.ndarray:
+    """Cholesky factor by the textbook column loop, raising at the first
+    nonpositive or non-finite pivot."""
     n = a.shape[0]
     low = np.zeros_like(a)
     for j in range(n):
         d = a[j, j] - low[j, :j] @ low[j, :j]
         if not (d > 0.0) or not np.isfinite(d):
-            raise NotPositiveDefinite(j, float(d))
+            raise NotPositiveDefinite(j, float(d), index=index)
         low[j, j] = math.sqrt(d)
         if j + 1 < n:
             low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[
@@ -105,31 +99,56 @@ def cholesky_spd(a: np.ndarray) -> np.ndarray:
     return low
 
 
+def cholesky_spd(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix, or
+    of each matrix in a stack.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        With the index and value of the first nonpositive pivot and, for
+        a stack, the index of the first matrix that has one.
+    """
+    a = np.asarray(a, dtype=float)
+    try:
+        low = np.linalg.cholesky(a)
+        if np.all(np.isfinite(low)):
+            return low
+    except np.linalg.LinAlgError:
+        pass
+    # the factorization failed: the column loop names the pivot
+    if a.ndim == 2:
+        return _pivot_loop(a, None)
+    return np.stack([_pivot_loop(m, k) for k, m in enumerate(a)])
+
+
 def solve_pencil(pencil: SymmetricPencil) -> PencilEigen:
     """All characteristic values and vectors of ``C - lambda B``.
 
     The vectors ``v_i`` satisfy ``<B v_i, v_j> = delta_ij`` and
     ``C v_i = lambda_i B v_i`` up to roundoff.
     """
-    low = cholesky_spd(pencil.b)
-    tmp = solve_triangular(low, pencil.c, lower=True, check_finite=False)
-    reduced = solve_triangular(low, tmp.T, lower=True, check_finite=False).T
-    reduced = 0.5 * (reduced + reduced.T)
-    values, u = np.linalg.eigh(reduced)
-    vectors = solve_triangular(low.T, u, lower=False, check_finite=False)
-    return PencilEigen(values=values, vectors=vectors)
+    low_inv = np.linalg.inv(cholesky_spd(pencil.b))
+    reduced = low_inv @ pencil.c @ low_inv.mT
+    values, u = np.linalg.eigh(0.5 * (reduced + reduced.mT))
+    return PencilEigen(values=values, vectors=low_inv.mT @ u)
 
 
-def lambda_extremes(pencil: SymmetricPencil) -> tuple[float, float]:
-    """(smallest, largest) characteristic value of the pencil."""
+def lambda_extremes(pencil: SymmetricPencil):
+    """(smallest, largest) characteristic value of the pencil: two floats,
+    or two arrays for a stack."""
     values = solve_pencil(pencil).values
-    return float(values[0]), float(values[-1])
+    lo, hi = values[..., 0], values[..., -1]
+    if values.ndim == 1:
+        return float(lo), float(hi)
+    return lo, hi
 
 
 @dataclass
 class ProjectorPair:
     """Orthogonal projectors onto the positive and negative eigenspaces of
-    a symmetric nondegenerate matrix, plus orthonormal bases of both."""
+    a symmetric nondegenerate matrix (or of each matrix in a stack of
+    constant signature), plus orthonormal bases of both."""
 
     p_plus: np.ndarray
     p_minus: np.ndarray
@@ -149,29 +168,45 @@ def spectral_projectors(c: np.ndarray, degeneracy_rtol: float = 1e-10) -> Projec
     DegeneratePencil
         If some eigenvalue lies inside the band
         ``degeneracy_rtol * ||c||_2`` around zero — the splitting would
-        then be numerically meaningless.
+        then be numerically meaningless — or if the signature changes
+        across a stack.  Every matrix is checked for degeneracy before
+        any signature is compared.
     """
     c = _check_symmetric(c, "C")
     values, u = np.linalg.eigh(c)
-    norm2 = float(np.max(np.abs(values))) if values.size else 0.0
+    stack = values.reshape(-1, values.shape[-1])
+    norm2 = np.max(np.abs(stack), axis=-1)
     band = degeneracy_rtol * norm2
-    if norm2 == 0.0 or bool(np.any(np.abs(values) <= band)):
+    bad = (norm2 == 0.0) | np.any(np.abs(stack) <= band[:, None], axis=-1)
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise DegeneratePencil(
-            f"eigenvalue inside the degeneracy band {band:.3e} around zero"
+            f"eigenvalue inside the degeneracy band {band[k]:.3e} around zero",
+            index=None if c.ndim == 2 else k,
         )
-    pos = values > 0.0
-    neg = ~pos
-    u_pos = u[:, pos]
-    u_neg = u[:, neg]
+    n_plus = np.count_nonzero(stack > 0.0, axis=-1)
+    changed = n_plus != n_plus[0]
+    if np.any(changed):
+        k = int(np.argmax(changed))
+        n = values.shape[-1]
+        raise DegeneratePencil(
+            f"signature changes from (+{n_plus[0]}, -{n - n_plus[0]}) to "
+            f"(+{n_plus[k]}, -{n - n_plus[k]})",
+            index=k,
+        )
+    # eigh sorts ascending, so the negative eigenspace comes first
+    n_minus = values.shape[-1] - int(n_plus[0])
+    u_pos = u[..., n_minus:]
+    u_neg = u[..., :n_minus]
     return ProjectorPair(
-        p_plus=u_pos @ u_pos.T,
-        p_minus=u_neg @ u_neg.T,
-        n_plus=int(np.count_nonzero(pos)),
-        n_minus=int(np.count_nonzero(neg)),
+        p_plus=u_pos @ u_pos.mT,
+        p_minus=u_neg @ u_neg.mT,
+        n_plus=int(n_plus[0]),
+        n_minus=n_minus,
         basis_plus=u_pos,
         basis_minus=u_neg,
-        eigs_plus=values[pos],
-        eigs_minus=values[neg],
+        eigs_plus=values[..., n_minus:],
+        eigs_minus=values[..., :n_minus],
     )
 
 
@@ -183,12 +218,12 @@ def signed_parts(
     c = np.asarray(c, dtype=float)
     c_plus = proj.p_plus @ c @ proj.p_plus
     c_minus = proj.p_minus @ c @ proj.p_minus
-    return 0.5 * (c_plus + c_plus.T), 0.5 * (c_minus + c_minus.T)
+    return 0.5 * (c_plus + c_plus.mT), 0.5 * (c_minus + c_minus.mT)
 
 
-def lambda_minus_plus(pencil: SymmetricPencil, proj: ProjectorPair) -> float:
+def lambda_minus_plus(pencil: SymmetricPencil, proj: ProjectorPair):
     """Smallest characteristic value of the pencil restricted to the
-    positive subspace of C.
+    positive subspace of C (a float, or an array for a stack).
 
     With ``V`` an orthonormal basis of that subspace this is the smallest
     characteristic value of the compressed pair
@@ -203,7 +238,8 @@ def lambda_minus_plus(pencil: SymmetricPencil, proj: ProjectorPair) -> float:
     if proj.n_plus == 0:
         raise EmptyPositiveSubspace("C has no positive eigenvalues")
     basis = proj.basis_plus
-    c_r = basis.T @ pencil.c @ basis
-    b_r = basis.T @ pencil.b @ basis
-    restricted = SymmetricPencil(c=c_r, b=b_r)
-    return float(solve_pencil(restricted).values[0])
+    restricted = SymmetricPencil(
+        c=basis.mT @ pencil.c @ basis, b=basis.mT @ pencil.b @ basis
+    )
+    lowest = solve_pencil(restricted).values[..., 0]
+    return float(lowest) if lowest.ndim == 0 else lowest

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     ConditionGFailed,
@@ -137,45 +137,77 @@ class QuadraticProblem:
         self.b_dot = self.b.diff_t()
         self.c_dot = self.c.diff_t()
 
-    # -- pointwise spectral quantities ------------------------------------
-
     def _zeros(self):
         return np.zeros(self.n)
 
 
+# ---------------------------------------------------------------------------
+# spectral quantities, one stack row per time (or per sample)
+
+
+def _stack(fn, ts, xs=None) -> np.ndarray:
+    """``fn`` (a :class:`MatrixFunction` or :class:`VectorFunction`) at
+    each time of ``ts`` and state of ``xs`` (zero when omitted), stacked
+    along a new first axis; a constant is broadcast, not re-evaluated."""
+    if not (fn.depends_on_t or fn.depends_on_state):
+        const = fn.eval(0.0)
+        return np.broadcast_to(const, (len(ts),) + const.shape)
+    xs = np.zeros((len(ts), fn.n_states)) if xs is None else np.asarray(xs, float)
+    return np.array([fn.eval(float(t), x) for t, x in zip(ts, xs)])
+
+
+class _Grid(NamedTuple):
+    """B, C, B', C' and f0 of a problem at a set of times, as stacks."""
+
+    b: np.ndarray
+    c: np.ndarray
+    b_dot: np.ndarray
+    c_dot: np.ndarray
+    f0: np.ndarray
+
+    def take(self, index) -> "_Grid":
+        return _Grid(*(stack[index] for stack in self))
+
+
+def _grid(qp: QuadraticProblem, ts) -> _Grid:
+    return _Grid(
+        *(_stack(fn, ts) for fn in (qp.b, qp.c, qp.b_dot, qp.c_dot, qp.f0))
+    )
+
+
+def _forcing(g: _Grid) -> tuple[np.ndarray, np.ndarray]:
+    """phi and psi at each row of ``g`` (see :func:`phi`, :func:`psi`)."""
+    f = g.f0[..., None]
+    ph = np.sqrt(np.maximum(0.0, (f.mT @ g.b @ f)[..., 0, 0]))
+    y = np.linalg.solve(cholesky_spd(g.b), g.c @ f)
+    return ph, np.sqrt((y.mT @ y)[..., 0, 0])
+
+
+def _v_rates(g: _Grid, a: np.ndarray) -> np.ndarray:
+    """:func:`v_rate_extreme` at each row of ``g`` and ``a`` (A there)."""
+    m = g.b @ a
+    lo, hi = lambda_extremes(SymmetricPencil(m + m.mT + g.b_dot, g.b))
+    return np.where(np.abs(hi) >= np.abs(lo), hi, lo)
+
+
+def _w_rates(g: _Grid, a: np.ndarray) -> np.ndarray:
+    """:func:`w_rate_min` at each row of ``g`` and ``a`` (A there)."""
+    m = g.c @ a
+    return lambda_extremes(SymmetricPencil(m + m.mT + g.c_dot, g.b))[0]
+
+
 def phi(qp: QuadraticProblem, t: float) -> float:
     """Forcing size in the B metric: ``sqrt(<B f0, f0>)``."""
-    f = qp.f0.eval(t, qp._zeros())
-    bmat = qp.b.eval(t, qp._zeros())
-    return math.sqrt(max(0.0, float(f @ bmat @ f)))
+    return float(_forcing(_grid(qp, [t]))[0][0])
 
 
 def psi(qp: QuadraticProblem, t: float) -> float:
     """Forcing size seen by W: ``sqrt(<B^-1 C f0, C f0>)``.
 
-    Computed by triangular solves against the Cholesky factor of B; no
-    explicit inverse is formed.
+    Computed by solving against the Cholesky factor of B; no explicit
+    inverse is formed.
     """
-    z = qp._zeros()
-    f = qp.f0.eval(t, z)
-    u = qp.c.eval(t, z) @ f
-    low = cholesky_spd(qp.b.eval(t, z))
-    y = solve_triangular(low, u, lower=True, check_finite=False)
-    return float(np.sqrt(y @ y))
-
-
-def _v_rate_matrix(qp: QuadraticProblem, t: float, x) -> np.ndarray:
-    amat = qp.a.eval(t, x)
-    bmat = qp.b.eval(t, x)
-    m = bmat @ amat
-    return m + m.T + qp.b_dot.eval(t, x)
-
-
-def _w_rate_matrix(qp: QuadraticProblem, t: float, x) -> np.ndarray:
-    amat = qp.a.eval(t, x)
-    cmat = qp.c.eval(t, x)
-    m = cmat @ amat
-    return m + m.T + qp.c_dot.eval(t, x)
+    return float(_forcing(_grid(qp, [t]))[1][0])
 
 
 def v_rate_extreme(qp: QuadraticProblem, t: float, x) -> float:
@@ -185,18 +217,13 @@ def v_rate_extreme(qp: QuadraticProblem, t: float, x) -> float:
     Its absolute value bounds ``|dV/dt|`` relative to V; the sign is kept
     because the value is a genuine characteristic value.
     """
-    x = np.asarray(x, dtype=float)
-    pencil = SymmetricPencil(_v_rate_matrix(qp, t, x), qp.b.eval(t, x))
-    lo, hi = lambda_extremes(pencil)
-    return hi if abs(hi) >= abs(lo) else lo
+    return float(_v_rates(_grid(qp, [t]), _stack(qp.a, [t], [x]))[0])
 
 
 def w_rate_min(qp: QuadraticProblem, t: float, x) -> float:
     """Smallest characteristic value of ``(CA + A^T C + C') - lambda B``;
     it bounds ``dW/dt`` from below relative to V."""
-    x = np.asarray(x, dtype=float)
-    pencil = SymmetricPencil(_w_rate_matrix(qp, t, x), qp.b.eval(t, x))
-    return lambda_extremes(pencil)[0]
+    return float(_w_rates(_grid(qp, [t]), _stack(qp.a, [t], [x]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +246,7 @@ def sample_region_states(
     rejection, so the draw is uniform over directions, not over the region
     volume — adequate for worst-case margin estimation.
     """
-    z = qp._zeros()
-    low = cholesky_spd(qp.b.eval(t, z))
+    low_inv = np.linalg.inv(cholesky_spd(qp.b.eval(t, qp._zeros())))
     out: list[np.ndarray] = []
     for _ in range(max_tries):
         if len(out) >= n:
@@ -230,8 +256,7 @@ def sample_region_states(
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         vs = rng.uniform(v_lo, v_hi, size=m)
         # x = sqrt(v) L^-T u  has  <Bx, x> = v exactly
-        xs = solve_triangular(low.T, u.T, lower=False, check_finite=False).T
-        xs *= np.sqrt(vs)[:, None]
+        xs = (u @ low_inv) * np.sqrt(vs)[:, None]
         for x in xs:
             w = qp.quad_w(t, x)
             if qp.w_minus <= w <= qp.w_plus:
@@ -239,6 +264,18 @@ def sample_region_states(
                 if len(out) >= n:
                     break
     return out
+
+
+def _sample_grid(qp, ts, rng, v_lo: float, v_hi: float):
+    """:func:`sample_region_states` at each time of ``ts`` in turn; returns
+    the grid index and the state of every sample."""
+    batches = [
+        sample_region_states(qp, float(t), rng, qp.n_state_samples, v_lo, v_hi)
+        for t in ts
+    ]
+    at = np.repeat(np.arange(len(ts)), [len(batch) for batch in batches])
+    xs = np.array([x for batch in batches for x in batch])
+    return at, xs.reshape(at.size, qp.n)
 
 
 @dataclass
@@ -287,21 +324,18 @@ def rate_inequalities_check(
         )
         if not states:
             continue
-        ph = phi(qp, t)
-        ps = psi(qp, t)
-        z = qp._zeros()
-        bmat = qp.b.eval(t, z)
-        cmat = qp.c.eval(t, z)
-        bdot = qp.b_dot.eval(t, z)
-        cdot = qp.c_dot.eval(t, z)
-        for x in states:
+        g = _grid(qp, [t])
+        ph, ps = (float(v[0]) for v in _forcing(g))
+        bmat, cmat, bdot, cdot = g.b[0], g.c[0], g.b_dot[0], g.c_dot[0]
+        gx = g.take(np.zeros(len(states), dtype=int))
+        a = _stack(qp.a, [t] * len(states), states)
+        rates = zip(np.abs(_v_rates(gx, a)), _w_rates(gx, a))
+        for x, (lam_v, lam_w) in zip(states, rates):
             f = qp.rhs(t, x)
             v = float(x @ bmat @ x)
             sq = math.sqrt(v)
             v_dot = float(x @ bdot @ x + 2.0 * (bmat @ x) @ f)
             w_dot = float(x @ cdot @ x + 2.0 * (cmat @ x) @ f)
-            lam_v = abs(v_rate_extreme(qp, t, x))
-            lam_w = w_rate_min(qp, t, x)
             margin_v = lam_v * v + 2.0 * ph * sq - abs(v_dot)
             margin_w = w_dot - (lam_w * v - 2.0 * ps * sq)
             if margin_v < worst_v:
@@ -347,44 +381,41 @@ def fit_constants(
     """
     if not sigmas or not all(0.0 < sigma <= 1.0 for sigma in sigmas):
         raise DomainError(f"sigma must lie in (0, 1], got {tuple(sigmas)}")
-    c1 = c2 = 0.0
-    forcing: dict[float, tuple[float, float]] = {}
-    rates = []
-    for t, x in samples:
-        x = np.asarray(x, dtype=float)
-        if t not in forcing:
-            forcing[t] = (phi(qp, t), psi(qp, t))
-        ph, ps = forcing[t]
-        lam_v = abs(v_rate_extreme(qp, t, x))
-        lam_w = w_rate_min(qp, t, x)
-        if lam_w <= 0.0:
-            raise InfeasibleConditionE(
-                f"lam_W = {lam_w:.6g} <= 0 at a region sample; "
-                "the W-rate inequality 2 psi <= c2 lam_W has no positive fit",
-                witness=(t, x),
-            )
-        if lam_v == 0.0 and ph > 0.0:
-            raise InfeasibleConditionE(
-                "|Lam_V| vanishes at a sample with phi > 0; "
-                "2 phi <= c1 |Lam_V| has no fit",
-                witness=(t, x),
-            )
-        if lam_v > 0.0:
-            c1 = max(c1, 2.0 * ph / lam_v)
-        c2 = max(c2, 2.0 * ps / lam_w)
-        rates.append((float(qp.quad_v(t, x)), lam_v, lam_w))
-    c1 *= SAFETY_INFLATION
-    c2 *= SAFETY_INFLATION
+    times = np.array([t for t, _ in samples], dtype=float)
+    xs = np.array([x for _, x in samples], dtype=float).reshape(times.size, qp.n)
+    # B, C, B', C' and f0 once per distinct sample time
+    grid_ts, at = np.unique(times, return_inverse=True)
+    g = _grid(qp, grid_ts)
+    ph, ps = (v[at] for v in _forcing(g))
+    g, a = g.take(at), _stack(qp.a, times, xs)
+    lam_v = np.abs(_v_rates(g, a))
+    lam_w = _w_rates(g, a)
+    bad = (lam_w <= 0.0) | ((lam_v == 0.0) & (ph > 0.0))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise InfeasibleConditionE(
+            f"lam_W = {lam_w[k]:.6g} <= 0 at a region sample; "
+            "the W-rate inequality 2 psi <= c2 lam_W has no positive fit"
+            if lam_w[k] <= 0.0
+            else "|Lam_V| vanishes at a sample with phi > 0; "
+            "2 phi <= c1 |Lam_V| has no fit",
+            witness=(samples[k][0], xs[k]),
+        )
+    pos = lam_v > 0.0
+    c1 = SAFETY_INFLATION * float(np.max(2.0 * ph[pos] / lam_v[pos], initial=0.0))
+    c2 = SAFETY_INFLATION * float(np.max(2.0 * ps / lam_w, initial=0.0))
     if c2**2 >= v0:
         raise InfeasibleConditionE(
             f"fitted c2 = {c2:.6g} has c2^2 >= v0 = {v0:.6g}; "
             "the forcing is too large for this v0"
         )
-    if not any(lam_v > 0.0 for _, lam_v, _ in rates):
+    if not np.any(pos):
         raise InfeasibleConditionE(
             "|Lam_V| = 0 on every sample; the growth pair degenerates "
             "(nothing to certify through G)"
         )
+    vs = [float(qp.quad_v(t, x)) for (t, _), x in zip(samples, xs)]
+    rates = list(zip(vs, lam_v.tolist(), lam_w.tolist()))
     pairs = []
     for sigma in sigmas:
         c3 = max(lam_v / (v**sigma * lam_w) for v, lam_v, lam_w in rates)
@@ -427,20 +458,13 @@ def alpha_curve(
     """``alpha(t) = inf { lam_W(t,x) : x in region, V(t,x) > v0 }``,
     approximated by the min over state samples (exact when A is
     state-independent, since lam_W then does not depend on x)."""
-    out = np.empty(ts.size)
-    state_free = not qp.a.depends_on_state
-    for i, t in enumerate(ts):
-        t = float(t)
-        if state_free:
-            out[i] = w_rate_min(qp, t, qp._zeros())
-            continue
-        states = sample_region_states(
-            qp, t, rng, qp.n_state_samples, v0 * (1.0 + 1e-9), v_hi
-        )
-        if not states:
-            out[i] = math.nan
-            continue
-        out[i] = min(w_rate_min(qp, t, x) for x in states)
+    ts = np.asarray(ts, dtype=float)
+    if not qp.a.depends_on_state:
+        return _w_rates(_grid(qp, ts), _stack(qp.a, ts))
+    at, xs = _sample_grid(qp, ts, rng, v0 * (1.0 + 1e-9), v_hi)
+    lam_w = _w_rates(_grid(qp, ts).take(at), _stack(qp.a, ts[at], xs))
+    out = np.full(ts.size, math.nan)
+    np.fmin.at(out, at, lam_w)  # fmin skips the NaN of a time without states
     return out
 
 
@@ -586,37 +610,6 @@ def check_v_star(
     return (term1, term2), v_star - required
 
 
-def _lambda_curves(qp: QuadraticProblem, ts: np.ndarray):
-    """Sampled extreme characteristic values of C - lambda B and the
-    minimum over the positive C-subspace, plus the worst degeneracy
-    margin of C (relative |eig|)."""
-    z = qp._zeros()
-    lam_plus = np.empty(ts.size)
-    lam_minus = np.empty(ts.size)
-    lam_mp = np.empty(ts.size)
-    split = None
-    worst_gap = math.inf
-    for i, t in enumerate(ts):
-        t = float(t)
-        bmat = qp.b.eval(t, z)
-        cmat = qp.c.eval(t, z)
-        pencil = SymmetricPencil(cmat, bmat)
-        lam_minus[i], lam_plus[i] = lambda_extremes(pencil)
-        proj = spectral_projectors(cmat)
-        eigs = np.concatenate([proj.eigs_minus, proj.eigs_plus])
-        scale = float(np.max(np.abs(eigs)))
-        worst_gap = min(worst_gap, float(np.min(np.abs(eigs))) / scale)
-        if split is None:
-            split = (proj.n_plus, proj.n_minus)
-        elif split != (proj.n_plus, proj.n_minus):
-            raise DegeneratePencil(
-                f"signature of C changes across the window at t = {t:.6g}: "
-                f"{split} -> {(proj.n_plus, proj.n_minus)}"
-            )
-        lam_mp[i] = lambda_minus_plus(pencil, proj)
-    return lam_plus, lam_minus, lam_mp, worst_gap, split
-
-
 def certify(
     qp: QuadraticProblem,
     sigma_grid=SIGMA_GRID,
@@ -642,42 +635,38 @@ def certify(
     ts = np.linspace(t_lo, t_hi, qp.n_grid)
     conditions: dict[str, ConditionResult] = {}
     notes: list[str] = []
-    z = qp._zeros()
+    grid = _grid(qp, ts)
 
     # (a) SPD check of B on the grid
-    min_b_eig = math.inf
-    spd_ok = True
-    for t in ts:
-        bmat = qp.b.eval(float(t), z)
-        try:
-            cholesky_spd(bmat)
-        except NotPositiveDefinite:
-            spd_ok = False
-        min_b_eig = min(min_b_eig, float(np.linalg.eigvalsh(bmat)[0]))
-    conditions["a"] = ConditionResult(
-        name="B positive definite",
-        passed=spd_ok and min_b_eig > 0.0,
-        margin=min_b_eig,
-    )
-    if not conditions["a"].passed:
-        raise NotPositiveDefinite(-1, min_b_eig)
-
-    # (b) + curves; signature constancy enforced inside
     try:
-        lam_plus, lam_minus, lam_mp, worst_gap, split = _lambda_curves(qp, ts)
-        conditions["b"] = ConditionResult(
-            name="C nondegenerate, constant signature",
-            passed=True,
-            margin=worst_gap,
-            note=f"signature (+{split[0]}, -{split[1]})",
-        )
+        cholesky_spd(grid.b)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(
+            exc.pivot, exc.value, index=exc.index,
+            where=f"B(t = {ts[exc.index]:.6g})",
+        ) from None
+    min_b_eig = float(np.min(np.linalg.eigvalsh(grid.b)[:, 0]))
+    conditions["a"] = ConditionResult(
+        name="B positive definite", passed=min_b_eig > 0.0, margin=min_b_eig
+    )
+
+    # (b) C nondegenerate with constant signature on the whole grid, then
+    # the extreme characteristic values of C - lambda B and the minimum
+    # over the positive C-subspace
+    pencil = SymmetricPencil(grid.c, grid.b)
+    lam_minus, lam_plus = lambda_extremes(pencil)
+    try:
+        proj = spectral_projectors(grid.c)
     except DegeneratePencil as exc:
-        conditions["b"] = ConditionResult(
-            name="C nondegenerate, constant signature",
-            passed=False,
-            note=str(exc),
-        )
-        raise
+        raise DegeneratePencil(f"C(t = {ts[exc.index]:.6g}): {exc}") from None
+    eigs = np.abs(np.concatenate([proj.eigs_minus, proj.eigs_plus], axis=-1))
+    conditions["b"] = ConditionResult(
+        name="C nondegenerate, constant signature",
+        passed=True,
+        margin=float(np.min(np.min(eigs, axis=-1) / np.max(eigs, axis=-1))),
+        note=f"signature (+{proj.n_plus}, -{proj.n_minus})",
+    )
+    lam_mp = lambda_minus_plus(pencil, proj)
 
     # auto v0: half the largest disk condition (d) permits
     v0_auto = qp.v0 is None
@@ -718,26 +707,14 @@ def certify(
     )
 
     # (g) + tail limits
-    try:
-        tail = limits_from_tail(ts, lam_mp, lam_minus, qp.w_plus, v0)
-        tail_margin = float(
-            np.max(lam_mp[ts <= tail.tail_span[1]])
-        )
-        conditions["g"] = ConditionResult(
-            name="positive tail of lam_minus_plus",
-            passed=True,
-            margin=tail_margin,
-            window_certified=True,
-            note=f"trailing quarter {tail.tail_span}",
-        )
-    except ConditionGFailed as exc:
-        conditions["g"] = ConditionResult(
-            name="positive tail of lam_minus_plus",
-            passed=False,
-            window_certified=True,
-            note=str(exc),
-        )
-        raise
+    tail = limits_from_tail(ts, lam_mp, lam_minus, qp.w_plus, v0)
+    conditions["g"] = ConditionResult(
+        name="positive tail of lam_minus_plus",
+        passed=True,
+        margin=float(np.max(lam_mp[ts <= tail.tail_span[1]])),
+        window_certified=True,
+        note=f"trailing quarter {tail.tail_span}",
+    )
 
     # (e) constants: fit on samples (exact fast path when A is
     # state-independent), sigma by grid search on the t = 0 ceiling,
@@ -750,30 +727,17 @@ def certify(
     def samples_for(v_hi: float) -> list[tuple[float, np.ndarray]]:
         if state_free:
             # lam/phi/psi do not depend on x, and V^-sigma is maximal at
-            # v0, so per-t samples at V = v0 fit the whole region exactly
-            samples = []
-            sqv0 = math.sqrt(v0)
-            e_first = np.eye(qp.n)[:, 0]
-            for t in ts:
-                tt = float(t)
-                lowt = cholesky_spd(qp.b.eval(tt, z))
-                direction = solve_triangular(
-                    lowt.T, e_first, lower=False, check_finite=False
-                )
-                samples.append((tt, sqv0 * direction))
-            return samples
-        samples = []
-        for t in ts:
-            tt = float(t)
-            states = sample_region_states(
-                qp, tt, rng, qp.n_state_samples, v0, v_hi
-            )
-            samples.extend((tt, x) for x in states)
-        if not samples:
+            # v0, so per-t samples at V = v0 fit the whole region exactly:
+            # x = sqrt(v0) L^-T e_1 = sqrt(v0 / B_11) e_1
+            xs = np.zeros((ts.size, qp.n))
+            xs[:, 0] = math.sqrt(v0) * (1.0 / np.sqrt(grid.b[:, 0, 0]))
+            return list(zip(ts.tolist(), xs))
+        at, xs = _sample_grid(qp, ts, rng, v0, v_hi)
+        if not at.size:
             raise InfeasibleConditionE(
                 "region sampler produced no states; region may be empty"
             )
-        return samples
+        return list(zip(ts[at].tolist(), xs))
 
     def clock_ceiling(gp: GrowthPair) -> float:
         return growth_integral_inv(gp, max(0.0, 0.5 * v0 * spread))
@@ -1039,23 +1003,19 @@ def uniqueness_quadratic(
         big_lo, big_hi = lambda_extremes(SymmetricPencil(ch, bmat))
         big_lam[i] = big_hi if abs(big_hi) >= abs(big_lo) else big_lo
         chd = c_hat_dot.eval(tt, z)
-        worst = math.inf
         states = sample_region_states(qp, tt, rng, max(2, n_pairs), v_lo, v_hi)
         if len(states) < 2:
             states = [z.copy(), z.copy()]
-        for j in range(0, len(states) - 1, 2):
-            x, y = states[j], states[j + 1]
-            am = np.asarray(a_hat(tt, x, y), dtype=float)
-            m = ch @ am
-            lam = lambda_extremes(
-                SymmetricPencil(m + m.T + chd, bmat)
-            )[0]
-            if lam < worst:
-                worst = lam
-                if lam < beta_min:
-                    beta_min = lam
-                    witness = (tt, x.copy(), y.copy())
-        beta[i] = worst
+        pairs = list(zip(states[::2], states[1::2]))
+        m = ch @ np.array([a_hat(tt, x, y) for x, y in pairs], dtype=float)
+        lam = lambda_extremes(
+            SymmetricPencil(m + m.mT + chd, np.broadcast_to(bmat, m.shape))
+        )[0]
+        j = int(np.argmin(lam))
+        beta[i] = lam[j]
+        if lam[j] < beta_min:
+            beta_min = float(lam[j])
+            witness = (tt, pairs[j][0].copy(), pairs[j][1].copy())
 
     # normalized divergence evidence: (1/|Lam_hat(t)|) |int_0^t beta/Lam_hat|
     def normalized(t_index_mask, endpoint):

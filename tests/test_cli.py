@@ -92,6 +92,32 @@ class TestCertify:
         rep = RunReport.from_text(captured.out)
         assert rep.get("failed.condition") == "e"
 
+    @pytest.mark.parametrize("line,edit,tag", [
+        # B indefinite on the whole grid
+        ('B.1.1 = "1"', 'B.1.1 = "-1"', "a"),
+        # C singular at t = 0 (and without a positive eigenvalue before)
+        ('C.1.1 = "1"', 'C.1.1 = "t"', "b"),
+        # C negative definite: no positive subspace, no entry disks
+        ('C.1.1 = "1"', 'C.1.1 = "-1"', "g"),
+    ])
+    def test_failed_condition_writes_report(
+        self, ref_doc, tmp_path, capsys, line, edit, tag,
+    ):
+        doc = tmp_path / "edited.problem"
+        text = open(ref_doc).read()
+        assert text.count(f"\n{line}\n") == 1
+        doc.write_text(text.replace(f"\n{line}\n", f"\n{edit}\n"))
+        out = tmp_path / "cert.txt"
+        assert main(["certify", str(doc), "--out", str(out)]) == 3
+        assert f"condition ({tag}) failed" in capsys.readouterr().err
+        rep = RunReport.load(str(out))
+        assert rep.get_int("exit.code") == 3
+        assert rep.get("failed.condition") == tag
+        if tag == "a":
+            note = rep.get(f"cond.{tag}.note")
+            pivot = int(note.split("pivot ")[1].split()[0])
+            assert pivot >= 0, note
+
     def test_malformed_document(self, tmp_path, capsys):
         doc = tmp_path / "broken.problem"
         doc.write_text("[problem]\nn = 2\n")  # missing everything else
@@ -268,10 +294,18 @@ class TestUsage:
 
     def test_options_only_on_their_subcommand(self, ref_doc, cert_file,
                                               solve_dir, capsys):
-        # --sigma belongs to certify and --format to report
-        assert main(["verify", ref_doc, "--cert", cert_file,
-                     "--traj", str(solve_dir / "trajectory.csv"),
-                     "--sigma", "0.5"]) == 64
+        # --sigma, --grid and --seed belong to certify, --tol to solve,
+        # --window to certify and solve, --format to report
+        verify = ["verify", ref_doc, "--cert", cert_file,
+                  "--traj", str(solve_dir / "trajectory.csv")]
+        solve = ["solve", ref_doc, "--cert", cert_file,
+                 "--out", str(solve_dir)]
+        for extra in (["--sigma", "0.5"], ["--grid", "101"], ["--seed", "1"],
+                      ["--tol", "1e-9"], ["--window=-30,30"]):
+            assert main(verify + extra) == 64
+        for extra in (["--sigma", "0.5"], ["--grid", "101"], ["--seed", "1"]):
+            assert main(solve + extra) == 64
+        assert main(["certify", ref_doc, "--tol", "1e-9"]) == 64
         assert main(["certify", ref_doc, "--format", "csv"]) == 64
 
     @pytest.mark.parametrize("command,extra", [

@@ -32,6 +32,22 @@ def random_sym(rng, n):
     return 0.5 * (m + m.T)
 
 
+def random_stack(rng, make, m, n):
+    return np.stack([make(rng, n) for _ in range(m)])
+
+
+def random_signature_stack(rng, m, n, n_plus):
+    """Symmetric stack whose every matrix has n_plus eigenvalues in
+    [1, 3] and n - n_plus in [-3, -1]."""
+    out = []
+    for _ in range(m):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eigs = rng.uniform(1.0, 3.0, n)
+        eigs[n_plus:] *= -1.0
+        out.append(q @ np.diag(eigs) @ q.T)
+    return np.stack(out)
+
+
 class TestCholesky:
     def test_reconstructs(self):
         rng = np.random.default_rng(0)
@@ -40,6 +56,13 @@ class TestCholesky:
             low = cholesky_spd(b)
             assert np.allclose(low @ low.T, b, atol=1e-10 * n)
             assert np.allclose(low, np.tril(low))
+        stack = random_stack(rng, random_spd, 6, 4)
+        low = cholesky_spd(stack)
+        assert low.shape == stack.shape
+        assert np.allclose(low @ low.mT, stack, atol=1e-10 * 4)
+        assert np.allclose(low, np.tril(low))
+        for k in range(stack.shape[0]):
+            assert np.allclose(low[k], cholesky_spd(stack[k]), atol=1e-12)
 
     def test_reports_failing_pivot(self):
         # leading 2x2 block is fine; pivot 2 (0-based) goes negative
@@ -47,6 +70,20 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite) as info:
             cholesky_spd(b)
         assert info.value.pivot == 2
+
+    def test_stack_reports_failing_matrix_and_pivot(self):
+        rng = np.random.default_rng(3)
+        stack = random_stack(rng, random_spd, 5, 4)
+        stack[3] = np.diag([1.0, 2.0, -3.0, 4.0])
+        with pytest.raises(NotPositiveDefinite) as info:
+            cholesky_spd(stack)
+        assert info.value.index == 3
+        assert info.value.pivot == 2
+        assert "matrix 3 of the stack" in str(info.value)
+        # a single matrix has no stack index
+        with pytest.raises(NotPositiveDefinite) as info:
+            cholesky_spd(stack[3])
+        assert info.value.index is None
 
     def test_semidefinite_rejected(self):
         b = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
@@ -67,6 +104,19 @@ class TestSolvePencil:
             for lam in eig.values:
                 refined = det_root_refine(c, b, lam)
                 assert abs(refined - lam) <= 1e-8 * max(1.0, abs(lam))
+        # one stacked call: same oracle, and equal to the per-matrix solves
+        bs = random_stack(rng, random_spd, 20, 5)
+        cs = random_stack(rng, random_sym, 20, 5)
+        eig = solve_pencil(SymmetricPencil(c=cs, b=bs))
+        assert eig.values.shape == (20, 5)
+        assert eig.vectors.shape == (20, 5, 5)
+        for k in range(20):
+            single = solve_pencil(SymmetricPencil(c=cs[k], b=bs[k]))
+            assert np.allclose(eig.values[k], single.values, rtol=0, atol=1e-12)
+            assert np.allclose(eig.vectors[k], single.vectors, rtol=0, atol=1e-12)
+            for lam in eig.values[k]:
+                refined = det_root_refine(cs[k], bs[k], lam)
+                assert abs(refined - lam) <= 1e-8 * max(1.0, abs(lam))
 
     def test_residuals_and_b_orthonormality(self):
         rng = np.random.default_rng(7)
@@ -80,6 +130,15 @@ class TestSolvePencil:
                 assert np.linalg.norm(res) <= 1e-8 * np.linalg.norm(c @ v + 1e-30)
             gram = eig.vectors.T @ b @ eig.vectors
             assert np.allclose(gram, np.eye(n), atol=1e-10)
+        bs = random_stack(rng, random_spd, 10, 4)
+        cs = random_stack(rng, random_sym, 10, 4)
+        eig = solve_pencil(SymmetricPencil(c=cs, b=bs))
+        vecs = eig.vectors
+        res = cs @ vecs - (bs @ vecs) * eig.values[:, None, :]
+        scale = np.linalg.norm(cs @ vecs + 1e-30, axis=1)
+        assert np.all(np.linalg.norm(res, axis=1) <= 1e-8 * scale)
+        gram = vecs.mT @ bs @ vecs
+        assert np.allclose(gram, np.eye(4), atol=1e-10)
 
     def test_diagonal_closed_form(self):
         c = np.diag([3.0, -2.0])
@@ -93,6 +152,16 @@ class TestSolvePencil:
         lo, hi = lambda_extremes(SymmetricPencil(c=c, b=b))
         assert lo == pytest.approx(-1.0, abs=1e-13)
         assert hi == pytest.approx(5.0, abs=1e-13)
+        # a stack gives arrays equal to the per-matrix floats
+        rng = np.random.default_rng(5)
+        bs = random_stack(rng, random_spd, 30, 3)
+        cs = random_stack(rng, random_sym, 30, 3)
+        lo, hi = lambda_extremes(SymmetricPencil(c=cs, b=bs))
+        assert lo.shape == hi.shape == (30,)
+        for k in range(30):
+            lo_k, hi_k = lambda_extremes(SymmetricPencil(c=cs[k], b=bs[k]))
+            assert isinstance(lo_k, float) and isinstance(hi_k, float)
+            assert abs(lo[k] - lo_k) <= 1e-12 and abs(hi[k] - hi_k) <= 1e-12
 
 
 class TestProjectors:
@@ -112,6 +181,37 @@ class TestProjectors:
             assert proj.n_plus + proj.n_minus == n
             # C commutes with its spectral projectors
             assert np.allclose(p @ c, c @ p, atol=1e-10)
+        # one stack of constant signature, same invariants per matrix
+        cs = random_signature_stack(rng, 12, 5, 2)
+        proj = spectral_projectors(cs)
+        p, q = proj.p_plus, proj.p_minus
+        assert (proj.n_plus, proj.n_minus) == (2, 3)
+        assert np.allclose(p @ p, p, atol=1e-11)
+        assert np.allclose(q @ q, q, atol=1e-11)
+        assert np.allclose(p @ q, 0.0, atol=1e-11)
+        assert np.allclose(p + q, np.eye(5), atol=1e-11)
+        assert np.allclose(p @ cs, cs @ p, atol=1e-10)
+        for k in range(cs.shape[0]):
+            single = spectral_projectors(cs[k])
+            assert np.allclose(p[k], single.p_plus, atol=1e-12)
+            assert np.allclose(proj.eigs_plus[k], single.eigs_plus, atol=1e-12)
+
+    def test_stack_signature_change_detected(self):
+        rng = np.random.default_rng(12)
+        cs = random_signature_stack(rng, 6, 3, 1)
+        cs[4] = random_signature_stack(rng, 1, 3, 2)[0]
+        with pytest.raises(DegeneratePencil) as info:
+            spectral_projectors(cs)
+        assert info.value.index == 4
+        assert "signature" in str(info.value)
+
+    def test_stack_degeneracy_checked_before_signature(self):
+        cs = np.stack([np.diag([1.0, -1.0]), np.diag([-1.0, -1.0]),
+                       np.diag([0.0, -1.0])])
+        with pytest.raises(DegeneratePencil) as info:
+            spectral_projectors(cs)
+        assert info.value.index == 2
+        assert "degeneracy band" in str(info.value)
 
     def test_signature_counts(self):
         proj = spectral_projectors(np.diag([4.0, -1.0]))
@@ -154,6 +254,20 @@ class TestLambdaMinusPlus:
         proj = spectral_projectors(c)
         val = lambda_minus_plus(SymmetricPencil(c=c, b=np.eye(3)), proj)
         assert val == pytest.approx(1.0, abs=1e-13)
+
+    def test_stack_equals_per_matrix(self):
+        rng = np.random.default_rng(8)
+        cs = random_signature_stack(rng, 10, 4, 2)
+        bs = random_stack(rng, random_spd, 10, 4)
+        vals = lambda_minus_plus(
+            SymmetricPencil(c=cs, b=bs), spectral_projectors(cs)
+        )
+        assert vals.shape == (10,)
+        for k in range(10):
+            single = lambda_minus_plus(
+                SymmetricPencil(c=cs[k], b=bs[k]), spectral_projectors(cs[k])
+            )
+            assert abs(vals[k] - single) <= 1e-12 * max(1.0, abs(single))
 
     def test_empty_positive_subspace(self):
         from vwbound.pencil import ProjectorPair
