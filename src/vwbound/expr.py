@@ -659,13 +659,11 @@ def diff_t(ast: ExprAST) -> ExprAST:
 # ---------------------------------------------------------------------------
 # code generation
 
+_FAST_PATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 _COMPILE_GLOBALS = {
     "math": math,
-    "_exp": _exp,
-    "_sin": _sin,
-    "_cos": _cos,
     "_pow": _pow,
-    "np": np,
+    "_FAST_PATH_ERRORS": _FAST_PATH_ERRORS,
 }
 
 
@@ -686,14 +684,8 @@ def _codegen(ast: ExprAST) -> str:
         return f"_pow({_codegen(ast.base)},{repr(ast.exponent)})"
     if isinstance(ast, Call):
         inner = _codegen(ast.arg)
-        return {
-            "sin": f"_sin({inner})",
-            "cos": f"_cos({inner})",
-            "exp": f"_exp({inner})",
-            "ln": f"math.log({inner})",
-            "sqrt": f"math.sqrt({inner})",
-            "abs": f"abs({inner})",
-        }[ast.fn]
+        fn = {"ln": "math.log", "abs": "abs"}.get(ast.fn, f"math.{ast.fn}")
+        return f"{fn}({inner})"
     raise TypeError(f"not an expression node: {ast!r}")
 
 
@@ -702,7 +694,8 @@ def compile_expr(ast: ExprAST):
 
     The generated code runs unguarded; if it trips on a domain issue the
     wrapper re-evaluates through the interpreter so the caller sees the
-    same precise error it would have seen without compilation.
+    same value (``nan``, ``inf``) or precise error it would have seen
+    without compilation.
     """
     src = f"def _f(t, x):\n    return {_codegen(ast)}\n"
     ns = dict(_COMPILE_GLOBALS)
@@ -712,11 +705,43 @@ def compile_expr(ast: ExprAST):
     def wrapped(t, x=(), _fast=fast, _ast=ast):
         try:
             return _fast(t, x)
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except _FAST_PATH_ERRORS:
             return eval_expr(_ast, t, x)
 
     wrapped.source = src
     return wrapped
+
+
+def _compile_guarded(result_of):
+    """Generate ``f(t, x)`` returning ``result_of(code)``, where ``code``
+    turns an entry AST into source text; for the integrator's hot loop.
+
+    The guard sits inside the generated function, so one call is one
+    Python call.  The fast body inlines every entry (:func:`_codegen`);
+    on a domain issue it re-runs the same template with one interpreter
+    call per entry, so the fallback does the same arithmetic in the same
+    order and gives what :func:`eval_expr` gives, as
+    :func:`compile_expr` does.
+    """
+    asts: list = []
+
+    def interpreted(ast):
+        asts.append(ast)
+        return f"_eval(_asts[{len(asts) - 1}], t, x)"
+
+    src = (
+        f"def _slow(t, x):\n    return {result_of(interpreted)}\n"
+        "def _f(t, x):\n"
+        "    try:\n"
+        f"        return {result_of(_codegen)}\n"
+        "    except _FAST_PATH_ERRORS:\n"
+        "        return _slow(t, x)\n"
+    )
+    ns = dict(_COMPILE_GLOBALS, _eval=eval_expr, _asts=asts)
+    exec(src, ns)  # noqa: S102
+    fn = ns["_f"]
+    fn.source = src
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -866,43 +891,31 @@ def compile_rhs(a: MatrixFunction, f0: VectorFunction):
 
     Entry expressions are inlined into one generated function so the
     integrator spends its time on arithmetic, not on interpreter dispatch.
-    Falls back to interpreted evaluation on domain errors, mirroring
-    :func:`compile_expr`.
+    ``x`` may be any indexable sequence of floats; the result is a list of
+    ``n`` floats, one sum per row with a term per nonzero entry.  Domain
+    issues fall back to the interpreter, as in :func:`compile_expr`.  The
+    returned function carries ``float_lists = True``, which tells
+    :func:`vwbound.ode.integrate` to call it on its float lists directly.
     """
     n = a.rows
     if a.cols != n or f0.size != n:
         raise ValueError("dimension mismatch between system matrix and forcing")
 
-    lines = ["def _rhs(t, x):"]
-    for i in range(n):
-        terms = []
-        for j in range(n):
-            entry = a.entries[i][j]
-            if _is_num(entry, 0.0):
-                continue
-            terms.append(f"({_codegen(entry)})*x[{j}]")
-        fterm = f0.entries[i]
-        if not _is_num(fterm, 0.0):
-            terms.append(_codegen(fterm))
-        lines.append(f"    r{i} = {' + '.join(terms) if terms else '0.0'}")
-    joined = ", ".join(f"r{i}" for i in range(n))
-    lines.append(f"    return np.array(({joined},))")
-    src = "\n".join(lines) + "\n"
-    ns = dict(_COMPILE_GLOBALS)
-    exec(src, ns)  # noqa: S102
-    fast = ns["_rhs"]
+    def rows(code):
+        out = []
+        for i in range(n):
+            terms = [
+                f"({code(entry)})*x[{j}]"
+                for j, entry in enumerate(a.entries[i])
+                if not _is_num(entry, 0.0)
+            ]
+            if not _is_num(f0.entries[i], 0.0):
+                terms.append(code(f0.entries[i]))
+            out.append(" + ".join(terms) if terms else "0.0")
+        return f"[{', '.join(out)}]"
 
-    def slow(t, x):
-        amat = a.eval(t, x)
-        return amat @ np.asarray(x, dtype=float) + f0.eval(t, x)
-
-    def rhs(t, x, _fast=fast):
-        try:
-            return _fast(t, x)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return slow(t, x)
-
-    rhs.source = src
+    rhs = _compile_guarded(rows)
+    rhs.float_lists = True
     return rhs
 
 
@@ -913,26 +926,14 @@ def compile_quadform(m: MatrixFunction):
     is called once or twice per accepted step.
     """
     n = m.rows
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            entry = m.entries[i][j]
-            if _is_num(entry, 0.0):
-                continue
-            terms.append(f"({_codegen(entry)})*x[{i}]*x[{j}]")
-    body = " + ".join(terms) if terms else "0.0"
-    src = f"def _q(t, x):\n    return {body}\n"
-    ns = dict(_COMPILE_GLOBALS)
-    exec(src, ns)  # noqa: S102
-    fast = ns["_q"]
 
-    def q(t, x, _fast=fast):
-        try:
-            return _fast(t, x)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            mat = m.eval(t, x)
-            xv = np.asarray(x, dtype=float)
-            return float(xv @ mat @ xv)
+    def form(code):
+        terms = [
+            f"({code(m.entries[i][j])})*x[{i}]*x[{j}]"
+            for i in range(n)
+            for j in range(n)
+            if not _is_num(m.entries[i][j], 0.0)
+        ]
+        return " + ".join(terms) if terms else "0.0"
 
-    q.source = src
-    return q
+    return _compile_guarded(form)

@@ -1,11 +1,23 @@
 """Adaptive explicit integrator with event location.
 
 An embedded 5(4) Runge-Kutta pair (Dormand-Prince coefficients, first-same-
-as-last) propagates the fifth-order solution under PI step-size control,
-keeping the local error estimate of every accepted step below
+as-last; Dormand & Prince 1980, Hairer-Norsett-Wanner, *Solving ODEs I*,
+II.4-II.6) propagates the fifth-order solution under PI step-size
+control, keeping the local error estimate of every accepted step below
 ``tol * (1 + |x|)`` componentwise.  The pair's free fourth-order dense
 output interpolates inside accepted steps; events are located by sign
 -change bracketing on the dense output and polished to ``1e-9`` in time.
+
+The step loop is one kernel on Python floats for every state dimension:
+the stage combinations, the new state, the error norm, the rejection of
+non-finite steps and the PI control are written out over lists, and the
+right-hand side takes and returns lists of floats (the one built by
+:func:`vwbound.expr.compile_rhs` does; any other callable is adapted to
+ndarrays once, at the top of :func:`integrate`).  The generated rhs costs
+one term per nonzero entry of ``A``, so the O(n) stage arithmetic never
+dominates a step.  numpy is used only off the step path: for the dense
+output, when an event crosses or a sample falls due, and for the arrays
+of the returned :class:`Trajectory`.
 
 Blow-up shows up as step-size underflow and is reported as
 :class:`~vwbound.errors.StepSizeUnderflow` with the last reachable point,
@@ -14,13 +26,13 @@ which the shooting layer treats as an exit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import StepSizeUnderflow
-from .expr import compile_quadform, compile_rhs
 
 __all__ = [
     "EventSpec",
@@ -36,22 +48,9 @@ __all__ = [
 TOL_MIN = 1e-12
 TOL_MAX = 1e-3
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-)
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-# fifth-minus-fourth error weights (7 stages, first-same-as-last)
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# dense-output polynomial weights (order 4 continuous extension)
+# The Dormand-Prince 5(4) tableau is written out in the step loop of
+# integrate(); only the dense-output weights (order 4 continuous
+# extension, one row per stage k0..k6) are a table, used off the step path.
 _P = np.array(
     [
         [
@@ -101,6 +100,8 @@ _BETA = 0.4 / 5.0
 class EventSpec:
     """A scalar level function whose zero crossings are watched.
 
+    ``level(t, x)`` gets ``x`` as an indexable sequence of floats (a list
+    on the step path, an ndarray on the dense output).
     ``direction``: +1 fires on rising crossings, -1 on falling, 0 on any.
     ``terminal``: a firing event truncates the trajectory there.
     ``tol``: absolute tolerance used for the starts-on-the-boundary check.
@@ -147,19 +148,36 @@ class Trajectory:
         return self.xs[-1]
 
 
+def _rms(values, scale) -> float:
+    return math.sqrt(sum((v / s) ** 2 for v, s in zip(values, scale)) / len(scale))
+
+
 def _initial_step(rhs, t0, x0, f0, direction, tol, t_span):
-    scale = tol * (1.0 + np.abs(x0))
-    d0 = float(np.sqrt(np.mean((x0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    scale = [tol * (1.0 + abs(v)) for v in x0]
+    d0 = _rms(x0, scale)
+    d1 = _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    x1 = x0 + h0 * direction * f0
+    x1 = [v + h0 * direction * f for v, f in zip(x0, f0)]
     f1 = rhs(t0 + h0 * direction, x1)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, t_span)
+
+
+def _dense_output(t, x, h_signed, stages):
+    """The accepted step's continuous extension, ``tau -> x(tau)`` for
+    ``tau`` in ``[t, t + h_signed]``; ``stages`` are k0..k6."""
+    q = np.array(stages).T @ _P  # (n, 4)
+    x = np.array(x)
+
+    def at(tau):
+        theta = (tau - t) / h_signed
+        return x + h_signed * (q @ np.array([theta, theta**2, theta**3, theta**4]))
+
+    return at
 
 
 def integrate(
@@ -177,8 +195,10 @@ def integrate(
     Parameters
     ----------
     rhs : callable
-        Right-hand side; typically built by
-        :func:`vwbound.expr.compile_rhs`.
+        Right-hand side.  One built by :func:`vwbound.expr.compile_rhs`
+        (marked ``float_lists``) is called on lists of floats and returns
+        one; any other callable is called on an ndarray and may return
+        any array-like.
     tol : float
         Local error tolerance in ``[1e-12, 1e-3]``; each accepted step
         keeps the embedded error estimate below ``tol * (1 + |x|)``.
@@ -194,10 +214,16 @@ def integrate(
         raise ValueError(
             f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {tol:g}"
         )
+    if not getattr(rhs, "float_lists", False):
+        array_rhs = rhs
+
+        def rhs(t, y):
+            return np.asarray(array_rhs(t, np.array(y)), dtype=float).tolist()
+
     t0 = float(t0)
     t_end = float(t_end)
-    x0 = np.asarray(x0, dtype=float).copy()
-    n = x0.size
+    x0 = np.asarray(x0, dtype=float).tolist()
+    n = len(x0)
     events = list(events) if events else []
     direction = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
@@ -211,11 +237,11 @@ def integrate(
         t_samples = t_samples[
             (t_end - t_samples) * direction > 1e-14 * max(1.0, abs(t_end))
         ]
-        t_samples = np.sort(t_samples)[:: 1 if direction > 0 else -1]
+        t_samples = np.sort(t_samples)[:: 1 if direction > 0 else -1].tolist()
     sample_idx = 0
 
     ts = [t0]
-    xs = [x0.copy()]
+    xs = [x0]
     records: list[EventRecord] = []
     status = "reached_end"
 
@@ -227,7 +253,8 @@ def integrate(
         g0 = float(ev.level(t0, x0))
         if abs(g0) <= ev.tol:
             dt_probe = 1e-8 * max(1.0, abs(t0)) * direction
-            g_probe = float(ev.level(t0 + dt_probe, x0 + dt_probe * f0))
+            x_probe = [v + dt_probe * f for v, f in zip(x0, f0)]
+            g_probe = float(ev.level(t0 + dt_probe, x_probe))
             slope = (g_probe - g0) / dt_probe
             fires = (
                 ev.direction == 0
@@ -235,7 +262,7 @@ def integrate(
                 or (ev.direction < 0 and slope < 0.0)
             )
             if fires:
-                records.append(EventRecord(ev.kind, t0, x0.copy()))
+                records.append(EventRecord(ev.kind, t0, np.array(x0)))
                 if ev.terminal:
                     return Trajectory(
                         ts=np.array(ts),
@@ -255,13 +282,13 @@ def integrate(
     h = _initial_step(rhs, t0, x0, f0, direction, tol, span)
     t = t0
     x = x0
-    k = np.empty((7, n))
-    k[0] = f0
+    k0 = f0
     g_prev = [float(ev.level(t, x)) for ev in events]
     err_prev = 1.0  # PI memory
     n_accepted = 0
     n_rejected = 0
     just_rejected = False
+    isfinite = math.isfinite
 
     while (t_end - t) * direction > 1e-14 * max(1.0, abs(t)):
         if n_accepted + n_rejected >= max_steps:
@@ -269,39 +296,61 @@ def integrate(
         h = min(h, abs(t_end - t))
         h_min = 1e-14 * max(1.0, abs(t))
         if h < h_min:
-            raise StepSizeUnderflow(t, x.copy())
-        h_signed = h * direction
+            raise StepSizeUnderflow(t, np.array(x))
+        hs = h * direction
 
-        # stages
-        ok = True
-        for s in range(1, 6):
-            xs_stage = x + h_signed * (k[:s].T @ _A[s])
-            k[s] = rhs(t + _C[s] * h_signed, xs_stage)
-        x_new = x + h_signed * (k[:6].T @ _B5)
-        t_new = t + h_signed
-        k[6] = rhs(t_new, x_new)
+        # the Dormand-Prince stages; a..g are the components of k0..k6
+        k1 = rhs(t + 1 / 5 * hs, [xi + hs * (1 / 5 * a) for xi, a in zip(x, k0)])
+        k2 = rhs(t + 3 / 10 * hs, [
+            xi + hs * (3 / 40 * a + 9 / 40 * b)
+            for xi, a, b in zip(x, k0, k1)
+        ])
+        k3 = rhs(t + 4 / 5 * hs, [
+            xi + hs * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
+            for xi, a, b, c in zip(x, k0, k1, k2)
+        ])
+        k4 = rhs(t + 8 / 9 * hs, [
+            xi + hs * (19372 / 6561 * a - 25360 / 2187 * b
+                       + 64448 / 6561 * c - 212 / 729 * d)
+            for xi, a, b, c, d in zip(x, k0, k1, k2, k3)
+        ])
+        k5 = rhs(t + hs, [
+            xi + hs * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
+                       + 49 / 176 * d - 5103 / 18656 * e)
+            for xi, a, b, c, d, e in zip(x, k0, k1, k2, k3, k4)
+        ])
+        x_new = [
+            xi + hs * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
+                       - 2187 / 6784 * e + 11 / 84 * f)
+            for xi, a, c, d, e, f in zip(x, k0, k2, k3, k4, k5)
+        ]
+        t_new = t + hs
+        k6 = rhs(t_new, x_new)
         n_rhs += 6
-        err_vec = h_signed * (k.T @ _E)
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(err_vec))):
-            ok = False
-            err_norm = np.inf
-        else:
-            scale = tol * (1.0 + np.maximum(np.abs(x), np.abs(x_new)))
-            err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            ok = err_norm <= 1.0
 
-        if not ok:
+        # RMS of the fifth-minus-fourth error over tol * (1 + |x|)
+        err_sq = 0.0
+        for xi, xn, a, c, d, e, f, g in zip(x, x_new, k0, k2, k3, k4, k5, k6):
+            err = hs * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d
+                        - 17253 / 339200 * e + 22 / 525 * f - 1 / 40 * g)
+            r = err / (tol * (1.0 + max(abs(xi), abs(xn))))
+            err_sq += r * r
+        err_norm = math.sqrt(err_sq / n)
+
+        # a non-finite state or error estimate is never accepted; it
+        # halves the step, so a blow-up ends in StepSizeUnderflow
+        finite = isfinite(err_norm) and all(map(isfinite, x_new))
+        if not (finite and err_norm <= 1.0):
             n_rejected += 1
             just_rejected = True
-            if np.isfinite(err_norm):
-                factor = max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2))
-                h *= min(1.0, factor)
+            if finite:
+                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2)))
             else:
                 h *= 0.5
             continue
 
         # accepted: locate events inside [t, t_new] on the dense output
-        q = None
+        dense = None
         step_records = []
         truncate_at = None
         for i, ev in enumerate(events):
@@ -312,15 +361,8 @@ def integrate(
                 or (ev.direction <= 0 and g_old > 0.0 >= g_new)
             )
             if crossed:
-                if q is None:
-                    q = k.T @ _P  # (n, 4)
-
-                def dense(tau, _q=q, _x=x, _h=h_signed, _t=t):
-                    theta = (tau - _t) / _h
-                    powers = np.array(
-                        [theta, theta**2, theta**3, theta**4]
-                    )
-                    return _x + _h * (_q @ powers)
+                if dense is None:
+                    dense = _dense_output(t, x, hs, (k0, k1, k2, k3, k4, k5, k6))
 
                 def levelf(tau, _ev=ev, _dense=dense):
                     return float(_ev.level(tau, _dense(tau)))
@@ -340,8 +382,7 @@ def integrate(
                             rtol=8.9e-16,
                         )
                     )
-                x_ev = dense(t_ev)
-                step_records.append((t_ev, ev, x_ev))
+                step_records.append((t_ev, ev, dense(t_ev)))
             g_prev[i] = g_new
 
         if step_records:
@@ -356,36 +397,34 @@ def integrate(
                     truncate_at = (t_ev, x_ev, ev.kind)
 
         # emit sample nodes up to the end of this step (or the truncation)
-        step_end_t = truncate_at[0] if truncate_at else t_new
-        if not record_steps and t_samples is not None:
-            while sample_idx < t_samples.size and (
+        if t_samples is not None:
+            step_end_t = truncate_at[0] if truncate_at else t_new
+            while sample_idx < len(t_samples) and (
                 (t_samples[sample_idx] - step_end_t) * direction
                 <= 1e-14 * max(1.0, abs(step_end_t))
             ):
-                tau = float(t_samples[sample_idx])
-                if q is None:
-                    q = k.T @ _P
-                theta = (tau - t) / h_signed
-                powers = np.array([theta, theta**2, theta**3, theta**4])
+                tau = t_samples[sample_idx]
+                if dense is None:
+                    dense = _dense_output(t, x, hs, (k0, k1, k2, k3, k4, k5, k6))
                 ts.append(tau)
-                xs.append(x + h_signed * (q @ powers))
+                xs.append(dense(tau))
                 sample_idx += 1
 
         if truncate_at is not None:
             t_ev, x_ev, kind = truncate_at
             ts.append(t_ev)
-            xs.append(np.asarray(x_ev, dtype=float))
+            xs.append(x_ev)
             status = f"event:{kind}"
             n_accepted += 1
             break
 
         t = t_new
         x = x_new
-        k[0] = k[6]  # first-same-as-last
+        k0 = k6  # first-same-as-last
         n_accepted += 1
         if record_steps:
             ts.append(t)
-            xs.append(x.copy())
+            xs.append(x)
 
         # PI step-size update
         err_clamped = max(err_norm, 1e-10)
@@ -401,7 +440,7 @@ def integrate(
         # reached t_end without terminal event
         if not record_steps:
             ts.append(t_end)
-            xs.append(x.copy())
+            xs.append(x)
 
     return Trajectory(
         ts=np.array(ts),
@@ -523,7 +562,7 @@ def eval_v_w_along(qp, traj: Trajectory, gp=None) -> VWCurves:
         x = traj.xs[i]
         bmat = qp.b.eval(t, x)
         cmat = qp.c.eval(t, x)
-        f = rhs(t, x)
+        f = np.array(rhs(t, x))
         v[i] = float(x @ bmat @ x)
         w[i] = float(x @ cmat @ x)
         v_dot[i] = float(x @ b_dot.eval(t, x) @ x + 2.0 * (bmat @ x) @ f)

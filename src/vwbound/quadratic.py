@@ -331,7 +331,7 @@ def rate_inequalities_check(
         a = _stack(qp.a, [t] * len(states), states)
         rates = zip(np.abs(_v_rates(gx, a)), _w_rates(gx, a))
         for x, (lam_v, lam_w) in zip(states, rates):
-            f = qp.rhs(t, x)
+            f = np.array(qp.rhs(t, x))
             v = float(x @ bmat @ x)
             sq = math.sqrt(v)
             v_dot = float(x @ bdot @ x + 2.0 * (bmat @ x) @ f)

@@ -216,8 +216,11 @@ class TrappedStart:
 
 def _exit_side(qp: QuadraticProblem, chart0: DiskChart, res: Exited) -> float:
     """First chart coordinate of the exit state, measured in the chart at
-    the exit time aligned to the start chart."""
-    chart_e = make_disk_chart(qp, res.t, align_to=chart0)
+    the exit time aligned to the start chart.  When C does not depend on
+    t (it never depends on the state), that chart is the start chart."""
+    chart_e = chart0
+    if qp.c.depends_on_t:
+        chart_e = make_disk_chart(qp, res.t, align_to=chart0)
     return float(chart_e.coords(res.x)[0])
 
 

@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, emitted files."""
 
 import importlib.util
+import os
 import pathlib
 import shutil
 import subprocess
@@ -324,6 +325,28 @@ class TestUsage:
             argv += ["--cert", cert_file, "--out", str(tmp_path / "run")]
         assert main(argv) == 64
         assert f"got {extra[-1]}" in capsys.readouterr().err
+
+    def _run_module(self, *args):
+        # the process exit status is what a shell sees: main()'s return
+        # value passed through sys.exit under ``python -m vwbound.cli``
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "vwbound.cli", *args],
+            capture_output=True, env=env, timeout=120,
+        )
+
+    def test_module_help_exits_zero(self):
+        proc = self._run_module("--help")
+        assert proc.returncode == 0
+        assert b"certify" in proc.stdout
+
+    def test_module_missing_problem_file_exits_64(self, tmp_path):
+        proc = self._run_module("certify", str(tmp_path / "nope.problem"))
+        assert proc.returncode == 64
+        assert b"nope.problem" in proc.stderr
 
     def test_console_script_installed(self):
         exe = shutil.which("vwbound")

@@ -130,6 +130,20 @@ class TestCompiled:
         with pytest.raises(DomainError):
             fn(-1.0, ())
 
+    @pytest.mark.parametrize("text, t", [("sin(t)", math.inf),
+                                         ("exp(1000*t)", 1.0)])
+    def test_compiled_nan_and_inf_match_interpreter(self, text, t):
+        # math.sin(inf) and an overflowing math.exp raise in the generated
+        # code; each compiled form falls back to the interpreter's value
+        ast = parse_expr(text, 1)
+        want = repr(eval_expr(ast, t, (1.0,)))
+        assert want in ("nan", "inf")
+        m = MatrixFunction([[ast]], n_states=1)
+        rhs = compile_rhs(m, VectorFunction.zero(1, n_states=1))
+        assert repr(compile_expr(ast)(t, (1.0,))) == want
+        assert repr(rhs(t, [1.0])[0]) == want
+        assert repr(compile_quadform(m)(t, [1.0])) == want
+
     def test_dependence_flags(self):
         assert depends_on_t(parse_expr("t+1", 2))
         assert not depends_on_t(parse_expr("x1", 2))

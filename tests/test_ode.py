@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import make_reference_problem
-from vwbound.errors import StepSizeUnderflow
+from vwbound.errors import DomainError, StepSizeUnderflow
+from vwbound.expr import MatrixFunction, VectorFunction, compile_rhs
 from vwbound.ode import (
     EventSpec,
     integrate,
@@ -165,6 +166,64 @@ class TestBlowUp:
         with pytest.raises(StepSizeUnderflow) as info:
             integrate(lambda t, x: x**2, 0.0, np.array([1.0]), 2.0, tol=1e-9)
         assert info.value.t == pytest.approx(1.0, abs=1e-3)
+
+
+class TestFloatKernel:
+    """The step loop runs on float lists for every rhs; an ndarray rhs is
+    adapted at the top of integrate, a compiled one is called directly."""
+
+    def test_compiled_and_array_rhs_give_identical_runs(self):
+        qp = make_reference_problem()
+        assert qp.rhs.float_lists
+
+        def array_rhs(t, x):
+            return np.array(qp.rhs(t, x))
+
+        events = make_region_events(qp.quad_w, qp.quad_v, 0.02, -0.02,
+                                    0.02, 0.15)
+        x0 = np.array([0.05, 0.1])
+        runs = {}
+        for name, kwargs in (
+            ("events", {"events": events}),
+            ("samples", {"t_samples": np.linspace(0.2, 3.8, 19)}),
+        ):
+            a, b = (integrate(f, 0.0, x0, 4.0, tol=1e-9, **kwargs)
+                    for f in (qp.rhs, array_rhs))
+            runs[name] = a
+            assert np.array_equal(a.ts, b.ts)
+            assert np.array_equal(a.xs, b.xs)
+            assert [(e.kind, e.t, e.x.tolist()) for e in a.events] == [
+                (e.kind, e.t, e.x.tolist()) for e in b.events
+            ]
+            assert (a.status, a.n_accepted, a.n_rejected, a.n_rhs) == (
+                b.status, b.n_accepted, b.n_rejected, b.n_rhs
+            )
+        assert runs["events"].status == "event:W_hits_wplus"
+        assert runs["samples"].ts.size == 21
+
+    def test_compiled_domain_error_reaches_caller(self):
+        # x' = x ln x - 1 from 0.5 reaches x = 0 before t = 1
+        rhs = compile_rhs(
+            MatrixFunction.from_strings([["ln(x1)"]], n_states=1),
+            VectorFunction.from_strings(["-1"], n_states=1),
+        )
+        with pytest.raises(DomainError, match="ln of nonpositive value") as info:
+            integrate(rhs, 0.0, np.array([0.5]), 2.0, tol=1e-9)
+        assert info.value.where == "ln(x1)"
+
+    @pytest.mark.parametrize("rhs, x0", [
+        # the stage values turn nan past x = 2
+        (lambda t, x: np.array([x[0] if x[0] < 2.0 else math.nan]), 1.0),
+        # the new state overflows to inf while the error estimate stays
+        # finite (its weights sum to zero on a constant field)
+        (lambda t, x: np.array([1e307]), 1.7e308),
+    ], ids=["nan_stage", "overflowing_state"])
+    def test_non_finite_step_is_rejected(self, rhs, x0):
+        with pytest.raises(StepSizeUnderflow) as info:
+            integrate(rhs, 0.0, np.array([x0]), 10.0, tol=1e-9,
+                      t_samples=np.linspace(0.1, 9.9, 99))
+        assert np.all(np.isfinite(info.value.x))
+        assert info.value.t < 2.0
 
 
 class TestCsvAndCurves:
