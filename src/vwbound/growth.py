@@ -27,8 +27,19 @@ converts a budget on W into certified ceilings for V, which is what the
   whole line from the W-window alone.
 
 :func:`growth_integral` and :func:`growth_integral_inv` are the one F /
-F^-1 engine (adaptive quadrature, bracketed root-finding); the closed-form
-surrogate :meth:`GrowthPair.f1` bounds F from below.
+F^-1 engine, on numpy and the standard library only.  With ``s = sqrt(u)``
+the clock is
+
+    ``F(v) = (2/c3) integral from sqrt(v0) to sqrt(v) of
+    s^(1-2 sigma) (s - c2)/(s + c1) ds``,
+
+whose integrand is smooth on ``s > 0``; F is a composite 16-point
+Gauss-Legendre sum on geometric panels of ratio at most 2 in ``s``, so
+the nearest singularity (``s = 0``) lies at least one panel width from
+every panel and the sum is exact to rounding.  F^-1 brackets by doubling
+and polishes with Newton steps on the closed-form derivative
+:meth:`GrowthPair.ratio`, bisecting whenever a step leaves the bracket.
+The closed-form surrogate :meth:`GrowthPair.f1` bounds F from below.
 """
 
 from __future__ import annotations
@@ -37,8 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (
     DomainError,
@@ -62,6 +71,11 @@ __all__ = [
 
 #: default ceiling multiplier for inverse bracketing
 VMAX_FACTOR = 1.0e6
+
+_EPS = float(np.finfo(float).eps)
+
+# Gauss-Legendre (node, weight) pairs on [-1, 1], one panel of the F sum
+_GL_RULE = tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(16))))
 
 
 @dataclass(frozen=True)
@@ -158,28 +172,52 @@ class GrowthPair:
         return (math.sqrt(rad) + m) ** (2.0 / (1.0 - s))
 
 
+def _clock(gp: GrowthPair, s_lo: float, s_hi: float) -> float:
+    """``F(s_hi^2) - F(s_lo^2)`` for ``sqrt(v0) <= s_lo <= s_hi``: the
+    substituted integrand summed on geometric panels of ratio <= 2."""
+    ratio = s_hi / s_lo
+    panels = max(1, math.ceil(math.log2(ratio)))
+    q = ratio ** (1.0 / panels)
+    p = 1.0 - 2.0 * gp.sigma
+    c1, c2 = gp.c1, gp.c2
+    total = 0.0
+    a = s_lo
+    for k in range(panels):
+        b = s_hi if k == panels - 1 else a * q
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        acc = 0.0
+        for x, w in _GL_RULE:
+            s = mid + half * x
+            acc += w * s**p * (s - c2) / (s + c1)
+        total += half * acc
+        a = b
+    return 2.0 / gp.c3 * total
+
+
 def growth_integral(gp: GrowthPair, v: float) -> float:
     """``F(v)``: integral of ``g/G`` from ``v0`` to ``v`` (``v >= v0``).
 
-    Strictly increasing with ``F(v0) = 0``; absolute quadrature tolerance
-    ``1e-10 * (1 + |F|)``.
+    Strictly increasing with ``F(v0) = 0``; the Gauss-Legendre sum is
+    exact to a few units of rounding in ``1 + F``.
     """
     v = float(v)
-    if v < gp.v0:
+    if not v >= gp.v0:
         raise DomainError(
             f"growth integral needs v >= v0, got v = {v:.6g} < {gp.v0:.6g}"
         )
+    if not math.isfinite(v):
+        raise DomainError(f"growth integral needs a finite v, got {v!r}")
     if v == gp.v0:
         return 0.0
-    value, _ = quad(gp.ratio, gp.v0, v, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(value)
+    return _clock(gp, math.sqrt(gp.v0), math.sqrt(v))
 
 
 def growth_integral_inv(gp: GrowthPair, z: float, vmax: float | None = None) -> float:
     """``F^-1(z)`` for ``z >= 0``; satisfies ``|F(v) - z| <= 1e-9 (1+z)``.
 
-    Brackets by doubling from ``v0`` and polishes with a bracketed
-    root-finder.
+    Brackets by doubling from ``v0``, then polishes with Newton steps on
+    ``F' = g/G``, bisecting whenever a step would leave the bracket, until
+    a step or the bracket falls to a few units of rounding in ``v``.
 
     Raises
     ------
@@ -189,23 +227,21 @@ def growth_integral_inv(gp: GrowthPair, z: float, vmax: float | None = None) -> 
         can certify.
     """
     z = float(z)
-    if z < 0.0:
+    if not z >= 0.0:
         raise DomainError(f"growth integral inverse needs z >= 0, got {z:.6g}")
     if z == 0.0:
         return gp.v0
     if vmax is None:
         vmax = gp.vmax
-    ratio = gp.ratio
 
-    # doubling bracket with accumulated quadrature so each rung costs one
-    # local integral, not one global one
+    # doubling bracket with accumulated clock so each rung costs one
+    # local sum, not one global one
     lo, acc_lo = gp.v0, 0.0
     hi = 2.0 * gp.v0
     while True:
         if hi > vmax:
             hi = vmax
-        inc, _ = quad(ratio, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=200)
-        acc_hi = acc_lo + inc
+        acc_hi = acc_lo + _clock(gp, math.sqrt(lo), math.sqrt(hi))
         if acc_hi >= z:
             break
         if hi >= vmax:
@@ -213,14 +249,26 @@ def growth_integral_inv(gp: GrowthPair, z: float, vmax: float | None = None) -> 
         lo, acc_lo = hi, acc_hi
         hi *= 2.0
 
-    def resid(v: float) -> float:
-        inc_local, _ = quad(ratio, lo, v, epsabs=1e-13, epsrel=1e-13, limit=200)
-        return acc_lo + inc_local - z
-
-    if resid(lo) >= 0.0:  # z hit exactly on a rung boundary
-        return lo
-    root = brentq(resid, lo, hi, xtol=1e-14 * max(1.0, hi), rtol=8.9e-16)
-    return float(root)
+    # safeguarded Newton from the secant point of the bracket; F(v) is
+    # acc_lo plus the clock from the rung's lower end
+    s_lo = math.sqrt(lo)
+    v = lo + (z - acc_lo) / (acc_hi - acc_lo) * (hi - lo)
+    a, b = lo, hi
+    for _ in range(100):
+        resid = acc_lo + _clock(gp, s_lo, math.sqrt(v)) - z
+        if resid == 0.0:
+            return v
+        if resid > 0.0:
+            b = v
+        else:
+            a = v
+        v_new = v - resid / gp.ratio(v)
+        if not a < v_new < b:
+            v_new = 0.5 * (a + b)
+        if abs(v_new - v) <= 4.0 * _EPS * v or b - a <= 4.0 * _EPS * b:
+            return v_new
+        v = v_new
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ as-last; Dormand & Prince 1980, Hairer-Norsett-Wanner, *Solving ODEs I*,
 II.4-II.6) propagates the fifth-order solution under PI step-size
 control, keeping the local error estimate of every accepted step below
 ``tol * (1 + |x|)`` componentwise.  The pair's free fourth-order dense
-output interpolates inside accepted steps; events are located by sign
--change bracketing on the dense output and polished to ``1e-9`` in time.
+output interpolates inside accepted steps; an event is bracketed by the
+sign change of its level over an accepted step and located on the dense
+output by the Illinois variant of regula falsi (Dowell & Jarratt 1971) to
+``1e-12 max(1, |t|)`` in time.
 
 The step loop is one kernel on Python floats for every state dimension:
 the stage combinations, the new state, the error norm, the rejection of
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import StepSizeUnderflow
 
@@ -178,6 +179,42 @@ def _dense_output(t, x, h_signed, stages):
         return x + h_signed * (q @ np.array([theta, theta**2, theta**3, theta**4]))
 
     return at
+
+
+def _locate(level, t_a, g_a, t_b, g_b, xtol):
+    """Zero of ``level`` between ``t_a`` and ``t_b`` (either order), whose
+    values ``g_a`` and ``g_b`` there have strictly opposite signs.
+
+    Illinois regula falsi: the secant point replaces the end whose value
+    has its sign, and an end kept twice running has its value halved, so
+    both ends close in superlinearly.  Stops once the bracket is at most
+    ``xtol`` wide and returns its end with the smaller level.
+    """
+    kept = 0  # +1 after t_a was kept, -1 after t_b was kept
+    for _ in range(200):
+        if abs(t_b - t_a) <= xtol:
+            break
+        lo, hi = min(t_a, t_b), max(t_a, t_b)
+        # the secant point, kept xtol/2 inside either end so that the
+        # bracket collapses once the estimate has settled
+        t_c = t_b - g_b * (t_b - t_a) / (g_b - g_a)
+        t_c = min(max(t_c, lo + 0.5 * xtol), hi - 0.5 * xtol)
+        if not lo < t_c < hi:  # nan
+            t_c = 0.5 * (lo + hi)
+        g_c = level(t_c)
+        if g_c == 0.0:
+            return t_c
+        if (g_c > 0.0) == (g_b > 0.0):
+            t_b, g_b = t_c, g_c
+            if kept > 0:
+                g_a *= 0.5
+            kept = 1
+        else:
+            t_a, g_a = t_c, g_c
+            if kept < 0:
+                g_b *= 0.5
+            kept = -1
+    return t_a if abs(g_a) < abs(g_b) else t_b
 
 
 def integrate(
@@ -361,28 +398,22 @@ def integrate(
                 or (ev.direction <= 0 and g_old > 0.0 >= g_new)
             )
             if crossed:
-                if dense is None:
-                    dense = _dense_output(t, x, hs, (k0, k1, k2, k3, k4, k5, k6))
-
-                def levelf(tau, _ev=ev, _dense=dense):
-                    return float(_ev.level(tau, _dense(tau)))
-
-                lo, hi = (t, t_new) if direction > 0 else (t_new, t)
-                if levelf(lo) == 0.0:
-                    t_ev = lo
-                elif levelf(hi) == 0.0:
-                    t_ev = hi
+                if g_new == 0.0:
+                    t_ev, x_ev = t_new, np.array(x_new)
                 else:
-                    t_ev = float(
-                        brentq(
-                            levelf,
-                            lo,
-                            hi,
-                            xtol=1e-12 * max(1.0, abs(t_new)),
-                            rtol=8.9e-16,
+                    if dense is None:
+                        dense = _dense_output(
+                            t, x, hs, (k0, k1, k2, k3, k4, k5, k6)
                         )
+                    t_ev = _locate(
+                        lambda tau, _ev=ev, _dense=dense: float(
+                            _ev.level(tau, _dense(tau))
+                        ),
+                        t, g_old, t_new, g_new,
+                        1e-12 * max(1.0, abs(t_new)),
                     )
-                step_records.append((t_ev, ev, dense(t_ev)))
+                    x_ev = dense(t_ev)
+                step_records.append((t_ev, ev, x_ev))
             g_prev[i] = g_new
 
         if step_records:

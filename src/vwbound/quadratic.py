@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; binding it here
+# keeps that import in the CLI's start-up rather than inside certify
+from numpy.random import default_rng
 
 from .errors import (
     ConditionGFailed,
@@ -311,7 +314,7 @@ def rate_inequalities_check(
     independent routes (quadratic forms vs. pencil extremes)."""
     if qp.v0 is None:
         raise ValueError("rate check needs a concrete v0")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     t_lo, t_hi = qp.window
     worst_v = math.inf
     worst_w = math.inf
@@ -630,7 +633,7 @@ def certify(
     * (B) same integral evidence as (f), the general-form condition
     """
     seed = qp.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     t_lo, t_hi = qp.window
     ts = np.linspace(t_lo, t_hi, qp.n_grid)
     conditions: dict[str, ConditionResult] = {}
@@ -958,7 +961,7 @@ def uniqueness_quadratic(
     state-dependent A without a supplied ``a_hat`` the test is vacuous
     (the difference representation is not available) and says so.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     t_lo, t_hi = qp.window
     ts = np.linspace(t_lo, t_hi, qp.n_grid)
     z = qp._zeros()

@@ -31,6 +31,7 @@ from .errors import (
     BudgetExhausted,
     EmptyPositiveSubspace,
     NoSignChange,
+    NoUpperBracket,
     NotConverged,
     StepSizeUnderflow,
 )
@@ -175,6 +176,19 @@ class Exited:
     is_stayed = False
 
 
+def _exit_events(qp: QuadraticProblem, v0: float, v_star: float) -> list:
+    """The region's terminal levels (W = w+-, V = V*).  The non-terminal
+    ``V = v0`` level of :func:`make_region_events` is left out: no
+    shooting run reads it, and it never changes where a run stops."""
+    return [
+        ev
+        for ev in make_region_events(
+            qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
+        )
+        if ev.kind != "V_hits_v0"
+    ]
+
+
 def classify_start(
     qp: QuadraticProblem,
     chart: DiskChart,
@@ -188,9 +202,7 @@ def classify_start(
     boundary crossing (W = w+-, V = V*); step-size underflow is reported
     as an exit of kind ``blowup`` at the last reachable point."""
     x0 = chart.point(u)
-    events = make_region_events(
-        qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
-    )
+    events = _exit_events(qp, v0, v_star)
     try:
         traj = integrate(qp.rhs, chart.t, x0, horizon, tol=tol, events=events)
     except StepSizeUnderflow as exc:
@@ -425,16 +437,13 @@ def bounded_solution(
     for j in range(1, config.j_count + 1):
         t_j = -j * xi_spacing
         start = get_start(t_j)
-        events = make_region_events(
-            qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
-        )
         traj = integrate(
             qp.rhs,
             t_j,
             start.chart.point(start.u),
             0.0,
             tol=config.integrator_tol,
-            events=events,
+            events=_exit_events(qp, v0, v_star),
             t_samples=np.array([]),
         )
         if traj.status != "reached_end":
@@ -573,11 +582,22 @@ def verify_bound(
     idx = np.clip(idx, 0, cert.ts.size - 2)
     z_cons = 0.5 * (hi_env[idx] - lo_env[idx + 1])
     # one F^-1 per distinct argument (at most one per grid interval),
-    # spread back over the nodes
+    # spread back over the nodes; an argument F cannot reach below Vmax
+    # leaves its nodes without a ceiling, which is a violation
     z_distinct, node_of = np.unique(z_cons, return_inverse=True)
-    ceiling = np.array(
-        [growth_integral_inv(gp, max(0.0, float(z))) for z in z_distinct]
-    )[node_of]
+    ceilings = []
+    for k, z in enumerate(z_distinct):
+        try:
+            ceilings.append(growth_integral_inv(gp, max(0.0, float(z))))
+        except NoUpperBracket as exc:
+            t_first = float(traj.ts[int(np.argmax(node_of == k))])
+            violations.append(
+                f"no envelope ceiling from t = {t_first:.6g}: F never "
+                f"reaches {exc.z:.6g} below Vmax = {exc.vmax:.6g} "
+                f"(F(Vmax) = {exc.reached:.6g})"
+            )
+            ceilings.append(math.inf)
+    ceiling = np.array(ceilings)[node_of]
     slack_env = float(np.min(ceiling - curves.v))
     if slack_env <= 0.0:
         violations.append(

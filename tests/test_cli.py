@@ -6,6 +6,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -13,6 +14,7 @@ from vwbound.cli import main
 from vwbound.report import FORMAT_TAG, RunReport
 
 ROOT = pathlib.Path(__file__).parents[1]
+SADDLE_DOC = ROOT / "demos" / "saddle.problem"
 NONLINEAR_DOC = ROOT / "demos" / "nonlinear.problem"
 
 TINY_V0 = """\
@@ -182,6 +184,31 @@ class TestVerify:
                      "--traj", str(solve_dir / "trajectory.csv")])
         assert code == 5
         assert "exceeds the constant ceiling" in capsys.readouterr().out
+
+    def test_unreachable_envelope_is_a_violation(self, ref_doc, cert_file,
+                                                 solve_dir, tmp_path,
+                                                 capsys):
+        # lam_plus = 1e5 puts the envelope's F-argument near 1000, above
+        # F(Vmax) = 831.5: the ceiling does not exist, which verify must
+        # report as a violation at the node, not as an error
+        lines = open(cert_file).read().splitlines()
+        for i, ln in enumerate(lines):
+            if ln.startswith("curve.lam_plus = "):
+                count = len(ln.split(" = ", 1)[1].split())
+                lines[i] = "curve.lam_plus = " + " ".join(["1e5"] * count)
+        bad = tmp_path / "unreachable.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "verify.txt"
+        code = main(["verify", ref_doc, "--cert", str(bad),
+                     "--traj", str(solve_dir / "trajectory.csv"),
+                     "--out", str(out)])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert ("violation: no envelope ceiling from t = -28: F never "
+                "reaches 1000.01 below Vmax = 20000") in captured.out
+        rep = RunReport.load(str(out))
+        assert rep.get_int("verify.exit.code") == 5
 
     def test_requires_both_inputs(self, ref_doc, cert_file, capsys):
         assert main(["verify", ref_doc, "--cert", cert_file]) == 64
@@ -355,6 +382,39 @@ class TestUsage:
         proc = subprocess.run([exe, "--help"], capture_output=True)
         assert proc.returncode == 0
         assert b"certify" in proc.stdout
+
+
+class TestRuntimeImports:
+    def test_pipeline_runs_without_scipy(self, solve_dir, tmp_path):
+        # scipy is a test dependency only: importing the CLI, certifying,
+        # verifying and locating an event must not load any part of it
+        script = textwrap.dedent(f"""
+            import sys
+            import numpy as np
+            import vwbound.cli
+            from vwbound.ode import EventSpec, integrate
+
+            doc = {str(SADDLE_DOC)!r}
+            cert = {str(tmp_path / "cert.txt")!r}
+            traj = {str(solve_dir / "trajectory.csv")!r}
+            assert vwbound.cli.main(["certify", doc, "--out", cert]) == 2
+            assert vwbound.cli.main(
+                ["verify", doc, "--cert", cert, "--traj", traj]) == 0
+            run = integrate(lambda t, x: x, 0.0, np.array([1.0]), 3.0,
+                            events=[EventSpec("two", lambda t, x: x[0] - 2.0)])
+            assert run.status == "event:two"
+            print(sorted(m for m in sys.modules
+                         if m == "scipy" or m.startswith("scipy.")))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestNonlinear:

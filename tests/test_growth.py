@@ -1,5 +1,6 @@
 """Growth calculus: the clock integral F, its inverse, and the ceiling
-formulas, checked against fixed-grid Simpson quadrature and closed forms.
+formulas, checked against fixed-grid Simpson quadrature, scipy's adaptive
+quadrature and closed forms.
 """
 
 import math
@@ -8,9 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from conftest import simpson_fixed
-from vwbound.errors import DomainError, InfeasibleConditionE, WindowExhausted
+from vwbound.errors import (
+    DomainError,
+    InfeasibleConditionE,
+    NoUpperBracket,
+    WindowExhausted,
+)
 from vwbound.growth import (
     GrowthPair,
     bound_excursion,
@@ -139,6 +146,75 @@ class TestGrowthIntegral:
         gp = make_pair()
         v = growth_integral_inv(gp, z)
         assert abs(growth_integral(gp, v) - z) <= 1e-8 * (1.0 + z)
+
+
+# the family's corners: sigma from 1/4 to the log clock at 1, no c1/c2
+# terms, and g(v0) = v0 - c2 sqrt(v0) nearly zero (c2 = 0.999 sqrt(v0))
+ORACLE_PAIRS = [
+    GrowthPair(sigma=sigma, c1=c1, c2=c2_frac * math.sqrt(0.02), c3=2.5,
+               v0=0.02)
+    for sigma in (0.25, 0.5, 1.0)
+    for c1, c2_frac in ((0.0, 0.0), (0.3, 0.999))
+]
+
+
+def quad_clock(gp, v):
+    """F(v) by scipy's adaptive quadrature of g/G in v, split at a
+    geometric grid so every piece stays well resolved."""
+    edges = np.geomspace(gp.v0, v, 25)
+    return math.fsum(
+        quad(gp.ratio, float(a), float(b), epsabs=0.0, epsrel=1e-13,
+             limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
+
+
+class TestAgainstAdaptiveQuadrature:
+    @pytest.mark.parametrize("gp", ORACLE_PAIRS, ids=lambda gp: (
+        f"sigma{gp.sigma:g}-c2_{gp.c2 / math.sqrt(gp.v0):g}"))
+    def test_matches_quad_up_to_vmax(self, gp):
+        for v in np.geomspace(gp.v0, gp.vmax, 13)[1:]:
+            ref = quad_clock(gp, float(v))
+            got = growth_integral(gp, float(v))
+            assert abs(got - ref) <= 1e-13 * (1.0 + ref)
+
+    @pytest.mark.parametrize("gp", ORACLE_PAIRS, ids=lambda gp: (
+        f"sigma{gp.sigma:g}-c2_{gp.c2 / math.sqrt(gp.v0):g}"))
+    def test_inverse_contract_up_to_vmax(self, gp):
+        z_top = growth_integral(gp, 0.999 * gp.vmax)
+        for z in np.concatenate(([1e-12, 1e-6], np.linspace(0.0, z_top, 17)[1:])):
+            v = growth_integral_inv(gp, float(z))
+            assert gp.v0 <= v <= gp.vmax
+            resid = abs(growth_integral(gp, v) - z)
+            assert resid <= 1e-9 * (1.0 + z)
+            # Newton polishing goes on to rounding, far below the contract
+            assert resid <= 1e-13 * (1.0 + z)
+
+    def test_no_upper_bracket_names_the_reach(self):
+        gp = make_pair()
+        reach = growth_integral(gp, gp.vmax)
+        with pytest.raises(NoUpperBracket) as info:
+            growth_integral_inv(gp, 1.01 * reach)
+        assert info.value.vmax == gp.vmax
+        assert info.value.z == 1.01 * reach
+        assert info.value.reached == pytest.approx(reach, rel=1e-12)
+        # a lower ceiling passed by the caller bounds the search instead
+        v_cap = 10.0 * gp.v0
+        with pytest.raises(NoUpperBracket) as info:
+            growth_integral_inv(gp, growth_integral(gp, 11.0 * gp.v0), v_cap)
+        assert info.value.vmax == v_cap
+        below = growth_integral(gp, 9.0 * gp.v0)
+        assert growth_integral_inv(gp, below, v_cap) == pytest.approx(
+            9.0 * gp.v0, rel=1e-13
+        )
+
+    def test_rejects_non_finite_arguments(self):
+        gp = make_pair()
+        for v in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                growth_integral(gp, v)
+        with pytest.raises(DomainError):
+            growth_integral_inv(gp, math.nan)
 
 
 class TestSurrogateOrdering:

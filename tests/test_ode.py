@@ -146,6 +146,73 @@ class TestEvents:
         assert len(traj.events) == 1
         assert traj.events[0].t == pytest.approx(math.log(2.0), abs=1e-9)
 
+    @pytest.mark.parametrize("t0, t_end", [(0.0, 7.0), (0.0, -7.0),
+                                           (1000.0, 1007.0)])
+    def test_located_times_within_xtol_of_closed_form(self, t0, t_end):
+        # x1' = 1 keeps x1 = t - t0 exact on the dense output, so each
+        # zero of the nonlinear level sin(3 x1) sits at a known multiple
+        # of pi/3 (the start, k = 0, fires as a boundary start); the
+        # oscillator (x2, x3) keeps the steps shorter than pi/3
+        def rhs(t, x):
+            return np.array([1.0, x[2], -x[1]])
+
+        ev = EventSpec("sin3x", lambda t, x: math.sin(3.0 * x[0]),
+                       terminal=False)
+        traj = integrate(rhs, t0, np.array([0.0, 1.0, 0.0]), t_end,
+                         tol=1e-9, events=[ev])
+        k = np.arange(7)
+        expected = t0 + math.copysign(1.0, t_end - t0) * k * math.pi / 3.0
+        times = [rec.t for rec in traj.events]
+        assert len(times) == k.size
+        for got, want in zip(times, expected):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)) + 1e-15
+
+    @pytest.mark.parametrize("level, root", [
+        (lambda t, x: math.exp(x[0]) - 10.0, math.log(10.0)),
+        (lambda t, x: x[0] ** 3 - 2.0, 2.0 ** (1.0 / 3.0)),
+    ], ids=["exp", "cube"])
+    def test_terminal_time_within_xtol(self, level, root):
+        ev = EventSpec("hit", level, direction=+1)
+        traj = integrate(lambda t, x: np.ones(1), 0.0, np.array([0.0]),
+                         5.0, tol=1e-9, events=[ev])
+        assert traj.status == "event:hit"
+        assert abs(traj.t_end - root) <= 1e-12
+
+    @pytest.mark.parametrize("terminal", [True, False])
+    def test_level_exactly_zero_at_a_step_end(self, terminal):
+        # a level that is exactly 0 at the end of the third accepted step
+        # (and so at the start of the fourth) fires once, at that node
+        free = integrate(oscillator_rhs, 0.0, np.array([2.0, 0.0]), 3.0,
+                         tol=1e-9)
+        t_k = float(free.ts[3])
+        ev = EventSpec("at_node", lambda t, x: t - t_k, direction=+1,
+                       terminal=terminal)
+        traj = integrate(oscillator_rhs, 0.0, np.array([2.0, 0.0]), 3.0,
+                         tol=1e-9, events=[ev])
+        assert len(traj.events) == 1
+        assert traj.events[0].t == t_k
+        assert np.array_equal(traj.events[0].x, free.xs[3])
+        if terminal:
+            assert traj.status == "event:at_node"
+            assert np.array_equal(traj.ts, free.ts[:4])
+        else:
+            assert np.array_equal(traj.ts, free.ts)
+            assert np.array_equal(traj.xs, free.xs)
+
+    def test_falling_level_zero_at_a_step_start_is_not_a_crossing(self):
+        # the level rises to exactly 0 at a node and falls after it: the
+        # rising watcher fires at the node, the falling one never does
+        free = integrate(oscillator_rhs, 0.0, np.array([2.0, 0.0]), 3.0,
+                         tol=1e-9)
+        t_k = float(free.ts[3])
+        up = EventSpec("up", lambda t, x: min(t - t_k, t_k - t),
+                       direction=+1, terminal=False)
+        down = EventSpec("down", lambda t, x: min(t - t_k, t_k - t),
+                         direction=-1, terminal=False)
+        traj = integrate(oscillator_rhs, 0.0, np.array([2.0, 0.0]), 3.0,
+                         tol=1e-9, events=[up, down])
+        assert [(rec.kind, rec.t) for rec in traj.events] == [("up", t_k)]
+
     def test_region_events_shape(self):
         qp = make_reference_problem()
         evs = make_region_events(qp.quad_w, qp.quad_v, 0.02, -0.02, 0.02, 0.15)

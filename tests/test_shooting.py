@@ -139,6 +139,16 @@ class TestClassifyStart:
         t_exact = brentq(w_gap, -5.0, 0.0, xtol=1e-12)
         assert res.t == pytest.approx(t_exact, abs=1e-6)
 
+    def test_watches_only_the_exit_levels(self, reference_problem):
+        # the orbit from the centre passes V = v0 on its way out (W = w+
+        # forces V >= w+ = v0), but only the exit itself is located
+        chart = make_disk_chart(reference_problem, -5.0)
+        res = classify_start(
+            reference_problem, chart, np.array([0.0]), horizon=20.0,
+            v0=0.02, v_star=0.15,
+        )
+        assert [ev.kind for ev in res.traj.events] == ["W_hits_wplus"]
+
     def test_boundary_start_exits_immediately(self, reference_problem):
         chart = make_disk_chart(reference_problem, -5.0)
         res = classify_start(
@@ -303,6 +313,22 @@ class TestVerifyBound:
         assert not rep.passed
         assert any("exceeds the constant ceiling" in v
                    for v in rep.violations)
+
+    def test_unreachable_envelope_argument_is_a_violation(
+        self, reference_problem, reference_certificate, reference_solution_run
+    ):
+        # lam_plus = 1e5 asks F for about 1000 where F(Vmax) is about 830
+        cert = dataclasses.replace(
+            reference_certificate,
+            lam_plus=np.full_like(reference_certificate.lam_plus, 1e5),
+        )
+        traj = reference_solution_run.traj
+        rep = verify_bound(reference_problem, cert, traj)
+        assert not rep.passed
+        assert rep.slack_envelope == math.inf
+        (msg,) = rep.violations
+        assert msg.startswith(f"no envelope ceiling from t = {traj.ts[0]:.6g}:")
+        assert "F never reaches 1000.01 below Vmax = 20000" in msg
 
     def test_subwindow_coverage_noted(self, reference_problem,
                                       reference_certificate,
