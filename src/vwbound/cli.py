@@ -21,6 +21,7 @@ Exit codes form a total contract:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -239,6 +240,10 @@ def _read_trajectory_csv(path, n: int) -> Trajectory:
                 raise DocumentError(
                     f"non-numeric value in row: {line!r}", line=line_no
                 ) from None
+            if not all(map(math.isfinite, values)):
+                raise DocumentError(
+                    f"non-finite value in row: {line!r}", line=line_no
+                )
             ts.append(values[0])
             xs.append(values[1:n + 1])
     if not ts:

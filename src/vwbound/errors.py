@@ -62,6 +62,19 @@ class DivisionByZero(VWBoundError):
         self.where = where
 
 
+class AsymmetricMatrix(VWBoundError, ValueError):
+    """Mirrored entries ``(row, col)``, ``(col, row)`` (1-based, the first
+    such pair) of a matrix declared symmetric differ as expressions."""
+
+    def __init__(self, row: int, col: int):
+        super().__init__(
+            f"entries ({row}, {col}) and ({col}, {row}) of a symmetric "
+            "matrix are not the same expression"
+        )
+        self.row = row
+        self.col = col
+
+
 class NotDifferentiable(VWBoundError):
     """Time derivative requested through ``abs`` of a time-dependent
     argument."""

@@ -20,9 +20,15 @@ The module provides
 * :func:`eval_expr` — interpreted evaluation with precise domain errors,
 * :func:`diff_t` — exact symbolic derivative in ``t`` (state held fixed),
 * :func:`to_text` — canonical printing (``parse(to_text(a)) == a``),
-* :func:`compile_expr` — generated-code evaluation for hot loops,
-* :class:`MatrixFunction` / :class:`VectorFunction` — entrywise grids with
-  caching, symmetry probing and a compiled right-hand-side builder.
+* :class:`MatrixFunction` / :class:`VectorFunction` — entry grids, each
+  evaluated by one generated function, constants cached, symmetry checked
+  on the expressions themselves,
+* :func:`compile_rhs` / :func:`compile_quadform` — generated right-hand
+  side and quadratic forms for the integrator's hot loop.
+
+All generated code comes from one template (:func:`_compile_guarded`):
+the entries inlined as Python arithmetic, with a fallback that re-runs
+the same template through :func:`eval_expr` when the fast body trips.
 
 Evaluation follows IEEE double semantics where that is the useful choice
 (overflow saturates to ``inf``, ``sin(inf)`` is ``nan``) and raises
@@ -39,6 +45,7 @@ import re
 import numpy as np
 
 from .errors import (
+    AsymmetricMatrix,
     DivisionByZero,
     DomainError,
     ExprSyntaxError,
@@ -59,7 +66,6 @@ __all__ = [
     "eval_expr",
     "diff_t",
     "to_text",
-    "compile_expr",
     "depends_on_t",
     "depends_on_state",
     "MatrixFunction",
@@ -481,9 +487,9 @@ def depends_on_state(ast: ExprAST) -> bool:
 def eval_expr(ast: ExprAST, t: float, x=()) -> float:
     """Interpret ``ast`` at time ``t`` and state ``x``.
 
-    Slower than the compiled path but reports the offending subexpression
-    on domain errors; the compiled wrapper re-enters here when the fast
-    path trips, so messages are identical either way.
+    Slower than generated code but reports the offending subexpression
+    on domain errors; generated code re-enters here when its fast body
+    trips, so messages are identical either way.
     """
     if isinstance(ast, Num):
         return ast.value
@@ -689,39 +695,16 @@ def _codegen(ast: ExprAST) -> str:
     raise TypeError(f"not an expression node: {ast!r}")
 
 
-def compile_expr(ast: ExprAST):
-    """Compile an AST into a fast ``f(t, x) -> float``.
-
-    The generated code runs unguarded; if it trips on a domain issue the
-    wrapper re-evaluates through the interpreter so the caller sees the
-    same value (``nan``, ``inf``) or precise error it would have seen
-    without compilation.
-    """
-    src = f"def _f(t, x):\n    return {_codegen(ast)}\n"
-    ns = dict(_COMPILE_GLOBALS)
-    exec(src, ns)  # noqa: S102 - code is generated from our own AST
-    fast = ns["_f"]
-
-    def wrapped(t, x=(), _fast=fast, _ast=ast):
-        try:
-            return _fast(t, x)
-        except _FAST_PATH_ERRORS:
-            return eval_expr(_ast, t, x)
-
-    wrapped.source = src
-    return wrapped
-
-
 def _compile_guarded(result_of):
     """Generate ``f(t, x)`` returning ``result_of(code)``, where ``code``
-    turns an entry AST into source text; for the integrator's hot loop.
+    turns an entry AST into source text.  The one ``exec`` of the module.
 
     The guard sits inside the generated function, so one call is one
     Python call.  The fast body inlines every entry (:func:`_codegen`);
     on a domain issue it re-runs the same template with one interpreter
     call per entry, so the fallback does the same arithmetic in the same
-    order and gives what :func:`eval_expr` gives, as
-    :func:`compile_expr` does.
+    order and gives what :func:`eval_expr` gives: the same value
+    (``nan``, ``inf``) or the same precise error.
     """
     asts: list = []
 
@@ -739,16 +722,37 @@ def _compile_guarded(result_of):
     )
     ns = dict(_COMPILE_GLOBALS, _eval=eval_expr, _asts=asts)
     exec(src, ns)  # noqa: S102
-    fn = ns["_f"]
-    fn.source = src
-    return fn
+    return ns["_f"]
 
 
 # ---------------------------------------------------------------------------
 # matrix / vector functions
 
 
-class MatrixFunction:
+class _Entries:
+    """Entries of ``(t, x)`` evaluated by one generated function that
+    returns them as a (nested) list; entries free of ``t`` and the state
+    are evaluated once, and that read-only array is returned from then on.
+    """
+
+    def _build(self, flat, layout):
+        self.depends_on_state = any(depends_on_state(e) for e in flat)
+        self.depends_on_t = any(depends_on_t(e) for e in flat)
+        self._fn = _compile_guarded(layout)
+        self._origin = (0.0,) * self.n_states
+        self._const = None
+        if not (self.depends_on_state or self.depends_on_t):
+            const = self.eval(0.0)
+            const.setflags(write=False)
+            self._const = const
+
+    def eval(self, t: float, x=None) -> np.ndarray:
+        if self._const is not None:
+            return self._const
+        return np.array(self._fn(t, self._origin if x is None else x))
+
+
+class MatrixFunction(_Entries):
     """Matrix whose entries are expressions of ``(t, x)``.
 
     Parameters
@@ -758,10 +762,12 @@ class MatrixFunction:
     n_states : int
         State dimension the entries may reference.
     symmetric : bool
-        Declared symmetry.  A declared-symmetric matrix is probed at 100
-        pseudo-random ``(t, x)`` points (tolerance ``1e-12`` relative) at
-        construction and symmetrized on every evaluation, so downstream
-        spectral code never sees an asymmetric perturbation.
+        Declared symmetry, checked on the structure: entry ``(j, i)`` must
+        be the same expression as entry ``(i, j)``, or
+        :class:`~vwbound.errors.AsymmetricMatrix` names the first pair
+        that is not.  Mirrored entries then give the same float at every
+        ``(t, x)``, and so do those of :meth:`diff_t`: every evaluated
+        matrix is exactly symmetric.
     """
 
     def __init__(self, entries, n_states: int, symmetric: bool = False):
@@ -773,24 +779,19 @@ class MatrixFunction:
                 raise ValueError("ragged entry grid")
         self.n_states = n_states
         self.symmetric = bool(symmetric)
-        self.depends_on_state = any(
-            depends_on_state(e) for row in self.entries for e in row
-        )
-        self.depends_on_t = any(
-            depends_on_t(e) for row in self.entries for e in row
-        )
-        self._fns = [[compile_expr(e) for e in row] for row in self.entries]
         if self.symmetric:
             if self.rows != self.cols:
                 raise ValueError("only square matrices can be symmetric")
-            self._probe_symmetry()
-        self._const = None
-        if not self.depends_on_state and not self.depends_on_t:
-            const = self._eval_raw(0.0, np.zeros(n_states))
-            if self.symmetric:
-                const = 0.5 * (const + const.T)
-            const.setflags(write=False)
-            self._const = const
+            for i, row in enumerate(self.entries):
+                for j in range(i + 1, self.cols):
+                    if row[j] != self.entries[j][i]:
+                        raise AsymmetricMatrix(i + 1, j + 1)
+        self._build(
+            [e for row in self.entries for e in row],
+            lambda code: "[%s]" % ", ".join(
+                "[%s]" % ", ".join(map(code, row)) for row in self.entries
+            ),
+        )
 
     @classmethod
     def from_strings(cls, texts, n_states: int, symmetric: bool = False):
@@ -803,64 +804,22 @@ class MatrixFunction:
         entries = [[Num(v) for v in row] for row in arr]
         return cls(entries, n_states, symmetric=symmetric)
 
-    def _eval_raw(self, t, x):
-        out = np.empty((self.rows, self.cols))
-        fns = self._fns
-        for i in range(self.rows):
-            row = fns[i]
-            for j in range(self.cols):
-                out[i, j] = row[j](t, x)
-        return out
-
-    def eval(self, t: float, x=None) -> np.ndarray:
-        if self._const is not None:
-            return self._const
-        if x is None:
-            x = np.zeros(self.n_states)
-        out = self._eval_raw(t, x)
-        if self.symmetric:
-            out = 0.5 * (out + out.T)
-        return out
-
-    __call__ = eval
-
     def diff_t(self) -> "MatrixFunction":
         entries = [[diff_t(e) for e in row] for row in self.entries]
         return MatrixFunction(entries, self.n_states, symmetric=self.symmetric)
 
-    def _probe_symmetry(self):
-        rng = np.random.default_rng(1729)
-        for _ in range(100):
-            t = float(rng.uniform(-10.0, 10.0))
-            x = rng.standard_normal(self.n_states) * float(
-                10.0 ** rng.uniform(-1, 1)
-            )
-            m = self._eval_raw(t, x)
-            scale = 1.0 + float(np.max(np.abs(m)))
-            if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
-                raise ValueError(
-                    "matrix declared symmetric fails the symmetry probe at "
-                    f"t={t:.6g}"
-                )
 
-    def texts(self):
-        return [[to_text(e) for e in row] for row in self.entries]
-
-
-class VectorFunction:
+class VectorFunction(_Entries):
     """Vector whose entries are expressions of ``(t, x)``."""
 
     def __init__(self, entries, n_states: int):
         self.entries = list(entries)
         self.size = len(self.entries)
         self.n_states = n_states
-        self.depends_on_state = any(depends_on_state(e) for e in self.entries)
-        self.depends_on_t = any(depends_on_t(e) for e in self.entries)
-        self._fns = [compile_expr(e) for e in self.entries]
-        self._const = None
-        if not self.depends_on_state and not self.depends_on_t:
-            self._const = self.eval(0.0, np.zeros(n_states))
-            self._const.setflags(write=False)
+        self._build(
+            self.entries,
+            lambda code: "[%s]" % ", ".join(map(code, self.entries)),
+        )
 
     @classmethod
     def from_strings(cls, texts, n_states: int):
@@ -870,21 +829,6 @@ class VectorFunction:
     def zero(cls, size: int, n_states: int):
         return cls([Num(0.0) for _ in range(size)], n_states)
 
-    def eval(self, t: float, x=None) -> np.ndarray:
-        if self._const is not None:
-            return self._const
-        if x is None:
-            x = np.zeros(self.n_states)
-        return np.array([fn(t, x) for fn in self._fns])
-
-    __call__ = eval
-
-    def diff_t(self) -> "VectorFunction":
-        return VectorFunction([diff_t(e) for e in self.entries], self.n_states)
-
-    def texts(self):
-        return [to_text(e) for e in self.entries]
-
 
 def compile_rhs(a: MatrixFunction, f0: VectorFunction):
     """Build a fast right-hand side ``rhs(t, x) = A(t, x) x + f0(t)``.
@@ -893,8 +837,8 @@ def compile_rhs(a: MatrixFunction, f0: VectorFunction):
     integrator spends its time on arithmetic, not on interpreter dispatch.
     ``x`` may be any indexable sequence of floats; the result is a list of
     ``n`` floats, one sum per row with a term per nonzero entry.  Domain
-    issues fall back to the interpreter, as in :func:`compile_expr`.  The
-    returned function carries ``float_lists = True``, which tells
+    issues fall back to the interpreter, as everywhere in generated code.
+    The returned function carries ``float_lists = True``, which tells
     :func:`vwbound.ode.integrate` to call it on its float lists directly.
     """
     n = a.rows

@@ -242,10 +242,15 @@ def growth_integral_inv(gp: GrowthPair, z: float, vmax: float | None = None) -> 
         if hi > vmax:
             hi = vmax
         acc_hi = acc_lo + _clock(gp, math.sqrt(lo), math.sqrt(hi))
+        if hi >= vmax:
+            # the rung sum can fall a few ulp below the one-shot F(vmax)
+            # that certify's condition (A) compares against; F^-1 must
+            # reach every argument that F(vmax) does
+            acc_hi = max(acc_hi, growth_integral(gp, vmax))
+            if acc_hi < z:
+                raise NoUpperBracket(z, vmax, acc_hi)
         if acc_hi >= z:
             break
-        if hi >= vmax:
-            raise NoUpperBracket(z, vmax, acc_hi)
         lo, acc_lo = hi, acc_hi
         hi *= 2.0
 

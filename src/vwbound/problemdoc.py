@@ -9,23 +9,33 @@ Sections
 --------
 ``[problem]``   ``n``, ``t_minus``, ``t_plus``
 ``[system]``    ``A.i.j``, ``f0.i`` (entries default to ``"0"``)
-``[guiding]``   ``B.i.j``, ``C.i.j``, optional ``Chat.i.j``
+``[guiding]``   ``B.i.j``, ``C.i.j``, optional ``Chat.i.j``; these
+                matrices are symmetric, so ``X.i.j`` and ``X.j.i`` must
+                be the same expression (write both, or neither)
 ``[region]``    ``v0``, ``v_star`` (either may be ``auto``), ``w_minus``,
                 ``w_plus``
 ``[numerics]``  optional ``grid``, ``tol``, ``seed``, ``samples``
 
 Unknown sections or keys raise :class:`DocumentError` with the line
 number — a typo in an entry key must not silently become a zero entry.
+Each matrix and the forcing are built once, at parse time, and
+evaluated there at ``(t, x) = (0, 0)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DocumentError
-from .expr import MatrixFunction, VectorFunction
+from .errors import (
+    AsymmetricMatrix,
+    DocumentError,
+    ExprSyntaxError,
+    UnknownIdentifier,
+    VWBoundError,
+)
+from .expr import MatrixFunction, Num, VectorFunction, parse_expr
 from .quadratic import QuadraticProblem
 
 __all__ = ["ProblemDocument", "parse_problem_text", "load_problem_document"]
@@ -33,19 +43,24 @@ __all__ = ["ProblemDocument", "parse_problem_text", "load_problem_document"]
 _SECTIONS = ("problem", "system", "guiding", "region", "numerics")
 _MATRIX_NAMES = {"A": "system", "B": "guiding", "C": "guiding",
                  "Chat": "guiding"}
+_ZERO = Num(0.0)  # an unset entry
 
 
 @dataclass
 class ProblemDocument:
-    """Parsed document, expressions still as strings."""
+    """Parsed document with its matrices and forcing built, once each.
+
+    ``chat`` (``None`` when the document has no ``Chat`` entries) is
+    parsed and checked like ``B`` and ``C`` but used by no pipeline stage.
+    """
 
     n: int
     window: tuple[float, float]
-    a_entries: dict
-    f0_entries: dict
-    b_entries: dict
-    c_entries: dict
-    chat_entries: dict
+    a: MatrixFunction
+    f0: VectorFunction
+    b: MatrixFunction
+    c: MatrixFunction
+    chat: MatrixFunction | None
     v0: float | None  # None means auto
     v_star: float | None
     w_minus: float
@@ -56,32 +71,25 @@ class ProblemDocument:
     samples: int = 48
     source: str = "<text>"
 
-    def matrix(self, name: str) -> MatrixFunction:
-        entries = {"A": self.a_entries, "B": self.b_entries,
-                   "C": self.c_entries, "Chat": self.chat_entries}[name]
-        rows = [[entries.get((i, j), "0") for j in range(1, self.n + 1)]
-                for i in range(1, self.n + 1)]
-        symmetric = name in ("B", "C", "Chat")
-        return MatrixFunction.from_strings(rows, n_states=self.n,
-                                           symmetric=symmetric)
+    def matrix(self, name: str) -> MatrixFunction | None:
+        return {"A": self.a, "B": self.b, "C": self.c, "Chat": self.chat}[name]
 
     def forcing(self) -> VectorFunction:
-        texts = [self.f0_entries.get(i, "0") for i in range(1, self.n + 1)]
-        return VectorFunction.from_strings(texts, n_states=self.n)
+        return self.f0
 
     @property
     def has_chat(self) -> bool:
-        return bool(self.chat_entries)
+        return self.chat is not None
 
     def to_problem(self) -> QuadraticProblem:
         """Build the problem; a value the problem rejects (grid, window,
         region bounds, v0, seed) raises :class:`DocumentError`."""
         try:
             return QuadraticProblem(
-                a=self.matrix("A"),
-                f0=self.forcing(),
-                b=self.matrix("B"),
-                c=self.matrix("C"),
+                a=self.a,
+                f0=self.f0,
+                b=self.b,
+                c=self.c,
                 window=self.window,
                 v0=self.v0,
                 w_minus=self.w_minus,
@@ -185,8 +193,8 @@ def parse_problem_text(text: str, source: str = "<text>") -> ProblemDocument:
     t_minus = _parse_scalar(tm_text, tm_line, "t_minus")
     t_plus = _parse_scalar(tp_text, tp_line, "t_plus")
 
-    entries = {"A": {}, "B": {}, "C": {}, "Chat": {}}
-    f0_entries: dict[int, str] = {}
+    # per matrix or forcing: entry index -> (expression text, line)
+    entries: dict[str, dict] = {name: {} for name in ("f0", *_MATRIX_NAMES)}
     for section_name in ("system", "guiding"):
         for key, (value, line_no) in list(raw[section_name].items()):
             parts = key.split(".")
@@ -198,7 +206,7 @@ def parse_problem_text(text: str, source: str = "<text>") -> ProblemDocument:
                         line=line_no, key=key,
                     )
                 idx = _index(parts[1], n, line_no, key)
-                f0_entries[idx] = value
+                entries["f0"][idx] = (value, line_no)
             elif name in _MATRIX_NAMES:
                 if _MATRIX_NAMES[name] != section_name or len(parts) != 3:
                     raise DocumentError(
@@ -208,7 +216,7 @@ def parse_problem_text(text: str, source: str = "<text>") -> ProblemDocument:
                     )
                 i = _index(parts[1], n, line_no, key)
                 j = _index(parts[2], n, line_no, key)
-                entries[name][(i, j)] = value
+                entries[name][(i, j)] = (value, line_no)
             else:
                 raise DocumentError(
                     f"unknown key {key!r} in [{section_name}]",
@@ -247,19 +255,20 @@ def parse_problem_text(text: str, source: str = "<text>") -> ProblemDocument:
                 f"unknown key {key!r} in [{section_name}]",
                 line=line_no, key=key,
             )
-    if not entries["B"]:
-        raise DocumentError("no B entries in [guiding]", key="B")
-    if not entries["C"]:
-        raise DocumentError("no C entries in [guiding]", key="C")
+    for name in "BC":
+        if not entries[name]:
+            raise DocumentError(f"no {name} entries in [guiding]", key=name)
 
-    doc = ProblemDocument(
+    a, b, c, f0 = (_build(name, entries[name], n)
+                   for name in ("A", "B", "C", "f0"))
+    return ProblemDocument(
         n=n,
         window=(t_minus, t_plus),
-        a_entries=entries["A"],
-        f0_entries=f0_entries,
-        b_entries=entries["B"],
-        c_entries=entries["C"],
-        chat_entries=entries["Chat"],
+        a=a,
+        f0=f0,
+        b=b,
+        c=c,
+        chat=_build("Chat", entries["Chat"], n) if entries["Chat"] else None,
         v0=v0,
         v_star=v_star,
         w_minus=w_minus,
@@ -270,8 +279,6 @@ def parse_problem_text(text: str, source: str = "<text>") -> ProblemDocument:
         samples=samples,
         source=source,
     )
-    _probe_expressions(doc)
-    return doc
 
 
 def _index(text: str, n: int, line_no: int, key: str) -> int:
@@ -289,23 +296,47 @@ def _index(text: str, n: int, line_no: int, key: str) -> int:
     return idx
 
 
-def _probe_expressions(doc: ProblemDocument) -> None:
-    """Compile and evaluate every expression once so malformed input is
-    reported against the document, not from deep inside a solve."""
-    z = np.zeros(doc.n)
-    for name in ("A", "B", "C") + (("Chat",) if doc.has_chat else ()):
+def _build(name: str, given: dict, n: int):
+    """Matrix ``name`` (``A``, ``B``, ``C``, ``Chat``) from its entries
+    ``{(i, j): (text, line)}``, or the forcing (``name == "f0"``) from
+    ``{i: (text, line)}``; unset entries are zero.  ``B``, ``C`` and
+    ``Chat`` are symmetric, so mirrored entries must be the same
+    expression.  Evaluated once at ``(t, x) = (0, 0)`` so a malformed
+    entry is reported against the document, not from inside a solve."""
+    what = "forcing f0" if name == "f0" else f"matrix {name}"
+    asts = {}
+    for index, (text, line_no) in given.items():
         try:
-            doc.matrix(name).eval(0.0, z)
-        except Exception as exc:
+            asts[index] = parse_expr(text, n)
+        except (ExprSyntaxError, UnknownIdentifier) as exc:
             raise DocumentError(
-                f"matrix {name} fails to evaluate: {exc}", key=name
+                f"{what} fails to evaluate: {exc}", line=line_no, key=name
             ) from None
+    span = range(1, n + 1)
     try:
-        doc.forcing().eval(0.0, z)
-    except Exception as exc:
+        if name == "f0":
+            fn = VectorFunction([asts.get(i, _ZERO) for i in span], n)
+        else:
+            fn = MatrixFunction(
+                [[asts.get((i, j), _ZERO) for j in span] for i in span], n,
+                symmetric=name != "A",
+            )
+        fn.eval(0.0)
+    except AsymmetricMatrix as exc:
+        i, j = exc.row, exc.col
+        (upper, line_u), (lower, line_l) = (
+            given.get(pair, ("0", 0)) for pair in ((i, j), (j, i))
+        )
         raise DocumentError(
-            f"forcing f0 fails to evaluate: {exc}", key="f0"
+            f"{what} must be symmetric: {name}.{i}.{j} = {upper!r} and "
+            f"{name}.{j}.{i} = {lower!r} must be the same expression",
+            line=line_u or line_l, key=f"{name}.{i}.{j}",
         ) from None
+    except VWBoundError as exc:
+        raise DocumentError(
+            f"{what} fails to evaluate: {exc}", key=name
+        ) from None
+    return fn
 
 
 def load_problem_document(path) -> ProblemDocument:

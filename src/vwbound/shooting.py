@@ -567,7 +567,8 @@ def verify_bound(
     below the constant ceiling ``v_small_star``, V below the closed-form
     constants-only ceiling, W strictly inside (w-, w+), and — on nodes
     with V > v0 — the growth-clock inequality
-    ``|dF(V)/dt| <= dW/dt + clock_tol``.
+    ``|dF(V)/dt| <= dW/dt + clock_tol``.  Every check fails closed: a
+    ``nan`` slack or margin is a violation.
     """
     gp = cert.growth_pair()
     curves = eval_v_w_along(qp, traj, gp)
@@ -599,7 +600,7 @@ def verify_bound(
             ceilings.append(math.inf)
     ceiling = np.array(ceilings)[node_of]
     slack_env = float(np.min(ceiling - curves.v))
-    if slack_env <= 0.0:
+    if not slack_env > 0.0:
         violations.append(
             f"V exceeds the envelope ceiling by {-slack_env:.3e} at "
             f"t = {traj.ts[int(np.argmin(ceiling - curves.v))]:.6g}"
@@ -608,7 +609,7 @@ def verify_bound(
     i_max = int(np.argmax(curves.v))
     sup_v = float(curves.v[i_max])
     slack_const = cert.v_small_star - sup_v
-    if slack_const <= 0.0:
+    if not slack_const > 0.0:
         violations.append(
             f"sup V = {sup_v:.9g} exceeds the constant ceiling "
             f"{cert.v_small_star:.9g}"
@@ -616,7 +617,7 @@ def verify_bound(
     spread = float(np.max(cert.lam_plus) - np.min(cert.lam_minus))
     closed = closed_form_ceiling(gp, spread)
     slack_closed = closed - sup_v
-    if slack_closed <= 0.0:
+    if not slack_closed > 0.0:
         violations.append(
             f"sup V = {sup_v:.9g} exceeds the closed-form ceiling "
             f"{closed:.9g}"
@@ -625,7 +626,7 @@ def verify_bound(
     w_margin = float(
         np.min(np.minimum(cert.w_plus - curves.w, curves.w - cert.w_minus))
     )
-    if w_margin <= -1e-9 * (1.0 + abs(cert.w_plus) + abs(cert.w_minus)):
+    if not w_margin > -1e-9 * (1.0 + abs(cert.w_plus) + abs(cert.w_minus)):
         violations.append(
             f"W leaves ({cert.w_minus:g}, {cert.w_plus:g}) by {-w_margin:.3e}"
         )
@@ -635,7 +636,7 @@ def verify_bound(
     if clock_nodes:
         margins = curves.w_dot[above] - np.abs(curves.f_dot[above])
         clock_margin = float(np.min(margins))
-        if clock_margin < -clock_tol:
+        if not clock_margin >= -clock_tol:
             violations.append(
                 f"growth-clock inequality violated by {-clock_margin:.3e}"
             )

@@ -121,6 +121,25 @@ class TestCertify:
             pivot = int(note.split("pivot ")[1].split()[0])
             assert pivot >= 0, note
 
+    @pytest.mark.parametrize("upper,lower", [
+        ('"1e-13*t"', None),
+        ('"0.5*t"', '"t*0.5"'),  # equal values, different expressions
+    ])
+    def test_mirrored_entries_must_match(self, tmp_path, capsys,
+                                         upper, lower):
+        text = SADDLE_DOC.read_text()
+        entries = f"C.1.2 = {upper}\n"
+        if lower is not None:
+            entries += f"C.2.1 = {lower}\n"
+        assert text.count('C.2.2 = "-1"\n') == 1
+        doc = tmp_path / "asymmetric.problem"
+        doc.write_text(text.replace('C.2.2 = "-1"\n',
+                                    'C.2.2 = "-1"\n' + entries))
+        assert main(["certify", str(doc)]) == 64
+        err = capsys.readouterr().err
+        assert "matrix C must be symmetric" in err
+        assert "C.1.2" in err and "C.2.1" in err
+
     def test_malformed_document(self, tmp_path, capsys):
         doc = tmp_path / "broken.problem"
         doc.write_text("[problem]\nn = 2\n")  # missing everything else
@@ -209,6 +228,45 @@ class TestVerify:
                 "reaches 1000.01 below Vmax = 20000") in captured.out
         rep = RunReport.load(str(out))
         assert rep.get_int("verify.exit.code") == 5
+
+    @pytest.mark.parametrize("states,times", [
+        ("nan", None), ("inf", None), ("-inf", None), (None, "nan"),
+    ])
+    def test_non_finite_trajectory_rejected(self, ref_doc, cert_file,
+                                            solve_dir, tmp_path, capsys,
+                                            states, times):
+        rows = (solve_dir / "trajectory.csv").read_text().splitlines()
+        edited = [rows[0]]
+        for row in rows[1:]:
+            cells = row.split(",")
+            if states is not None:
+                cells[1:3] = [states, states]
+            if times is not None:
+                cells[0] = times
+            edited.append(",".join(cells))
+        bad = tmp_path / "non-finite.csv"
+        bad.write_text("\n".join(edited) + "\n")
+        code = main(["verify", ref_doc, "--cert", cert_file,
+                     "--traj", str(bad)])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "non-finite value in row" in err
+        assert "line 2" in err
+
+    @pytest.mark.parametrize("key", ["bound.v_small_star", "cert.w_plus"])
+    def test_nan_certificate_value_is_a_violation(self, ref_doc, cert_file,
+                                                  solve_dir, tmp_path,
+                                                  capsys, key):
+        text = open(cert_file).read()
+        target = next(
+            ln for ln in text.splitlines() if ln.startswith(f"{key} = ")
+        )
+        bad = tmp_path / "nan.txt"
+        bad.write_text(text.replace(target, f"{key} = nan"))
+        code = main(["verify", ref_doc, "--cert", str(bad),
+                     "--traj", str(solve_dir / "trajectory.csv")])
+        assert code == 5
+        assert "violation:" in capsys.readouterr().out
 
     def test_requires_both_inputs(self, ref_doc, cert_file, capsys):
         assert main(["verify", ref_doc, "--cert", cert_file]) == 64

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vwbound.errors import (
+    AsymmetricMatrix,
     DivisionByZero,
     DomainError,
     ExprSyntaxError,
@@ -18,7 +19,6 @@ from vwbound.errors import (
 from vwbound.expr import (
     MatrixFunction,
     VectorFunction,
-    compile_expr,
     compile_quadform,
     compile_rhs,
     depends_on_state,
@@ -117,18 +117,20 @@ class TestDerivative:
 class TestCompiled:
     def test_compiled_matches_interpreter(self):
         ast = parse_expr("sin(t)*x1 + exp(-t)*x2^2", 2)
-        fn = compile_expr(ast)
+        m = MatrixFunction([[ast]], n_states=2)
+        v = VectorFunction([ast], n_states=2)
         for t in np.linspace(-2, 2, 17):
             x = (0.3 * t, 1.0 - t)
-            assert math.isclose(
-                fn(t, x), eval_expr(ast, t, x), rel_tol=1e-15, abs_tol=1e-15
-            )
+            want = eval_expr(ast, t, x)
+            for got in (m.eval(t, x)[0, 0], v.eval(t, x)[0]):
+                assert math.isclose(got, want, rel_tol=1e-15, abs_tol=1e-15)
 
     def test_compiled_domain_error_message_matches(self):
         ast = parse_expr("ln(t)", 0)
-        fn = compile_expr(ast)
         with pytest.raises(DomainError):
-            fn(-1.0, ())
+            MatrixFunction([[ast]], n_states=0).eval(-1.0)
+        with pytest.raises(DomainError):
+            VectorFunction([ast], n_states=0).eval(-1.0)
 
     @pytest.mark.parametrize("text, t", [("sin(t)", math.inf),
                                          ("exp(1000*t)", 1.0)])
@@ -140,7 +142,8 @@ class TestCompiled:
         assert want in ("nan", "inf")
         m = MatrixFunction([[ast]], n_states=1)
         rhs = compile_rhs(m, VectorFunction.zero(1, n_states=1))
-        assert repr(compile_expr(ast)(t, (1.0,))) == want
+        assert repr(float(m.eval(t, (1.0,))[0, 0])) == want
+        assert repr(float(VectorFunction([ast], 1).eval(t, (1.0,))[0])) == want
         assert repr(rhs(t, [1.0])[0]) == want
         assert repr(compile_quadform(m)(t, [1.0])) == want
 
@@ -178,6 +181,35 @@ class TestMatrixVector:
             MatrixFunction.from_strings(
                 [["1", "t"], ["0", "1"]], n_states=2, symmetric=True
             )
+
+    def test_symmetry_is_structural(self):
+        # mirrored entries must be the same expression, not just the same
+        # value: 0.5*t and t*0.5 agree everywhere but are rejected
+        with pytest.raises(AsymmetricMatrix) as info:
+            MatrixFunction.from_strings(
+                [["1", "0.5*t"], ["t*0.5", "1"]], n_states=2, symmetric=True
+            )
+        assert (info.value.row, info.value.col) == (1, 2)
+        with pytest.raises(AsymmetricMatrix):
+            MatrixFunction.from_strings(
+                [["1", "1e-13*t"], ["0", "1"]], n_states=2, symmetric=True
+            )
+        near = np.array([[1.0, 0.1], [0.1 + 1e-16, 1.0]])
+        with pytest.raises(AsymmetricMatrix):
+            MatrixFunction.constant(near, n_states=2, symmetric=True)
+
+    def test_symmetric_values_exactly_symmetric(self):
+        m = MatrixFunction.from_strings(
+            [["2+sin(t)", "exp(0.3*t)/(1+t^2)", "x1"],
+             ["exp(0.3*t)/(1+t^2)", "1", "cos(t)^3"],
+             ["x1", "cos(t)^3", "ln(2+t^2)"]],
+            n_states=1, symmetric=True,
+        )
+        d = m.diff_t()
+        assert d.symmetric
+        for t in np.linspace(-3.0, 3.0, 13):
+            for a in (m.eval(t, (0.7 * t,)), d.eval(t, (0.7 * t,))):
+                assert np.array_equal(a, a.T)
 
     def test_vector(self):
         v = VectorFunction.from_strings(["t", "x1"], n_states=1)

@@ -190,6 +190,20 @@ class TestAgainstAdaptiveQuadrature:
             # Newton polishing goes on to rounding, far below the contract
             assert resid <= 1e-13 * (1.0 + z)
 
+    def test_inverse_reaches_the_clock_at_vmax(self):
+        # certify's condition (A) admits every F-argument up to the
+        # one-shot F(Vmax); F^-1 must resolve all of them and still refuse
+        # one beyond
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            gp = random_constants(rng)
+            top = growth_integral(gp, gp.vmax)
+            v = growth_integral_inv(gp, top)
+            assert gp.v0 <= v <= gp.vmax
+            assert abs(growth_integral(gp, v) - top) <= 1e-9 * (1.0 + top)
+            with pytest.raises(NoUpperBracket):
+                growth_integral_inv(gp, top * (1.0 + 1e-9))
+
     def test_no_upper_bracket_names_the_reach(self):
         gp = make_pair()
         reach = growth_integral(gp, gp.vmax)

@@ -2,10 +2,13 @@
 the line/key diagnostics on malformed input.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
 from vwbound.errors import DocumentError
+from vwbound.expr import MatrixFunction, VectorFunction
 from vwbound.problemdoc import (
     ProblemDocument,
     load_problem_document,
@@ -76,6 +79,21 @@ class TestReferenceDocument:
         assert qp.v_star is None
         assert qp.seed == 42
         assert qp.quad_w(0.0, np.array([0.3, 0.1])) == pytest.approx(0.08)
+
+
+def test_each_function_built_once(monkeypatch, reference_document_path):
+    built = collections.Counter()
+    for cls in (MatrixFunction, VectorFunction):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    doc = load_problem_document(reference_document_path)
+    qp = doc.to_problem()
+    # A, B, C, Chat and f0 at load; B' and C' in to_problem
+    assert built == {"MatrixFunction": 6, "VectorFunction": 1}
+    assert qp.a is doc.matrix("A") and qp.f0 is doc.forcing()
+    assert qp.b is doc.matrix("B") and qp.c is doc.matrix("C")
 
 
 class TestDefaults:
@@ -188,6 +206,25 @@ class TestDiagnostics:
             MINIMAL.replace('A.1.1 = "1"', 'A.1.1 = "x3"'),
             "matrix A fails to evaluate",
         )
+
+    @pytest.mark.parametrize("old,new,needle,line,key", [
+        ('A.2.2 = "-1"', 'A.2.2 = "-1 *"', "matrix A", 8, "A"),  # syntax
+        ('B.2.2 = "1"', 'B.2.2 = "y"', "matrix B", 12, "B"),  # unknown name
+        ('C.1.1 = "1"', 'C.1.1 = "x3"', "matrix C", 13, "C"),  # beyond n
+        ('A.2.2 = "-1"', 'A.2.2 = "-1"\nf0.2 = "sin("', "forcing f0", 9,
+         "f0"),
+    ])
+    def test_parse_error_names_the_entry_line(self, old, new, needle,
+                                              line, key):
+        expect_error(MINIMAL.replace(old, new), f"{needle} fails to evaluate",
+                     line=line, key=key)
+
+    def test_asymmetric_guiding_matrix_names_both_keys(self):
+        err = expect_error(
+            MINIMAL.replace('B.1.1 = "1"', 'B.1.1 = "1"\nB.2.1 = "t"'),
+            "matrix B must be symmetric", line=12, key="B.1.2",
+        )
+        assert "B.2.1 = 't'" in str(err) and "B.1.2 = '0'" in str(err)
 
     def test_unterminated_quote(self):
         expect_error(
