@@ -24,11 +24,19 @@ The module provides
   evaluated by one generated function, constants cached, symmetry checked
   on the expressions themselves,
 * :func:`compile_rhs` / :func:`compile_quadform` — generated right-hand
-  side and quadratic forms for the integrator's hot loop.
+  side and quadratic forms,
+* :func:`compile_stepper` — the integrator's step loop, generated per
+  right-hand side and layout of watched levels: the state as scalar
+  locals, the Dormand-Prince stages with the entries of ``A`` and ``f0``
+  inlined (or a generic callable called on float lists), the PI control,
+  and each quadratic-form level evaluated once per accepted step.  It
+  hands a step back to :func:`vwbound.ode.integrate`, whose cold path
+  does the rest, when a level crosses, a sample falls due, the end is
+  reached or an entry trips.
 
 All generated code comes from one template (:func:`_compile_guarded`):
-the entries inlined as Python arithmetic, with a fallback that re-runs
-the same template through :func:`eval_expr` when the fast body trips.
+the entries inlined as Python arithmetic, with a fallback that runs the
+same template through :func:`eval_expr` when the fast body trips.
 
 Evaluation follows IEEE double semantics where that is the useful choice
 (overflow saturates to ``inf``, ``sin(inf)`` is ``nan``) and raises
@@ -39,6 +47,7 @@ fractional power of a negative base, exact zero denominator).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -72,6 +81,7 @@ __all__ = [
     "VectorFunction",
     "compile_rhs",
     "compile_quadform",
+    "compile_stepper",
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
@@ -668,61 +678,83 @@ def diff_t(ast: ExprAST) -> ExprAST:
 _FAST_PATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 _COMPILE_GLOBALS = {
     "math": math,
+    "sqrt": math.sqrt,
+    "isfinite": math.isfinite,
     "_pow": _pow,
     "_FAST_PATH_ERRORS": _FAST_PATH_ERRORS,
 }
 
+# Where an entry is evaluated: the time variable, the state as one
+# sequence expression (for the interpreter) and the spelling of state
+# variable i (for inlined code).  Entry functions read ``t`` and ``x``.
+_ARGS = ("t", "x", "x[{}]")
 
-def _codegen(ast: ExprAST) -> str:
+
+def _codegen(ast: ExprAST, frame=_ARGS) -> str:
     if isinstance(ast, Num):
         return repr(ast.value)
     if isinstance(ast, TimeVar):
-        return "t"
+        return frame[0]
     if isinstance(ast, StateVar):
-        return f"x[{ast.index}]"
+        return frame[2].format(ast.index)
     if isinstance(ast, Neg):
-        return f"(-{_codegen(ast.arg)})"
+        return f"(-{_codegen(ast.arg, frame)})"
     if isinstance(ast, BinOp):
-        return f"({_codegen(ast.lhs)}{ast.op}{_codegen(ast.rhs)})"
+        return f"({_codegen(ast.lhs, frame)}{ast.op}{_codegen(ast.rhs, frame)})"
     if isinstance(ast, Pow):
+        base = _codegen(ast.base, frame)
         if float(ast.exponent).is_integer():
-            return f"({_codegen(ast.base)}**{repr(ast.exponent)})"
-        return f"_pow({_codegen(ast.base)},{repr(ast.exponent)})"
+            return f"({base}**{repr(ast.exponent)})"
+        return f"_pow({base},{repr(ast.exponent)})"
     if isinstance(ast, Call):
-        inner = _codegen(ast.arg)
+        inner = _codegen(ast.arg, frame)
         fn = {"ln": "math.log", "abs": "abs"}.get(ast.fn, f"math.{ast.fn}")
         return f"{fn}({inner})"
     raise TypeError(f"not an expression node: {ast!r}")
 
 
-def _compile_guarded(result_of):
-    """Generate ``f(t, x)`` returning ``result_of(code)``, where ``code``
-    turns an entry AST into source text.  The one ``exec`` of the module.
+def _compile_guarded(body_of, params="t, x", on_trip=None):
+    """Generate ``f(params)`` running the lines ``body_of(code)``, where
+    ``code(ast, frame)`` turns an entry AST into source text.  The one
+    ``exec`` of the package.
 
     The guard sits inside the generated function, so one call is one
-    Python call.  The fast body inlines every entry (:func:`_codegen`);
-    on a domain issue it re-runs the same template with one interpreter
-    call per entry, so the fallback does the same arithmetic in the same
-    order and gives what :func:`eval_expr` gives: the same value
-    (``nan``, ``inf``) or the same precise error.
+    Python call.  The fast body inlines every entry (:func:`_codegen`).
+    On a domain issue it returns ``on_trip``, an expression over its
+    locals; by default that is ``f.slow`` on the same arguments: the same
+    template with one interpreter call per entry, compiled on first use,
+    which does the same arithmetic in the same order and gives what
+    :func:`eval_expr` gives: the same value (``nan``, ``inf``) or the same
+    precise error.
     """
     asts: list = []
+    built: list = []
 
-    def interpreted(ast):
+    def interpreted(ast, frame=_ARGS):
         asts.append(ast)
-        return f"_eval(_asts[{len(asts) - 1}], t, x)"
+        return f"_eval(_asts[{len(asts) - 1}], {frame[0]}, {frame[1]})"
 
-    src = (
-        f"def _slow(t, x):\n    return {result_of(interpreted)}\n"
-        "def _f(t, x):\n"
-        "    try:\n"
-        f"        return {result_of(_codegen)}\n"
-        "    except _FAST_PATH_ERRORS:\n"
-        "        return _slow(t, x)\n"
-    )
-    ns = dict(_COMPILE_GLOBALS, _eval=eval_expr, _asts=asts)
-    exec(src, ns)  # noqa: S102
-    return ns["_f"]
+    def define(code, guarded):
+        depth = 2 if guarded else 1
+        body = "".join("    " * depth + line + "\n" for line in body_of(code))
+        if guarded:
+            body = (
+                f"    try:\n{body}"
+                "    except _FAST_PATH_ERRORS:\n"
+                f"        return {on_trip or f'_slow({params})'}\n"
+            )
+        ns = dict(_COMPILE_GLOBALS, _eval=eval_expr, _asts=asts, _slow=slow)
+        exec(f"def _f({params}):\n{body}", ns)  # noqa: S102
+        return ns["_f"]
+
+    def slow(*args):
+        if not built:
+            built.append(define(interpreted, guarded=False))
+        return built[0](*args)
+
+    fast = define(_codegen, guarded=True)
+    fast.slow = slow
+    return fast
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +781,12 @@ class _Entries:
     def eval(self, t: float, x=None) -> np.ndarray:
         if self._const is not None:
             return self._const
-        return np.array(self._fn(t, self._origin if x is None else x))
+        if x is None:
+            x = self._origin
+        elif self.depends_on_state and isinstance(x, np.ndarray):
+            # Python floats, so that 1/0 is DivisionByZero and not inf
+            x = x.tolist()
+        return np.array(self._fn(t, x))
 
 
 class MatrixFunction(_Entries):
@@ -788,9 +825,9 @@ class MatrixFunction(_Entries):
                         raise AsymmetricMatrix(i + 1, j + 1)
         self._build(
             [e for row in self.entries for e in row],
-            lambda code: "[%s]" % ", ".join(
+            lambda code: ["return [%s]" % ", ".join(
                 "[%s]" % ", ".join(map(code, row)) for row in self.entries
-            ),
+            )],
         )
 
     @classmethod
@@ -818,7 +855,7 @@ class VectorFunction(_Entries):
         self.n_states = n_states
         self._build(
             self.entries,
-            lambda code: "[%s]" % ", ".join(map(code, self.entries)),
+            lambda code: ["return [%s]" % ", ".join(map(code, self.entries))],
         )
 
     @classmethod
@@ -830,54 +867,253 @@ class VectorFunction(_Entries):
         return cls([Num(0.0) for _ in range(size)], n_states)
 
 
+def _rhs_rows(a: MatrixFunction, f0: VectorFunction, code, frame=_ARGS):
+    """Source of each component of ``A(t, x) x + f0(t)``: one term per
+    nonzero entry of ``A`` in column order, then the forcing."""
+    x = frame[2]
+    rows = []
+    for i in range(a.rows):
+        terms = [
+            f"({code(entry, frame)})*{x.format(j)}"
+            for j, entry in enumerate(a.entries[i])
+            if not _is_num(entry, 0.0)
+        ]
+        if not _is_num(f0.entries[i], 0.0):
+            terms.append(code(f0.entries[i], frame))
+        rows.append(" + ".join(terms) if terms else "0.0")
+    return rows
+
+
+def _quadform(m: MatrixFunction, code, frame=_ARGS) -> str:
+    """Source of ``<M x, x>``: one term per nonzero entry, row-major."""
+    x = frame[2]
+    terms = [
+        f"({code(m.entries[i][j], frame)})*{x.format(i)}*{x.format(j)}"
+        for i in range(m.rows)
+        for j in range(m.rows)
+        if not _is_num(m.entries[i][j], 0.0)
+    ]
+    return " + ".join(terms) if terms else "0.0"
+
+
 def compile_rhs(a: MatrixFunction, f0: VectorFunction):
     """Build a fast right-hand side ``rhs(t, x) = A(t, x) x + f0(t)``.
 
-    Entry expressions are inlined into one generated function so the
-    integrator spends its time on arithmetic, not on interpreter dispatch.
-    ``x`` may be any indexable sequence of floats; the result is a list of
-    ``n`` floats, one sum per row with a term per nonzero entry.  Domain
-    issues fall back to the interpreter, as everywhere in generated code.
-    The returned function carries ``float_lists = True``, which tells
-    :func:`vwbound.ode.integrate` to call it on its float lists directly.
+    Entry expressions are inlined into one generated function.  ``x`` may
+    be any indexable sequence of floats; the result is a list of ``n``
+    floats, one sum per row with a term per nonzero entry.  Domain issues
+    fall back to the interpreter, as everywhere in generated code.  The
+    returned function carries ``float_lists = True`` (it may be called on
+    float lists directly) and ``system = (a, f0)``, from which
+    :func:`compile_stepper` inlines the same sums into the step loop.
     """
     n = a.rows
     if a.cols != n or f0.size != n:
         raise ValueError("dimension mismatch between system matrix and forcing")
-
-    def rows(code):
-        out = []
-        for i in range(n):
-            terms = [
-                f"({code(entry)})*x[{j}]"
-                for j, entry in enumerate(a.entries[i])
-                if not _is_num(entry, 0.0)
-            ]
-            if not _is_num(f0.entries[i], 0.0):
-                terms.append(code(f0.entries[i]))
-            out.append(" + ".join(terms) if terms else "0.0")
-        return f"[{', '.join(out)}]"
-
-    rhs = _compile_guarded(rows)
+    rhs = _compile_guarded(
+        lambda code: [f"return [{', '.join(_rhs_rows(a, f0, code))}]"]
+    )
     rhs.float_lists = True
+    rhs.system = (a, f0)
     return rhs
 
 
 def compile_quadform(m: MatrixFunction):
     """Build a fast quadratic form ``q(t, x) = <M(t) x, x>``.
 
-    Used for the level functions V and W inside event detection, where it
-    is called once or twice per accepted step.
+    The returned function carries ``matrix = m``, so a level built on it
+    can be marked for inlining into the step loop (see
+    :func:`vwbound.ode.make_region_events`).
     """
-    n = m.rows
+    q = _compile_guarded(lambda code: [f"return {_quadform(m, code)}"])
+    q.matrix = m
+    return q
 
-    def form(code):
-        terms = [
-            f"({code(m.entries[i][j])})*x[{i}]*x[{j}]"
-            for i in range(n)
-            for j in range(n)
-            if not _is_num(m.entries[i][j], 0.0)
+
+# ---------------------------------------------------------------------------
+# the integrator's step loop
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980) spelled as the
+# quotients the step loop has always used, so each stage is the same
+# arithmetic in the same order: stage s + 1 is the rhs at t + C[s] on
+# x + hs * sum_r A[s][r] k_r, the new state is x + hs * sum_r B5[r] k_r,
+# and hs * sum_r E[r] k_r estimates its error (k6 is the rhs there).
+_DP_C = ("1 / 5 * hs", "3 / 10 * hs", "4 / 5 * hs", "8 / 9 * hs", "hs")
+_DP_A = (
+    ("1 / 5",),
+    ("3 / 40", "9 / 40"),
+    ("44 / 45", "-56 / 15", "32 / 9"),
+    ("19372 / 6561", "-25360 / 2187", "64448 / 6561", "-212 / 729"),
+    ("9017 / 3168", "-355 / 33", "46732 / 5247", "49 / 176", "-5103 / 18656"),
+)
+_DP_B5 = ("35 / 384", "0", "500 / 1113", "125 / 192", "-2187 / 6784", "11 / 84")
+_DP_E = ("71 / 57600", "0", "-71 / 16695", "71 / 1920", "-17253 / 339200",
+         "22 / 525", "-1 / 40")
+# step-size control: safety factor, factor bounds, PI exponents (order 5)
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ALPHA = 0.7 / 5.0
+_BETA = 0.4 / 5.0
+
+
+def _weighted(weights, i: int) -> str:
+    """``w0 * k0_i + w1 * k1_i + ...`` over the nonzero weights, a
+    negative weight written as a subtraction."""
+    text = ""
+    for r, w in enumerate(weights):
+        if w != "0":
+            sign = " - " if w[0] == "-" else " + "
+            text += (sign if text else "") + f"{w.lstrip('-')} * k{r}_{i}"
+    return text
+
+
+@functools.lru_cache(maxsize=32)
+def compile_stepper(system, n: int, layout: tuple):
+    """Generate the step loop of :func:`vwbound.ode.integrate` for one
+    right-hand side and one layout of watched levels.
+
+    ``system`` is the ``(A, f0)`` of a :func:`compile_rhs` right-hand
+    side, whose sums are then inlined, or ``None`` for any other, which
+    the loop calls as ``rhs(t, [y1, ...])`` on float lists.  ``layout``
+    has one ``(direction, M)`` per watched level: ``M`` a
+    :class:`MatrixFunction` for the level ``<M(t) x, x> - c``, inlined and
+    evaluated once per distinct ``M`` and accepted step, or ``None`` for a
+    callable ``level(t, [y1, ...])``.  Built once per key and cached.
+
+    The result is ``advance(state, consts, rhs, t_end, direction, tol,
+    t_due, limit, record, ts, xs)``; ``consts`` holds each level's ``c``
+    or callable.  It unpacks ``state = (t, x, k0, h, err_prev, rejected,
+    n_accepted, n_rejected, levels)`` into scalar locals and takes
+    Dormand-Prince steps under PI control, appending accepted ones to
+    ``ts`` and ``xs`` when ``record``, until it returns ``(code, state,
+    step)``:
+
+    * ``"end"``: ``t`` reached ``t_end``;
+    * ``"stop"``: the step just accepted crossed a level in its direction
+      or passed the sample time ``t_due``; ``step = (t, x, hs, stages,
+      levels)`` at its start, for the dense output;
+    * ``"budget"``: ``n_accepted + n_rejected`` reached ``limit``;
+    * ``"underflow"``: the step size fell below ``1e-14 max(1, |t|)``;
+    * ``"trip"``: an entry hit a domain issue; ``state`` is the start of
+      that step, and ``advance.slow`` retakes it interpreting every entry.
+    """
+    n_levels = len(layout)
+    forms: dict = {}  # matrix -> index of its value w<k>, by identity
+    for _, m in layout:
+        if m is not None:
+            forms.setdefault(m, len(forms))
+
+    def seq(prefix):
+        return "[" + ", ".join(f"{prefix}{i}" for i in range(n)) + "]"
+
+    def frame(t, prefix):
+        return (t, "(" + "".join(f"{prefix}{i}, " for i in range(n)) + ")",
+                prefix + "{}")
+
+    def stage(k, t, prefix, code):
+        """Lines setting ``k<k>_i`` to the rhs at ``(t, <prefix>i)``."""
+        if system is None:
+            unpack = "".join(f"k{k}_{i}, " for i in range(n))
+            return [f"{unpack}= rhs({t}, {seq(prefix)})"]
+        rows = _rhs_rows(*system, code, frame(t, prefix))
+        return [f"k{k}_{i} = {row}" for i, row in enumerate(rows)]
+
+    def crossed(j, direction):
+        up, down = f"g{j} < 0.0 <= q{j}", f"g{j} > 0.0 >= q{j}"
+        if direction:
+            return up if direction > 0 else down
+        return f"({up} or {down})"
+
+    levels = "[" + ", ".join(f"g{j}" for j in range(n_levels)) + "]"
+    state = (f"t, {seq('x')}, {seq('k0_')}, h, err_prev, rejected, "
+             f"n_acc, n_rej, {levels}")
+
+    def body(code):
+        lines = [
+            f"{state} = state",
+            "[" + ", ".join(f"p{j}" for j in range(n_levels)) + "] = consts",
+            "while True:",
+            "    h_min = 1e-14 * max(1.0, abs(t))",
+            "    if not (t_end - t) * direction > h_min:",
+            "        break",
+            "    if n_acc + n_rej >= limit:",
+            f"        return 'budget', ({state}), None",
+            "    h = min(h, abs(t_end - t))",
+            "    if h < h_min:",
+            f"        return 'underflow', ({state}), None",
+            "    hs = h * direction",
         ]
-        return " + ".join(terms) if terms else "0.0"
+        for k in range(1, 6):
+            lines.append(f"    s = t + {_DP_C[k - 1]}")
+            lines += [f"    y{i} = x{i} + hs * ({_weighted(_DP_A[k - 1], i)})"
+                      for i in range(n)]
+            lines += ["    " + ln for ln in stage(k, "s", "y", code)]
+        lines.append("    t_new = t + hs")
+        lines += [f"    z{i} = x{i} + hs * ({_weighted(_DP_B5, i)})"
+                  for i in range(n)]
+        lines += ["    " + ln for ln in stage(6, "t_new", "z", code)]
+        # RMS of the fifth-minus-fourth error over tol * (1 + |x|); a
+        # non-finite state or estimate is never accepted and halves the
+        # step, so a blow-up ends in underflow
+        lines += [f"    r{i} = hs * ({_weighted(_DP_E, i)}) / "
+                  f"(tol * (1.0 + max(abs(x{i}), abs(z{i}))))"
+                  for i in range(n)]
+        squares = "".join(f" + r{i} * r{i}" for i in range(n))
+        finite = "".join(f" and isfinite(z{i})" for i in range(n))
+        lines += [
+            f"    err_norm = sqrt((0.0{squares}) / {n})",
+            f"    finite = isfinite(err_norm){finite}",
+            "    if not (finite and err_norm <= 1.0):",
+            "        n_rej += 1",
+            "        rejected = True",
+            f"        h *= min(1.0, max({_MIN_FACTOR!r}, {_SAFETY!r} * "
+            "err_norm ** (-0.2))) if finite else 0.5",
+            "        continue",
+        ]
+        # accepted: each distinct form once, then every level
+        new = frame("t_new", "z")
+        lines += [f"    w{k} = {_quadform(m, code, new)}"
+                  for m, k in forms.items()]
+        for j, (_, m) in enumerate(layout):
+            value = (f"float(p{j}(t_new, {seq('z')}))" if m is None
+                     else f"w{forms[m]} - p{j}")
+            lines.append(f"    q{j} = {value}")
+        due = "(t_due - t_new) * direction <= 1e-14 * max(1.0, abs(t_new))"
+        stop = [crossed(j, d) for j, (d, _) in enumerate(layout)] + [due]
+        stages = ", ".join(seq(f"k{k}_") for k in range(7))
+        lines += [
+            f"    stop = {' or '.join(stop)}",
+            "    if stop:",
+            f"        step = (t, {seq('x')}, hs, ({stages}), {levels})",
+            "    t = t_new",
+        ]
+        lines += [f"    x{i} = z{i}" for i in range(n)]
+        lines += [f"    k0_{i} = k6_{i}" for i in range(n)]  # first same as last
+        lines += [f"    g{j} = q{j}" for j in range(n_levels)]
+        lines += [
+            "    n_acc += 1",
+            "    if record:",
+            "        ts.append(t)",
+            f"        xs.append({seq('x')})",
+            "    err_clamped = max(err_norm, 1e-10)",
+            f"    factor = min({_MAX_FACTOR!r}, max({_MIN_FACTOR!r}, "
+            f"{_SAFETY!r} * err_clamped ** (-{_ALPHA!r}) * "
+            f"err_prev ** {_BETA!r}))",
+            "    if rejected:",
+            "        factor = min(1.0, factor)",
+            "        rejected = False",
+            "    h *= factor",
+            "    err_prev = err_clamped",
+            "    if stop:",
+            f"        return 'stop', ({state}), step",
+            f"return 'end', ({state}), None",
+        ]
+        return lines
 
-    return _compile_guarded(form)
+    return _compile_guarded(
+        body,
+        params="state, consts, rhs, t_end, direction, tol, t_due, limit, "
+        "record, ts, xs",
+        on_trip=f"'trip', ({state}), None",
+    )

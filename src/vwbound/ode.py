@@ -10,16 +10,21 @@ sign change of its level over an accepted step and located on the dense
 output by the Illinois variant of regula falsi (Dowell & Jarratt 1971) to
 ``1e-12 max(1, |t|)`` in time.
 
-The step loop is one kernel on Python floats for every state dimension:
-the stage combinations, the new state, the error norm, the rejection of
-non-finite steps and the PI control are written out over lists, and the
-right-hand side takes and returns lists of floats (the one built by
-:func:`vwbound.expr.compile_rhs` does; any other callable is adapted to
-ndarrays once, at the top of :func:`integrate`).  The generated rhs costs
-one term per nonzero entry of ``A``, so the O(n) stage arithmetic never
-dominates a step.  numpy is used only off the step path: for the dense
-output, when an event crosses or a sample falls due, and for the arrays
-of the returned :class:`Trajectory`.
+The step loop is generated code (:func:`vwbound.expr.compile_stepper`),
+one function per right-hand side and layout of watched levels, built on
+the first :func:`integrate` that needs it and cached.  It holds the state
+as scalar locals: the stages, the error norm, the rejection of non-finite
+steps and the PI control are plain float arithmetic, with the entries of
+``A`` and ``f0`` inlined for a right-hand side from
+:func:`vwbound.expr.compile_rhs` (any other is called on float lists),
+and a level marked as a quadratic form (:attr:`EventSpec.form`, as
+:func:`make_region_events` marks W and V) is evaluated once per accepted
+step.  The cold path here begins where the loop hands a step back: a
+level crossed or a sample fell due (dense output, event location, sample
+emission, truncation), the end was reached, or an entry tripped a domain
+issue, in which case that one step is retaken with every entry
+interpreted, for the interpreter's value or error.  numpy is used only on
+that path and for the arrays of the returned :class:`Trajectory`.
 
 Blow-up shows up as step-size underflow and is reported as
 :class:`~vwbound.errors.StepSizeUnderflow` with the last reachable point,
@@ -34,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeUnderflow
+from .expr import compile_stepper
 
 __all__ = [
     "EventSpec",
@@ -49,9 +55,9 @@ __all__ = [
 TOL_MIN = 1e-12
 TOL_MAX = 1e-3
 
-# The Dormand-Prince 5(4) tableau is written out in the step loop of
-# integrate(); only the dense-output weights (order 4 continuous
-# extension, one row per stage k0..k6) are a table, used off the step path.
+# The Dormand-Prince 5(4) tableau is written out in the generated step
+# loop (vwbound.expr); the dense-output weights (order 4 continuous
+# extension, one row per stage k0..k6) are used off the step path.
 _P = np.array(
     [
         [
@@ -89,13 +95,6 @@ _P = np.array(
     ]
 )
 
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-# PI controller exponents (error order 5)
-_ALPHA = 0.7 / 5.0
-_BETA = 0.4 / 5.0
-
 
 @dataclass
 class EventSpec:
@@ -106,6 +105,9 @@ class EventSpec:
     ``direction``: +1 fires on rising crossings, -1 on falling, 0 on any.
     ``terminal``: a firing event truncates the trajectory there.
     ``tol``: absolute tolerance used for the starts-on-the-boundary check.
+    ``form``: ``(M, c)`` when ``level`` is ``<M(t) x, x> - c`` for a
+    :class:`~vwbound.expr.MatrixFunction` ``M``; the step loop then
+    inlines it instead of calling ``level``, with ``c`` as an argument.
     """
 
     kind: str
@@ -113,6 +115,7 @@ class EventSpec:
     direction: int = 0
     terminal: bool = True
     tol: float = 1e-9
+    form: tuple | None = None
 
 
 @dataclass
@@ -232,10 +235,11 @@ def integrate(
     Parameters
     ----------
     rhs : callable
-        Right-hand side.  One built by :func:`vwbound.expr.compile_rhs`
-        (marked ``float_lists``) is called on lists of floats and returns
-        one; any other callable is called on an ndarray and may return
-        any array-like.
+        Right-hand side.  The sums of one built by
+        :func:`vwbound.expr.compile_rhs` are inlined into the step loop;
+        any other is called there, on lists of floats when it is marked
+        ``float_lists`` and on an ndarray (returning any array-like)
+        otherwise.
     tol : float
         Local error tolerance in ``[1e-12, 1e-3]``; each accepted step
         keeps the embedded error estimate below ``tol * (1 + |x|)``.
@@ -251,6 +255,7 @@ def integrate(
         raise ValueError(
             f"tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], got {tol:g}"
         )
+    system = getattr(rhs, "system", None)
     if not getattr(rhs, "float_lists", False):
         array_rhs = rhs
 
@@ -317,104 +322,71 @@ def integrate(
         )
 
     h = _initial_step(rhs, t0, x0, f0, direction, tol, span)
-    t = t0
-    x = x0
-    k0 = f0
-    g_prev = [float(ev.level(t, x)) for ev in events]
-    err_prev = 1.0  # PI memory
-    n_accepted = 0
-    n_rejected = 0
-    just_rejected = False
-    isfinite = math.isfinite
+    advance = compile_stepper(
+        system,
+        n,
+        tuple(
+            ((ev.direction > 0) - (ev.direction < 0),
+             ev.form[0] if ev.form else None)
+            for ev in events
+        ),
+    )
+    consts = [ev.form[1] if ev.form else ev.level for ev in events]
+    state = (t0, x0, f0, h, 1.0, False, 0, 0,
+             [float(ev.level(t0, x0)) for ev in events])
+    no_sample = direction * math.inf
+    t_due = t_samples[0] if t_samples else no_sample
+    step_fn, limit = advance, max_steps
 
-    while (t_end - t) * direction > 1e-14 * max(1.0, abs(t)):
-        if n_accepted + n_rejected >= max_steps:
-            raise RuntimeError(f"step budget {max_steps} exhausted at t={t:.9g}")
-        h = min(h, abs(t_end - t))
-        h_min = 1e-14 * max(1.0, abs(t))
-        if h < h_min:
-            raise StepSizeUnderflow(t, np.array(x))
-        hs = h * direction
-
-        # the Dormand-Prince stages; a..g are the components of k0..k6
-        k1 = rhs(t + 1 / 5 * hs, [xi + hs * (1 / 5 * a) for xi, a in zip(x, k0)])
-        k2 = rhs(t + 3 / 10 * hs, [
-            xi + hs * (3 / 40 * a + 9 / 40 * b)
-            for xi, a, b in zip(x, k0, k1)
-        ])
-        k3 = rhs(t + 4 / 5 * hs, [
-            xi + hs * (44 / 45 * a - 56 / 15 * b + 32 / 9 * c)
-            for xi, a, b, c in zip(x, k0, k1, k2)
-        ])
-        k4 = rhs(t + 8 / 9 * hs, [
-            xi + hs * (19372 / 6561 * a - 25360 / 2187 * b
-                       + 64448 / 6561 * c - 212 / 729 * d)
-            for xi, a, b, c, d in zip(x, k0, k1, k2, k3)
-        ])
-        k5 = rhs(t + hs, [
-            xi + hs * (9017 / 3168 * a - 355 / 33 * b + 46732 / 5247 * c
-                       + 49 / 176 * d - 5103 / 18656 * e)
-            for xi, a, b, c, d, e in zip(x, k0, k1, k2, k3, k4)
-        ])
-        x_new = [
-            xi + hs * (35 / 384 * a + 500 / 1113 * c + 125 / 192 * d
-                       - 2187 / 6784 * e + 11 / 84 * f)
-            for xi, a, c, d, e, f in zip(x, k0, k2, k3, k4, k5)
-        ]
-        t_new = t + hs
-        k6 = rhs(t_new, x_new)
-        n_rhs += 6
-
-        # RMS of the fifth-minus-fourth error over tol * (1 + |x|)
-        err_sq = 0.0
-        for xi, xn, a, c, d, e, f, g in zip(x, x_new, k0, k2, k3, k4, k5, k6):
-            err = hs * (71 / 57600 * a - 71 / 16695 * c + 71 / 1920 * d
-                        - 17253 / 339200 * e + 22 / 525 * f - 1 / 40 * g)
-            r = err / (tol * (1.0 + max(abs(xi), abs(xn))))
-            err_sq += r * r
-        err_norm = math.sqrt(err_sq / n)
-
-        # a non-finite state or error estimate is never accepted; it
-        # halves the step, so a blow-up ends in StepSizeUnderflow
-        finite = isfinite(err_norm) and all(map(isfinite, x_new))
-        if not (finite and err_norm <= 1.0):
-            n_rejected += 1
-            just_rejected = True
-            if finite:
-                h *= min(1.0, max(_MIN_FACTOR, _SAFETY * err_norm ** (-0.2)))
-            else:
-                h *= 0.5
+    while True:
+        code, state, step = step_fn(state, consts, rhs, t_end, direction,
+                                    tol, t_due, limit, record_steps, ts, xs)
+        t, x, _, _, _, _, n_accepted, n_rejected, g_new = state
+        step_fn, limit = advance, max_steps
+        if code == "trip":  # retake that step interpreting every entry
+            step_fn, limit = advance.slow, n_accepted + n_rejected + 1
             continue
+        if code == "budget":
+            if n_accepted + n_rejected >= max_steps:
+                raise RuntimeError(
+                    f"step budget {max_steps} exhausted at t={t:.9g}"
+                )
+            continue
+        if code == "underflow":
+            raise StepSizeUnderflow(t, np.array(x))
+        if code == "end":
+            if not record_steps:
+                ts.append(t_end)
+                xs.append(x)
+            break
 
-        # accepted: locate events inside [t, t_new] on the dense output
+        # "stop": the step from t_old to t crossed a level or passed a
+        # sample; locate and emit on its dense output
+        t_old, x_old, hs, stages, g_old = step
         dense = None
         step_records = []
         truncate_at = None
-        for i, ev in enumerate(events):
-            g_new = float(ev.level(t_new, x_new))
-            g_old = g_prev[i]
+        for ev, g_a, g_b in zip(events, g_old, g_new):
             crossed = (
-                (ev.direction >= 0 and g_old < 0.0 <= g_new)
-                or (ev.direction <= 0 and g_old > 0.0 >= g_new)
+                (ev.direction >= 0 and g_a < 0.0 <= g_b)
+                or (ev.direction <= 0 and g_a > 0.0 >= g_b)
             )
-            if crossed:
-                if g_new == 0.0:
-                    t_ev, x_ev = t_new, np.array(x_new)
-                else:
-                    if dense is None:
-                        dense = _dense_output(
-                            t, x, hs, (k0, k1, k2, k3, k4, k5, k6)
-                        )
-                    t_ev = _locate(
-                        lambda tau, _ev=ev, _dense=dense: float(
-                            _ev.level(tau, _dense(tau))
-                        ),
-                        t, g_old, t_new, g_new,
-                        1e-12 * max(1.0, abs(t_new)),
-                    )
-                    x_ev = dense(t_ev)
-                step_records.append((t_ev, ev, x_ev))
-            g_prev[i] = g_new
+            if not crossed:
+                continue
+            if g_b == 0.0:
+                t_ev, x_ev = t, np.array(x)
+            else:
+                if dense is None:
+                    dense = _dense_output(t_old, x_old, hs, stages)
+                t_ev = _locate(
+                    lambda tau, _ev=ev, _dense=dense: float(
+                        _ev.level(tau, _dense(tau))
+                    ),
+                    t_old, g_a, t, g_b,
+                    1e-12 * max(1.0, abs(t)),
+                )
+                x_ev = dense(t_ev)
+            step_records.append((t_ev, ev, x_ev))
 
         if step_records:
             step_records.sort(key=lambda rec: rec[0] * direction)
@@ -429,49 +401,29 @@ def integrate(
 
         # emit sample nodes up to the end of this step (or the truncation)
         if t_samples is not None:
-            step_end_t = truncate_at[0] if truncate_at else t_new
+            step_end_t = truncate_at[0] if truncate_at else t
             while sample_idx < len(t_samples) and (
                 (t_samples[sample_idx] - step_end_t) * direction
                 <= 1e-14 * max(1.0, abs(step_end_t))
             ):
                 tau = t_samples[sample_idx]
                 if dense is None:
-                    dense = _dense_output(t, x, hs, (k0, k1, k2, k3, k4, k5, k6))
+                    dense = _dense_output(t_old, x_old, hs, stages)
                 ts.append(tau)
                 xs.append(dense(tau))
                 sample_idx += 1
+            t_due = (t_samples[sample_idx] if sample_idx < len(t_samples)
+                     else no_sample)
 
         if truncate_at is not None:
             t_ev, x_ev, kind = truncate_at
+            if record_steps:  # the event node replaces the step's end
+                ts.pop()
+                xs.pop()
             ts.append(t_ev)
             xs.append(x_ev)
             status = f"event:{kind}"
-            n_accepted += 1
             break
-
-        t = t_new
-        x = x_new
-        k0 = k6  # first-same-as-last
-        n_accepted += 1
-        if record_steps:
-            ts.append(t)
-            xs.append(x)
-
-        # PI step-size update
-        err_clamped = max(err_norm, 1e-10)
-        factor = _SAFETY * err_clamped ** (-_ALPHA) * err_prev ** (_BETA)
-        factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        if just_rejected:
-            factor = min(1.0, factor)
-            just_rejected = False
-        h *= factor
-        err_prev = err_clamped
-
-    else:
-        # reached t_end without terminal event
-        if not record_steps:
-            ts.append(t_end)
-            xs.append(x)
 
     return Trajectory(
         ts=np.array(ts),
@@ -480,7 +432,7 @@ def integrate(
         status=status,
         n_accepted=n_accepted,
         n_rejected=n_rejected,
-        n_rhs=n_rhs,
+        n_rhs=n_rhs + 6 * (n_accepted + n_rejected),
     )
 
 
@@ -501,42 +453,32 @@ def make_region_events(
 
     ``W = w_plus`` (rising) and ``W = w_minus`` (falling) are the region
     exits; ``V = v0`` is recorded for excursion accounting; ``V = V*``
-    (rising) guards the certified ceiling.
+    (rising) guards the certified ceiling.  ``quadform_w`` and
+    ``quadform_v`` come from :func:`vwbound.expr.compile_quadform`; each
+    level is marked as a form of their matrix, so the step loop evaluates
+    W and V once per accepted step.
     """
     tol = 1e-9 * (1.0 + abs(w_plus) + abs(w_minus))
     tol_v = 1e-9 * (1.0 + abs(v0) + (abs(v_star) if v_star else 0.0))
+
+    def spec(kind, quadform, value, direction, terminal, tol):
+        return EventSpec(
+            kind,
+            lambda t, x: quadform(t, x) - value,
+            direction=direction,
+            terminal=terminal,
+            tol=tol,
+            form=(quadform.matrix, value),
+        )
+
     evs = [
-        EventSpec(
-            "W_hits_wplus",
-            lambda t, x: quadform_w(t, x) - w_plus,
-            direction=+1,
-            terminal=stop_on_exit,
-            tol=tol,
-        ),
-        EventSpec(
-            "W_hits_wminus",
-            lambda t, x: quadform_w(t, x) - w_minus,
-            direction=-1,
-            terminal=stop_on_exit,
-            tol=tol,
-        ),
-        EventSpec(
-            "V_hits_v0",
-            lambda t, x: quadform_v(t, x) - v0,
-            direction=0,
-            terminal=False,
-            tol=tol_v,
-        ),
+        spec("W_hits_wplus", quadform_w, w_plus, +1, stop_on_exit, tol),
+        spec("W_hits_wminus", quadform_w, w_minus, -1, stop_on_exit, tol),
+        spec("V_hits_v0", quadform_v, v0, 0, False, tol_v),
     ]
     if v_star is not None:
         evs.append(
-            EventSpec(
-                "V_hits_Vstar",
-                lambda t, x: quadform_v(t, x) - v_star,
-                direction=+1,
-                terminal=stop_on_exit,
-                tol=tol_v,
-            )
+            spec("V_hits_Vstar", quadform_v, v_star, +1, stop_on_exit, tol_v)
         )
     return evs
 

@@ -202,8 +202,18 @@ def certificate_from_report(rep: RunReport) -> Certificate:
     Raises
     ------
     DocumentError
-        Naming the ``cert.*`` key whose growth constant is out of range.
+        Naming the first ``cert.*``, ``bound.*`` or window number or
+        ``curve.*`` array (``ts``, ``lam_plus``, ``lam_minus``,
+        ``ceiling``) that is not finite, or the ``cert.*`` key whose
+        growth constant is out of range.
     """
+
+    def finite(key, get=rep.get_float):
+        value = get(key)
+        if not np.all(np.isfinite(value)):
+            raise DocumentError("value is not a finite number", key=key)
+        return value
+
     conditions = {}
     for tag in CONDITION_ORDER:
         prefix = f"cond.{tag}"
@@ -220,31 +230,30 @@ def certificate_from_report(rep: RunReport) -> Certificate:
         notes.append(rep.get(f"note.{i}"))
         i += 1
     cert = Certificate(
-        sigma=rep.get_float("cert.sigma"),
-        c1=rep.get_float("cert.c1"),
-        c2=rep.get_float("cert.c2"),
-        c3=rep.get_float("cert.c3"),
-        v0=rep.get_float("cert.v0"),
+        sigma=finite("cert.sigma"),
+        c1=finite("cert.c1"),
+        c2=finite("cert.c2"),
+        c3=finite("cert.c3"),
+        v0=finite("cert.v0"),
         v0_auto=rep.get_bool("cert.v0_auto"),
-        v_star=rep.get_float("cert.v_star"),
+        v_star=finite("cert.v_star"),
         v_star_auto=rep.get_bool("cert.v_star_auto"),
-        w_minus=rep.get_float("cert.w_minus"),
-        w_plus=rep.get_float("cert.w_plus"),
-        window=(rep.get_float("problem.t_minus"),
-                rep.get_float("problem.t_plus")),
-        nu=rep.get_float("cert.nu"),
-        omega_tilde=rep.get_float("cert.omega_tilde"),
-        omega0=rep.get_float("cert.omega0"),
-        v_small_star=rep.get_float("bound.v_small_star"),
-        vstar_required=(rep.get_float("bound.vstar_required.1"),
-                        rep.get_float("bound.vstar_required.2")),
-        vstar_slack=rep.get_float("bound.vstar_slack"),
-        ts=rep.get_array("curve.ts"),
-        lam_plus=rep.get_array("curve.lam_plus"),
-        lam_minus=rep.get_array("curve.lam_minus"),
+        w_minus=finite("cert.w_minus"),
+        w_plus=finite("cert.w_plus"),
+        window=(finite("problem.t_minus"), finite("problem.t_plus")),
+        nu=finite("cert.nu"),
+        omega_tilde=finite("cert.omega_tilde"),
+        omega0=finite("cert.omega0"),
+        v_small_star=finite("bound.v_small_star"),
+        vstar_required=(finite("bound.vstar_required.1"),
+                        finite("bound.vstar_required.2")),
+        vstar_slack=finite("bound.vstar_slack"),
+        ts=finite("curve.ts", rep.get_array),
+        lam_plus=finite("curve.lam_plus", rep.get_array),
+        lam_minus=finite("curve.lam_minus", rep.get_array),
         lam_mp=rep.get_array("curve.lam_mp"),
         alpha=rep.get_array("curve.alpha"),
-        ceiling=rep.get_array("curve.ceiling"),
+        ceiling=finite("curve.ceiling", rep.get_array),
         conditions=conditions,
         seed=rep.get_int("seed"),
         notes=notes,

@@ -253,21 +253,6 @@ class TestVerify:
         assert "non-finite value in row" in err
         assert "line 2" in err
 
-    @pytest.mark.parametrize("key", ["bound.v_small_star", "cert.w_plus"])
-    def test_nan_certificate_value_is_a_violation(self, ref_doc, cert_file,
-                                                  solve_dir, tmp_path,
-                                                  capsys, key):
-        text = open(cert_file).read()
-        target = next(
-            ln for ln in text.splitlines() if ln.startswith(f"{key} = ")
-        )
-        bad = tmp_path / "nan.txt"
-        bad.write_text(text.replace(target, f"{key} = nan"))
-        code = main(["verify", ref_doc, "--cert", str(bad),
-                     "--traj", str(solve_dir / "trajectory.csv")])
-        assert code == 5
-        assert "violation:" in capsys.readouterr().out
-
     def test_requires_both_inputs(self, ref_doc, cert_file, capsys):
         assert main(["verify", ref_doc, "--cert", cert_file]) == 64
         assert main(["verify", ref_doc, "--traj", "whatever.csv"]) == 64
@@ -342,6 +327,39 @@ class TestCertificateConstants:
                     "--out", str(tmp_path / "run")]
         assert main(argv) == 64
         assert f"key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("cert.w_plus", "nan"),
+        ("bound.v_small_star", "nan"),
+        ("cert.c3", "inf"),
+        ("problem.t_minus", "nan"),
+        ("curve.ceiling", "inf"),
+    ])
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    def test_non_finite_certificate_value_is_a_usage_error(
+        self, ref_doc, cert_file, solve_dir, tmp_path, capsys,
+        command, key, value,
+    ):
+        # a malformed certificate is refused before any stage runs; an
+        # array is refused for one bad entry
+        lines = open(cert_file).read().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key} = "))
+        head, numbers = lines[i].split(" = ", 1)
+        numbers = numbers.split()
+        numbers[len(numbers) // 2] = value
+        lines[i] = f"{head} = {' '.join(numbers)}"
+        bad = tmp_path / "non-finite.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        if command == "verify":
+            argv = ["verify", ref_doc, "--cert", str(bad),
+                    "--traj", str(solve_dir / "trajectory.csv")]
+        else:
+            argv = ["solve", ref_doc, "--cert", str(bad),
+                    "--out", str(tmp_path / "run")]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert f"not a finite number — key '{key}'" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestReport:

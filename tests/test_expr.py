@@ -211,6 +211,16 @@ class TestMatrixVector:
             for a in (m.eval(t, (0.7 * t,)), d.eval(t, (0.7 * t,))):
                 assert np.array_equal(a, a.T)
 
+    def test_ndarray_state_gets_float_semantics(self):
+        # an ndarray row is read as Python floats, so 1/0 is the
+        # interpreter's DivisionByZero, not numpy's inf and a warning
+        m = MatrixFunction.from_strings([["1/x1"]], 1)
+        with pytest.raises(DivisionByZero):
+            m.eval(0.0, np.zeros(1))
+        with pytest.raises(DivisionByZero):
+            m.eval(0.0, (0.0,))
+        assert m.eval(0.0, np.full(1, 4.0))[0, 0] == 0.25
+
     def test_vector(self):
         v = VectorFunction.from_strings(["t", "x1"], n_states=1)
         assert np.allclose(v.eval(2.0, np.array([5.0])), [2.0, 5.0])

@@ -2,6 +2,7 @@
 reversibility, and the trajectory CSV format.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from vwbound.errors import DomainError, StepSizeUnderflow
 from vwbound.expr import MatrixFunction, VectorFunction, compile_rhs
 from vwbound.ode import (
     EventSpec,
+    _dense_output,
+    _initial_step,
     integrate,
     make_region_events,
     eval_v_w_along,
@@ -227,6 +230,151 @@ class TestEvents:
         assert len(no_star) == 3
 
 
+# The step loop as it was written before it was generated, on numpy
+# arrays: the Dormand-Prince tableau, the RMS error over tol (1 + |x|),
+# the rejection of non-finite steps and the PI controller.
+DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+        22 / 525, -1 / 40)
+
+
+def _weighted(weights, ks):
+    # one term per nonzero weight, in stage order, as the loop sums them
+    terms = [w * k for w, k in zip(weights, ks) if w != 0.0]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def reference_dp5(f, t0, x0, t_end, tol):
+    """Every accepted step from t0 to t_end as ``(t, x, hs, stages,
+    t_new, x_new, rejected_before)``, and the number of rejections."""
+    direction = 1.0 if t_end >= t0 else -1.0
+    t, x = t0, np.array(x0, dtype=float)
+    k0 = f(t, x)
+    h = _initial_step(lambda t, y: f(t, np.array(y)).tolist(), t0,
+                      x.tolist(), k0.tolist(), direction, tol, abs(t_end - t0))
+    err_prev, rejected, n_rej, steps = 1.0, False, 0, []
+    while (t_end - t) * direction > 1e-14 * max(1.0, abs(t)):
+        h = min(h, abs(t_end - t))
+        hs = h * direction
+        ks = [k0]
+        for c, row in zip(DP_C, DP_A):
+            ks.append(f(t + c * hs, x + hs * _weighted(row, ks)))
+        x_new = x + hs * _weighted(DP_B5, ks)
+        ks.append(f(t + hs, x_new))
+        r = hs * _weighted(DP_E, ks) / (
+            tol * (1.0 + np.maximum(np.abs(x), np.abs(x_new))))
+        err_sq = 0.0
+        for v in r.tolist():
+            err_sq += v * v
+        err_norm = math.sqrt(err_sq / x.size)
+        finite = math.isfinite(err_norm) and np.all(np.isfinite(x_new))
+        if not (finite and err_norm <= 1.0):
+            n_rej += 1
+            rejected = True
+            h *= min(1.0, max(0.2, 0.9 * err_norm ** -0.2)) if finite else 0.5
+            continue
+        steps.append((t, x, hs, ks, t + hs, x_new, n_rej))
+        t, x, k0 = t + hs, x_new, ks[6]
+        err_clamped = max(err_norm, 1e-10)
+        factor = min(10.0, max(0.2, 0.9 * err_clamped ** -(0.7 / 5.0)
+                               * err_prev ** (0.4 / 5.0)))
+        if rejected:
+            factor = min(1.0, factor)
+            rejected = False
+        h *= factor
+        err_prev = err_clamped
+    return steps, n_rej
+
+
+class TestStepLoop:
+    """integrate takes the reference loop's steps exactly, through the
+    inlined problem rhs and through a generic callable."""
+
+    def test_reference_problem_steps_and_samples(self):
+        qp = make_reference_problem()
+        x0 = [0.05, 0.1]
+        steps, n_rej = reference_dp5(
+            lambda t, x: np.array(qp.rhs(t, x.tolist())), 0.0, x0, 4.0, 1e-9
+        )
+        samples = np.linspace(0.2, 3.8, 19)
+        traj = integrate(qp.rhs, 0.0, np.array(x0), 4.0, tol=1e-9,
+                         t_samples=samples)
+        want = [x0]
+        for tau in samples:
+            t, x, hs, ks, *_ = next(
+                s for s in steps
+                if (tau - s[4]) <= 1e-14 * max(1.0, abs(s[4]))
+            )
+            want.append(_dense_output(t, x.tolist(), hs,
+                                      [k.tolist() for k in ks])(tau))
+        want.append(steps[-1][5])
+        assert traj.ts.tolist() == [0.0, *samples.tolist(), 4.0]
+        assert np.array_equal(traj.xs, np.array(want))
+        assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (
+            len(steps), n_rej, 2 + 6 * (len(steps) + n_rej))
+
+        # the exit run takes the same steps up to the one that crosses
+        events = make_region_events(qp.quad_w, qp.quad_v, 0.02, -0.02,
+                                    0.02, 0.15)
+        run = integrate(qp.rhs, 0.0, np.array(x0), 4.0, tol=1e-9,
+                        events=events)
+        k = run.n_accepted
+        assert run.status == "event:W_hits_wplus"
+        assert run.ts[:-1].tolist() == [0.0] + [s[4] for s in steps[:k - 1]]
+        assert np.array_equal(run.xs[:-1],
+                              np.array([x0] + [s[5] for s in steps[:k - 1]]))
+        assert steps[k - 1][0] < run.t_end <= steps[k - 1][4]
+        assert run.n_rejected == steps[k - 1][6]
+        assert run.n_rhs == 2 + 6 * (k + run.n_rejected)
+
+    def test_generic_callable_in_three_states(self):
+        def f(t, x):
+            return np.array([x[1], -x[0] + 0.1 * math.sin(t),
+                             -0.5 * x[2] + x[0] * x[1]])
+
+        x0 = [1.0, 0.0, 0.5]
+        steps, n_rej = reference_dp5(f, 0.0, x0, 6.0, 1e-10)
+        traj = integrate(f, 0.0, np.array(x0), 6.0, tol=1e-10)
+        assert traj.ts.tolist() == [0.0] + [s[4] for s in steps]
+        assert np.array_equal(traj.xs,
+                              np.array([x0] + [s[5] for s in steps]))
+        assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (
+            len(steps), n_rej, 2 + 6 * (len(steps) + n_rej))
+
+    @pytest.mark.parametrize("stop_on_exit", [True, False])
+    def test_inlined_and_opaque_levels_agree(self, stop_on_exit):
+        # the region levels as marked quadratic forms (inlined, one W and
+        # one V per step) and as plain callables give the same run
+        qp = make_reference_problem()
+        inlined = make_region_events(qp.quad_w, qp.quad_v, 0.02, -0.02,
+                                     0.02, 0.15, stop_on_exit=stop_on_exit)
+        assert all(ev.form is not None for ev in inlined)
+        opaque = [dataclasses.replace(ev, form=None) for ev in inlined]
+        a, b = (integrate(qp.rhs, 0.0, np.array([0.1, 0.05]), 6.0, tol=1e-9,
+                          events=evs)
+                for evs in (inlined, opaque))
+        assert [(e.kind, e.t, e.x.tolist()) for e in a.events] == [
+            (e.kind, e.t, e.x.tolist()) for e in b.events
+        ]
+        assert len(a.events) >= 2
+        assert np.array_equal(a.ts, b.ts)
+        assert np.array_equal(a.xs, b.xs)
+        assert (a.status, a.n_accepted, a.n_rejected, a.n_rhs) == (
+            b.status, b.n_accepted, b.n_rejected, b.n_rhs
+        )
+
+
 class TestBlowUp:
     def test_step_underflow_reports_location(self):
         # x' = x^2 from 1 blows up at t = 1
@@ -236,8 +384,8 @@ class TestBlowUp:
 
 
 class TestFloatKernel:
-    """The step loop runs on float lists for every rhs; an ndarray rhs is
-    adapted at the top of integrate, a compiled one is called directly."""
+    """The step loop runs on Python floats for every rhs; a compiled one
+    is inlined into it, an ndarray one adapted at the top of integrate."""
 
     def test_compiled_and_array_rhs_give_identical_runs(self):
         qp = make_reference_problem()

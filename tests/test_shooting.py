@@ -4,6 +4,7 @@ for a trapped start, trajectory assembly and the final bound check.
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from vwbound.errors import (
     NoSignChange,
     NotConverged,
 )
-from vwbound.expr import MatrixFunction, VectorFunction
+from vwbound.expr import MatrixFunction, VectorFunction, compile_stepper
 from vwbound.growth import growth_integral_inv
 from vwbound.ode import eval_v_w_along
+from vwbound.problemdoc import load_problem_document
 from vwbound.quadratic import QuadraticProblem, certify
 from vwbound.shooting import (
     ShootingConfig,
@@ -340,3 +342,21 @@ class TestVerifyBound:
         assert hi == pytest.approx(40.0, abs=1e-9)
         assert lo > reference_problem.window[0]
         assert any("subwindow" in n or "window" in n for n in rep.notes)
+
+
+def test_one_solve_builds_two_step_loops():
+    # one step loop per rhs and layout of watched levels: the exit levels
+    # of the searches and xi runs, and none for the sampled patches;
+    # loading, certify and verify build none
+    built = compile_stepper.cache_info
+    before = built().misses
+    doc = load_problem_document(
+        str(pathlib.Path(__file__).parents[1] / "demos" / "saddle.problem")
+    )
+    qp = doc.to_problem()
+    cert = certify(qp)
+    assert built().misses == before
+    sol = bounded_solution(qp, cert, ShootingConfig(integrator_tol=doc.tol))
+    assert built().misses - before == 2
+    verify_bound(qp, cert, sol.traj)
+    assert built().misses - before == 2
