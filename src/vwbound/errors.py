@@ -11,7 +11,22 @@ from __future__ import annotations
 
 
 class VWBoundError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    Errors pickle by their state (message and attributes) rather than by a
+    constructor call, because most subclasses build the message from other
+    arguments; a rung search run in another process hands its failure back
+    this way.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +212,20 @@ class NoSignChange(VWBoundError):
 class BudgetExhausted(VWBoundError):
     """Subdivision search spent its classification budget without finding
     a trapped start.  Says nothing about existence."""
+
+
+class RungWorkerLost(VWBoundError):
+    """A forked rung-search worker ended without handing back its results
+    (killed, or its results could not be sent); ``times`` are the rungs it
+    was searching."""
+
+    def __init__(self, times, how: str):
+        listed = ", ".join(f"{t:g}" for t in times)
+        super().__init__(
+            f"the worker searching the rungs at t = {listed} {how} "
+            "without returning its results"
+        )
+        self.times = tuple(times)
 
 
 class NotConverged(VWBoundError):

@@ -682,7 +682,12 @@ _COMPILE_GLOBALS = {
     "isfinite": math.isfinite,
     "_pow": _pow,
     "_FAST_PATH_ERRORS": _FAST_PATH_ERRORS,
+    "_ndarray": np.ndarray,
 }
+
+# First line of a generated function of the state: an ndarray state is
+# read as Python floats, so that 1/0 is DivisionByZero and not inf
+_FLOAT_STATE = "if isinstance(x, _ndarray): x = x.tolist()"
 
 # Where an entry is evaluated: the time variable, the state as one
 # sequence expression (for the interpreter) and the spelling of state
@@ -900,18 +905,22 @@ def compile_rhs(a: MatrixFunction, f0: VectorFunction):
     """Build a fast right-hand side ``rhs(t, x) = A(t, x) x + f0(t)``.
 
     Entry expressions are inlined into one generated function.  ``x`` may
-    be any indexable sequence of floats; the result is a list of ``n``
-    floats, one sum per row with a term per nonzero entry.  Domain issues
-    fall back to the interpreter, as everywhere in generated code.  The
-    returned function carries ``float_lists = True`` (it may be called on
-    float lists directly) and ``system = (a, f0)``, from which
-    :func:`compile_stepper` inlines the same sums into the step loop.
+    be any indexable sequence of floats (an ndarray is read as Python
+    floats); the result is a list of ``n`` floats, one sum per row with a
+    term per nonzero entry.  Domain issues fall back to the interpreter,
+    as everywhere in generated code.  The returned function carries
+    ``float_lists = True`` (it may be called on float lists directly) and
+    ``system = (a, f0)``, from which :func:`compile_stepper` inlines the
+    same sums into the step loop.
     """
     n = a.rows
     if a.cols != n or f0.size != n:
         raise ValueError("dimension mismatch between system matrix and forcing")
     rhs = _compile_guarded(
-        lambda code: [f"return [{', '.join(_rhs_rows(a, f0, code))}]"]
+        lambda code: [
+            _FLOAT_STATE,
+            f"return [{', '.join(_rhs_rows(a, f0, code))}]",
+        ]
     )
     rhs.float_lists = True
     rhs.system = (a, f0)
@@ -919,13 +928,17 @@ def compile_rhs(a: MatrixFunction, f0: VectorFunction):
 
 
 def compile_quadform(m: MatrixFunction):
-    """Build a fast quadratic form ``q(t, x) = <M(t) x, x>``.
+    """Build a fast quadratic form ``q(t, x) = <M(t) x, x>``, a Python
+    float (an ndarray ``x`` is read as Python floats, as in
+    :func:`compile_rhs`).
 
     The returned function carries ``matrix = m``, so a level built on it
     can be marked for inlining into the step loop (see
     :func:`vwbound.ode.make_region_events`).
     """
-    q = _compile_guarded(lambda code: [f"return {_quadform(m, code)}"])
+    q = _compile_guarded(
+        lambda code: [_FLOAT_STATE, f"return {_quadform(m, code)}"]
+    )
     q.matrix = m
     return q
 

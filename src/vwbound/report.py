@@ -204,14 +204,23 @@ def certificate_from_report(rep: RunReport) -> Certificate:
     DocumentError
         Naming the first ``cert.*``, ``bound.*`` or window number or
         ``curve.*`` array (``ts``, ``lam_plus``, ``lam_minus``,
-        ``ceiling``) that is not finite, or the ``cert.*`` key whose
-        growth constant is out of range.
+        ``lam_mp``, ``ceiling``) that is not finite, an infinite
+        ``curve.alpha`` entry (``nan`` there marks a grid time without
+        sampled states, as certify writes it), or the ``cert.*`` key
+        whose growth constant is out of range.  Other keys, such as
+        ``solution.*`` and ``stats.*``, are not read.
     """
 
     def finite(key, get=rep.get_float):
         value = get(key)
         if not np.all(np.isfinite(value)):
             raise DocumentError("value is not a finite number", key=key)
+        return value
+
+    def not_infinite(key):
+        value = rep.get_array(key)
+        if np.any(np.isinf(value)):
+            raise DocumentError("value is infinite", key=key)
         return value
 
     conditions = {}
@@ -251,8 +260,8 @@ def certificate_from_report(rep: RunReport) -> Certificate:
         ts=finite("curve.ts", rep.get_array),
         lam_plus=finite("curve.lam_plus", rep.get_array),
         lam_minus=finite("curve.lam_minus", rep.get_array),
-        lam_mp=rep.get_array("curve.lam_mp"),
-        alpha=rep.get_array("curve.alpha"),
+        lam_mp=finite("curve.lam_mp", rep.get_array),
+        alpha=not_infinite("curve.alpha"),
         ceiling=finite("curve.ceiling", rep.get_array),
         conditions=conditions,
         seed=rep.get_int("seed"),
@@ -285,6 +294,15 @@ def attach_solution(rep: RunReport, sol, exit_code: int) -> None:
     rep.add("solution.nodes", int(sol.traj.ts.size))
     for i, note in enumerate(sol.notes, start=1):
         rep.add(f"solution.note.{i}", note.replace("\n", "; "))
+    # what the search did, per rung: counts only, so reports of one
+    # problem compare across machines
+    rep.add("stats.shooting.rungs", len(sol.rungs))
+    for i, start in enumerate(sol.rungs, start=1):
+        prefix = f"stats.shooting.rung.{i}"
+        rep.add(f"{prefix}.t", start.t)
+        rep.add(f"{prefix}.iterations", start.iterations)
+        rep.add(f"{prefix}.stayed", start.stayed)
+        rep.add(f"{prefix}.exit_kinds", " ".join(start.exit_kinds) or "none")
 
 
 def attach_verification(rep: RunReport, ver, exit_code: int) -> None:
@@ -373,6 +391,18 @@ def render_table(rep: RunReport) -> str:
             _short(rep, "solution.coverage.lo"),
             _short(rep, "solution.coverage.hi"),
         ))
+    if rep.has("stats.shooting.rungs"):
+        rungs = [f"stats.shooting.rung.{i}"
+                 for i in range(1, rep.get_int("stats.shooting.rungs") + 1)]
+        kinds = {k for r in rungs for k in rep.get(f"{r}.exit_kinds").split()}
+        kinds.discard("none")
+        line("  search:   %d rungs, %d starts classified, %d stayed; "
+             "exits %s" % (
+                 len(rungs),
+                 sum(rep.get_int(f"{r}.iterations") for r in rungs),
+                 sum(rep.get_bool(f"{r}.stayed") for r in rungs),
+                 " ".join(sorted(kinds)) or "none",
+             ))
     if rep.has("verify.passed"):
         line()
         line("  verify: %s  slack envelope %s  const %s  closed-form %s" % (

@@ -18,11 +18,21 @@ roughly ``(t - t_start)/ln(10)`` digits to the unstable directions and
 could not meet the verification tolerances; the ladder keeps every
 contributed node within a fixed error band instead.  The ``xi_j = x_j(0)``
 bookkeeping and its convergence rule are unchanged.
+
+Given the region, the search on one disk does not depend on any other, so
+:func:`bounded_solution` searches all its rungs up front and spreads them
+over the CPUs the process may use: the calling process and ``w - 1``
+forked workers (``w`` the size of its CPU affinity set, at most one per
+rung) each take an interleaved share, and the workers send their results
+back through pipes.  There is no setting for this; the results, and so
+every output, are the same for any ``w``, and with one CPU nothing forks.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +43,9 @@ from .errors import (
     NoSignChange,
     NoUpperBracket,
     NotConverged,
+    RungWorkerLost,
     StepSizeUnderflow,
+    VWBoundError,
 )
 from .growth import growth_integral_inv
 from .ode import Trajectory, eval_v_w_along, integrate, make_region_events
@@ -50,6 +62,7 @@ __all__ = [
     "TrappedStart",
     "find_trapped_start",
     "BoundedSolutionResult",
+    "search_rungs",
     "bounded_solution",
     "VerifyReport",
     "verify_bound",
@@ -368,6 +381,116 @@ def find_trapped_start(
 
 
 # ---------------------------------------------------------------------------
+# the rung searches
+
+
+def _search(qp, t, v0, v_star, config):
+    """:func:`find_trapped_start` at ``t``, or the toolkit error it
+    raised."""
+    try:
+        return find_trapped_start(qp, t, v0, v_star, config)
+    except VWBoundError as exc:
+        return exc
+
+
+def _rung_processes(n_rungs: int) -> int:
+    """One process per CPU the process may use, at most one per rung; one
+    where the affinity set or ``fork`` is not available."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_rungs))
+
+
+def _serve_share(write_end: int, qp, share, v0, v_star, config):
+    """Body of a forked worker: search ``share``, pickle the results into
+    the pipe and leave through ``os._exit``, so that no exit handler runs
+    and no inherited stdio buffer is flushed a second time."""
+    code = 1
+    try:
+        payload = pickle.dumps(
+            [_search(qp, t, v0, v_star, config) for t in share]
+        )
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    except BaseException:
+        # nothing may propagate into the caller's frames, which this
+        # process shares with the caller: print it; the caller names the
+        # rungs this worker did not return
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+def _reap(pid: int, pipe, kill: bool) -> int:
+    """Wait for a worker, killing it first when its results are no longer
+    wanted; returns its wait status."""
+    pipe.close()
+    if kill:
+        import signal  # only on this path: it costs ~1.5 ms to import
+
+        os.kill(pid, signal.SIGKILL)
+    return os.waitpid(pid, 0)[1]
+
+
+def search_rungs(qp, times, v0, v_star, config) -> list:
+    """Search the disk at each of ``times``: per time, in order, the
+    :class:`TrappedStart` found or the :class:`VWBoundError` the search
+    raised, for the caller to raise where it reads that rung.
+
+    With ``w`` processes the calling process searches ``times[0::w]`` and
+    forked worker ``i`` searches ``times[i::w]``, pickling its results
+    into a pipe; a share whose fork fails is searched by the calling
+    process.  Every worker has been reaped when this returns or raises.
+
+    Raises
+    ------
+    RungWorkerLost
+        When a worker ends without sending all its results.
+    """
+    w = _rung_processes(len(times))
+    results = [None] * len(times)
+    local = [0]  # shares the calling process searches
+    workers = []  # (share index, pid, read end of its pipe)
+    payloads = None
+    try:
+        for i in range(1, w):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # a process limit, say
+                os.close(read_end)
+                os.close(write_end)
+                local.append(i)
+                continue
+            if pid == 0:
+                _serve_share(write_end, qp, times[i::w], v0, v_star, config)
+            os.close(write_end)
+            workers.append((i, pid, os.fdopen(read_end, "rb")))
+        for i in local:
+            results[i::w] = [_search(qp, t, v0, v_star, config)
+                             for t in times[i::w]]
+        payloads = [pipe.read() for _, _, pipe in workers]
+    finally:
+        statuses = [_reap(pid, pipe, kill=payloads is None)
+                    for _, pid, pipe in workers]
+    for (i, _, _), payload, status in zip(workers, payloads, statuses):
+        try:
+            found = pickle.loads(payload)
+        except (EOFError, pickle.UnpicklingError):  # truncated or empty
+            found = []
+        if len(found) != len(results[i::w]):
+            code = os.waitstatus_to_exitcode(status)
+            how = (f"was killed by signal {-code}" if code < 0
+                   else f"exited with status {code}")
+            raise RungWorkerLost(times[i::w], how)
+        results[i::w] = found
+    return results
+
+
+# ---------------------------------------------------------------------------
 # the bounded solution
 
 
@@ -382,6 +505,7 @@ class BoundedSolutionResult:
     sup_v: float
     sup_v_time: float
     starts: list  # TrappedStart per ladder rung
+    rungs: list  # TrappedStart per rung searched, by time
     config: ShootingConfig
     notes: list = field(default_factory=list)
 
@@ -409,6 +533,11 @@ def bounded_solution(
         When the xi increments never meet the tolerance on the rungs
         whose orbits reach t = 0 (diagnostic: window too short or
         tolerance too tight); the observed sequence is attached.
+    NoSignChange, BudgetExhausted
+        From the search of the first rung read that has no start.
+    RungWorkerLost
+        When a forked worker of :func:`search_rungs` ends without its
+        results.
     """
     config = config or ShootingConfig()
     t_lo, t_hi = qp.window
@@ -418,15 +547,29 @@ def bounded_solution(
     v_star = cert.v_star
     notes: list[str] = []
 
-    # searches are memoized so the xi schedule and the trajectory ladder
-    # share rungs whenever their times coincide (they do by default)
-    cache: dict[float, TrappedStart] = {}
+    # the xi schedule and the trajectory ladder, reaching high enough
+    # that the last settled span (t_k + settle, t_k + settle + spacing]
+    # covers T+
+    xi_times = [-j * xi_spacing for j in range(1, config.j_count + 1)]
+    ladder = [t_lo]
+    while ladder[-1] + config.settle + spacing < t_hi:
+        ladder.append(t_lo + len(ladder) * spacing)
+
+    # every rung is searched up front; the two share a rung whenever their
+    # times coincide (they do by default), and a failed search raises
+    # where the rung is read
+    times: dict[float, float] = {}
+    for t in xi_times + ladder:
+        times.setdefault(round(t, 9), t)
+    found = dict(
+        zip(times, search_rungs(qp, list(times.values()), v0, v_star, config))
+    )
 
     def get_start(t: float) -> TrappedStart:
-        key = round(t, 9)
-        if key not in cache:
-            cache[key] = find_trapped_start(qp, t, v0, v_star, config)
-        return cache[key]
+        start = found[round(t, 9)]
+        if isinstance(start, VWBoundError):
+            raise start
+        return start
 
     # xi bookkeeping: t_j = -j * |T-| / j_count, walked until two
     # consecutive increments drop below the tolerance
@@ -434,8 +577,7 @@ def bounded_solution(
     converged_at = 0
     prev_xi = None
     prev_d = math.inf
-    for j in range(1, config.j_count + 1):
-        t_j = -j * xi_spacing
+    for j, t_j in enumerate(xi_times, start=1):
         start = get_start(t_j)
         traj = integrate(
             qp.rhs,
@@ -470,12 +612,7 @@ def bounded_solution(
         )
     xi = xi_sequence[-1][2]
 
-    # trajectory ladder: one trapped start per spacing, reaching high
-    # enough that the last settled span covers T+
-    k_max = max(
-        int(math.ceil((t_hi - config.settle - t_lo) / spacing - 1e-12)), 0
-    )
-    starts = [get_start(t_lo + k * spacing) for k in range(k_max + 1)]
+    starts = [get_start(t) for t in ladder]
 
     # quilt assembly: each rung contributes its settled span
     grid_start = t_lo + config.settle
@@ -503,8 +640,6 @@ def bounded_solution(
                 ts_out.append(float(t))
                 xs_out.append(x)
         prev_end = span_end
-        if span_end >= t_hi:
-            break
     traj = Trajectory(
         ts=np.array(ts_out),
         xs=np.array(xs_out),
@@ -521,6 +656,10 @@ def bounded_solution(
         sup_v=float(vs[i_max]),
         sup_v_time=float(traj.ts[i_max]),
         starts=starts,
+        rungs=sorted(
+            (s for s in found.values() if isinstance(s, TrappedStart)),
+            key=lambda s: s.t,
+        ),
         config=config,
         notes=notes,
     )

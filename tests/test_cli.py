@@ -10,8 +10,10 @@ import textwrap
 
 import pytest
 
+from vwbound import shooting
 from vwbound.cli import main
-from vwbound.report import FORMAT_TAG, RunReport
+from vwbound.errors import NoSignChange
+from vwbound.report import FORMAT_TAG, RunReport, certificate_from_report
 
 ROOT = pathlib.Path(__file__).parents[1]
 SADDLE_DOC = ROOT / "demos" / "saddle.problem"
@@ -182,6 +184,52 @@ class TestSolve:
         assert rep.has("solution.error")
 
 
+    def test_failed_rung_in_a_worker_exits_as_in_one_process(
+        self, ref_doc, cert_file, tmp_path, capsys, monkeypatch,
+    ):
+        # the search at t = -10 fails; with two processes it runs in the
+        # forked worker, and solve must still fail where it reads that rung
+        raised_in = tmp_path / "raised-in"
+        search = shooting.find_trapped_start
+
+        def failing(qp, t, *args, **kwargs):
+            if t == -10.0:
+                with open(raised_in, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                raise NoSignChange(f"both bracket ends exit with chart side "
+                                   f"+1 at t_j = {t:g}", side=1.0)
+            return search(qp, t, *args, **kwargs)
+
+        monkeypatch.setattr(shooting, "find_trapped_start", failing)
+        outcomes = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}"
+            code = main(["solve", ref_doc, "--cert", cert_file,
+                         "--out", str(out)])
+            outcomes.append((code, capsys.readouterr(),
+                             (out / "solve-report.txt").read_text()))
+        assert outcomes[0] == outcomes[1]
+        code, captured, _ = outcomes[0]
+        assert code == 4
+        assert captured.err == ("solve failed: both bracket ends exit with "
+                                "chart side +1 at t_j = -10\n")
+        here, worker = raised_in.read_text().split()
+        assert here == str(os.getpid()) != worker
+
+    def test_report_stats_leave_the_certificate_alone(self, cert_file,
+                                                      solve_dir):
+        solved = RunReport.load(solve_dir / "solve-report.txt")
+        assert solved.get_int("stats.shooting.rungs") == 14
+        a = certificate_from_report(RunReport.load(cert_file))
+        b = certificate_from_report(solved)
+        assert repr(a) == repr(b)
+        for name in ("ts", "lam_plus", "lam_minus", "lam_mp", "alpha",
+                     "ceiling"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
 class TestVerify:
     def test_passes_on_solver_output(self, ref_doc, cert_file, solve_dir,
                                      capsys):
@@ -334,6 +382,8 @@ class TestCertificateConstants:
         ("cert.c3", "inf"),
         ("problem.t_minus", "nan"),
         ("curve.ceiling", "inf"),
+        ("curve.lam_mp", "nan"),
+        ("curve.lam_mp", "-inf"),
     ])
     @pytest.mark.parametrize("command", ["verify", "solve"])
     def test_non_finite_certificate_value_is_a_usage_error(
@@ -360,6 +410,39 @@ class TestCertificateConstants:
         err = capsys.readouterr().err
         assert f"not a finite number — key '{key}'" in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("value,code", [
+        ("inf", 64), ("-inf", 64), ("nan", None),
+    ])
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    def test_alpha_may_be_nan_but_not_infinite(
+        self, ref_doc, cert_file, solve_dir, tmp_path, capsys,
+        command, value, code,
+    ):
+        # nan is what certify writes at a grid time without sampled
+        # states; a minimum of pencil values is never infinite
+        lines = open(cert_file).read().splitlines()
+        i = next(i for i, ln in enumerate(lines)
+                 if ln.startswith("curve.alpha = "))
+        numbers = lines[i].split(" = ", 1)[1].split()
+        numbers[len(numbers) // 2] = value
+        lines[i] = f"curve.alpha = {' '.join(numbers)}"
+        bad = tmp_path / "alpha.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        if command == "verify":
+            argv = ["verify", ref_doc, "--cert", str(bad),
+                    "--traj", str(solve_dir / "trajectory.csv")]
+            expected = 0 if code is None else code
+        else:
+            # solve reads the certificate before its search; a bad
+            # window makes the accepted case fail fast, after the read
+            argv = ["solve", ref_doc, "--cert", str(bad),
+                    "--window=-0.5,2", "--out", str(tmp_path / "run")]
+            expected = 4 if code is None else code
+        assert main(argv) == expected
+        err = capsys.readouterr().err
+        if code == 64:
+            assert "value is infinite — key 'curve.alpha'" in err
 
 
 class TestReport:

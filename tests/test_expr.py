@@ -221,6 +221,28 @@ class TestMatrixVector:
             m.eval(0.0, (0.0,))
         assert m.eval(0.0, np.full(1, 4.0))[0, 0] == 0.25
 
+    def test_generated_rhs_reads_ndarray_as_floats(self):
+        # an ndarray state must not run numpy arithmetic: [0.0] and
+        # np.zeros(1) give the same DivisionByZero, and every value is a
+        # Python float
+        rhs = compile_rhs(MatrixFunction.from_strings([["1/x1"]], 1),
+                          VectorFunction.zero(1, 1))
+        for x in ((0.0,), np.zeros(1)):
+            with pytest.raises(DivisionByZero):
+                rhs(0.0, x)
+        got = rhs(0.0, np.full(1, 4.0))
+        assert got == [1.0] and type(got[0]) is float
+
+    def test_generated_quadform_reads_ndarray_as_floats(self):
+        q = compile_quadform(
+            MatrixFunction.from_strings([["1/x1"]], 1, symmetric=True)
+        )
+        for x in ((0.0,), np.zeros(1)):
+            with pytest.raises(DivisionByZero):
+                q(0.0, x)
+        got = q(0.0, np.full(1, 4.0))
+        assert got == 4.0 and type(got) is float
+
     def test_vector(self):
         v = VectorFunction.from_strings(["t", "x1"], n_states=1)
         assert np.allclose(v.eval(2.0, np.array([5.0])), [2.0, 5.0])

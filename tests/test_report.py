@@ -150,6 +150,31 @@ class TestAttachments:
         assert rep.get_float("solution.xi.1") == pytest.approx(-0.05,
                                                                abs=1e-6)
 
+    def test_search_stats(self, reference_solution_run, reference_report):
+        rep = RunReport.from_text(reference_report.to_text())
+        attach_solution(rep, reference_solution_run, exit_code=0)
+        rungs = reference_solution_run.rungs
+        assert rep.get_int("stats.shooting.rungs") == len(rungs) == 14
+        for i, start in enumerate(rungs, start=1):
+            prefix = f"stats.shooting.rung.{i}"
+            assert rep.get_float(f"{prefix}.t") == start.t
+            assert rep.get_int(f"{prefix}.iterations") == start.iterations
+            assert rep.get_bool(f"{prefix}.stayed") == start.stayed
+            assert rep.get(f"{prefix}.exit_kinds") == (
+                " ".join(start.exit_kinds) or "none")
+        # counts only: no wall time, no process count
+        assert {k.rsplit(".", 1)[-1] for k in rep.keys()
+                if k.startswith("stats.")} == {
+            "rungs", "t", "iterations", "stayed", "exit_kinds"}
+        line = next(ln for ln in render_table(rep).splitlines()
+                    if ln.strip().startswith("search:"))
+        assert line.split() == [
+            "search:", "14", "rungs,",
+            str(sum(s.iterations for s in rungs)), "starts", "classified,",
+            str(sum(s.stayed for s in rungs)), "stayed;", "exits",
+            "W_hits_wplus",
+        ]
+
     def test_verification_keys(self, reference_problem,
                                reference_certificate,
                                reference_solution_run, reference_report):

@@ -4,7 +4,9 @@ for a trapped start, trajectory assembly and the final bound check.
 
 import dataclasses
 import math
+import os
 import pathlib
+import signal
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from vwbound.errors import (
     EmptyPositiveSubspace,
     NoSignChange,
     NotConverged,
+    RungWorkerLost,
 )
 from vwbound.expr import MatrixFunction, VectorFunction, compile_stepper
 from vwbound.growth import growth_integral_inv
 from vwbound.ode import eval_v_w_along
 from vwbound.problemdoc import load_problem_document
+from vwbound import shooting
 from vwbound.quadratic import QuadraticProblem, certify
 from vwbound.shooting import (
     ShootingConfig,
@@ -257,6 +261,175 @@ class TestBoundedSolution:
         assert int(j) == 1
         assert float(t_j) == -5.0
         assert abs(float(x1) + 0.05) < 1e-4
+
+
+def test_every_ladder_rung_contributes(reference_solution_run,
+                                       reference_certificate):
+    # the +-40 window needs rungs up to t = 25 ((40 - 12 + 40) / 5 = 13.6);
+    # on (-20, 12), (12 - 12 + 20) / 2.5 = 8 exactly, and the eighth rung's
+    # settled span ends at T+
+    short = bounded_solution(make_reference_problem(window=(-20.0, 12.0)),
+                             reference_certificate)
+    for sol, t_plus, n_rungs in ((reference_solution_run, 40.0, 14),
+                                 (short, 12.0, 8)):
+        cfg = sol.config
+        spacing = sol.starts[1].t - sol.starts[0].t
+        assert len(sol.starts) == n_rungs
+        assert sol.traj.t_end == pytest.approx(t_plus, abs=1e-9)
+        for start in sol.starts:
+            lo = start.t + cfg.settle
+            span = (sol.traj.ts > lo - 1e-9) & (sol.traj.ts <= lo + spacing)
+            assert np.count_nonzero(span) > 0, start.t
+        assert [r.t for r in sol.rungs] == [s.t for s in sol.starts]
+
+
+def _affinity(monkeypatch, cpus: int):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def _rung_record(start):
+    return (start.t, start.u.tolist(), start.chart.basis.tolist(),
+            start.iterations, start.bracket_width, start.stayed,
+            start.exit_kinds)
+
+
+def assert_same_solution(a, b):
+    for x, y in ((a.traj.ts, b.traj.ts), (a.traj.xs, b.traj.xs),
+                 (a.xi, b.xi)):
+        assert np.array_equal(x, y)
+    assert ([(j, t, xi.tolist()) for j, t, xi in a.xi_sequence]
+            == [(j, t, xi.tolist()) for j, t, xi in b.xi_sequence])
+    assert ((a.converged_at_j, a.sup_v, a.sup_v_time, a.notes)
+            == (b.converged_at_j, b.sup_v, b.sup_v_time, b.notes))
+    for field_a, field_b in ((a.starts, b.starts), (a.rungs, b.rungs)):
+        assert ([_rung_record(s) for s in field_a]
+                == [_rung_record(s) for s in field_b])
+
+
+@pytest.fixture(scope="module")
+def one_process_run(reference_problem, reference_certificate):
+    with pytest.MonkeyPatch.context() as mp:
+        _affinity(mp, 1)
+        return bounded_solution(reference_problem, reference_certificate)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """pids of the rung workers the test forks"""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestRungProcesses:
+    """The rung searches spread over the CPUs the process may use; the
+    result must not depend on how many there are."""
+
+    def test_one_cpu_forks_nothing(self, monkeypatch, forked,
+                                   reference_problem, reference_certificate):
+        _affinity(monkeypatch, 1)
+        got = shooting.search_rungs(reference_problem, [-5.0, -10.0],
+                                    0.02, 0.15, ShootingConfig())
+        assert forked == []
+        assert [s.t for s in got] == [-5.0, -10.0]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_same_result_on_more_processes(
+        self, monkeypatch, forked, reference_problem, reference_certificate,
+        one_process_run, cpus,
+    ):
+        _affinity(monkeypatch, cpus)
+        got = bounded_solution(reference_problem, reference_certificate)
+        assert len(forked) == cpus - 1
+        assert_reaped(forked)
+        assert_same_solution(got, one_process_run)
+
+    def test_failed_fork_is_searched_here(
+        self, monkeypatch, reference_problem, reference_certificate,
+        one_process_run,
+    ):
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        got = bounded_solution(reference_problem, reference_certificate)
+        assert_same_solution(got, one_process_run)
+
+    def test_dead_worker_is_named(self, monkeypatch, forked,
+                                  reference_problem, reference_certificate):
+        parent = os.getpid()
+
+        def dying(qp, t, *args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise NoSignChange("not searched in this test")
+
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(shooting, "find_trapped_start", dying)
+        with pytest.raises(RungWorkerLost) as info:
+            bounded_solution(reference_problem, reference_certificate)
+        # the worker took every second rung of the xi schedule, then of
+        # the ladder times above it
+        assert info.value.times == (-10.0, -20.0, -30.0, -40.0,
+                                    5.0, 15.0, 25.0)
+        assert "t = -10, -20, -30, -40, 5, 15, 25 was killed by signal 9" \
+            in str(info.value)
+        assert_reaped(forked)
+
+    def test_worker_bug_is_printed_and_named(
+        self, monkeypatch, forked, capfd, reference_problem,
+        reference_certificate,
+    ):
+        parent = os.getpid()
+
+        def buggy(qp, t, *args, **kwargs):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("a bug in the search")
+            raise NoSignChange("not searched in this test")
+
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(shooting, "find_trapped_start", buggy)
+        with pytest.raises(RungWorkerLost, match="exited with status 1"):
+            bounded_solution(reference_problem, reference_certificate)
+        err = capfd.readouterr().err
+        assert "ZeroDivisionError: a bug in the search" in err
+        assert_reaped(forked)
+
+    def test_interrupted_caller_kills_its_workers(
+        self, monkeypatch, forked, reference_problem, reference_certificate,
+    ):
+        class Interrupt(BaseException):
+            pass
+
+        parent = os.getpid()
+        search = shooting.find_trapped_start
+
+        def interrupted(qp, t, *args, **kwargs):
+            if os.getpid() == parent:
+                raise Interrupt()
+            return search(qp, t, *args, **kwargs)
+
+        _affinity(monkeypatch, 2)
+        monkeypatch.setattr(shooting, "find_trapped_start", interrupted)
+        with pytest.raises(Interrupt):
+            bounded_solution(reference_problem, reference_certificate)
+        assert len(forked) == 1
+        assert_reaped(forked)
 
 
 class TestVerifyBound:
