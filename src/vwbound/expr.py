@@ -30,13 +30,18 @@ The module provides
   locals, the Dormand-Prince stages with the entries of ``A`` and ``f0``
   inlined (or a generic callable called on float lists), the PI control,
   and each quadratic-form level evaluated once per accepted step.  It
+  calls no builtin on its step path: ``max``, ``min`` and ``abs`` are
+  spelled as conditional expressions with the builtins' semantics.  It
   hands a step back to :func:`vwbound.ode.integrate`, whose cold path
   does the rest, when a level crosses, a sample falls due, the end is
   reached or an entry trips.
 
 All generated code comes from one template (:func:`_compile_guarded`):
-the entries inlined as Python arithmetic, with a fallback that runs the
-same template through :func:`eval_expr` when the fast body trips.
+the entries inlined as Python arithmetic, the math functions bound as
+plain names (``sin``, not ``math.sin``) and a coefficient of exactly
+``1.0`` or ``-1.0`` folded (``y0``, ``-y0``, the same float), with a
+fallback that runs the same template through :func:`eval_expr` when the
+fast body trips.
 
 Evaluation follows IEEE double semantics where that is the useful choice
 (overflow saturates to ``inf``, ``sin(inf)`` is ``nan``) and raises
@@ -676,8 +681,12 @@ def diff_t(ast: ExprAST) -> ExprAST:
 # code generation
 
 _FAST_PATH_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
+# the math functions as plain names: a global lookup, not an attribute
 _COMPILE_GLOBALS = {
-    "math": math,
+    "sin": math.sin,
+    "cos": math.cos,
+    "exp": math.exp,
+    "log": math.log,
     "sqrt": math.sqrt,
     "isfinite": math.isfinite,
     "_pow": _pow,
@@ -712,9 +721,9 @@ def _codegen(ast: ExprAST, frame=_ARGS) -> str:
             return f"({base}**{repr(ast.exponent)})"
         return f"_pow({base},{repr(ast.exponent)})"
     if isinstance(ast, Call):
+        # an entry's abs stays the builtin: abs(-0.0) is 0.0, as in eval_expr
         inner = _codegen(ast.arg, frame)
-        fn = {"ln": "math.log", "abs": "abs"}.get(ast.fn, f"math.{ast.fn}")
-        return f"{fn}({inner})"
+        return f"{'log' if ast.fn == 'ln' else ast.fn}({inner})"
     raise TypeError(f"not an expression node: {ast!r}")
 
 
@@ -872,6 +881,19 @@ class VectorFunction(_Entries):
         return cls([Num(0.0) for _ in range(size)], n_states)
 
 
+def _times(entry, product: str, code, frame) -> str:
+    """Source of ``entry * product``.  A coefficient of exactly 1.0 or -1.0
+    is folded (``y0``, ``-y0*y0``): in IEEE arithmetic ``1.0*y`` is ``y``
+    and ``-1.0*y`` is ``-y``, so the value is the same float (a nan may
+    come out with the other sign bit, which no output shows: a nan state
+    is rejected, and ``nan`` prints without a sign)."""
+    if _is_num(entry, 1.0):
+        return product
+    if _is_num(entry, -1.0):
+        return f"-{product}"
+    return f"({code(entry, frame)})*{product}"
+
+
 def _rhs_rows(a: MatrixFunction, f0: VectorFunction, code, frame=_ARGS):
     """Source of each component of ``A(t, x) x + f0(t)``: one term per
     nonzero entry of ``A`` in column order, then the forcing."""
@@ -879,7 +901,7 @@ def _rhs_rows(a: MatrixFunction, f0: VectorFunction, code, frame=_ARGS):
     rows = []
     for i in range(a.rows):
         terms = [
-            f"({code(entry, frame)})*{x.format(j)}"
+            _times(entry, x.format(j), code, frame)
             for j, entry in enumerate(a.entries[i])
             if not _is_num(entry, 0.0)
         ]
@@ -893,7 +915,7 @@ def _quadform(m: MatrixFunction, code, frame=_ARGS) -> str:
     """Source of ``<M x, x>``: one term per nonzero entry, row-major."""
     x = frame[2]
     terms = [
-        f"({code(m.entries[i][j], frame)})*{x.format(i)}*{x.format(j)}"
+        _times(m.entries[i][j], f"{x.format(i)}*{x.format(j)}", code, frame)
         for i in range(m.rows)
         for j in range(m.rows)
         if not _is_num(m.entries[i][j], 0.0)
@@ -970,6 +992,32 @@ _ALPHA = 0.7 / 5.0
 _BETA = 0.4 / 5.0
 
 
+# The step loop calls no builtin: max, min and abs of two floats are
+# spelled as conditional expressions with the builtins' semantics, the
+# arguments in the same order.  max(a, b) keeps a unless b > a, and
+# min(a, b) keeps a unless b < a, so a nan in second place is never
+# chosen.  The spelled abs keeps the sign of -0.0 and of a nan, which
+# abs clears; where it is used (the error scale 1 + max(|x|, |z|)) a
+# zero of either sign adds nothing and a nan ends as a nan error norm,
+# which rejects the step, so the loop computes the same floats.
+def _max(a: str, b: str) -> str:
+    return f"{b} if {b} > {a} else {a}"
+
+
+def _min(a: str, b: str) -> str:
+    return f"{b} if {b} < {a} else {a}"
+
+
+def _abs(v: str) -> str:
+    return f"{v} if {v} >= 0.0 else -{v}"
+
+
+def _max_one_abs(v: str) -> str:
+    """``max(1.0, abs(v))``: ``|v|`` when it exceeds 1, else 1.0 (nan
+    included, as the builtins give)."""
+    return f"{v} if {v} > 1.0 else -{v} if {v} < -1.0 else 1.0"
+
+
 def _weighted(weights, i: int) -> str:
     """``w0 * k0_i + w1 * k1_i + ...`` over the nonzero weights, a
     negative weight written as a subtraction."""
@@ -1010,6 +1058,11 @@ def compile_stepper(system, n: int, layout: tuple):
     * ``"underflow"``: the step size fell below ``1e-14 max(1, |t|)``;
     * ``"trip"``: an entry hit a domain issue; ``state`` is the start of
       that step, and ``advance.slow`` retakes it interpreting every entry.
+
+    The loop calls no builtin: ``max``, ``min`` and ``abs`` are
+    conditional expressions (:func:`_max` and its neighbours), and the
+    step-size floor ``1e-14 max(1, |t|)`` is computed once per accepted
+    step, so each step computes the same floats as the builtins gave.
     """
     n_levels = len(layout)
     forms: dict = {}  # matrix -> index of its value w<k>, by identity
@@ -1046,13 +1099,16 @@ def compile_stepper(system, n: int, layout: tuple):
         lines = [
             f"{state} = state",
             "[" + ", ".join(f"p{j}" for j in range(n_levels)) + "] = consts",
+            # the step-size floor at t, kept up to date as t advances
+            f"h_min = 1e-14 * ({_max_one_abs('t')})",
             "while True:",
-            "    h_min = 1e-14 * max(1.0, abs(t))",
-            "    if not (t_end - t) * direction > h_min:",
+            # the distance left, |t_end - t| once it exceeds h_min
+            "    rem = (t_end - t) * direction",
+            "    if not rem > h_min:",
             "        break",
             "    if n_acc + n_rej >= limit:",
             f"        return 'budget', ({state}), None",
-            "    h = min(h, abs(t_end - t))",
+            f"    h = {_min('h', 'rem')}",
             "    if h < h_min:",
             f"        return 'underflow', ({state}), None",
             "    hs = h * direction",
@@ -1069,9 +1125,13 @@ def compile_stepper(system, n: int, layout: tuple):
         # RMS of the fifth-minus-fourth error over tol * (1 + |x|); a
         # non-finite state or estimate is never accepted and halves the
         # step, so a blow-up ends in underflow
-        lines += [f"    r{i} = hs * ({_weighted(_DP_E, i)}) / "
-                  f"(tol * (1.0 + max(abs(x{i}), abs(z{i}))))"
-                  for i in range(n)]
+        for i in range(n):
+            lines += [
+                f"    a{i} = {_abs(f'x{i}')}",
+                f"    b{i} = {_abs(f'z{i}')}",
+                f"    r{i} = hs * ({_weighted(_DP_E, i)}) / "
+                f"(tol * (1.0 + ({_max(f'a{i}', f'b{i}')})))",
+            ]
         squares = "".join(f" + r{i} * r{i}" for i in range(n))
         finite = "".join(f" and isfinite(z{i})" for i in range(n))
         lines += [
@@ -1080,8 +1140,12 @@ def compile_stepper(system, n: int, layout: tuple):
             "    if not (finite and err_norm <= 1.0):",
             "        n_rej += 1",
             "        rejected = True",
-            f"        h *= min(1.0, max({_MIN_FACTOR!r}, {_SAFETY!r} * "
-            "err_norm ** (-0.2))) if finite else 0.5",
+            "        if finite:",
+            f"            factor = {_SAFETY!r} * err_norm ** (-0.2)",
+            f"            factor = {_max(repr(_MIN_FACTOR), 'factor')}",
+            f"            h *= {_min('1.0', 'factor')}",
+            "        else:",
+            "            h *= 0.5",
             "        continue",
         ]
         # accepted: each distinct form once, then every level
@@ -1092,10 +1156,11 @@ def compile_stepper(system, n: int, layout: tuple):
             value = (f"float(p{j}(t_new, {seq('z')}))" if m is None
                      else f"w{forms[m]} - p{j}")
             lines.append(f"    q{j} = {value}")
-        due = "(t_due - t_new) * direction <= 1e-14 * max(1.0, abs(t_new))"
+        due = "(t_due - t_new) * direction <= h_min"
         stop = [crossed(j, d) for j, (d, _) in enumerate(layout)] + [due]
         stages = ", ".join(seq(f"k{k}_") for k in range(7))
         lines += [
+            f"    h_min = 1e-14 * ({_max_one_abs('t_new')})",
             f"    stop = {' or '.join(stop)}",
             "    if stop:",
             f"        step = (t, {seq('x')}, hs, ({stages}), {levels})",
@@ -1109,12 +1174,13 @@ def compile_stepper(system, n: int, layout: tuple):
             "    if record:",
             "        ts.append(t)",
             f"        xs.append({seq('x')})",
-            "    err_clamped = max(err_norm, 1e-10)",
-            f"    factor = min({_MAX_FACTOR!r}, max({_MIN_FACTOR!r}, "
-            f"{_SAFETY!r} * err_clamped ** (-{_ALPHA!r}) * "
-            f"err_prev ** {_BETA!r}))",
+            f"    err_clamped = {_max('err_norm', '1e-10')}",
+            f"    factor = {_SAFETY!r} * err_clamped ** (-{_ALPHA!r}) * "
+            f"err_prev ** {_BETA!r}",
+            f"    factor = {_max(repr(_MIN_FACTOR), 'factor')}",
+            f"    factor = {_min(repr(_MAX_FACTOR), 'factor')}",
             "    if rejected:",
-            "        factor = min(1.0, factor)",
+            f"        factor = {_min('1.0', 'factor')}",
             "        rejected = False",
             "    h *= factor",
             "    err_prev = err_clamped",

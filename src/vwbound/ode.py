@@ -19,12 +19,17 @@ steps and the PI control are plain float arithmetic, with the entries of
 :func:`vwbound.expr.compile_rhs` (any other is called on float lists),
 and a level marked as a quadratic form (:attr:`EventSpec.form`, as
 :func:`make_region_events` marks W and V) is evaluated once per accepted
-step.  The cold path here begins where the loop hands a step back: a
+step.  The loop calls no builtin on its step path and folds
+coefficients of exactly +-1, without changing a float it computes.
+The cold path here begins where the loop hands a step back: a
 level crossed or a sample fell due (dense output, event location, sample
 emission, truncation), the end was reached, or an entry tripped a domain
 issue, in which case that one step is retaken with every entry
 interpreted, for the interpreter's value or error.  numpy is used only on
-that path and for the arrays of the returned :class:`Trajectory`.
+that path and for the arrays of the returned :class:`Trajectory`.  A run
+that asks for no samples (``t_samples=()``) records no per-step nodes,
+only the start and the end or truncation node; the shooting probes run
+so, since they read only where and how an orbit ends.
 
 Blow-up shows up as step-size underflow and is reported as
 :class:`~vwbound.errors.StepSizeUnderflow` with the last reachable point,
@@ -249,7 +254,8 @@ def integrate(
     t_samples : array, optional
         When given, the recorded nodes are exactly these times (dense
         -output evaluated, restricted to the covered span plus the two
-        endpoints) instead of the accepted steps.
+        endpoints) instead of the accepted steps; an empty one keeps
+        only the start and the end (or truncation) node.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(
@@ -272,14 +278,17 @@ def integrate(
 
     record_steps = t_samples is None
     if t_samples is not None:
-        t_samples = np.asarray(t_samples, dtype=float)
-        t_samples = t_samples[
-            (t_samples - t0) * direction > 1e-14 * max(1.0, abs(t0))
-        ]
-        t_samples = t_samples[
-            (t_end - t_samples) * direction > 1e-14 * max(1.0, abs(t_end))
-        ]
-        t_samples = np.sort(t_samples)[:: 1 if direction > 0 else -1].tolist()
+        # the samples strictly inside the span, in the order they are
+        # reached; filtered as Python floats, so that the empty list a
+        # shooting probe passes costs next to nothing
+        after = 1e-14 * max(1.0, abs(t0))
+        before = 1e-14 * max(1.0, abs(t_end))
+        t_samples = sorted(
+            (tau for tau in np.asarray(t_samples, dtype=float).tolist()
+             if (tau - t0) * direction > after
+             and (t_end - tau) * direction > before),
+            reverse=direction < 0,
+        )
     sample_idx = 0
 
     ts = [t0]

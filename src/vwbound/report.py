@@ -303,6 +303,8 @@ def attach_solution(rep: RunReport, sol, exit_code: int) -> None:
         rep.add(f"{prefix}.iterations", start.iterations)
         rep.add(f"{prefix}.stayed", start.stayed)
         rep.add(f"{prefix}.exit_kinds", " ".join(start.exit_kinds) or "none")
+        rep.add(f"{prefix}.steps_accepted", start.steps_accepted)
+        rep.add(f"{prefix}.steps_rejected", start.steps_rejected)
 
 
 def attach_verification(rep: RunReport, ver, exit_code: int) -> None:
@@ -396,11 +398,19 @@ def render_table(rep: RunReport) -> str:
                  for i in range(1, rep.get_int("stats.shooting.rungs") + 1)]
         kinds = {k for r in rungs for k in rep.get(f"{r}.exit_kinds").split()}
         kinds.discard("none")
+        # reports written before the step counts existed lack them
+        steps = ""
+        if all(rep.has(f"{r}.steps_accepted") for r in rungs):
+            steps = "%d steps, %d rejected; " % (
+                sum(rep.get_int(f"{r}.steps_accepted") for r in rungs),
+                sum(rep.get_int(f"{r}.steps_rejected") for r in rungs),
+            )
         line("  search:   %d rungs, %d starts classified, %d stayed; "
-             "exits %s" % (
+             "%sexits %s" % (
                  len(rungs),
                  sum(rep.get_int(f"{r}.iterations") for r in rungs),
                  sum(rep.get_bool(f"{r}.stayed") for r in rungs),
+                 steps,
                  " ".join(sorted(kinds)) or "none",
              ))
     if rep.has("verify.passed"):

@@ -213,11 +213,16 @@ def classify_start(
 ) -> Stayed | Exited:
     """Integrate from the charted start until the horizon or the first
     boundary crossing (W = w+-, V = V*); step-size underflow is reported
-    as an exit of kind ``blowup`` at the last reachable point."""
+    as an exit of kind ``blowup`` at the last reachable point.
+
+    A probe reads only where and how its orbit ends, so the run records
+    no per-step nodes: the trajectory holds the start and the end or
+    exit node, with the located events and the step counters."""
     x0 = chart.point(u)
     events = _exit_events(qp, v0, v_star)
     try:
-        traj = integrate(qp.rhs, chart.t, x0, horizon, tol=tol, events=events)
+        traj = integrate(qp.rhs, chart.t, x0, horizon, tol=tol, events=events,
+                         t_samples=())
     except StepSizeUnderflow as exc:
         return Exited(t=exc.t, kind="blowup", x=np.asarray(exc.x), traj=None)
     if traj.status == "reached_end":
@@ -228,7 +233,13 @@ def classify_start(
 
 @dataclass
 class TrappedStart:
-    """Localized trapped start on one disk."""
+    """Localized trapped start on one disk.
+
+    ``steps_accepted`` and ``steps_rejected`` sum the integrator's step
+    counters over the search's probes; a probe that ends in step-size
+    underflow (an exit of kind ``blowup``) has no trajectory and adds
+    none.
+    """
 
     t: float
     u: np.ndarray
@@ -237,6 +248,8 @@ class TrappedStart:
     bracket_width: float
     stayed: bool
     exit_kinds: tuple[str, ...] = ()
+    steps_accepted: int = 0
+    steps_rejected: int = 0
 
 
 def _exit_side(qp: QuadraticProblem, chart0: DiskChart, res: Exited) -> float:
@@ -275,10 +288,27 @@ def find_trapped_start(
     if u_tol is None:
         u_tol = 4.0 * np.finfo(float).eps * chart.radius
 
-    def side_of(u_scalar: float):
+    steps = [0, 0]  # accepted and rejected, over the probes so far
+
+    def probe(u):
         res = classify_start(
-            qp, chart, [u_scalar], horizon, v0, v_star, config.integrator_tol
+            qp, chart, u, horizon, v0, v_star, config.integrator_tol
         )
+        if res.traj is not None:  # None after a blow-up
+            steps[0] += res.traj.n_accepted
+            steps[1] += res.traj.n_rejected
+        return res
+
+    def found(u, iterations, bracket_width, stayed, kinds=()):
+        return TrappedStart(
+            t=t_j, u=np.asarray(u), chart=chart, iterations=iterations,
+            bracket_width=bracket_width, stayed=stayed,
+            exit_kinds=tuple(sorted(kinds)),
+            steps_accepted=steps[0], steps_rejected=steps[1],
+        )
+
+    def side_of(u_scalar: float):
+        res = probe([u_scalar])
         if res.is_stayed:
             return None, res
         return _exit_side(qp, chart, res), res
@@ -287,16 +317,10 @@ def find_trapped_start(
         lo, hi = config.bracket or (-chart.radius, chart.radius)
         side_lo, res_lo = side_of(lo)
         if side_lo is None:
-            return TrappedStart(
-                t=t_j, u=np.array([lo]), chart=chart, iterations=1,
-                bracket_width=hi - lo, stayed=True,
-            )
+            return found(np.array([lo]), 1, hi - lo, True)
         side_hi, res_hi = side_of(hi)
         if side_hi is None:
-            return TrappedStart(
-                t=t_j, u=np.array([hi]), chart=chart, iterations=2,
-                bracket_width=hi - lo, stayed=True,
-            )
+            return found(np.array([hi]), 2, hi - lo, True)
         if side_lo * side_hi > 0.0:
             raise NoSignChange(
                 f"both bracket ends [{lo:.6g}, {hi:.6g}] exit with chart "
@@ -312,21 +336,14 @@ def find_trapped_start(
             side_mid, res_mid = side_of(mid)
             iters += 1
             if side_mid is None:
-                return TrappedStart(
-                    t=t_j, u=np.array([mid]), chart=chart, iterations=iters,
-                    bracket_width=abs(hi - lo), stayed=True,
-                    exit_kinds=tuple(sorted(kinds)),
-                )
+                return found(np.array([mid]), iters, abs(hi - lo), True, kinds)
             kinds.add(res_mid.kind)
             if side_mid > 0.0:
                 hi = mid
             else:
                 lo = mid
-        return TrappedStart(
-            t=t_j, u=np.array([0.5 * (lo + hi)]), chart=chart,
-            iterations=iters, bracket_width=abs(hi - lo), stayed=False,
-            exit_kinds=tuple(sorted(kinds)),
-        )
+        return found(np.array([0.5 * (lo + hi)]), iters, abs(hi - lo), False,
+                     kinds)
 
     # n_plus >= 2: refine around the longest-staying start
     budget = config.budget
@@ -347,20 +364,11 @@ def find_trapped_start(
                 if norm > chart.radius:
                     cand *= chart.radius / norm
                 candidates.append(cand)
-        results = [
-            classify_start(
-                qp, chart, u, horizon, v0, v_star, config.integrator_tol
-            )
-            for u in candidates
-        ]
+        results = [probe(u) for u in candidates]
         spent += len(candidates)
         for u, res in zip(candidates, results):
             if res.is_stayed:
-                return TrappedStart(
-                    t=t_j, u=np.asarray(u), chart=chart, iterations=spent,
-                    bracket_width=rho, stayed=True,
-                    exit_kinds=tuple(sorted(kinds)),
-                )
+                return found(u, spent, rho, True, kinds)
             kinds.add(res.kind)
             if res.t > best_exit:
                 best_exit = res.t
@@ -368,11 +376,7 @@ def find_trapped_start(
         center = best_u
         rho *= 0.5
         if rho <= u_tol:
-            return TrappedStart(
-                t=t_j, u=best_u, chart=chart, iterations=spent,
-                bracket_width=rho, stayed=False,
-                exit_kinds=tuple(sorted(kinds)),
-            )
+            return found(best_u, spent, rho, False, kinds)
     raise BudgetExhausted(
         f"{budget} classify calls spent without localizing a trapped start "
         f"on the {chart.n_plus}-dimensional disk at t_j = {t_j:g} "

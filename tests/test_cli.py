@@ -218,6 +218,43 @@ class TestSolve:
         here, worker = raised_in.read_text().split()
         assert here == str(os.getpid()) != worker
 
+    def test_search_step_totals_are_the_probes(
+        self, ref_doc, cert_file, tmp_path, capsys, monkeypatch,
+    ):
+        # on one CPU every probe runs here, where a wrapper can add up its
+        # counters; two CPUs write the same totals, though half the
+        # probes then run in the forked worker
+        classify = shooting.classify_start
+        seen = [0, 0, 0]  # probes, accepted, rejected
+
+        def counting(*args, **kwargs):
+            res = classify(*args, **kwargs)
+            seen[0] += 1
+            if res.traj is not None:
+                seen[1] += res.traj.n_accepted
+                seen[2] += res.traj.n_rejected
+            return res
+
+        monkeypatch.setattr(shooting, "classify_start", counting)
+        totals = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=cpus: set(range(n)))
+            out = tmp_path / f"cpus{cpus}"
+            assert main(["solve", ref_doc, "--cert", cert_file,
+                         "--out", str(out)]) == 0
+            rep = RunReport.load(out / "solve-report.txt")
+            rungs = [f"stats.shooting.rung.{i}" for i in
+                     range(1, rep.get_int("stats.shooting.rungs") + 1)]
+            totals.append([sum(rep.get_int(f"{r}.{key}") for r in rungs)
+                           for key in ("iterations", "steps_accepted",
+                                       "steps_rejected")])
+            if cpus == 1:
+                assert totals[0] == seen
+        capsys.readouterr()
+        assert totals[0] == totals[1]
+        assert 0 < seen[0] < seen[1]
+
     def test_report_stats_leave_the_certificate_alone(self, cert_file,
                                                       solve_dir):
         solved = RunReport.load(solve_dir / "solve-report.txt")

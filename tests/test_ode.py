@@ -255,17 +255,26 @@ def _weighted(weights, ks):
     return total
 
 
-def reference_dp5(f, t0, x0, t_end, tol):
+def reference_dp5(f, t0, x0, t_end, tol, clamps=None):
     """Every accepted step from t0 to t_end as ``(t, x, hs, stages,
-    t_new, x_new, rejected_before)``, and the number of rejections."""
+    t_new, x_new, rejected_before)``, and the number of rejections.
+    Raises StepSizeUnderflow where the step size falls below
+    ``1e-14 max(1, |t|)``.  ``clamps``, when given, collects ``"clip"``
+    for a step cut to end at t_end, ``"floor"`` and ``"cap"`` for a step
+    factor held at 0.2 or 10."""
     direction = 1.0 if t_end >= t0 else -1.0
     t, x = t0, np.array(x0, dtype=float)
     k0 = f(t, x)
     h = _initial_step(lambda t, y: f(t, np.array(y)).tolist(), t0,
                       x.tolist(), k0.tolist(), direction, tol, abs(t_end - t0))
     err_prev, rejected, n_rej, steps = 1.0, False, 0, []
+    clamps = [] if clamps is None else clamps
     while (t_end - t) * direction > 1e-14 * max(1.0, abs(t)):
+        if abs(t_end - t) < h:
+            clamps.append("clip")
         h = min(h, abs(t_end - t))
+        if h < 1e-14 * max(1.0, abs(t)):
+            raise StepSizeUnderflow(t, x)
         hs = h * direction
         ks = [k0]
         for c, row in zip(DP_C, DP_A):
@@ -282,13 +291,17 @@ def reference_dp5(f, t0, x0, t_end, tol):
         if not (finite and err_norm <= 1.0):
             n_rej += 1
             rejected = True
+            if finite and 0.9 * err_norm ** -0.2 < 0.2:
+                clamps.append("floor")
             h *= min(1.0, max(0.2, 0.9 * err_norm ** -0.2)) if finite else 0.5
             continue
         steps.append((t, x, hs, ks, t + hs, x_new, n_rej))
         t, x, k0 = t + hs, x_new, ks[6]
         err_clamped = max(err_norm, 1e-10)
-        factor = min(10.0, max(0.2, 0.9 * err_clamped ** -(0.7 / 5.0)
-                               * err_prev ** (0.4 / 5.0)))
+        factor = 0.9 * err_clamped ** -(0.7 / 5.0) * err_prev ** (0.4 / 5.0)
+        if factor > 10.0:
+            clamps.append("cap")
+        factor = min(10.0, max(0.2, factor))
         if rejected:
             factor = min(1.0, factor)
             rejected = False
@@ -337,6 +350,77 @@ class TestStepLoop:
         assert steps[k - 1][0] < run.t_end <= steps[k - 1][4]
         assert run.n_rejected == steps[k - 1][6]
         assert run.n_rhs == 2 + 6 * (k + run.n_rejected)
+
+    @staticmethod
+    def assert_reference_run(traj, x0, steps, n_rej):
+        # every node bit for bit (signed zeros included) and every counter
+        assert traj.ts.tolist() == [steps[0][0]] + [s[4] for s in steps]
+        want = np.array([x0] + [s[5] for s in steps], dtype=float)
+        assert traj.xs.tobytes() == want.tobytes()
+        assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (
+            len(steps), n_rej, 2 + 6 * (len(steps) + n_rej))
+
+    def test_backward_through_negative_times(self):
+        # t runs from 2.5 down to -2.5: the step-size floor takes |t| for
+        # t > 1 and t < -1 and 1 in between; the inlined rhs has the
+        # folded coefficients 1 and -1
+        qp = make_reference_problem()
+        x0 = [0.3, -0.2]
+        steps, n_rej = reference_dp5(
+            lambda t, x: np.array(qp.rhs(t, x.tolist())), 2.5, x0, -2.5,
+            1e-10)
+        ts = [s[0] for s in steps]
+        assert max(ts) > 1.0 and min(ts) < -1.0
+        assert any(abs(t) < 1.0 for t in ts)
+        assert all(s[2] < 0.0 for s in steps)
+        traj = integrate(qp.rhs, 2.5, np.array(x0), -2.5, tol=1e-10)
+        self.assert_reference_run(traj, x0, steps, n_rej)
+
+    def test_rejections_reach_the_factor_floor_and_cap(self):
+        # nothing moves until the forcing switches on at t = 1: error-free
+        # steps grow by the capped factor 10, the step across the switch
+        # has a huge error and shrinks by the floor 0.2 until it passes.
+        # The start -0.0 meets the spelled abs in the error scale.
+        def f(t, x):
+            return np.array([0.0 if t < 1.0 else 1.0, -x[1]])
+
+        x0 = [-0.0, 0.5]
+        clamps = []
+        steps, n_rej = reference_dp5(f, 0.0, x0, 3.0, 1e-9, clamps)
+        assert {"cap", "floor"} <= set(clamps)
+        assert n_rej >= 2
+        traj = integrate(f, 0.0, np.array(x0), 3.0, tol=1e-9)
+        self.assert_reference_run(traj, x0, steps, n_rej)
+
+    def test_last_step_clipped_to_the_end(self):
+        qp = make_reference_problem()
+        x0 = [0.05, 0.1]
+        clamps = []
+        steps, n_rej = reference_dp5(
+            lambda t, x: np.array(qp.rhs(t, x.tolist())), 0.0, x0, 1.3,
+            1e-9, clamps)
+        assert clamps[-1:] == ["clip"]
+        assert steps[-1][2] == 1.3 - steps[-1][0]
+        traj = integrate(qp.rhs, 0.0, np.array(x0), 1.3, tol=1e-9)
+        self.assert_reference_run(traj, x0, steps, n_rej)
+
+    @pytest.mark.parametrize("x0, t_end, t_blowup", [
+        (0.5, 3.0, float.fromhex("0x1.ffffffff8b554p+0")),
+        (-0.5, -3.0, -float.fromhex("0x1.ffffffff8b554p+0")),
+    ], ids=["forward", "backward"])
+    def test_blow_up_underflows_where_it_did(self, x0, t_end, t_blowup):
+        # x' = x^2 from +-0.5 blows up at t = +-2, where the step-size
+        # floor is 2e-14; t_blowup is where the loop gave up before its
+        # max/min/abs were spelled out
+        rhs = compile_rhs(MatrixFunction.from_strings([["x1"]], n_states=1),
+                          VectorFunction.from_strings(["0"], n_states=1))
+        with pytest.raises(StepSizeUnderflow) as want:
+            reference_dp5(lambda t, x: np.array(rhs(t, x.tolist())), 0.0,
+                          [x0], t_end, 1e-9)
+        with pytest.raises(StepSizeUnderflow) as got:
+            integrate(rhs, 0.0, np.array([x0]), t_end, tol=1e-9)
+        assert got.value.t == want.value.t == t_blowup
+        assert np.array_equal(got.value.x, want.value.x)
 
     def test_generic_callable_in_three_states(self):
         def f(t, x):

@@ -162,18 +162,33 @@ class TestAttachments:
             assert rep.get_bool(f"{prefix}.stayed") == start.stayed
             assert rep.get(f"{prefix}.exit_kinds") == (
                 " ".join(start.exit_kinds) or "none")
+            assert rep.get_int(f"{prefix}.steps_accepted") == \
+                start.steps_accepted > 0
+            assert rep.get_int(f"{prefix}.steps_rejected") == \
+                start.steps_rejected
         # counts only: no wall time, no process count
         assert {k.rsplit(".", 1)[-1] for k in rep.keys()
                 if k.startswith("stats.")} == {
-            "rungs", "t", "iterations", "stayed", "exit_kinds"}
+            "rungs", "t", "iterations", "stayed", "exit_kinds",
+            "steps_accepted", "steps_rejected"}
         line = next(ln for ln in render_table(rep).splitlines()
                     if ln.strip().startswith("search:"))
         assert line.split() == [
             "search:", "14", "rungs,",
             str(sum(s.iterations for s in rungs)), "starts", "classified,",
-            str(sum(s.stayed for s in rungs)), "stayed;", "exits",
-            "W_hits_wplus",
+            str(sum(s.stayed for s in rungs)), "stayed;",
+            str(sum(s.steps_accepted for s in rungs)), "steps,",
+            str(sum(s.steps_rejected for s in rungs)), "rejected;",
+            "exits", "W_hits_wplus",
         ]
+        # a report written before the step counts existed still renders
+        old = RunReport.from_text("".join(
+            ln for ln in rep.to_text().splitlines(keepends=True)
+            if ".steps_" not in ln))
+        line = next(ln for ln in render_table(old).splitlines()
+                    if ln.strip().startswith("search:"))
+        assert "steps" not in line and line.split()[-2:] == [
+            "exits", "W_hits_wplus"]
 
     def test_verification_keys(self, reference_problem,
                                reference_certificate,

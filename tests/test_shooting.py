@@ -22,7 +22,7 @@ from vwbound.errors import (
 )
 from vwbound.expr import MatrixFunction, VectorFunction, compile_stepper
 from vwbound.growth import growth_integral_inv
-from vwbound.ode import eval_v_w_along
+from vwbound.ode import eval_v_w_along, integrate
 from vwbound.problemdoc import load_problem_document
 from vwbound import shooting
 from vwbound.quadratic import QuadraticProblem, certify
@@ -154,6 +154,32 @@ class TestClassifyStart:
             v0=0.02, v_star=0.15,
         )
         assert [ev.kind for ev in res.traj.events] == ["W_hits_wplus"]
+
+    @pytest.mark.parametrize("u, horizon", [
+        (0.0, 20.0), (particular_x1(-5.0), 10.0),
+    ], ids=["exits", "stays"])
+    def test_lean_probe_ends_as_a_recorded_run(self, reference_problem, u,
+                                               horizon):
+        # the probe keeps no per-step nodes, only the start and the end
+        # or exit node, and otherwise ends exactly as a recorded run
+        qp = reference_problem
+        chart = make_disk_chart(qp, -5.0)
+        res = classify_start(qp, chart, np.array([u]), horizon=horizon,
+                             v0=0.02, v_star=0.15)
+        full = integrate(qp.rhs, -5.0, chart.point([u]), horizon, tol=1e-8,
+                         events=shooting._exit_events(qp, 0.02, 0.15))
+        lean = res.traj
+        assert full.ts.size > 10
+        assert lean.ts.tolist() == [-5.0, full.t_end if not res.is_stayed
+                                    else horizon]
+        assert np.array_equal(lean.xs, full.xs[[0, -1]])
+        assert [(e.kind, e.t, e.x.tolist()) for e in lean.events] == [
+            (e.kind, e.t, e.x.tolist()) for e in full.events]
+        assert (lean.status, lean.n_accepted, lean.n_rejected, lean.n_rhs) \
+            == (full.status, full.n_accepted, full.n_rejected, full.n_rhs)
+        if not res.is_stayed:
+            assert (res.t, res.kind) == (full.t_end, "W_hits_wplus")
+            assert np.array_equal(res.x, full.x_end)
 
     def test_boundary_start_exits_immediately(self, reference_problem):
         chart = make_disk_chart(reference_problem, -5.0)
@@ -290,7 +316,7 @@ def _affinity(monkeypatch, cpus: int):
 def _rung_record(start):
     return (start.t, start.u.tolist(), start.chart.basis.tolist(),
             start.iterations, start.bracket_width, start.stayed,
-            start.exit_kinds)
+            start.exit_kinds, start.steps_accepted, start.steps_rejected)
 
 
 def assert_same_solution(a, b):
