@@ -78,6 +78,11 @@ def _apply_overrides(doc, args):
                 f"--window values not numeric: {args.window!r}",
                 key="window",
             ) from None
+        if not all(map(math.isfinite, doc.window)):
+            raise DocumentError(
+                f"--window values must be finite: {args.window!r}",
+                key="window",
+            )
     for key in ("grid", "tol", "seed"):
         if overrides.get(key) is not None:
             setattr(doc, key, overrides[key])

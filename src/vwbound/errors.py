@@ -180,11 +180,6 @@ class ConditionGFailed(VWBoundError):
     trailing part of the window, so the entry disks degenerate."""
 
 
-class NotRetractable(VWBoundError):
-    """The state has (numerically) no component in the positive subspace,
-    so the retraction onto the exit shell is undefined."""
-
-
 # ---------------------------------------------------------------------------
 # integration and shooting
 

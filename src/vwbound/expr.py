@@ -561,7 +561,6 @@ def eval_expr(ast: ExprAST, t: float, x=()) -> float:
 # symbolic derivative in t
 
 _ZERO = Num(0.0)
-_ONE = Num(1.0)
 
 
 def _is_num(ast, value=None):

@@ -59,6 +59,8 @@ __all__ = [
 
 TOL_MIN = 1e-12
 TOL_MAX = 1e-3
+# accepted plus rejected steps after which integrate gives up
+MAX_STEPS = 5_000_000
 
 # The Dormand-Prince 5(4) tableau is written out in the generated step
 # loop (vwbound.expr); the dense-output weights (order 4 continuous
@@ -233,7 +235,6 @@ def integrate(
     tol: float = 1e-9,
     events: list[EventSpec] | None = None,
     t_samples=None,
-    max_steps: int = 5_000_000,
 ) -> Trajectory:
     """Integrate ``dx/dt = rhs(t, x)`` from ``t0`` to ``t_end``.
 
@@ -345,20 +346,20 @@ def integrate(
              [float(ev.level(t0, x0)) for ev in events])
     no_sample = direction * math.inf
     t_due = t_samples[0] if t_samples else no_sample
-    step_fn, limit = advance, max_steps
+    step_fn, limit = advance, MAX_STEPS
 
     while True:
         code, state, step = step_fn(state, consts, rhs, t_end, direction,
                                     tol, t_due, limit, record_steps, ts, xs)
         t, x, _, _, _, _, n_accepted, n_rejected, g_new = state
-        step_fn, limit = advance, max_steps
+        step_fn, limit = advance, MAX_STEPS
         if code == "trip":  # retake that step interpreting every entry
             step_fn, limit = advance.slow, n_accepted + n_rejected + 1
             continue
         if code == "budget":
-            if n_accepted + n_rejected >= max_steps:
+            if n_accepted + n_rejected >= MAX_STEPS:
                 raise RuntimeError(
-                    f"step budget {max_steps} exhausted at t={t:.9g}"
+                    f"step budget {MAX_STEPS} exhausted at t={t:.9g}"
                 )
             continue
         if code == "underflow":
@@ -455,41 +456,34 @@ def make_region_events(
     w_plus: float,
     w_minus: float,
     v0: float,
-    v_star: float | None,
-    stop_on_exit: bool = True,
+    v_star: float,
 ) -> list[EventSpec]:
-    """Standard watched levels for a region run.
+    """The terminal levels of a region run.
 
     ``W = w_plus`` (rising) and ``W = w_minus`` (falling) are the region
-    exits; ``V = v0`` is recorded for excursion accounting; ``V = V*``
-    (rising) guards the certified ceiling.  ``quadform_w`` and
+    exits; ``V = V*`` (rising) guards the certified ceiling.  ``v0``
+    only scales the tolerance of the V level.  ``quadform_w`` and
     ``quadform_v`` come from :func:`vwbound.expr.compile_quadform`; each
     level is marked as a form of their matrix, so the step loop evaluates
     W and V once per accepted step.
     """
     tol = 1e-9 * (1.0 + abs(w_plus) + abs(w_minus))
-    tol_v = 1e-9 * (1.0 + abs(v0) + (abs(v_star) if v_star else 0.0))
+    tol_v = 1e-9 * (1.0 + abs(v0) + abs(v_star))
 
-    def spec(kind, quadform, value, direction, terminal, tol):
+    def spec(kind, quadform, value, direction, tol):
         return EventSpec(
             kind,
             lambda t, x: quadform(t, x) - value,
             direction=direction,
-            terminal=terminal,
             tol=tol,
             form=(quadform.matrix, value),
         )
 
-    evs = [
-        spec("W_hits_wplus", quadform_w, w_plus, +1, stop_on_exit, tol),
-        spec("W_hits_wminus", quadform_w, w_minus, -1, stop_on_exit, tol),
-        spec("V_hits_v0", quadform_v, v0, 0, False, tol_v),
+    return [
+        spec("W_hits_wplus", quadform_w, w_plus, +1, tol),
+        spec("W_hits_wminus", quadform_w, w_minus, -1, tol),
+        spec("V_hits_Vstar", quadform_v, v_star, +1, tol_v),
     ]
-    if v_star is not None:
-        evs.append(
-            spec("V_hits_Vstar", quadform_v, v_star, +1, stop_on_exit, tol_v)
-        )
-    return evs
 
 
 def write_trajectory_csv(path, traj: Trajectory, quadform_v, quadform_w):

@@ -33,11 +33,12 @@ __all__ = [
     "solve_pencil",
     "lambda_extremes",
     "spectral_projectors",
-    "signed_parts",
     "lambda_minus_plus",
 ]
 
 _SYM_TOL = 1e-10
+# an eigenvalue within this fraction of ||C||_2 of zero makes C degenerate
+DEGENERACY_RTOL = 1e-10
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
@@ -160,14 +161,14 @@ class ProjectorPair:
     eigs_minus: np.ndarray = field(repr=False, default=None)
 
 
-def spectral_projectors(c: np.ndarray, degeneracy_rtol: float = 1e-10) -> ProjectorPair:
+def spectral_projectors(c: np.ndarray) -> ProjectorPair:
     """Split R^n into the positive/negative eigenspaces of symmetric ``c``.
 
     Raises
     ------
     DegeneratePencil
         If some eigenvalue lies inside the band
-        ``degeneracy_rtol * ||c||_2`` around zero — the splitting would
+        ``DEGENERACY_RTOL * ||c||_2`` around zero — the splitting would
         then be numerically meaningless — or if the signature changes
         across a stack.  Every matrix is checked for degeneracy before
         any signature is compared.
@@ -176,7 +177,7 @@ def spectral_projectors(c: np.ndarray, degeneracy_rtol: float = 1e-10) -> Projec
     values, u = np.linalg.eigh(c)
     stack = values.reshape(-1, values.shape[-1])
     norm2 = np.max(np.abs(stack), axis=-1)
-    band = degeneracy_rtol * norm2
+    band = DEGENERACY_RTOL * norm2
     bad = (norm2 == 0.0) | np.any(np.abs(stack) <= band[:, None], axis=-1)
     if np.any(bad):
         k = int(np.argmax(bad))
@@ -208,17 +209,6 @@ def spectral_projectors(c: np.ndarray, degeneracy_rtol: float = 1e-10) -> Projec
         eigs_plus=values[..., n_minus:],
         eigs_minus=values[..., :n_minus],
     )
-
-
-def signed_parts(
-    c: np.ndarray, proj: ProjectorPair
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(C_plus, C_minus)`` with ``C_+= P_+ C P_+`` positive
-    semidefinite and ``C_- = P_- C P_-`` negative semidefinite."""
-    c = np.asarray(c, dtype=float)
-    c_plus = proj.p_plus @ c @ proj.p_plus
-    c_minus = proj.p_minus @ c @ proj.p_minus
-    return 0.5 * (c_plus + c_plus.mT), 0.5 * (c_minus + c_minus.mT)
 
 
 def lambda_minus_plus(pencil: SymmetricPencil, proj: ProjectorPair):

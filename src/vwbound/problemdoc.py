@@ -9,9 +9,10 @@ Sections
 --------
 ``[problem]``   ``n``, ``t_minus``, ``t_plus``
 ``[system]``    ``A.i.j``, ``f0.i`` (entries default to ``"0"``)
-``[guiding]``   ``B.i.j``, ``C.i.j``, optional ``Chat.i.j``; these
-                matrices are symmetric, so ``X.i.j`` and ``X.j.i`` must
-                be the same expression (write both, or neither)
+``[guiding]``   ``B.i.j``, ``C.i.j``, optional ``Chat.i.j`` (the
+                comparison form of the separation test, default C);
+                these matrices are symmetric, so ``X.i.j`` and ``X.j.i``
+                must be the same expression (write both, or neither)
 ``[region]``    ``v0``, ``v_star`` (either may be ``auto``), ``w_minus``,
                 ``w_plus``
 ``[numerics]``  optional ``grid``, ``tol``, ``seed``, ``samples``
@@ -50,8 +51,8 @@ _ZERO = Num(0.0)  # an unset entry
 class ProblemDocument:
     """Parsed document with its matrices and forcing built, once each.
 
-    ``chat`` (``None`` when the document has no ``Chat`` entries) is
-    parsed and checked like ``B`` and ``C`` but used by no pipeline stage.
+    ``chat`` is ``None`` when the document has no ``Chat`` entries; the
+    problem then compares with C in the separation test.
     """
 
     n: int
@@ -71,16 +72,6 @@ class ProblemDocument:
     samples: int = 48
     source: str = "<text>"
 
-    def matrix(self, name: str) -> MatrixFunction | None:
-        return {"A": self.a, "B": self.b, "C": self.c, "Chat": self.chat}[name]
-
-    def forcing(self) -> VectorFunction:
-        return self.f0
-
-    @property
-    def has_chat(self) -> bool:
-        return self.chat is not None
-
     def to_problem(self) -> QuadraticProblem:
         """Build the problem; a value the problem rejects (grid, window,
         region bounds, v0, seed) raises :class:`DocumentError`."""
@@ -98,6 +89,7 @@ class ProblemDocument:
                 n_grid=self.grid,
                 n_state_samples=self.samples,
                 seed=self.seed,
+                c_hat=self.chat,
             )
         except ValueError as exc:
             raise DocumentError(str(exc)) from None

@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     InfeasibleConditionE,
     NotPositiveDefinite,
-    NotRetractable,
 )
 from .expr import MatrixFunction, VectorFunction, compile_quadform, compile_rhs
 from .growth import (
@@ -48,19 +47,12 @@ from .pencil import (
     cholesky_spd,
     lambda_extremes,
     lambda_minus_plus,
-    signed_parts,
-    solve_pencil,
+    solve_pencil,  # not called here; perfbench/tracer.py rebinds this name
     spectral_projectors,
 )
 
 __all__ = [
     "QuadraticProblem",
-    "phi",
-    "psi",
-    "v_rate_extreme",
-    "w_rate_min",
-    "RateCheckReport",
-    "rate_inequalities_check",
     "sample_region_states",
     "fit_constants",
     "closed_form_ceiling",
@@ -71,7 +63,6 @@ __all__ = [
     "Certificate",
     "certify",
     "check_v_star",
-    "retract_exit",
     "UniquenessQuadraticReport",
     "uniqueness_quadratic",
     "SIGMA_GRID",
@@ -80,6 +71,13 @@ __all__ = [
 SIGMA_GRID = (0.25, 0.5, 0.75, 1.0)
 SAFETY_INFLATION = 1.01
 VSTAR_HEADROOM = 1.05
+# rejection rounds of sample_region_states before it returns what it has
+SAMPLE_TRIES = 64
+# states drawn per grid time by uniqueness_quadratic, paired off in twos
+SEPARATION_STATES = 24
+# normalized window integral above which the separation test counts as
+# divergent
+DIVERGENCE_THRESHOLD = 10.0
 
 
 @dataclass
@@ -88,7 +86,8 @@ class QuadraticProblem:
 
     ``v0`` and ``v_star`` may be ``None``; :func:`certify` then picks them
     (half the tightest disk allowed by condition (d) for ``v0``; 5% above
-    the largest required ceiling for ``v_star``).
+    the largest required ceiling for ``v_star``).  ``c_hat`` is the
+    comparison form of :func:`uniqueness_quadratic` (``None`` means C).
     """
 
     a: MatrixFunction
@@ -103,6 +102,7 @@ class QuadraticProblem:
     n_grid: int = 201
     n_state_samples: int = 48
     seed: int = 0
+    c_hat: MatrixFunction | None = None
 
     def __post_init__(self):
         n = self.a.rows
@@ -179,7 +179,9 @@ def _grid(qp: QuadraticProblem, ts) -> _Grid:
 
 
 def _forcing(g: _Grid) -> tuple[np.ndarray, np.ndarray]:
-    """phi and psi at each row of ``g`` (see :func:`phi`, :func:`psi`)."""
+    """The forcing sizes at each row of ``g``: phi ``= sqrt(<B f0, f0>)``
+    in the B metric and psi ``= sqrt(<B^-1 C f0, C f0>)`` as seen by W,
+    the latter solved against the Cholesky factor of B (no inverse)."""
     f = g.f0[..., None]
     ph = np.sqrt(np.maximum(0.0, (f.mT @ g.b @ f)[..., 0, 0]))
     y = np.linalg.solve(cholesky_spd(g.b), g.c @ f)
@@ -187,50 +189,25 @@ def _forcing(g: _Grid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _v_rates(g: _Grid, a: np.ndarray) -> np.ndarray:
-    """:func:`v_rate_extreme` at each row of ``g`` and ``a`` (A there)."""
+    """At each row of ``g`` and ``a`` (A there), the characteristic value
+    of ``(BA + A^T B + B') - lambda B`` that is maximal in absolute value
+    (ties resolve to the positive one).  Its absolute value bounds
+    ``|dV/dt|`` relative to V."""
     m = g.b @ a
     lo, hi = lambda_extremes(SymmetricPencil(m + m.mT + g.b_dot, g.b))
     return np.where(np.abs(hi) >= np.abs(lo), hi, lo)
 
 
 def _w_rates(g: _Grid, a: np.ndarray) -> np.ndarray:
-    """:func:`w_rate_min` at each row of ``g`` and ``a`` (A there)."""
+    """At each row of ``g`` and ``a`` (A there), the smallest
+    characteristic value of ``(CA + A^T C + C') - lambda B``; it bounds
+    ``dW/dt`` from below relative to V."""
     m = g.c @ a
     return lambda_extremes(SymmetricPencil(m + m.mT + g.c_dot, g.b))[0]
 
 
-def phi(qp: QuadraticProblem, t: float) -> float:
-    """Forcing size in the B metric: ``sqrt(<B f0, f0>)``."""
-    return float(_forcing(_grid(qp, [t]))[0][0])
-
-
-def psi(qp: QuadraticProblem, t: float) -> float:
-    """Forcing size seen by W: ``sqrt(<B^-1 C f0, C f0>)``.
-
-    Computed by solving against the Cholesky factor of B; no explicit
-    inverse is formed.
-    """
-    return float(_forcing(_grid(qp, [t]))[1][0])
-
-
-def v_rate_extreme(qp: QuadraticProblem, t: float, x) -> float:
-    """Characteristic value of ``(BA + A^T B + B') - lambda B`` that is
-    maximal in absolute value (ties resolve to the positive one).
-
-    Its absolute value bounds ``|dV/dt|`` relative to V; the sign is kept
-    because the value is a genuine characteristic value.
-    """
-    return float(_v_rates(_grid(qp, [t]), _stack(qp.a, [t], [x]))[0])
-
-
-def w_rate_min(qp: QuadraticProblem, t: float, x) -> float:
-    """Smallest characteristic value of ``(CA + A^T C + C') - lambda B``;
-    it bounds ``dW/dt`` from below relative to V."""
-    return float(_w_rates(_grid(qp, [t]), _stack(qp.a, [t], [x]))[0])
-
-
 # ---------------------------------------------------------------------------
-# region sampling and the two-sided rate self-test
+# region sampling
 
 
 def sample_region_states(
@@ -240,7 +217,6 @@ def sample_region_states(
     n: int,
     v_lo: float,
     v_hi: float,
-    max_tries: int = 64,
 ) -> list[np.ndarray]:
     """Draw up to ``n`` states with ``V(t,x)`` uniform in [v_lo, v_hi] and
     ``W(t,x)`` inside [w_minus, w_plus].
@@ -251,7 +227,7 @@ def sample_region_states(
     """
     low_inv = np.linalg.inv(cholesky_spd(qp.b.eval(t, qp._zeros())))
     out: list[np.ndarray] = []
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         if len(out) >= n:
             break
         m = n - len(out)
@@ -279,80 +255,6 @@ def _sample_grid(qp, ts, rng, v_lo: float, v_hi: float):
     at = np.repeat(np.arange(len(ts)), [len(batch) for batch in batches])
     xs = np.array([x for batch in batches for x in batch])
     return at, xs.reshape(at.size, qp.n)
-
-
-@dataclass
-class RateCheckReport:
-    """Two-sided self-test of the spectral rate bounds.
-
-    ``worst_v_margin`` is the minimum over samples of
-    ``|Lam_V| V + 2 phi sqrt(V) - |dV/dt|`` (should be >= -1e-9-ish), and
-    analogously ``worst_w_margin`` for
-    ``dW/dt - (lam_W V - 2 psi sqrt(V))``.
-    """
-
-    n_samples: int
-    worst_v_margin: float
-    worst_w_margin: float
-    witness_v: tuple | None = None
-    witness_w: tuple | None = None
-
-    @property
-    def passed(self) -> bool:
-        slack = 1e-9
-        return self.worst_v_margin >= -slack and self.worst_w_margin >= -slack
-
-
-def rate_inequalities_check(
-    qp: QuadraticProblem,
-    v_hi: float,
-    n_samples: int = 2000,
-    seed: int = 0,
-) -> RateCheckReport:
-    """Sample the region and compare direct dV/dt, dW/dt along the vector
-    field against their spectral bounds — both sides computed by
-    independent routes (quadratic forms vs. pencil extremes)."""
-    if qp.v0 is None:
-        raise ValueError("rate check needs a concrete v0")
-    rng = default_rng(seed)
-    t_lo, t_hi = qp.window
-    worst_v = math.inf
-    worst_w = math.inf
-    wit_v = wit_w = None
-    count = 0
-    while count < n_samples:
-        t = float(rng.uniform(t_lo, t_hi))
-        states = sample_region_states(
-            qp, t, rng, min(16, n_samples - count), qp.v0, v_hi
-        )
-        if not states:
-            continue
-        g = _grid(qp, [t])
-        ph, ps = (float(v[0]) for v in _forcing(g))
-        bmat, cmat, bdot, cdot = g.b[0], g.c[0], g.b_dot[0], g.c_dot[0]
-        gx = g.take(np.zeros(len(states), dtype=int))
-        a = _stack(qp.a, [t] * len(states), states)
-        rates = zip(np.abs(_v_rates(gx, a)), _w_rates(gx, a))
-        for x, (lam_v, lam_w) in zip(states, rates):
-            f = np.array(qp.rhs(t, x))
-            v = float(x @ bmat @ x)
-            sq = math.sqrt(v)
-            v_dot = float(x @ bdot @ x + 2.0 * (bmat @ x) @ f)
-            w_dot = float(x @ cdot @ x + 2.0 * (cmat @ x) @ f)
-            margin_v = lam_v * v + 2.0 * ph * sq - abs(v_dot)
-            margin_w = w_dot - (lam_w * v - 2.0 * ps * sq)
-            if margin_v < worst_v:
-                worst_v, wit_v = margin_v, (t, x.copy())
-            if margin_w < worst_w:
-                worst_w, wit_w = margin_w, (t, x.copy())
-            count += 1
-    return RateCheckReport(
-        n_samples=count,
-        worst_v_margin=worst_v,
-        worst_w_margin=worst_w,
-        witness_v=wit_v,
-        witness_w=wit_w,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -894,31 +796,7 @@ def certify(
 
 
 # ---------------------------------------------------------------------------
-# exit-ellipsoid retraction and the two-solution separation test
-
-
-def retract_exit(qp: QuadraticProblem, t: float, x, c: float) -> np.ndarray:
-    """Project a state onto the exit ellipsoid ``{ y in L_+(t) :
-    <C(t)y, y> = c }`` by ``y = sqrt(c / <C_+ x, x>) P_+ x``.
-
-    Raises
-    ------
-    NotRetractable
-        If ``<C_+ x, x> <= 1e-12`` — x has no component to retract along.
-    """
-    if c <= 0.0:
-        raise DomainError(f"exit level must be positive, got {c}")
-    x = np.asarray(x, dtype=float)
-    cmat = qp.c.eval(float(t), x)
-    proj = spectral_projectors(cmat)
-    c_plus, _ = signed_parts(cmat, proj)
-    quad = float(x @ c_plus @ x)
-    if quad <= 1e-12:
-        raise NotRetractable(
-            f"<C_+ x, x> = {quad:.3e} <= 1e-12; no positive component"
-        )
-    theta = math.sqrt(c / quad)
-    return theta * (proj.p_plus @ x)
+# the two-solution separation test
 
 
 @dataclass
@@ -946,14 +824,11 @@ class UniquenessQuadraticReport:
 
 def uniqueness_quadratic(
     qp: QuadraticProblem,
-    c_hat: MatrixFunction | None = None,
     a_hat=None,
-    n_pairs: int = 24,
     v_hi: float | None = None,
-    divergence_threshold: float = 10.0,
     seed: int = 0,
 ) -> UniquenessQuadraticReport:
-    """Separation test with comparison form ``C_hat`` (default C) and
+    """Separation test with comparison form ``qp.c_hat`` (default C) and
     difference matrix ``A_hat(t, x, y)`` (default A, exact when A is
     state-independent).
 
@@ -965,7 +840,7 @@ def uniqueness_quadratic(
     t_lo, t_hi = qp.window
     ts = np.linspace(t_lo, t_hi, qp.n_grid)
     z = qp._zeros()
-    c_hat = c_hat if c_hat is not None else qp.c
+    c_hat = qp.c_hat if qp.c_hat is not None else qp.c
     c_hat_dot = c_hat.diff_t()
     notes: list[str] = []
 
@@ -979,7 +854,7 @@ def uniqueness_quadratic(
                 big_lam_curve=np.full(ts.size, math.nan),
                 divergence_left=math.nan,
                 divergence_right=math.nan,
-                divergence_threshold=divergence_threshold,
+                divergence_threshold=DIVERGENCE_THRESHOLD,
                 diverges=False,
                 notes=[
                     "A depends on the state and no difference matrix was "
@@ -1006,7 +881,8 @@ def uniqueness_quadratic(
         big_lo, big_hi = lambda_extremes(SymmetricPencil(ch, bmat))
         big_lam[i] = big_hi if abs(big_hi) >= abs(big_lo) else big_lo
         chd = c_hat_dot.eval(tt, z)
-        states = sample_region_states(qp, tt, rng, max(2, n_pairs), v_lo, v_hi)
+        states = sample_region_states(qp, tt, rng, SEPARATION_STATES, v_lo,
+                                      v_hi)
         if len(states) < 2:
             states = [z.copy(), z.copy()]
         pairs = list(zip(states[::2], states[1::2]))
@@ -1032,7 +908,7 @@ def uniqueness_quadratic(
 
     div_left = normalized(ts <= 0.0, 0)
     div_right = normalized(ts >= 0.0, ts.size - 1)
-    diverges = min(div_left, div_right) >= divergence_threshold
+    diverges = min(div_left, div_right) >= DIVERGENCE_THRESHOLD
 
     status = "pass" if (beta_min > 0.0 and diverges) else "fail"
     if beta_min > 0.0 and not diverges:
@@ -1048,7 +924,7 @@ def uniqueness_quadratic(
         big_lam_curve=big_lam,
         divergence_left=div_left,
         divergence_right=div_right,
-        divergence_threshold=divergence_threshold,
+        divergence_threshold=DIVERGENCE_THRESHOLD,
         diverges=diverges,
         notes=notes,
     )

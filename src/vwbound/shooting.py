@@ -11,7 +11,8 @@ budgeted refinement heuristic (existence is topological; localization is
 not guaranteed and failures say so).
 
 The returned trajectory is assembled from a ladder of trapped starts, one
-per ``spacing`` of time, each contributing only the span where its
+per ``|T-| / J_COUNT`` of time (the spacing of the xi schedule, so the
+two share their searches), each contributing only the span where its
 initial transient has died out and its chart-coordinate error has not yet
 amplified.  A single orbit integrated across the whole window would lose
 roughly ``(t - t_start)/ln(10)`` digits to the unstable directions and
@@ -48,7 +49,14 @@ from .errors import (
     VWBoundError,
 )
 from .growth import growth_integral_inv
-from .ode import Trajectory, eval_v_w_along, integrate, make_region_events
+from .ode import (
+    TOL_MAX,
+    TOL_MIN,
+    Trajectory,
+    eval_v_w_along,
+    integrate,
+    make_region_events,
+)
 from .quadratic import Certificate, QuadraticProblem, closed_form_ceiling
 from .pencil import spectral_projectors
 
@@ -68,6 +76,24 @@ __all__ = [
     "verify_bound",
     "write_xi_csv",
 ]
+
+# the xi schedule t_j = -j |T-| / J_COUNT, j = 1..J_COUNT; the trajectory
+# ladder t_k = T- + k |T-| / J_COUNT shares its rungs
+J_COUNT = 8
+# transient discarded at the head of each ladder patch
+SETTLE = 12.0
+# node spacing of the returned trajectory
+SAMPLE_DT = 0.02
+# xi is converged after two consecutive increments at most this large.
+# Evaluating xi_j at t = 0 amplifies any start error by exp(|t_j|), so
+# increments below roughly exp(|t_j|) eps radius are unobservable, and
+# demanding much more than 1e-6 makes deep rungs diverge instead of
+# converge.  For the same reason the chart-coordinate bisection runs to
+# the machine floor, 4 eps radius.
+XI_TOL = 1e-5
+# the growth clock inequality |dF(V)/dt| <= dW/dt may fail by this much
+# at a node before verify_bound counts it as a violation
+CLOCK_TOL = 1e-6
 
 
 @dataclass
@@ -128,44 +154,30 @@ def make_disk_chart(
 
 @dataclass
 class ShootingConfig:
-    """Knobs of the shooting stage.
+    """Settings of a trapped-start search.
 
-    ``j_count`` sets the xi schedule ``t_j = -j |T-| / j_count``;
-    ``spacing`` the trajectory ladder ``t_k = T- + k * spacing`` (default
-    ``|T-|/j_count``, which makes the two ladders share searches).
-    ``settle`` is the transient length discarded at the head of each
-    patch; ``horizon_span`` how far a start must stay to count as
-    trapped; ``u_tol`` the chart-coordinate bisection width (default
-    ``4 eps * radius`` — machine floor, because evaluating xi_j at t = 0
-    amplifies any start error by exp(|t_j|)).  ``xi_tol`` defaults to
-    1e-5 for the same conditioning reason: increments below roughly
-    ``exp(|t_j|) * eps * radius`` are unobservable, so demanding much
-    more than 1e-6 makes deep rungs diverge instead of converge.
+    ``integrator_tol`` is the integrator's local error tolerance, in
+    ``[ode.TOL_MIN, ode.TOL_MAX]``; ``horizon_span`` how far a start must
+    stay to count as trapped; ``budget`` the classify calls a search on
+    a disk of dimension >= 2 may spend; ``bracket`` the chart interval a
+    one-dimensional search starts from (default the whole disk).
     """
 
-    j_count: int = 8
-    spacing: float | None = None
-    settle: float = 12.0
-    horizon_span: float = 36.0
-    sample_dt: float = 0.02
-    xi_tol: float = 1e-5
-    u_tol: float | None = None
     integrator_tol: float = 1e-8
+    horizon_span: float = 36.0
     budget: int = 2000
     bracket: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.j_count < 2:
-            raise ValueError("need at least two rungs for xi convergence")
-        for name in ("settle", "horizon_span", "sample_dt", "xi_tol",
-                     "integrator_tol"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value:g}")
-        if self.spacing is not None and self.spacing <= 0.0:
-            raise ValueError("spacing must be positive")
-        if self.u_tol is not None and self.u_tol <= 0.0:
-            raise ValueError("u_tol must be positive")
+        if not TOL_MIN <= self.integrator_tol <= TOL_MAX:
+            raise ValueError(
+                f"integrator_tol must lie in [{TOL_MIN:g}, {TOL_MAX:g}], "
+                f"got {self.integrator_tol:g}"
+            )
+        if not self.horizon_span > 0.0:
+            raise ValueError(
+                f"horizon_span must be positive, got {self.horizon_span:g}"
+            )
 
 
 @dataclass
@@ -189,19 +201,6 @@ class Exited:
     is_stayed = False
 
 
-def _exit_events(qp: QuadraticProblem, v0: float, v_star: float) -> list:
-    """The region's terminal levels (W = w+-, V = V*).  The non-terminal
-    ``V = v0`` level of :func:`make_region_events` is left out: no
-    shooting run reads it, and it never changes where a run stops."""
-    return [
-        ev
-        for ev in make_region_events(
-            qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
-        )
-        if ev.kind != "V_hits_v0"
-    ]
-
-
 def classify_start(
     qp: QuadraticProblem,
     chart: DiskChart,
@@ -219,7 +218,9 @@ def classify_start(
     no per-step nodes: the trajectory holds the start and the end or
     exit node, with the located events and the step counters."""
     x0 = chart.point(u)
-    events = _exit_events(qp, v0, v_star)
+    events = make_region_events(
+        qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
+    )
     try:
         traj = integrate(qp.rhs, chart.t, x0, horizon, tol=tol, events=events,
                          t_samples=())
@@ -284,9 +285,7 @@ def find_trapped_start(
     config = config or ShootingConfig()
     chart = make_disk_chart(qp, t_j)
     horizon = t_j + config.horizon_span
-    u_tol = config.u_tol
-    if u_tol is None:
-        u_tol = 4.0 * np.finfo(float).eps * chart.radius
+    u_tol = 4.0 * np.finfo(float).eps * chart.radius
 
     steps = [0, 0]  # accepted and rejected, over the probes so far
 
@@ -510,7 +509,6 @@ class BoundedSolutionResult:
     sup_v_time: float
     starts: list  # TrappedStart per ladder rung
     rungs: list  # TrappedStart per rung searched, by time
-    config: ShootingConfig
     notes: list = field(default_factory=list)
 
 
@@ -520,13 +518,14 @@ def bounded_solution(
     config: ShootingConfig | None = None,
 ) -> BoundedSolutionResult:
     """Find the V-bounded solution and return it on
-    ``[T- + settle, T+]`` with uniformly spaced nodes.
+    ``[T- + SETTLE, T+]`` with nodes ``SAMPLE_DT`` apart.
 
-    The ladder ``t_k = T- + k * spacing`` supplies trapped starts; rungs
-    below zero double as the xi schedule (``xi_j = x_j(0)``, declared
-    converged at the first j with two consecutive increments below
-    ``xi_tol``).  Each rung contributes the trajectory span
-    ``(t_k + settle, t_k + settle + spacing]`` where the start transient
+    The ladder ``t_k = T- + k * spacing``, ``spacing = |T-| / J_COUNT``,
+    supplies trapped starts; rungs below zero double as the xi schedule
+    (``xi_j = x_j(0)``, declared converged at the first j with two
+    consecutive increments below ``XI_TOL``).  Each rung contributes the
+    trajectory span
+    ``(t_k + SETTLE, t_k + SETTLE + spacing]`` where the start transient
     has decayed and the chart-resolution error has not yet grown; spans
     tile the window, so every returned node carries a uniform error band
     instead of the exponentially amplified error of one long orbit.
@@ -545,22 +544,24 @@ def bounded_solution(
     """
     config = config or ShootingConfig()
     t_lo, t_hi = qp.window
-    xi_spacing = abs(t_lo) / config.j_count
-    spacing = config.spacing if config.spacing is not None else xi_spacing
+    spacing = abs(t_lo) / J_COUNT
     v0 = cert.v0
     v_star = cert.v_star
+    exits = make_region_events(
+        qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
+    )
     notes: list[str] = []
 
     # the xi schedule and the trajectory ladder, reaching high enough
-    # that the last settled span (t_k + settle, t_k + settle + spacing]
+    # that the last settled span (t_k + SETTLE, t_k + SETTLE + spacing]
     # covers T+
-    xi_times = [-j * xi_spacing for j in range(1, config.j_count + 1)]
+    xi_times = [-j * spacing for j in range(1, J_COUNT + 1)]
     ladder = [t_lo]
-    while ladder[-1] + config.settle + spacing < t_hi:
+    while ladder[-1] + SETTLE + spacing < t_hi:
         ladder.append(t_lo + len(ladder) * spacing)
 
     # every rung is searched up front; the two share a rung whenever their
-    # times coincide (they do by default), and a failed search raises
+    # times coincide, and a failed search raises
     # where the rung is read
     times: dict[float, float] = {}
     for t in xi_times + ladder:
@@ -575,7 +576,7 @@ def bounded_solution(
             raise start
         return start
 
-    # xi bookkeeping: t_j = -j * |T-| / j_count, walked until two
+    # xi bookkeeping: t_j = -j * |T-| / J_COUNT, walked until two
     # consecutive increments drop below the tolerance
     xi_sequence: list[tuple[int, float, np.ndarray]] = []
     converged_at = 0
@@ -589,7 +590,7 @@ def bounded_solution(
             start.chart.point(start.u),
             0.0,
             tol=config.integrator_tol,
-            events=_exit_events(qp, v0, v_star),
+            events=exits,
             t_samples=np.array([]),
         )
         if traj.status != "reached_end":
@@ -602,7 +603,7 @@ def bounded_solution(
         xi_sequence.append((j, t_j, xi_j))
         if prev_xi is not None:
             d = float(np.linalg.norm(xi_j - prev_xi))
-            if d <= config.xi_tol and prev_d <= config.xi_tol:
+            if d <= XI_TOL and prev_d <= XI_TOL:
                 converged_at = j
             prev_d = d
         prev_xi = xi_j
@@ -611,7 +612,7 @@ def bounded_solution(
     if not converged_at:
         raise NotConverged(
             "xi increments never dropped below the tolerance "
-            f"{config.xi_tol:g} on the available rungs",
+            f"{XI_TOL:g} on the available rungs",
             xi_sequence=xi_sequence,
         )
     xi = xi_sequence[-1][2]
@@ -619,14 +620,14 @@ def bounded_solution(
     starts = [get_start(t) for t in ladder]
 
     # quilt assembly: each rung contributes its settled span
-    grid_start = t_lo + config.settle
-    n_nodes = int(round((t_hi - grid_start) / config.sample_dt))
-    grid = grid_start + config.sample_dt * np.arange(n_nodes + 1)
+    grid_start = t_lo + SETTLE
+    n_nodes = int(round((t_hi - grid_start) / SAMPLE_DT))
+    grid = grid_start + SAMPLE_DT * np.arange(n_nodes + 1)
     ts_out: list[float] = []
     xs_out: list[np.ndarray] = []
     prev_end = -math.inf
     for start in starts:
-        span_end = min(start.t + config.settle + spacing, t_hi)
+        span_end = min(start.t + SETTLE + spacing, t_hi)
         claim = grid[(grid > prev_end + 1e-12) & (grid <= span_end + 1e-12)]
         if claim.size == 0:
             prev_end = span_end
@@ -664,7 +665,6 @@ def bounded_solution(
             (s for s in found.values() if isinstance(s, TrappedStart)),
             key=lambda s: s.t,
         ),
-        config=config,
         notes=notes,
     )
 
@@ -701,7 +701,6 @@ def verify_bound(
     qp: QuadraticProblem,
     cert: Certificate,
     traj: Trajectory,
-    clock_tol: float = 1e-6,
 ) -> VerifyReport:
     """Compare V along ``traj`` against the certified ceilings.
 
@@ -710,7 +709,7 @@ def verify_bound(
     below the constant ceiling ``v_small_star``, V below the closed-form
     constants-only ceiling, W strictly inside (w-, w+), and — on nodes
     with V > v0 — the growth-clock inequality
-    ``|dF(V)/dt| <= dW/dt + clock_tol``.  Every check fails closed: a
+    ``|dF(V)/dt| <= dW/dt + CLOCK_TOL``.  Every check fails closed: a
     ``nan`` slack or margin is a violation.
     """
     gp = cert.growth_pair()
@@ -779,7 +778,7 @@ def verify_bound(
     if clock_nodes:
         margins = curves.w_dot[above] - np.abs(curves.f_dot[above])
         clock_margin = float(np.min(margins))
-        if not clock_margin >= -clock_tol:
+        if not clock_margin >= -CLOCK_TOL:
             violations.append(
                 f"growth-clock inequality violated by {-clock_margin:.3e}"
             )

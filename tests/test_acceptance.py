@@ -228,7 +228,7 @@ def test_criterion_5_clock_inequality(capsys, reference_problem,
     checked = 0
     rng = np.random.default_rng(99)
     evs = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus,
-                             cert.v0, cert.v_star, stop_on_exit=True)
+                             cert.v0, cert.v_star)
     while checked < 20:
         t0 = float(rng.uniform(-35.0, 25.0))
         states = sample_region_states(
@@ -260,7 +260,13 @@ def test_criterion_6_excursion_bound(capsys, reference_problem,
     gp = cert.growth_pair()
     ceiling = bound_excursion(gp, qp.w_plus, qp.w_minus)
     evs = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus,
-                             cert.v0, cert.v_star, stop_on_exit=True)
+                             cert.v0, cert.v_star)
+    # the threshold level V = v0 (any direction, not terminal) marks where
+    # an excursion ends; its tolerance is the one of the V = V* level
+    evs.insert(2, EventSpec(
+        "V_hits_v0", lambda t, x: qp.quad_v(t, x) - cert.v0, direction=0,
+        terminal=False, tol=evs[2].tol, form=(qp.quad_v.matrix, cert.v0),
+    ))
     excursions = []
     for t0 in np.arange(-15.0, 25.0, 0.5):
         if len(excursions) >= 10:

@@ -364,7 +364,7 @@ class TestRejectedDocumentValues:
         ("certify", "seed = 42", "seed = -1", [],
          "seed must be non-negative, got -1"),
         ("solve", "tol = 1e-8", "tol = 0", [],
-         "integrator_tol must be positive, got 0"),
+         "integrator_tol must lie in [1e-12, 0.001], got 0"),
         ("certify", None, None, ["--grid", "5"], "window, got 5"),
         ("certify", None, None, ["--window=3,4"], "window (3, 4)"),
     ])
@@ -383,6 +383,42 @@ class TestRejectedDocumentValues:
             argv += ["--cert", cert_file, "--out", str(tmp_path / "run")]
         assert main(argv) == 64
         assert named in capsys.readouterr().err
+
+
+    # outside the integrator's range, from the document or the flag
+    @pytest.mark.parametrize("edit,extra", [
+        ("tol = 1", []),
+        ("tol = 1e-13", []),
+        (None, ["--tol=inf"]),
+        (None, ["--tol=1e-300"]),
+    ], ids=["doc-1", "doc-1e-13", "flag-inf", "flag-1e-300"])
+    def test_tol_outside_the_integrator_range(
+        self, ref_doc, cert_file, tmp_path, capsys, edit, extra,
+    ):
+        doc = tmp_path / "edited.problem"
+        text = open(ref_doc).read()
+        if edit is not None:
+            text = text.replace("\ntol = 1e-8\n", f"\n{edit}\n")
+        doc.write_text(text)
+        assert main(["solve", str(doc), "--cert", cert_file,
+                     "--out", str(tmp_path / "run")] + extra) == 64
+        err = capsys.readouterr().err
+        assert "key 'tol'" in err and "must lie in [1e-12, 0.001]" in err
+        assert "Traceback" not in err
+        if edit is not None:  # certify does not read tol
+            assert main(["certify", str(doc)]) == 2
+
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    @pytest.mark.parametrize("window", ["-inf,40", "-40,inf"])
+    def test_non_finite_window(self, ref_doc, cert_file, tmp_path, capsys,
+                               command, window):
+        argv = [command, ref_doc, f"--window={window}"]
+        if command == "solve":
+            argv += ["--cert", cert_file, "--out", str(tmp_path / "run")]
+        assert main(argv) == 64
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "key 'window'" in err
+        assert "Traceback" not in err
 
 
 class TestCertificateConstants:

@@ -26,7 +26,6 @@ SAMPLES = {
     "WindowExhausted": ("never reaches the level",),
     "InfeasibleConditionE": ("no finite constants", (0.5, [1.0, 2.0])),
     "ConditionGFailed": ("no positive characteristic value",),
-    "NotRetractable": ("no positive component",),
     "StepSizeUnderflow": (1.25, np.array([3.0, -4.0])),
     "RungWorkerLost": ((-10.0, 5.0), "was killed by signal 9"),
     "NoSignChange": ("both ends exit on one side", -1.0),

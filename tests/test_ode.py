@@ -220,14 +220,11 @@ class TestEvents:
         qp = make_reference_problem()
         evs = make_region_events(qp.quad_w, qp.quad_v, 0.02, -0.02, 0.02, 0.15)
         kinds = [e.kind for e in evs]
-        assert kinds == [
-            "W_hits_wplus", "W_hits_wminus", "V_hits_v0", "V_hits_Vstar"
-        ]
-        v0_spec = evs[2]
-        assert not v0_spec.terminal
-        no_star = make_region_events(qp.quad_w, qp.quad_v, 0.02, -0.02,
-                                     0.02, None)
-        assert len(no_star) == 3
+        assert kinds == ["W_hits_wplus", "W_hits_wminus", "V_hits_Vstar"]
+        assert all(e.terminal for e in evs)
+        assert [e.direction for e in evs] == [1, -1, 1]
+        # v0 only scales the tolerance of the V level
+        assert evs[2].tol == 1e-9 * (1.0 + 0.02 + 0.15)
 
 
 # The step loop as it was written before it was generated, on numpy
@@ -436,13 +433,17 @@ class TestStepLoop:
         assert (traj.n_accepted, traj.n_rejected, traj.n_rhs) == (
             len(steps), n_rej, 2 + 6 * (len(steps) + n_rej))
 
-    @pytest.mark.parametrize("stop_on_exit", [True, False])
-    def test_inlined_and_opaque_levels_agree(self, stop_on_exit):
+    @pytest.mark.parametrize("terminal", [True, False])
+    def test_inlined_and_opaque_levels_agree(self, terminal):
         # the region levels as marked quadratic forms (inlined, one W and
-        # one V per step) and as plain callables give the same run
+        # one V per step) and as plain callables give the same run, also
+        # when the levels only record their crossings
         qp = make_reference_problem()
-        inlined = make_region_events(qp.quad_w, qp.quad_v, 0.02, -0.02,
-                                     0.02, 0.15, stop_on_exit=stop_on_exit)
+        inlined = [
+            dataclasses.replace(ev, terminal=terminal)
+            for ev in make_region_events(qp.quad_w, qp.quad_v, 0.02, -0.02,
+                                         0.02, 0.15)
+        ]
         assert all(ev.form is not None for ev in inlined)
         opaque = [dataclasses.replace(ev, form=None) for ev in inlined]
         a, b = (integrate(qp.rhs, 0.0, np.array([0.1, 0.05]), 6.0, tol=1e-9,
@@ -451,7 +452,7 @@ class TestStepLoop:
         assert [(e.kind, e.t, e.x.tolist()) for e in a.events] == [
             (e.kind, e.t, e.x.tolist()) for e in b.events
         ]
-        assert len(a.events) >= 2
+        assert (len(a.events) == 1) if terminal else (len(a.events) >= 2)
         assert np.array_equal(a.ts, b.ts)
         assert np.array_equal(a.xs, b.xs)
         assert (a.status, a.n_accepted, a.n_rejected, a.n_rhs) == (

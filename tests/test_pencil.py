@@ -223,16 +223,6 @@ class TestProjectors:
         with pytest.raises(DegeneratePencil):
             spectral_projectors(np.diag([1.0, 0.0]))
 
-    def test_signed_parts(self):
-        from vwbound.pencil import signed_parts
-
-        c = np.diag([2.0, -3.0])
-        proj = spectral_projectors(c)
-        c_plus, c_minus = signed_parts(c, proj)
-        assert np.allclose(c_plus, np.diag([2.0, 0.0]))
-        assert np.allclose(c_minus, np.diag([0.0, -3.0]))
-        assert np.allclose(c_plus + c_minus, c)
-
 
 class TestLambdaMinusPlus:
     def test_diagonal_cases(self):

@@ -14,6 +14,7 @@ from vwbound.problemdoc import (
     load_problem_document,
     parse_problem_text,
 )
+from vwbound.quadratic import uniqueness_quadratic
 
 MINIMAL = """\
 [problem]
@@ -57,19 +58,15 @@ class TestReferenceDocument:
         assert doc.v0 == 0.02
         assert doc.v_star is None  # "auto"
         assert doc.w_minus == -0.02 and doc.w_plus == 0.02
-        assert doc.has_chat
         assert doc.grid == 201 and doc.tol == 1e-8 and doc.seed == 42
 
     def test_matrices_and_forcing(self, reference_document_path):
         doc = load_problem_document(reference_document_path)
-        a = doc.matrix("A")
-        assert a.eval(0.0, np.zeros(2)) == pytest.approx(
+        assert doc.a.eval(0.0, np.zeros(2)) == pytest.approx(
             np.diag([1.0, -1.0])
         )
-        c = doc.matrix("C")
-        assert c.symmetric
-        f0 = doc.forcing()
-        assert f0.eval(np.pi / 2.0, np.zeros(2)) == pytest.approx([0.1, 0.0])
+        assert doc.c.symmetric
+        assert doc.f0.eval(np.pi / 2.0, np.zeros(2)) == pytest.approx([0.1, 0.0])
 
     def test_to_problem(self, reference_document_path):
         doc = load_problem_document(reference_document_path)
@@ -92,8 +89,44 @@ def test_each_function_built_once(monkeypatch, reference_document_path):
     qp = doc.to_problem()
     # A, B, C, Chat and f0 at load; B' and C' in to_problem
     assert built == {"MatrixFunction": 6, "VectorFunction": 1}
-    assert qp.a is doc.matrix("A") and qp.f0 is doc.forcing()
-    assert qp.b is doc.matrix("B") and qp.c is doc.matrix("C")
+    assert qp.a is doc.a and qp.f0 is doc.f0
+    assert qp.b is doc.b and qp.c is doc.c and qp.c_hat is doc.chat
+
+
+class TestComparisonForm:
+    """``Chat`` is the comparison form of the separation test."""
+
+    @staticmethod
+    def coarse(path):
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().replace("grid = 201", "grid = 41")
+
+    @staticmethod
+    def separation(text):
+        doc = parse_problem_text(text, source="<test>")
+        return doc, uniqueness_quadratic(doc.to_problem(), v_hi=0.12)
+
+    def test_chat_reaches_the_separation_test(self, reference_document_path):
+        text = self.coarse(reference_document_path)
+        assert text.count('Chat.1.1 = "1"\n') == 1
+        doc, shipped = self.separation(text)
+        assert doc.chat is not None
+        assert doc.to_problem().c_hat is doc.chat
+        # Chat = diag(2, -1) against B = I: Lam_hat = 2 instead of C's 1
+        _, doubled = self.separation(
+            text.replace('Chat.1.1 = "1"\n', 'Chat.1.1 = "2"\n'))
+        assert np.allclose(shipped.big_lam_curve, 1.0, atol=1e-12)
+        assert np.allclose(doubled.big_lam_curve, 2.0, atol=1e-12)
+
+    def test_missing_chat_compares_with_c(self, reference_document_path):
+        text = self.coarse(reference_document_path)
+        without = "".join(line for line in text.splitlines(keepends=True)
+                          if not line.startswith("Chat."))
+        doc, default = self.separation(without)
+        assert doc.chat is None and doc.to_problem().c_hat is None
+        _, shipped = self.separation(text)  # ships Chat = C
+        assert repr(vars(default)) == repr(vars(shipped))
+        assert default.status == "pass"
 
 
 class TestDefaults:
@@ -102,13 +135,12 @@ class TestDefaults:
         assert doc.grid == 201 and doc.tol == 1e-8
         assert doc.seed == 42 and doc.samples == 48
         assert doc.v_star is None
-        assert not doc.has_chat
 
     def test_unset_entries_are_zero(self):
         doc = parse_problem_text(MINIMAL, source="<test>")
-        a = doc.matrix("A").eval(1.3, np.zeros(2))
+        a = doc.a.eval(1.3, np.zeros(2))
         assert a[0, 1] == 0.0 and a[1, 0] == 0.0
-        f0 = doc.forcing().eval(1.3, np.zeros(2))
+        f0 = doc.f0.eval(1.3, np.zeros(2))
         assert np.array_equal(f0, np.zeros(2))
 
     def test_v0_auto(self):
@@ -126,7 +158,7 @@ class TestDefaults:
             'A.1.1 = "1"', 'A.1.1 = "1"  # growing direction'
         )
         doc = parse_problem_text(text, source="<test>")
-        assert doc.matrix("A").eval(0.0, np.zeros(2))[0, 0] == 1.0
+        assert doc.a.eval(0.0, np.zeros(2))[0, 0] == 1.0
 
 
 class TestDiagnostics:

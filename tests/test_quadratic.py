@@ -1,9 +1,10 @@
 """Certification pipeline: forcing sizes, spectral rate bounds, constant
-fitting, ceilings, tail limits, the assembled certificate, exit retraction
-and the two-solution separation test.
+fitting, ceilings, tail limits, the assembled certificate and the
+two-solution separation test.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,28 +15,27 @@ from vwbound.errors import (
     DegeneratePencil,
     DomainError,
     InfeasibleConditionE,
-    NotRetractable,
 )
 from vwbound.expr import MatrixFunction, VectorFunction
 from vwbound.growth import GrowthPair
+from vwbound.pencil import SymmetricPencil, lambda_extremes
 from vwbound.quadratic import (
     SAFETY_INFLATION,
     SIGMA_GRID,
     Certificate,
     QuadraticProblem,
+    _forcing,
+    _grid,
+    _stack,
+    _v_rates,
+    _w_rates,
     alpha_curve,
     certify,
     closed_form_ceiling,
     fit_constants,
     limits_from_tail,
-    phi,
-    psi,
-    rate_inequalities_check,
-    retract_exit,
     sample_region_states,
     uniqueness_quadratic,
-    v_rate_extreme,
-    w_rate_min,
 )
 
 
@@ -54,20 +54,105 @@ def constant_problem(a, b, c, f0, **kw):
     )
 
 
+def forcing_at(qp, t):
+    """(phi, psi) at ``t`` from the stacked engine, on a one-row grid."""
+    ph, ps = _forcing(_grid(qp, [t]))
+    return float(ph[0]), float(ps[0])
+
+
+def rates_at(qp, t, x):
+    """(Lam_V, lam_W) at ``(t, x)`` from the stacked engine, on a one-row
+    grid: the signed max-abs characteristic value of
+    ``(BA + A^T B + B') - lambda B`` and the smallest one of
+    ``(CA + A^T C + C') - lambda B``."""
+    g, a = _grid(qp, [t]), _stack(qp.a, [t], [x])
+    return float(_v_rates(g, a)[0]), float(_w_rates(g, a)[0])
+
+
+@dataclass
+class RateCheckReport:
+    """Two-sided check of the spectral rate bounds.
+
+    ``worst_v_margin`` is the minimum over samples of
+    ``|Lam_V| V + 2 phi sqrt(V) - |dV/dt|``, and ``worst_w_margin`` that
+    of ``dW/dt - (lam_W V - 2 psi sqrt(V))``; both should be >= 0 up to
+    roundoff.  ``rate_gap`` is the largest relative difference between
+    the oracle's rates and forcing sizes and the stacked engine's.
+    """
+
+    n_samples: int
+    worst_v_margin: float
+    worst_w_margin: float
+    rate_gap: float
+
+    @property
+    def passed(self) -> bool:
+        slack = 1e-9
+        return self.worst_v_margin >= -slack and self.worst_w_margin >= -slack
+
+
+def rate_inequalities_check(qp, v_hi, n_samples=2000, seed=0):
+    """Oracle for the rate bounds: sample the region and compare dV/dt and
+    dW/dt along the vector field (quadratic forms) with their spectral
+    bounds, computed per sample by ``lambda_extremes`` on matrices from
+    ``qp.a/b/c.eval`` -- a route independent of the stacked
+    ``_forcing`` / ``_v_rates`` / ``_w_rates`` that certify uses, which
+    are compared with it on the same samples."""
+    rng = np.random.default_rng(seed)
+    t_lo, t_hi = qp.window
+    worst_v = worst_w = math.inf
+    gap = 0.0
+    count = 0
+    while count < n_samples:
+        t = float(rng.uniform(t_lo, t_hi))
+        states = sample_region_states(
+            qp, t, rng, min(16, n_samples - count), qp.v0, v_hi
+        )
+        bmat, cmat = qp.b.eval(t), qp.c.eval(t)
+        bdot, cdot = qp.b_dot.eval(t), qp.c_dot.eval(t)
+        f0 = qp.f0.eval(t)
+        ph = math.sqrt(float(f0 @ bmat @ f0))
+        cf = cmat @ f0
+        ps = math.sqrt(float(cf @ np.linalg.solve(bmat, cf)))
+        gap = max(gap, *(abs(mine - stacked) / max(1.0, mine) for
+                         mine, stacked in zip((ph, ps), forcing_at(qp, t))))
+        for x in states:
+            a = qp.a.eval(t, x)
+            lo, hi = lambda_extremes(
+                SymmetricPencil(bmat @ a + a.T @ bmat + bdot, bmat))
+            lam_v = max(abs(lo), abs(hi))
+            lam_w = lambda_extremes(
+                SymmetricPencil(cmat @ a + a.T @ cmat + cdot, bmat))[0]
+            stacked_v, stacked_w = rates_at(qp, t, x)
+            gap = max(gap, abs(lam_v - abs(stacked_v)) / max(1.0, lam_v),
+                      abs(lam_w - stacked_w) / max(1.0, abs(lam_w)))
+            f = np.array(qp.rhs(t, x))
+            v = float(x @ bmat @ x)
+            sq = math.sqrt(v)
+            v_dot = float(x @ bdot @ x + 2.0 * (bmat @ x) @ f)
+            w_dot = float(x @ cdot @ x + 2.0 * (cmat @ x) @ f)
+            worst_v = min(worst_v, lam_v * v + 2.0 * ph * sq - abs(v_dot))
+            worst_w = min(worst_w, w_dot - (lam_w * v - 2.0 * ps * sq))
+            count += 1
+    return RateCheckReport(count, worst_v, worst_w, gap)
+
+
 class TestForcingSizes:
     def test_reference_phi_psi_constant(self, reference_problem):
         # |f0| = 0.1 in the Euclidean = B metric at every t; C is an
         # isometry on it
         for t in (-7.0, 0.0, 0.3, 11.0):
-            assert phi(reference_problem, t) == pytest.approx(0.1, rel=1e-12)
-            assert psi(reference_problem, t) == pytest.approx(0.1, rel=1e-12)
+            ph, ps = forcing_at(reference_problem, t)
+            assert ph == pytest.approx(0.1, rel=1e-12)
+            assert ps == pytest.approx(0.1, rel=1e-12)
 
     def test_identity_metric_is_euclidean_norm(self):
         qp = constant_problem(
             [[0.0, 0.0], [0.0, 0.0]], np.eye(2), np.eye(2), [3.0, 4.0]
         )
-        assert phi(qp, 0.0) == pytest.approx(5.0)
-        assert psi(qp, 0.0) == pytest.approx(5.0)
+        ph, ps = forcing_at(qp, 0.0)
+        assert ph == pytest.approx(5.0)
+        assert ps == pytest.approx(5.0)
 
     def test_weighted_metric(self):
         b = np.diag([4.0, 1.0])
@@ -75,17 +160,18 @@ class TestForcingSizes:
             [[0.0, 0.0], [0.0, 0.0]], b, np.eye(2), [3.0, 4.0]
         )
         # phi^2 = <B f, f>; psi^2 = <B^-1 C f, C f>
-        assert phi(qp, 0.0) == pytest.approx(math.sqrt(4 * 9 + 16))
-        assert psi(qp, 0.0) == pytest.approx(math.sqrt(9 / 4 + 16))
+        ph, ps = forcing_at(qp, 0.0)
+        assert ph == pytest.approx(math.sqrt(4 * 9 + 16))
+        assert ps == pytest.approx(math.sqrt(9 / 4 + 16))
 
 
 class TestRateBounds:
     def test_reference_closed_form(self, reference_problem):
         # BA + A^T B = diag(2, -2) vs B = I: max-abs value 2 (positive on
         # the tie); CA + A^T C = diag(2, 2) vs B: minimum 2
-        x = np.zeros(2)
-        assert v_rate_extreme(reference_problem, 0.0, x) == pytest.approx(2.0)
-        assert w_rate_min(reference_problem, 0.0, x) == pytest.approx(2.0)
+        lam_v, lam_w = rates_at(reference_problem, 0.0, np.zeros(2))
+        assert lam_v == pytest.approx(2.0)
+        assert lam_w == pytest.approx(2.0)
 
     def test_against_determinant_roots(self):
         rng = np.random.default_rng(17)
@@ -97,10 +183,7 @@ class TestRateBounds:
             qp = constant_problem(a, b, np.eye(n), np.zeros(n))
             x = np.zeros(n)
             m = b @ a + a.T @ b
-            for lam, which in (
-                (v_rate_extreme(qp, 0.0, x), m),
-                (w_rate_min(qp, 0.0, x), a + a.T),
-            ):
+            for lam, which in zip(rates_at(qp, 0.0, x), (m, a + a.T)):
                 refined = det_root_refine(which, b, lam)
                 assert abs(refined - lam) <= 1e-8 * max(1.0, abs(lam))
 
@@ -126,6 +209,20 @@ class TestRegionSampling:
         assert rep.passed
         assert rep.worst_v_margin >= -1e-9
         assert rep.worst_w_margin >= -1e-9
+        assert rep.rate_gap <= 1e-12
+
+    def test_rate_inequalities_hold_on_state_dependent_a(self):
+        # the reference rates tie (Lam_V = +-2, lam_W = 2 twice); here
+        # BA + A^T B = diag(2 + x1 x2, -2) and CA + A^T C = diag(2 + x1 x2,
+        # 2), so the sign of x1 x2 decides which extreme each rate is
+        qp = make_reference_problem(
+            a=MatrixFunction.from_strings(
+                [["1 + 0.5*x1*x2", "0"], ["0", "-1"]], n_states=2
+            )
+        )
+        rep = rate_inequalities_check(qp, v_hi=0.12, n_samples=400, seed=2)
+        assert rep.passed
+        assert rep.rate_gap <= 1e-12
 
 
 class TestConstantFitting:
@@ -166,11 +263,11 @@ class TestConstantFitting:
             assert fits[k] == fit_constants(qp, (sigma,), samples, 0.02)[0]
             # c1, c2 do not depend on sigma
             assert (fits[k].c1, fits[k].c2) == (fits[0].c1, fits[0].c2)
-            # brute-force c3 from the per-point rate routines
+            # brute-force c3 from the rates of one point at a time
             c3 = SAFETY_INFLATION * max(
-                abs(v_rate_extreme(qp, t, x))
-                / (qp.quad_v(t, x) ** sigma * w_rate_min(qp, t, x))
+                abs(lam_v) / (qp.quad_v(t, x) ** sigma * lam_w)
                 for t, x in samples
+                for lam_v, lam_w in [rates_at(qp, t, x)]
             )
             assert fits[k].c3 == c3
 
@@ -351,26 +448,6 @@ class TestCertify:
         c2 = certify(reference_problem, seed=42)
         assert c1.c3 == c2.c3
         assert np.array_equal(c1.ceiling, c2.ceiling)
-
-
-class TestRetraction:
-    def test_projects_onto_exit_level(self, reference_problem):
-        y = retract_exit(reference_problem, 0.0, [2.0, 5.0], 1.0)
-        assert y == pytest.approx([1.0, 0.0])
-        assert reference_problem.quad_w(0.0, y) == pytest.approx(1.0)
-
-    def test_idempotent(self, reference_problem):
-        y = retract_exit(reference_problem, 0.0, [2.0, 5.0], 1.0)
-        again = retract_exit(reference_problem, 0.0, y, 1.0)
-        assert again == pytest.approx(y)
-
-    def test_no_positive_component(self, reference_problem):
-        with pytest.raises(NotRetractable):
-            retract_exit(reference_problem, 0.0, [0.0, 5.0], 1.0)
-
-    def test_level_must_be_positive(self, reference_problem):
-        with pytest.raises(DomainError):
-            retract_exit(reference_problem, 0.0, [2.0, 5.0], 0.0)
 
 
 class TestUniqueness:

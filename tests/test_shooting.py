@@ -22,7 +22,7 @@ from vwbound.errors import (
 )
 from vwbound.expr import MatrixFunction, VectorFunction, compile_stepper
 from vwbound.growth import growth_integral_inv
-from vwbound.ode import eval_v_w_along, integrate
+from vwbound.ode import eval_v_w_along, integrate, make_region_events
 from vwbound.problemdoc import load_problem_document
 from vwbound import shooting
 from vwbound.quadratic import QuadraticProblem, certify
@@ -167,7 +167,9 @@ class TestClassifyStart:
         res = classify_start(qp, chart, np.array([u]), horizon=horizon,
                              v0=0.02, v_star=0.15)
         full = integrate(qp.rhs, -5.0, chart.point([u]), horizon, tol=1e-8,
-                         events=shooting._exit_events(qp, 0.02, 0.15))
+                         events=make_region_events(qp.quad_w, qp.quad_v,
+                                                   qp.w_plus, qp.w_minus,
+                                                   0.02, 0.15))
         lean = res.traj
         assert full.ts.size > 10
         assert lean.ts.tolist() == [-5.0, full.t_end if not res.is_stayed
@@ -298,12 +300,11 @@ def test_every_ladder_rung_contributes(reference_solution_run,
                              reference_certificate)
     for sol, t_plus, n_rungs in ((reference_solution_run, 40.0, 14),
                                  (short, 12.0, 8)):
-        cfg = sol.config
         spacing = sol.starts[1].t - sol.starts[0].t
         assert len(sol.starts) == n_rungs
         assert sol.traj.t_end == pytest.approx(t_plus, abs=1e-9)
         for start in sol.starts:
-            lo = start.t + cfg.settle
+            lo = start.t + shooting.SETTLE
             span = (sol.traj.ts > lo - 1e-9) & (sol.traj.ts <= lo + spacing)
             assert np.count_nonzero(span) > 0, start.t
         assert [r.t for r in sol.rungs] == [s.t for s in sol.starts]
