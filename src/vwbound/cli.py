@@ -249,6 +249,9 @@ def _read_trajectory_csv(path, n: int) -> Trajectory:
                 raise DocumentError(
                     f"non-finite value in row: {line!r}", line=line_no
                 )
+            if ts and not values[0] > ts[-1]:
+                raise DocumentError("trajectory times must strictly "
+                                    "increase", line=line_no)
             ts.append(values[0])
             xs.append(values[1:n + 1])
     if not ts:

@@ -22,7 +22,7 @@ The module provides
 * :func:`to_text` — canonical printing (``parse(to_text(a)) == a``),
 * :class:`MatrixFunction` / :class:`VectorFunction` — entry grids, each
   evaluated by one generated function, constants cached, symmetry checked
-  on the expressions themselves,
+  on the expressions themselves; ``stack`` evaluates one at many points,
 * :func:`compile_rhs` / :func:`compile_quadform` — generated right-hand
   side and quadratic forms,
 * :func:`compile_stepper` — the integrator's step loop, generated per
@@ -800,6 +800,20 @@ class _Entries:
             # Python floats, so that 1/0 is DivisionByZero and not inf
             x = x.tolist()
         return np.array(self._fn(t, x))
+
+    def stack(self, ts, xs=None) -> np.ndarray:
+        """The entries at each time of ``ts`` and state of ``xs`` (zero
+        when omitted), stacked along a new first axis; a constant is
+        broadcast as a read-only view, not re-evaluated."""
+        ts = np.asarray(ts, dtype=float)
+        if self._const is not None:
+            return np.broadcast_to(self._const, ts.shape + self._const.shape)
+        if xs is None:
+            xs = [self._origin] * ts.size
+        else:
+            # Python floats, as in eval
+            xs = np.asarray(xs, dtype=float).reshape(ts.size, self.n_states).tolist()
+        return np.array([self._fn(t, x) for t, x in zip(ts.tolist(), xs)])
 
 
 class MatrixFunction(_Entries):

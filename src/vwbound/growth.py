@@ -24,7 +24,8 @@ converts a budget on W into certified ceilings for V, which is what the
   both ends,
 * :func:`return_time`            — how long V can stay above ``v0``,
 * :func:`global_sup_bound` / :func:`sup_bound_curve` — ceilings along the
-  whole line from the W-window alone.
+  whole line from the W-window alone, the latter through
+  :func:`envelope_ceilings`, one F^-1 per distinct budget.
 
 :func:`growth_integral` and :func:`growth_integral_inv` are the one F /
 F^-1 engine, on numpy and the standard library only.  With ``s = sqrt(u)``
@@ -67,9 +68,10 @@ __all__ = [
     "return_time",
     "global_sup_bound",
     "sup_bound_curve",
+    "envelope_ceilings",
 ]
 
-#: default ceiling multiplier for inverse bracketing
+#: F^-1 brackets below this multiple of v0 (GrowthPair.vmax)
 VMAX_FACTOR = 1.0e6
 
 _EPS = float(np.finfo(float).eps)
@@ -212,7 +214,7 @@ def growth_integral(gp: GrowthPair, v: float) -> float:
     return _clock(gp, math.sqrt(gp.v0), math.sqrt(v))
 
 
-def growth_integral_inv(gp: GrowthPair, z: float, vmax: float | None = None) -> float:
+def growth_integral_inv(gp: GrowthPair, z: float) -> float:
     """``F^-1(z)`` for ``z >= 0``; satisfies ``|F(v) - z| <= 1e-9 (1+z)``.
 
     Brackets by doubling from ``v0``, then polishes with Newton steps on
@@ -222,8 +224,8 @@ def growth_integral_inv(gp: GrowthPair, z: float, vmax: float | None = None) -> 
     Raises
     ------
     NoUpperBracket
-        If ``F`` never reaches ``z`` below the ceiling (default
-        ``1e6 * v0``): the requested budget exceeds what the growth pair
+        If ``F`` never reaches ``z`` below the ceiling ``gp.vmax``
+        (``1e6 * v0``): the requested budget exceeds what the growth pair
         can certify.
     """
     z = float(z)
@@ -231,8 +233,7 @@ def growth_integral_inv(gp: GrowthPair, z: float, vmax: float | None = None) -> 
         raise DomainError(f"growth integral inverse needs z >= 0, got {z:.6g}")
     if z == 0.0:
         return gp.v0
-    if vmax is None:
-        vmax = gp.vmax
+    vmax = gp.vmax
 
     # doubling bracket with accumulated clock so each rung costs one
     # local sum, not one global one
@@ -391,6 +392,35 @@ def global_sup_bound(gp: GrowthPair, w_plus: float, w_minus: float) -> float:
     return bound_excursion(gp, w_plus, w_minus)
 
 
+def envelope_ceilings(inverse, w_upper, w_lower, at_upper=slice(None),
+                      at_lower=slice(None)) -> tuple[np.ndarray, list]:
+    """``F^-1`` of the budgets ``max(0, [sup_{s>=t_i} w_upper(s) -
+    inf_{s<=t_j} w_lower(s)] / 2)`` for ``i, j`` from ``at_upper,
+    at_lower`` (default: each sample), calling ``inverse`` (the caller's
+    binding of :func:`growth_integral_inv` on one growth pair) once per
+    distinct budget.  A budget F cannot reach below Vmax gets the ceiling
+    ``inf`` and, in increasing order of budget, one ``(k, exc)`` in the
+    returned list: ``k`` its first position, ``exc`` the
+    :class:`NoUpperBracket` raised.
+    """
+    sup_right = np.maximum.accumulate(np.asarray(w_upper, float)[::-1])[::-1]
+    inf_left = np.minimum.accumulate(np.asarray(w_lower, float))
+    z = 0.5 * (sup_right[at_upper] - inf_left[at_lower])
+    # max(0, z) as the builtin has it: a nan budget becomes 0
+    budgets, first, back = np.unique(
+        np.where(z > 0.0, z, 0.0), return_index=True, return_inverse=True
+    )
+    out = np.empty(budgets.size)
+    misses = []
+    for k, budget in enumerate(budgets.tolist()):
+        try:
+            out[k] = inverse(budget)
+        except NoUpperBracket as exc:
+            out[k] = math.inf
+            misses.append((int(first[k]), exc))
+    return out[back], misses
+
+
 def sup_bound_curve(
     gp: GrowthPair,
     ts: np.ndarray,
@@ -403,15 +433,12 @@ def sup_bound_curve(
     ``w_lower(t)`` from below where they enter; the ceiling at ``t`` uses
     the least favourable exit after ``t`` and entry before ``t``:
     ``F^-1( [sup_{s>=t} w_upper(s) - inf_{s<=t} w_lower(s)] / 2 )``.
+    Raises :class:`NoUpperBracket` for the first ``t`` whose budget F
+    cannot reach below Vmax.
     """
-    ts = np.asarray(ts, dtype=float)
-    w_upper = np.asarray(w_upper, dtype=float)
-    w_lower = np.asarray(w_lower, dtype=float)
-    sup_right = np.maximum.accumulate(w_upper[::-1])[::-1]
-    inf_left = np.minimum.accumulate(w_lower)
-    return np.array(
-        [
-            growth_integral_inv(gp, max(0.0, 0.5 * (hi - lo)))
-            for hi, lo in zip(sup_right, inf_left)
-        ]
+    ceiling, misses = envelope_ceilings(
+        lambda z: growth_integral_inv(gp, z), w_upper, w_lower
     )
+    if misses:
+        raise min(misses, key=lambda miss: miss[0])[1]
+    return ceiling

@@ -298,11 +298,14 @@ def integrate(
     status = "reached_end"
 
     # a start sitting on a watched level with matching outgoing slope is an
-    # immediate event (boundary starts of the shooting stage rely on this)
+    # immediate event (boundary starts of the shooting stage rely on this);
+    # the levels at the start seed the step loop
     f0 = rhs(t0, x0)
     n_rhs = 2  # f0 plus the probe in _initial_step
+    g_start = []
     for ev in events:
         g0 = float(ev.level(t0, x0))
+        g_start.append(g0)
         if abs(g0) <= ev.tol:
             dt_probe = 1e-8 * max(1.0, abs(t0)) * direction
             x_probe = [v + dt_probe * f for v, f in zip(x0, f0)]
@@ -342,8 +345,7 @@ def integrate(
         ),
     )
     consts = [ev.form[1] if ev.form else ev.level for ev in events]
-    state = (t0, x0, f0, h, 1.0, False, 0, 0,
-             [float(ev.level(t0, x0)) for ev in events])
+    state = (t0, x0, f0, h, 1.0, False, 0, 0, g_start)
     no_sample = direction * math.inf
     t_due = t_samples[0] if t_samples else no_sample
     step_fn, limit = advance, MAX_STEPS
@@ -525,28 +527,18 @@ def eval_v_w_along(qp, traj: Trajectory, gp=None) -> VWCurves:
     growth-clock rate ``dF(V)/dt = g(V)/G(V) * dV/dt`` is attached
     (``nan`` where ``V < v0``, where the clock is not running).
     """
-    m = traj.ts.size
-    v = np.empty(m)
-    w = np.empty(m)
-    v_dot = np.empty(m)
-    w_dot = np.empty(m)
-    b_dot = qp.b_dot
-    c_dot = qp.c_dot
-    rhs = qp.rhs
-    for i in range(m):
-        t = float(traj.ts[i])
-        x = traj.xs[i]
-        bmat = qp.b.eval(t, x)
-        cmat = qp.c.eval(t, x)
-        f = np.array(rhs(t, x))
-        v[i] = float(x @ bmat @ x)
-        w[i] = float(x @ cmat @ x)
-        v_dot[i] = float(x @ b_dot.eval(t, x) @ x + 2.0 * (bmat @ x) @ f)
-        w_dot[i] = float(x @ c_dot.eval(t, x) @ x + 2.0 * (cmat @ x) @ f)
+    ts, xs = traj.ts, traj.xs
+    b, c, b_dot, c_dot = (fn.stack(ts) for fn in (qp.b, qp.c, qp.b_dot, qp.c_dot))
+    f = np.array([qp.rhs(t, x) for t, x in zip(ts.tolist(), xs)])[..., None]
+    # x as rows and columns: each product is that of (x B) x + 2 (B x) f
+    row, col = xs[:, None, :], xs[..., None]
+    v = (row @ b @ col)[:, 0, 0]
+    w = (row @ c @ col)[:, 0, 0]
+    v_dot = (row @ b_dot @ col + (2.0 * (b @ col)).mT @ f)[:, 0, 0]
+    w_dot = (row @ c_dot @ col + (2.0 * (c @ col)).mT @ f)[:, 0, 0]
     f_dot = None
     if gp is not None:
-        f_dot = np.full(m, np.nan)
-        above = v >= gp.v0
-        for i in np.nonzero(above)[0]:
+        f_dot = np.full(ts.size, np.nan)
+        for i in np.nonzero(v >= gp.v0)[0]:
             f_dot[i] = gp.ratio(v[i]) * v_dot[i]
-    return VWCurves(ts=traj.ts.copy(), v=v, w=w, v_dot=v_dot, w_dot=w_dot, f_dot=f_dot)
+    return VWCurves(ts=ts.copy(), v=v, w=w, v_dot=v_dot, w_dot=w_dot, f_dot=f_dot)

@@ -140,23 +140,9 @@ class QuadraticProblem:
         self.b_dot = self.b.diff_t()
         self.c_dot = self.c.diff_t()
 
-    def _zeros(self):
-        return np.zeros(self.n)
-
 
 # ---------------------------------------------------------------------------
 # spectral quantities, one stack row per time (or per sample)
-
-
-def _stack(fn, ts, xs=None) -> np.ndarray:
-    """``fn`` (a :class:`MatrixFunction` or :class:`VectorFunction`) at
-    each time of ``ts`` and state of ``xs`` (zero when omitted), stacked
-    along a new first axis; a constant is broadcast, not re-evaluated."""
-    if not (fn.depends_on_t or fn.depends_on_state):
-        const = fn.eval(0.0)
-        return np.broadcast_to(const, (len(ts),) + const.shape)
-    xs = np.zeros((len(ts), fn.n_states)) if xs is None else np.asarray(xs, float)
-    return np.array([fn.eval(float(t), x) for t, x in zip(ts, xs)])
 
 
 class _Grid(NamedTuple):
@@ -174,7 +160,7 @@ class _Grid(NamedTuple):
 
 def _grid(qp: QuadraticProblem, ts) -> _Grid:
     return _Grid(
-        *(_stack(fn, ts) for fn in (qp.b, qp.c, qp.b_dot, qp.c_dot, qp.f0))
+        *(fn.stack(ts) for fn in (qp.b, qp.c, qp.b_dot, qp.c_dot, qp.f0))
     )
 
 
@@ -225,7 +211,7 @@ def sample_region_states(
     rejection, so the draw is uniform over directions, not over the region
     volume — adequate for worst-case margin estimation.
     """
-    low_inv = np.linalg.inv(cholesky_spd(qp.b.eval(t, qp._zeros())))
+    low_inv = np.linalg.inv(cholesky_spd(qp.b.eval(t)))
     out: list[np.ndarray] = []
     for _ in range(SAMPLE_TRIES):
         if len(out) >= n:
@@ -292,7 +278,7 @@ def fit_constants(
     grid_ts, at = np.unique(times, return_inverse=True)
     g = _grid(qp, grid_ts)
     ph, ps = (v[at] for v in _forcing(g))
-    g, a = g.take(at), _stack(qp.a, times, xs)
+    g, a = g.take(at), qp.a.stack(times, xs)
     lam_v = np.abs(_v_rates(g, a))
     lam_w = _w_rates(g, a)
     bad = (lam_w <= 0.0) | ((lam_v == 0.0) & (ph > 0.0))
@@ -365,9 +351,9 @@ def alpha_curve(
     state-independent, since lam_W then does not depend on x)."""
     ts = np.asarray(ts, dtype=float)
     if not qp.a.depends_on_state:
-        return _w_rates(_grid(qp, ts), _stack(qp.a, ts))
+        return _w_rates(_grid(qp, ts), qp.a.stack(ts))
     at, xs = _sample_grid(qp, ts, rng, v0 * (1.0 + 1e-9), v_hi)
-    lam_w = _w_rates(_grid(qp, ts).take(at), _stack(qp.a, ts[at], xs))
+    lam_w = _w_rates(_grid(qp, ts).take(at), qp.a.stack(ts[at], xs))
     out = np.full(ts.size, math.nan)
     np.fmin.at(out, at, lam_w)  # fmin skips the NaN of a time without states
     return out
@@ -839,7 +825,7 @@ def uniqueness_quadratic(
     rng = default_rng(seed)
     t_lo, t_hi = qp.window
     ts = np.linspace(t_lo, t_hi, qp.n_grid)
-    z = qp._zeros()
+    z = np.zeros(qp.n)
     c_hat = qp.c_hat if qp.c_hat is not None else qp.c
     c_hat_dot = c_hat.diff_t()
     notes: list[str] = []
@@ -863,38 +849,40 @@ def uniqueness_quadratic(
             )
 
         def a_hat(t, x, y):
-            return qp.a.eval(t, z)
+            return qp.a.eval(t)
 
         notes.append("A is state-independent; difference matrix equals A")
 
     v_hi = v_hi if v_hi is not None else (qp.v_star or 1.0)
     v_lo = qp.v0 if qp.v0 is not None else v_hi / 4.0
 
-    beta = np.empty(ts.size)
-    big_lam = np.empty(ts.size)
-    beta_min = math.inf
-    witness = None
-    for i, t in enumerate(ts):
-        tt = float(t)
-        bmat = qp.b.eval(tt, z)
-        ch = c_hat.eval(tt, z)
-        big_lo, big_hi = lambda_extremes(SymmetricPencil(ch, bmat))
-        big_lam[i] = big_hi if abs(big_hi) >= abs(big_lo) else big_lo
-        chd = c_hat_dot.eval(tt, z)
-        states = sample_region_states(qp, tt, rng, SEPARATION_STATES, v_lo,
+    # the region states of each grid time, paired off in twos
+    pairs = []  # (grid index, x, y)
+    for i, t in enumerate(ts.tolist()):
+        states = sample_region_states(qp, t, rng, SEPARATION_STATES, v_lo,
                                       v_hi)
         if len(states) < 2:
             states = [z.copy(), z.copy()]
-        pairs = list(zip(states[::2], states[1::2]))
-        m = ch @ np.array([a_hat(tt, x, y) for x, y in pairs], dtype=float)
-        lam = lambda_extremes(
-            SymmetricPencil(m + m.mT + chd, np.broadcast_to(bmat, m.shape))
-        )[0]
-        j = int(np.argmin(lam))
-        beta[i] = lam[j]
-        if lam[j] < beta_min:
-            beta_min = float(lam[j])
-            witness = (tt, pairs[j][0].copy(), pairs[j][1].copy())
+        pairs += [(i, x, y) for x, y in zip(states[::2], states[1::2])]
+    at = np.array([i for i, _, _ in pairs])
+
+    b, ch = qp.b.stack(ts), c_hat.stack(ts)
+    big_lo, big_hi = lambda_extremes(SymmetricPencil(ch, b))
+    big_lam = np.where(np.abs(big_hi) >= np.abs(big_lo), big_hi, big_lo)
+    m = ch[at] @ np.array([a_hat(float(ts[i]), x, y) for i, x, y in pairs],
+                          dtype=float)
+    lam = lambda_extremes(
+        SymmetricPencil(m + m.mT + c_hat_dot.stack(ts)[at], b[at])
+    )[0]
+    beta = np.full(ts.size, math.inf)
+    np.minimum.at(beta, at, lam)
+    # the witness: the first pair at the first time attaining the least
+    # value, among the times whose beta is not nan
+    k = int(np.argmin(np.where(np.isnan(beta[at]), math.inf, lam)))
+    beta_min, witness = math.inf, None
+    if lam[k] < math.inf:
+        i, x, y = pairs[k]
+        beta_min, witness = float(lam[k]), (float(ts[i]), x.copy(), y.copy())
 
     # normalized divergence evidence: (1/|Lam_hat(t)|) |int_0^t beta/Lam_hat|
     def normalized(t_index_mask, endpoint):

@@ -42,13 +42,12 @@ from .errors import (
     BudgetExhausted,
     EmptyPositiveSubspace,
     NoSignChange,
-    NoUpperBracket,
     NotConverged,
     RungWorkerLost,
     StepSizeUnderflow,
     VWBoundError,
 )
-from .growth import growth_integral_inv
+from .growth import envelope_ceilings, growth_integral_inv
 from .ode import (
     TOL_MAX,
     TOL_MIN,
@@ -133,7 +132,7 @@ def make_disk_chart(
     reference chart's columns — eigenvector signs are otherwise arbitrary
     and would scramble exit-side bookkeeping along a trajectory.
     """
-    cmat = qp.c.eval(float(t), qp._zeros())
+    cmat = qp.c.eval(float(t))
     proj = spectral_projectors(cmat)
     if proj.n_plus == 0:
         raise EmptyPositiveSubspace(
@@ -718,29 +717,21 @@ def verify_bound(
     notes: list[str] = []
 
     # conservative envelope between certificate grid points: sup over
-    # s >= t from the left grid neighbour, inf over s <= t from the right
-    hi_env = np.maximum.accumulate((cert.lam_plus * cert.v0)[::-1])[::-1]
-    lo_env = np.minimum.accumulate(cert.lam_minus * cert.v0)
+    # s >= t from the left grid neighbour, inf over s <= t from the right;
+    # an argument F cannot reach below Vmax leaves its nodes without a
+    # ceiling, which is a violation
     idx = np.searchsorted(cert.ts, traj.ts, side="right") - 1
     idx = np.clip(idx, 0, cert.ts.size - 2)
-    z_cons = 0.5 * (hi_env[idx] - lo_env[idx + 1])
-    # one F^-1 per distinct argument (at most one per grid interval),
-    # spread back over the nodes; an argument F cannot reach below Vmax
-    # leaves its nodes without a ceiling, which is a violation
-    z_distinct, node_of = np.unique(z_cons, return_inverse=True)
-    ceilings = []
-    for k, z in enumerate(z_distinct):
-        try:
-            ceilings.append(growth_integral_inv(gp, max(0.0, float(z))))
-        except NoUpperBracket as exc:
-            t_first = float(traj.ts[int(np.argmax(node_of == k))])
-            violations.append(
-                f"no envelope ceiling from t = {t_first:.6g}: F never "
-                f"reaches {exc.z:.6g} below Vmax = {exc.vmax:.6g} "
-                f"(F(Vmax) = {exc.reached:.6g})"
-            )
-            ceilings.append(math.inf)
-    ceiling = np.array(ceilings)[node_of]
+    ceiling, misses = envelope_ceilings(
+        lambda z: growth_integral_inv(gp, z), cert.lam_plus * cert.v0,
+        cert.lam_minus * cert.v0, idx, idx + 1,
+    )
+    for first, exc in misses:
+        violations.append(
+            f"no envelope ceiling from t = {float(traj.ts[first]):.6g}: F "
+            f"never reaches {exc.z:.6g} below Vmax = {exc.vmax:.6g} "
+            f"(F(Vmax) = {exc.reached:.6g})"
+        )
     slack_env = float(np.min(ceiling - curves.v))
     if not slack_env > 0.0:
         violations.append(

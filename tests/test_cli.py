@@ -338,6 +338,28 @@ class TestVerify:
         assert "non-finite value in row" in err
         assert "line 2" in err
 
+    @pytest.mark.parametrize("order", ["reversed", "first three repeated"])
+    def test_times_must_strictly_increase(self, ref_doc, cert_file,
+                                          solve_dir, tmp_path, capsys,
+                                          order):
+        # solve writes strictly increasing times; a file whose times run
+        # backwards or repeat is refused at its first such row, not
+        # checked as a trajectory covering [40, -28]
+        header, *rows = (solve_dir / "trajectory.csv").read_text().splitlines()
+        if order == "reversed":
+            rows = rows[::-1]
+        else:  # each of the first three rows twice running
+            rows = [row for row in rows[:3] for _ in "ab"] + rows[3:]
+        bad = tmp_path / "unordered.csv"
+        bad.write_text("\n".join([header] + rows) + "\n")
+        code = main(["verify", ref_doc, "--cert", cert_file,
+                     "--traj", str(bad)])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trajectory times must strictly increase" in captured.err
+        assert "line 3" in captured.err
+
     def test_requires_both_inputs(self, ref_doc, cert_file, capsys):
         assert main(["verify", ref_doc, "--cert", cert_file]) == 64
         assert main(["verify", ref_doc, "--traj", "whatever.csv"]) == 64

@@ -250,6 +250,25 @@ class TestMatrixVector:
         z = VectorFunction.zero(3, n_states=2)
         assert np.allclose(z.eval(1.0), np.zeros(3))
 
+    @pytest.mark.parametrize("fn", [
+        MatrixFunction.constant([[2.0, 1.0], [1.0, 3.0]], 2, symmetric=True),
+        MatrixFunction.from_strings([["2+sin(t)", "t^2"], ["exp(-t)", "1"]],
+                                    n_states=2),
+        MatrixFunction.from_strings([["1 + x1*x2", "t*x2"], ["0", "-1"]],
+                                    n_states=2),
+        VectorFunction.from_strings(["0.1*sin(t)", "x1 - t"], n_states=2),
+    ], ids=["constant", "t-only", "state-dependent", "vector"])
+    def test_stack_equals_per_point_eval(self, fn):
+        ts = np.linspace(-2.0, 3.0, 7)
+        xs = np.random.default_rng(5).standard_normal((ts.size, 2))
+        for states, at in ((xs, xs), (None, np.zeros_like(xs))):
+            got = fn.stack(ts, states)
+            want = np.array([fn.eval(float(t), x) for t, x in zip(ts, at)])
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        if not (fn.depends_on_t or fn.depends_on_state):
+            assert not fn.stack(ts).flags.writeable
+
     def test_compile_rhs(self):
         a = MatrixFunction.from_strings(
             [["1", "0"], ["0", "-1"]], n_states=2

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import simpson_fixed
+from vwbound import growth
 from vwbound.errors import (
     DomainError,
     InfeasibleConditionE,
@@ -212,15 +213,6 @@ class TestAgainstAdaptiveQuadrature:
         assert info.value.vmax == gp.vmax
         assert info.value.z == 1.01 * reach
         assert info.value.reached == pytest.approx(reach, rel=1e-12)
-        # a lower ceiling passed by the caller bounds the search instead
-        v_cap = 10.0 * gp.v0
-        with pytest.raises(NoUpperBracket) as info:
-            growth_integral_inv(gp, growth_integral(gp, 11.0 * gp.v0), v_cap)
-        assert info.value.vmax == v_cap
-        below = growth_integral(gp, 9.0 * gp.v0)
-        assert growth_integral_inv(gp, below, v_cap) == pytest.approx(
-            9.0 * gp.v0, rel=1e-13
-        )
 
     def test_rejects_non_finite_arguments(self):
         gp = make_pair()
@@ -332,6 +324,44 @@ class TestCeilings:
         assert curve[2] == pytest.approx(
             growth_integral_inv(gp, 0.5 * (0.005 + 0.03))
         )
+
+    @pytest.mark.parametrize("w_up,w_lo,distinct", [
+        # arguments 0.02, 0.02, 0.015, -0.005, -0.01: the two negative
+        # ones both invert as 0
+        ([0.02, 0.02, 0.01, -0.03, -0.04], [-0.02] * 5, 3),
+        # arguments 0.025, 0.06, 0.065, 0.035, 0.04
+        ([0.02, 0.01, 0.1, 0.03, 0.02], [0.05, -0.02, -0.03, -0.04, -0.06], 5),
+    ])
+    def test_sup_bound_curve_inverts_each_argument_once(
+        self, monkeypatch, w_up, w_lo, distinct
+    ):
+        gp = make_pair()
+        ts = np.arange(len(w_up), dtype=float)
+        sup_right = np.maximum.accumulate(np.array(w_up)[::-1])[::-1]
+        inf_left = np.minimum.accumulate(np.array(w_lo))
+        per_point = [growth_integral_inv(gp, max(0.0, 0.5 * (hi - lo)))
+                     for hi, lo in zip(sup_right, inf_left)]
+        calls = []
+
+        def counted(gp, z):
+            calls.append(z)
+            return growth_integral_inv(gp, z)
+
+        monkeypatch.setattr(growth, "growth_integral_inv", counted)
+        curve = sup_bound_curve(gp, ts, w_up, w_lo)
+        assert len(calls) == len(set(calls)) == distinct
+        assert curve.tolist() == per_point
+
+    def test_sup_bound_curve_raises_for_the_first_unreachable_time(self):
+        gp = make_pair()
+        reach = growth_integral(gp, gp.vmax)
+        # the arguments are 5, 5 and 2 times the reach: the error names
+        # the first time, not the smallest argument
+        w_up = np.array([0.0, 6.0 * reach, 0.0])
+        w_lo = np.array([-4.0 * reach, 0.0, 0.0])
+        with pytest.raises(NoUpperBracket) as info:
+            sup_bound_curve(gp, np.arange(3.0), w_up, w_lo)
+        assert info.value.z == 0.5 * (6.0 * reach + 4.0 * reach)
 
 
 class TestReturnTime:

@@ -11,6 +11,7 @@ import pytest
 from conftest import make_reference_problem
 from vwbound.errors import DomainError, StepSizeUnderflow
 from vwbound.expr import MatrixFunction, VectorFunction, compile_rhs
+from vwbound.growth import GrowthPair
 from vwbound.ode import (
     EventSpec,
     _dense_output,
@@ -580,3 +581,66 @@ class TestCsvAndCurves:
         # the trapped solution stays below v0 = 0.02, so no clock runs
         assert np.all(curves.v < 0.021)
         assert np.all(np.isnan(curves.f_dot))
+
+
+def eval_v_w_per_node(qp, traj, gp=None):
+    """The per-node loop :func:`eval_v_w_along` replaced, kept as its
+    oracle: V, W, V', W' and the clock rate, one node at a time."""
+    m = traj.ts.size
+    v, w, v_dot, w_dot = (np.empty(m) for _ in range(4))
+    for i in range(m):
+        t = float(traj.ts[i])
+        x = traj.xs[i]
+        bmat = qp.b.eval(t, x)
+        cmat = qp.c.eval(t, x)
+        f = np.array(qp.rhs(t, x))
+        v[i] = float(x @ bmat @ x)
+        w[i] = float(x @ cmat @ x)
+        v_dot[i] = float(x @ qp.b_dot.eval(t, x) @ x + 2.0 * (bmat @ x) @ f)
+        w_dot[i] = float(x @ qp.c_dot.eval(t, x) @ x + 2.0 * (cmat @ x) @ f)
+    f_dot = None
+    if gp is not None:
+        f_dot = np.full(m, np.nan)
+        for i in np.nonzero(v >= gp.v0)[0]:
+            f_dot[i] = gp.ratio(v[i]) * v_dot[i]
+    return v, w, v_dot, w_dot, f_dot
+
+
+class TestStackedCurves:
+    @pytest.fixture(scope="class")
+    def moving_problem(self):
+        # time-dependent B and C, state-dependent A
+        return make_reference_problem(
+            a=MatrixFunction.from_strings(
+                [["1 + 0.5*x1*x2", "0.1*t"], ["0", "-1"]], n_states=2),
+            b=MatrixFunction.from_strings(
+                [["1 + 0.2*sin(t)", "0.1*cos(t)"], ["0.1*cos(t)", "1"]],
+                n_states=2, symmetric=True),
+            c=MatrixFunction.from_strings(
+                [["1 + 0.3*sin(0.5*t)", "0.2"], ["0.2", "-1 - 0.1*t^2"]],
+                n_states=2, symmetric=True),
+        )
+
+    @pytest.mark.parametrize("with_clock", [False, True])
+    def test_equals_the_per_node_loop(self, moving_problem, with_clock):
+        qp = moving_problem
+        traj = integrate(qp.rhs, -2.0, np.array([0.15, -0.1]), 2.0,
+                         tol=1e-9, t_samples=np.linspace(-1.9, 1.9, 77))
+        gp = None
+        if with_clock:
+            # the threshold splits the nodes, so f_dot is nan below it
+            v0 = float(np.median(eval_v_w_per_node(qp, traj)[0]))
+            gp = GrowthPair(sigma=0.5, c1=0.1, c2=0.05, c3=2.0, v0=v0)
+        curves = eval_v_w_along(qp, traj, gp)
+        want = eval_v_w_per_node(qp, traj, gp)
+        got = (curves.v, curves.w, curves.v_dot, curves.w_dot, curves.f_dot)
+        for name, a, b in zip(("v", "w", "v_dot", "w_dot", "f_dot"), got,
+                              want):
+            if b is None:
+                assert a is None, name
+                continue
+            # equal bits, nan included
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+        if with_clock:
+            assert 0 < np.count_nonzero(np.isnan(curves.f_dot)) < traj.ts.size
+        assert np.array_equal(curves.ts, traj.ts)

@@ -3,6 +3,7 @@ fitting, ceilings, tail limits, the assembled certificate and the
 two-solution separation test.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ from vwbound.quadratic import (
     QuadraticProblem,
     _forcing,
     _grid,
-    _stack,
     _v_rates,
     _w_rates,
     alpha_curve,
@@ -65,7 +65,7 @@ def rates_at(qp, t, x):
     grid: the signed max-abs characteristic value of
     ``(BA + A^T B + B') - lambda B`` and the smallest one of
     ``(CA + A^T C + C') - lambda B``."""
-    g, a = _grid(qp, [t]), _stack(qp.a, [t], [x])
+    g, a = _grid(qp, [t]), qp.a.stack([t], [x])
     return float(_v_rates(g, a)[0]), float(_w_rates(g, a)[0])
 
 
@@ -486,3 +486,110 @@ class TestUniqueness:
         )
         assert rep.status == "pass"
         assert rep.beta_min == pytest.approx(2.0, rel=1e-9)
+
+
+def uniqueness_per_time(qp, a_hat, v_hi, seed):
+    """:func:`uniqueness_quadratic` as it was before it stacked its grid,
+    one grid time at a time, kept as its oracle (``a_hat`` given)."""
+    from vwbound.quadratic import (
+        DIVERGENCE_THRESHOLD,
+        SEPARATION_STATES,
+        UniquenessQuadraticReport,
+    )
+
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(*qp.window, qp.n_grid)
+    z = np.zeros(qp.n)
+    c_hat = qp.c_hat if qp.c_hat is not None else qp.c
+    c_hat_dot = c_hat.diff_t()
+    v_lo = qp.v0 if qp.v0 is not None else v_hi / 4.0
+    beta = np.empty(ts.size)
+    big_lam = np.empty(ts.size)
+    beta_min = math.inf
+    witness = None
+    for i, t in enumerate(ts):
+        tt = float(t)
+        bmat = qp.b.eval(tt, z)
+        ch = c_hat.eval(tt, z)
+        big_lo, big_hi = lambda_extremes(SymmetricPencil(ch, bmat))
+        big_lam[i] = big_hi if abs(big_hi) >= abs(big_lo) else big_lo
+        chd = c_hat_dot.eval(tt, z)
+        states = sample_region_states(qp, tt, rng, SEPARATION_STATES, v_lo,
+                                      v_hi)
+        if len(states) < 2:
+            states = [z.copy(), z.copy()]
+        pairs = list(zip(states[::2], states[1::2]))
+        m = ch @ np.array([a_hat(tt, x, y) for x, y in pairs], dtype=float)
+        lam = lambda_extremes(
+            SymmetricPencil(m + m.mT + chd, np.broadcast_to(bmat, m.shape))
+        )[0]
+        j = int(np.argmin(lam))
+        beta[i] = lam[j]
+        if lam[j] < beta_min:
+            beta_min = float(lam[j])
+            witness = (tt, pairs[j][0].copy(), pairs[j][1].copy())
+
+    def normalized(t_index_mask, endpoint):
+        sel = np.nonzero(t_index_mask)[0]
+        if sel.size < 2:
+            return 0.0
+        integrand = beta[sel] / big_lam[sel]
+        integral = abs(float(np.trapezoid(integrand, ts[sel])))
+        return integral / abs(float(big_lam[endpoint]))
+
+    div_left = normalized(ts <= 0.0, 0)
+    div_right = normalized(ts >= 0.0, ts.size - 1)
+    diverges = min(div_left, div_right) >= DIVERGENCE_THRESHOLD
+    notes = []
+    if beta_min > 0.0 and not diverges:
+        notes.append(
+            "rate floor positive but the window integral stays below the "
+            "divergence threshold; uniqueness is only window-supported"
+        )
+    return UniquenessQuadraticReport(
+        status="pass" if (beta_min > 0.0 and diverges) else "fail",
+        beta_min=beta_min,
+        witness=witness,
+        lam_hat_curve=beta,
+        big_lam_curve=big_lam,
+        divergence_left=div_left,
+        divergence_right=div_right,
+        divergence_threshold=DIVERGENCE_THRESHOLD,
+        diverges=diverges,
+        notes=notes,
+    )
+
+
+class TestStackedSeparation:
+    @pytest.mark.parametrize("a_hat", [
+        None,
+        # a state-dependent comparison matrix, so the pairs differ
+        lambda t, x, y: np.array([[1.0 + 5.0 * x[0] * y[1], 0.1 * t],
+                                  [0.0, -1.0 + 3.0 * (x[1] - y[0])]]),
+    ], ids=["default", "state-dependent"])
+    def test_equals_the_per_time_loop(self, a_hat):
+        qp = make_reference_problem(
+            window=(-6.0, 6.0), n_grid=25, v0=0.02, v_star=0.12,
+            c_hat=MatrixFunction.from_strings(
+                [["1 + 0.4*sin(0.5*t)", "0.1*t"], ["0.1*t", "-1"]],
+                n_states=2, symmetric=True),
+        )
+        rep = uniqueness_quadratic(qp, a_hat=a_hat, v_hi=0.12, seed=3)
+        want = uniqueness_per_time(
+            qp, a_hat or (lambda t, x, y: qp.a.eval(t)),
+            0.12, 3,
+        )
+        if a_hat is None:
+            want.notes.insert(
+                0, "A is state-independent; difference matrix equals A")
+        assert not np.all(want.big_lam_curve == want.big_lam_curve[0])
+        for field in dataclasses.fields(rep):
+            got, expected = getattr(rep, field.name), getattr(want, field.name)
+            if field.name == "witness":
+                assert got[0] == expected[0]
+                assert np.array_equal(got[1], expected[1])
+                assert np.array_equal(got[2], expected[2])
+            elif isinstance(expected, np.ndarray):
+                assert np.array_equal(got, expected), field.name
+            else:
+                assert got == expected, field.name
