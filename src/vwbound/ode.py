@@ -29,7 +29,13 @@ interpreted, for the interpreter's value or error.  numpy is used only on
 that path and for the arrays of the returned :class:`Trajectory`.  A run
 that asks for no samples (``t_samples=()``) records no per-step nodes,
 only the start and the end or truncation node; the shooting probes run
-so, since they read only where and how an orbit ends.
+so, since they read only where and how an orbit ends.  A probe on a
+one-dimensional disk reads even less, the sign of one chart coordinate
+``c . x`` at its exit, and passes ``c`` as ``exit_row``: when the step
+the run stops in crossed one terminal level and provably cannot change
+that sign anywhere on its dense output (:func:`_row_sign`), the run ends
+there with the sign, without locating the exit.  Every other stop is
+located as above.
 
 Blow-up shows up as step-size underflow and is reported as
 :class:`~vwbound.errors.StepSizeUnderflow` with the last reachable point,
@@ -140,6 +146,10 @@ class Trajectory:
     times when ``t_samples`` was passed to :func:`integrate`); ``events``
     the located crossings in time order; ``status`` is ``"reached_end"``
     or ``"event:<kind>"`` when a terminal event truncated the run.
+    ``side`` is +-1.0 when a run given an ``exit_row`` ended in a step
+    that cannot change the sign of its exit coordinate: that sign, with
+    the exit not located, ``events`` left empty and the step's end as
+    the last node.
     """
 
     ts: np.ndarray
@@ -149,6 +159,7 @@ class Trajectory:
     n_accepted: int = 0
     n_rejected: int = 0
     n_rhs: int = 0
+    side: float | None = None
 
     @property
     def t_end(self) -> float:
@@ -189,6 +200,51 @@ def _dense_output(t, x, h_signed, stages):
         return x + h_signed * (q @ np.array([theta, theta**2, theta**3, theta**4]))
 
     return at
+
+
+# the nonzero rows of _P: stage index, weights of theta..theta^4, and the
+# sum of their absolute values
+_P_ROWS = tuple(
+    (s, tuple(row), sum(abs(w) for w in row))
+    for s, row in enumerate(_P.tolist())
+    if any(row)
+)
+
+
+def _row_sign(exit_row, x, hs, stages):
+    """Sign of ``u = c . x`` everywhere on an accepted step's dense
+    output, or ``None`` when the step might change it.
+
+    ``exit_row = (c, a)`` with ``a_i >= |c_i|`` bounding the magnitudes
+    behind ``c_i`` (for ``c = C e``, ``a = |C| |e|``).  Over the step,
+    ``u(theta) = c . x + hs sum_k (c . q_k) theta^k`` with ``q_k = sum_s
+    k_s P[s][k]``, so ``|u(theta) - u(0)| <= |hs| sum_k |c . q_k|`` for
+    theta in [0, 1].  The sign of ``u(0)`` is returned when ``|u(0)|``
+    exceeds twice that bound plus ``1e-12`` of the magnitudes that
+    enter ``u`` (``a . |x|`` and ``|hs| a . |k_s|`` weighted by ``|P|``),
+    which covers the rounding of this sum and of the chart coordinate of
+    any state on the dense output.
+    """
+    c, a = exit_row
+    u0 = 0.0
+    scale = 0.0
+    for ci, ai, xi in zip(c, a, x):
+        u0 += ci * xi
+        scale += ai * (xi if xi >= 0.0 else -xi)
+    h_abs = hs if hs >= 0.0 else -hs
+    cq = [0.0, 0.0, 0.0, 0.0]
+    for s, weights, weight_abs in _P_ROWS:
+        ck = 0.0
+        k_mag = 0.0
+        for ci, ai, ki in zip(c, a, stages[s]):
+            ck += ci * ki
+            k_mag += ai * (ki if ki >= 0.0 else -ki)
+        cq = [v + ck * w for v, w in zip(cq, weights)]
+        scale += h_abs * weight_abs * k_mag
+    drift = h_abs * sum(abs(v) for v in cq)
+    if abs(u0) > 2.0 * drift + 1e-12 * scale:
+        return math.copysign(1.0, u0)
+    return None
 
 
 def _locate(level, t_a, g_a, t_b, g_b, xtol):
@@ -235,6 +291,7 @@ def integrate(
     tol: float = 1e-9,
     events: list[EventSpec] | None = None,
     t_samples=None,
+    exit_row=None,
 ) -> Trajectory:
     """Integrate ``dx/dt = rhs(t, x)`` from ``t0`` to ``t_end``.
 
@@ -257,6 +314,13 @@ def integrate(
         -output evaluated, restricted to the covered span plus the two
         endpoints) instead of the accepted steps; an empty one keeps
         only the start and the end (or truncation) node.
+    exit_row : pair of float lists, optional
+        ``(c, a)`` for a run that asks for no samples and reads only the
+        sign of ``c . x`` at its exit (see :func:`_row_sign`).  When the
+        run stops in a step where exactly one level crossed, that level
+        is terminal and the step cannot change the sign, the run ends
+        there unlocated with :attr:`Trajectory.side` set; otherwise the
+        exit is located as without it.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(
@@ -296,6 +360,7 @@ def integrate(
     xs = [x0]
     records: list[EventRecord] = []
     status = "reached_end"
+    side = None
 
     # a start sitting on a watched level with matching outgoing slope is an
     # immediate event (boundary starts of the shooting stage rely on this);
@@ -375,16 +440,23 @@ def integrate(
         # "stop": the step from t_old to t crossed a level or passed a
         # sample; locate and emit on its dense output
         t_old, x_old, hs, stages, g_old = step
+        crossed = [
+            (ev, g_a, g_b) for ev, g_a, g_b in zip(events, g_old, g_new)
+            if (ev.direction >= 0 and g_a < 0.0 <= g_b)
+            or (ev.direction <= 0 and g_a > 0.0 >= g_b)
+        ]
+        if (exit_row is not None and t_samples == [] and len(crossed) == 1
+                and crossed[0][0].terminal):
+            side = _row_sign(exit_row, x_old, hs, stages)
+            if side is not None:
+                ts.append(t)
+                xs.append(x)
+                status = f"event:{crossed[0][0].kind}"
+                break
         dense = None
         step_records = []
         truncate_at = None
-        for ev, g_a, g_b in zip(events, g_old, g_new):
-            crossed = (
-                (ev.direction >= 0 and g_a < 0.0 <= g_b)
-                or (ev.direction <= 0 and g_a > 0.0 >= g_b)
-            )
-            if not crossed:
-                continue
+        for ev, g_a, g_b in crossed:
             if g_b == 0.0:
                 t_ev, x_ev = t, np.array(x)
             else:
@@ -445,6 +517,7 @@ def integrate(
         n_accepted=n_accepted,
         n_rejected=n_rejected,
         n_rhs=n_rhs + 6 * (n_accepted + n_rejected),
+        side=side,
     )
 
 
@@ -490,16 +563,20 @@ def make_region_events(
 
 def write_trajectory_csv(path, traj: Trajectory, quadform_v, quadform_w):
     """Plot-ready CSV: header ``t,x1,...,xn,V,W``, one row per node,
-    events appended as ``#event,kind,t,x1,...,xn`` comment lines."""
+    events appended as ``#event,kind,t,x1,...,xn`` comment lines.
+
+    Each row is formatted once, from Python floats, by one ``%.17g``
+    format (the same text as ``f"{v:.17g}"`` per value), and written as
+    it is made."""
     n = traj.xs.shape[1]
+    row = ",".join(["%.17g"] * (n + 3)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         cols = ",".join(f"x{i + 1}" for i in range(n))
         fh.write(f"t,{cols},V,W\n")
-        for t, x in zip(traj.ts, traj.xs):
-            v = quadform_v(float(t), x)
-            w = quadform_w(float(t), x)
-            row = ",".join(f"{val:.17g}" for val in x)
-            fh.write(f"{t:.17g},{row},{v:.17g},{w:.17g}\n")
+        fh.writelines(
+            row % (t, *x, quadform_v(t, x), quadform_w(t, x))
+            for t, x in zip(traj.ts.tolist(), traj.xs.tolist())
+        )
         for ev in traj.events:
             row = ",".join(f"{val:.17g}" for val in ev.x)
             fh.write(f"#event,{ev.kind},{ev.t:.17g},{row}\n")

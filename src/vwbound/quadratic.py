@@ -252,6 +252,7 @@ def fit_constants(
     sigmas,
     samples: list[tuple[float, np.ndarray]],
     v0: float,
+    grid: _Grid | None = None,
 ) -> list[GrowthPair]:
     """Smallest admissible ``c1, c2, c3`` over the sample set, one
     :class:`GrowthPair` per sigma in ``sigmas``, inflated by 1.01 because
@@ -259,7 +260,10 @@ def fit_constants(
 
     The three inequalities fitted are ``2 phi <= c1 |Lam_V|``,
     ``2 psi <= c2 lam_W`` and ``|Lam_V| <= c3 V^sigma lam_W``.  Only c3
-    depends on sigma, so each sample's rates are computed once.
+    depends on sigma, so each sample's rates are computed once.  B, C,
+    B', C' and f0 are evaluated once per distinct sample time, or taken
+    from ``grid`` when the caller has them there already: one row per
+    distinct sample time, in increasing order.
 
     Raises
     ------
@@ -276,7 +280,7 @@ def fit_constants(
     xs = np.array([x for _, x in samples], dtype=float).reshape(times.size, qp.n)
     # B, C, B', C' and f0 once per distinct sample time
     grid_ts, at = np.unique(times, return_inverse=True)
-    g = _grid(qp, grid_ts)
+    g = _grid(qp, grid_ts) if grid is None else grid
     ph, ps = (v[at] for v in _forcing(g))
     g, a = g.take(at), qp.a.stack(times, xs)
     lam_v = np.abs(_v_rates(g, a))
@@ -345,15 +349,18 @@ def alpha_curve(
     v0: float,
     v_hi: float,
     rng: np.random.Generator,
+    grid: _Grid | None = None,
 ) -> np.ndarray:
     """``alpha(t) = inf { lam_W(t,x) : x in region, V(t,x) > v0 }``,
     approximated by the min over state samples (exact when A is
-    state-independent, since lam_W then does not depend on x)."""
+    state-independent, since lam_W then does not depend on x).
+    ``grid`` is ``_grid(qp, ts)`` when the caller has it already."""
     ts = np.asarray(ts, dtype=float)
+    g = _grid(qp, ts) if grid is None else grid
     if not qp.a.depends_on_state:
-        return _w_rates(_grid(qp, ts), qp.a.stack(ts))
+        return _w_rates(g, qp.a.stack(ts))
     at, xs = _sample_grid(qp, ts, rng, v0 * (1.0 + 1e-9), v_hi)
-    lam_w = _w_rates(_grid(qp, ts).take(at), qp.a.stack(ts[at], xs))
+    lam_w = _w_rates(g.take(at), qp.a.stack(ts[at], xs))
     out = np.full(ts.size, math.nan)
     np.fmin.at(out, at, lam_w)  # fmin skips the NaN of a time without states
     return out
@@ -615,26 +622,31 @@ def certify(
     v_star = float(qp.v_star) if qp.v_star is not None else 4.0 * v0
     spread = float(np.max(lam_plus) - np.min(lam_minus))
 
-    def samples_for(v_hi: float) -> list[tuple[float, np.ndarray]]:
+    def samples_for(v_hi: float):
+        """The fit's samples, and the grid rows at their distinct times."""
         if state_free:
             # lam/phi/psi do not depend on x, and V^-sigma is maximal at
             # v0, so per-t samples at V = v0 fit the whole region exactly:
             # x = sqrt(v0) L^-T e_1 = sqrt(v0 / B_11) e_1
             xs = np.zeros((ts.size, qp.n))
             xs[:, 0] = math.sqrt(v0) * (1.0 / np.sqrt(grid.b[:, 0, 0]))
-            return list(zip(ts.tolist(), xs))
+            return list(zip(ts.tolist(), xs)), grid
         at, xs = _sample_grid(qp, ts, rng, v0, v_hi)
         if not at.size:
             raise InfeasibleConditionE(
                 "region sampler produced no states; region may be empty"
             )
-        return list(zip(ts[at].tolist(), xs))
+        # the grid rows with samples (np.unique on ints would import
+        # numpy.ma, ~1 MB and milliseconds, on its first call)
+        rows = np.flatnonzero(np.bincount(at, minlength=ts.size))
+        return list(zip(ts[at].tolist(), xs)), grid.take(rows)
 
     def clock_ceiling(gp: GrowthPair) -> float:
         return growth_integral_inv(gp, max(0.0, 0.5 * v0 * spread))
 
     for _round in range(6):
-        fits = fit_constants(qp, sigma_grid, samples_for(v_star), v0)
+        samples, rows = samples_for(v_star)
+        fits = fit_constants(qp, sigma_grid, samples, v0, rows)
         # min keeps the first sigma on ties
         best = min(fits, key=clock_ceiling)
         (term1, term2), _ = check_v_star(
@@ -672,7 +684,7 @@ def certify(
     gp = best
 
     # alpha curve, (f) and (B): window divergence of the return clock
-    alpha = alpha_curve(qp, ts, v0, v_star, rng)
+    alpha = alpha_curve(qp, ts, v0, v_star, rng, grid)
     if np.any(np.isnan(alpha)):
         conditions["f"] = ConditionResult(
             name="alpha integral divergence",

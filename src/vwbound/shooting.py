@@ -20,13 +20,25 @@ could not meet the verification tolerances; the ladder keeps every
 contributed node within a fixed error band instead.  The ``xi_j = x_j(0)``
 bookkeeping and its convergence rule are unchanged.
 
-Given the region, the search on one disk does not depend on any other, so
-:func:`bounded_solution` searches all its rungs up front and spreads them
-over the CPUs the process may use: the calling process and ``w - 1``
-forked workers (``w`` the size of its CPU affinity set, at most one per
-rung) each take an interleaved share, and the workers send their results
-back through pipes.  There is no setting for this; the results, and so
-every output, are the same for any ``w``, and with one CPU nothing forks.
+A probe (:func:`classify_start`) answers which side its orbit leaves
+through: on a one-dimensional disk whose C does not depend on t it reads
+the sign of the exit chart coordinate, and locates the exit only when the
+last step could have moved that coordinate across zero (see
+:func:`vwbound.ode.integrate`); otherwise, and on larger disks, the exit
+is located and charted.
+
+Given the region, the work on one rung does not depend on any other, so
+:func:`bounded_solution` runs every rung's task up front: the search for
+its trapped start, then, from that start, its xi orbit to t = 0 and its
+patch of the returned trajectory with V at each node (:class:`Rung`).
+The tasks are spread over the CPUs the process may use: the calling
+process and ``w - 1`` forked workers (``w`` the size of its CPU affinity
+set, at most one per rung) each take an interleaved share, and the
+workers send their rungs back through pipes; the caller then only
+assembles them.  A process stops its share at its first failed search,
+and the caller runs a rung nobody ran when it reads it.  There is no
+setting for this; the results, and so every output, are the same for any
+``w``, and with one CPU nothing forks.
 """
 
 from __future__ import annotations
@@ -190,12 +202,18 @@ class Stayed:
 
 @dataclass
 class Exited:
-    """The orbit left through a watched boundary (or blew up)."""
+    """The orbit left through a watched boundary (or blew up).
+
+    ``side`` is the sign of the exit chart coordinate when the probe read
+    it without locating the exit; ``t`` and ``x`` are then the end of the
+    step in which the orbit left.
+    """
 
     t: float
     kind: str
     x: np.ndarray
     traj: Trajectory | None = None
+    side: float | None = None
 
     is_stayed = False
 
@@ -208,6 +226,8 @@ def classify_start(
     v0: float,
     v_star: float,
     tol: float = 1e-8,
+    events=None,
+    exit_row=None,
 ) -> Stayed | Exited:
     """Integrate from the charted start until the horizon or the first
     boundary crossing (W = w+-, V = V*); step-size underflow is reported
@@ -215,20 +235,26 @@ def classify_start(
 
     A probe reads only where and how its orbit ends, so the run records
     no per-step nodes: the trajectory holds the start and the end or
-    exit node, with the located events and the step counters."""
+    exit node, with the located events and the step counters.
+    ``events`` are the region levels of :func:`make_region_events`, built
+    here when not given.  With ``exit_row`` (see :func:`_exit_row`) an
+    exit whose chart side the last step cannot change is not located
+    (:attr:`Exited.side`)."""
     x0 = chart.point(u)
-    events = make_region_events(
-        qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
-    )
+    if events is None:
+        events = make_region_events(
+            qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
+        )
     try:
         traj = integrate(qp.rhs, chart.t, x0, horizon, tol=tol, events=events,
-                         t_samples=())
+                         t_samples=(), exit_row=exit_row)
     except StepSizeUnderflow as exc:
         return Exited(t=exc.t, kind="blowup", x=np.asarray(exc.x), traj=None)
     if traj.status == "reached_end":
         return Stayed(traj=traj)
     kind = traj.status.split(":", 1)[1]
-    return Exited(t=traj.t_end, kind=kind, x=traj.x_end, traj=traj)
+    return Exited(t=traj.t_end, kind=kind, x=traj.x_end, traj=traj,
+                  side=traj.side)
 
 
 @dataclass
@@ -252,10 +278,26 @@ class TrappedStart:
     steps_rejected: int = 0
 
 
+def _exit_row(qp: QuadraticProblem, chart: DiskChart):
+    """``(C e, |C| |e|)`` as float lists for the basis vector ``e`` of a
+    one-dimensional disk whose C does not depend on t, else ``None``:
+    ``C e . x`` is then the chart coordinate of any state at any time, and
+    a probe may read its sign without locating the exit
+    (:func:`vwbound.ode.integrate`'s ``exit_row``)."""
+    if chart.n_plus != 1 or qp.c.depends_on_t:
+        return None
+    e = chart.basis[:, 0]
+    return ((chart.c_mat @ e).tolist(),
+            (np.abs(chart.c_mat) @ np.abs(e)).tolist())
+
+
 def _exit_side(qp: QuadraticProblem, chart0: DiskChart, res: Exited) -> float:
     """First chart coordinate of the exit state, measured in the chart at
-    the exit time aligned to the start chart.  When C does not depend on
-    t (it never depends on the state), that chart is the start chart."""
+    the exit time aligned to the start chart, or its sign when the probe
+    read it unlocated.  When C does not depend on t (it never depends on
+    the state), that chart is the start chart."""
+    if res.side is not None:
+        return res.side
     chart_e = chart0
     if qp.c.depends_on_t:
         chart_e = make_disk_chart(qp, res.t, align_to=chart0)
@@ -287,10 +329,15 @@ def find_trapped_start(
     u_tol = 4.0 * np.finfo(float).eps * chart.radius
 
     steps = [0, 0]  # accepted and rejected, over the probes so far
+    events = make_region_events(
+        qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
+    )
+    exit_row = _exit_row(qp, chart)
 
     def probe(u):
         res = classify_start(
-            qp, chart, u, horizon, v0, v_star, config.integrator_tol
+            qp, chart, u, horizon, v0, v_star, config.integrator_tol,
+            events, exit_row,
         )
         if res.traj is not None:  # None after a blow-up
             steps[0] += res.traj.n_accepted
@@ -383,16 +430,66 @@ def find_trapped_start(
 
 
 # ---------------------------------------------------------------------------
-# the rung searches
+# the rung tasks
 
 
-def _search(qp, t, v0, v_star, config):
-    """:func:`find_trapped_start` at ``t``, or the toolkit error it
-    raised."""
+@dataclass
+class Rung:
+    """What the task of one rung computed, in the process that searched
+    it.
+
+    ``start`` is the trapped start on the rung's disk, or the toolkit
+    error its search raised.  From a start found, the task also
+    integrates the rung's xi orbit to t = 0 when the rung is on the xi
+    schedule (``xi``, a run that records no nodes) and its quilt patch
+    when the rung claims nodes of the returned grid (``patch``: the node
+    times, the states and V at each).  Either is the toolkit error its
+    integration raised instead, raised where the caller reads it.
+    """
+
+    start: TrappedStart | VWBoundError
+    xi: Trajectory | VWBoundError | None = None
+    patch: tuple | VWBoundError | None = None
+
+
+def _run_rung(qp, t, v0, v_star, config, exits, claim) -> Rung:
+    """The task of the rung at ``t``: the search, then the xi orbit when
+    ``exits`` (the region levels) are given and the patch over ``claim``
+    when it holds nodes."""
     try:
-        return find_trapped_start(qp, t, v0, v_star, config)
+        start = find_trapped_start(qp, t, v0, v_star, config)
     except VWBoundError as exc:
-        return exc
+        return Rung(exc)
+    rung = Rung(start)
+    x0 = start.chart.point(start.u)
+    if exits is not None:
+        try:
+            rung.xi = integrate(qp.rhs, t, x0, 0.0, tol=config.integrator_tol,
+                                events=exits, t_samples=np.array([]))
+        except VWBoundError as exc:
+            rung.xi = exc
+    if claim is not None and claim.size:
+        try:
+            patch = integrate(qp.rhs, t, x0, float(claim[-1]),
+                              tol=config.integrator_tol, t_samples=claim[:-1])
+        except VWBoundError as exc:
+            rung.patch = exc
+        else:
+            ts, xs = patch.ts[1:], patch.xs[1:]
+            rung.patch = (ts, xs, np.array([qp.quad_v(tau, x) for tau, x in
+                                            zip(ts.tolist(), xs.tolist())]))
+    return rung
+
+
+def _run_share(task, share) -> list:
+    """``task`` at each time of ``share`` in order, until a rung search
+    fails; ``None`` for the times after that, which nothing searched."""
+    out = []
+    for t in share:
+        out.append(task(t))
+        if isinstance(out[-1].start, VWBoundError):
+            break
+    return out + [None] * (len(share) - len(out))
 
 
 def _rung_processes(n_rungs: int) -> int:
@@ -403,15 +500,13 @@ def _rung_processes(n_rungs: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), n_rungs))
 
 
-def _serve_share(write_end: int, qp, share, v0, v_star, config):
-    """Body of a forked worker: search ``share``, pickle the results into
-    the pipe and leave through ``os._exit``, so that no exit handler runs
+def _serve_share(write_end: int, task, share):
+    """Body of a forked worker: run ``share``, pickle the results into the
+    pipe and leave through ``os._exit``, so that no exit handler runs
     and no inherited stdio buffer is flushed a second time."""
     code = 1
     try:
-        payload = pickle.dumps(
-            [_search(qp, t, v0, v_star, config) for t in share]
-        )
+        payload = pickle.dumps(_run_share(task, share))
         with os.fdopen(write_end, "wb") as pipe:
             pipe.write(payload)
         code = 0
@@ -437,15 +532,15 @@ def _reap(pid: int, pipe, kill: bool) -> int:
     return os.waitpid(pid, 0)[1]
 
 
-def search_rungs(qp, times, v0, v_star, config) -> list:
-    """Search the disk at each of ``times``: per time, in order, the
-    :class:`TrappedStart` found or the :class:`VWBoundError` the search
-    raised, for the caller to raise where it reads that rung.
+def search_rungs(task, times) -> list:
+    """Run the rung task ``task(t)``, a :class:`Rung`, at each of
+    ``times``: per time, in order, its rung, or ``None`` where the
+    process that had it stopped at an earlier failed search of its share.
 
-    With ``w`` processes the calling process searches ``times[0::w]`` and
-    forked worker ``i`` searches ``times[i::w]``, pickling its results
-    into a pipe; a share whose fork fails is searched by the calling
-    process.  Every worker has been reaped when this returns or raises.
+    With ``w`` processes the calling process runs ``times[0::w]`` and
+    forked worker ``i`` runs ``times[i::w]``, pickling its rungs into a
+    pipe; a share whose fork fails is run by the calling process.  Every
+    worker has been reaped when this returns or raises.
 
     Raises
     ------
@@ -454,7 +549,7 @@ def search_rungs(qp, times, v0, v_star, config) -> list:
     """
     w = _rung_processes(len(times))
     results = [None] * len(times)
-    local = [0]  # shares the calling process searches
+    local = [0]  # shares the calling process runs
     workers = []  # (share index, pid, read end of its pipe)
     payloads = None
     try:
@@ -468,21 +563,21 @@ def search_rungs(qp, times, v0, v_star, config) -> list:
                 local.append(i)
                 continue
             if pid == 0:
-                _serve_share(write_end, qp, times[i::w], v0, v_star, config)
+                _serve_share(write_end, task, times[i::w])
             os.close(write_end)
             workers.append((i, pid, os.fdopen(read_end, "rb")))
         for i in local:
-            results[i::w] = [_search(qp, t, v0, v_star, config)
-                             for t in times[i::w]]
+            results[i::w] = _run_share(task, times[i::w])
         payloads = [pipe.read() for _, _, pipe in workers]
     finally:
         statuses = [_reap(pid, pipe, kill=payloads is None)
                     for _, pid, pipe in workers]
-    for (i, _, _), payload, status in zip(workers, payloads, statuses):
+    for k, ((i, _, _), status) in enumerate(zip(workers, statuses)):
         try:
-            found = pickle.loads(payload)
+            found = pickle.loads(payloads[k])
         except (EOFError, pickle.UnpicklingError):  # truncated or empty
             found = []
+        payloads[k] = None  # the bytes are not needed once unpickled
         if len(found) != len(results[i::w]):
             code = os.waitstatus_to_exitcode(status)
             how = (f"was killed by signal {-code}" if code < 0
@@ -509,6 +604,13 @@ class BoundedSolutionResult:
     starts: list  # TrappedStart per ladder rung
     rungs: list  # TrappedStart per rung searched, by time
     notes: list = field(default_factory=list)
+
+
+def _read(part):
+    """A rung part, or the toolkit error it holds raised."""
+    if isinstance(part, VWBoundError):
+        raise part
+    return part
 
 
 def bounded_solution(
@@ -559,21 +661,41 @@ def bounded_solution(
     while ladder[-1] + SETTLE + spacing < t_hi:
         ladder.append(t_lo + len(ladder) * spacing)
 
-    # every rung is searched up front; the two share a rung whenever their
-    # times coincide, and a failed search raises
-    # where the rung is read
+    # the two share a rung whenever their times coincide
     times: dict[float, float] = {}
     for t in xi_times + ladder:
         times.setdefault(round(t, 9), t)
-    found = dict(
-        zip(times, search_rungs(qp, list(times.values()), v0, v_star, config))
-    )
+    xi_keys = {round(t, 9) for t in xi_times}
 
-    def get_start(t: float) -> TrappedStart:
-        start = found[round(t, 9)]
-        if isinstance(start, VWBoundError):
-            raise start
-        return start
+    # the grid nodes each ladder rung claims: its settled span, less what
+    # the rungs below it claimed
+    grid_start = t_lo + SETTLE
+    n_nodes = int(round((t_hi - grid_start) / SAMPLE_DT))
+    grid = grid_start + SAMPLE_DT * np.arange(n_nodes + 1)
+    claims = {}
+    prev_end = -math.inf
+    for t in ladder:
+        key = round(t, 9)
+        span_end = min(times[key] + SETTLE + spacing, t_hi)
+        claims[key] = grid[(grid > prev_end + 1e-12)
+                           & (grid <= span_end + 1e-12)]
+        prev_end = span_end
+
+    # every rung's task runs up front, spread over the CPUs; a failed part
+    # raises where it is read
+    def task(t):
+        key = round(t, 9)
+        return _run_rung(qp, t, v0, v_star, config,
+                         exits if key in xi_keys else None, claims.get(key))
+
+    found = dict(zip(times, search_rungs(task, list(times.values()))))
+
+    def rung(t: float) -> Rung:
+        """The rung at ``t``, run here when its process stopped early."""
+        key = round(t, 9)
+        if found[key] is None:
+            found[key] = task(times[key])
+        return found[key]
 
     # xi bookkeeping: t_j = -j * |T-| / J_COUNT, walked until two
     # consecutive increments drop below the tolerance
@@ -582,16 +704,8 @@ def bounded_solution(
     prev_xi = None
     prev_d = math.inf
     for j, t_j in enumerate(xi_times, start=1):
-        start = get_start(t_j)
-        traj = integrate(
-            qp.rhs,
-            t_j,
-            start.chart.point(start.u),
-            0.0,
-            tol=config.integrator_tol,
-            events=exits,
-            t_samples=np.array([]),
-        )
+        _read(rung(t_j).start)
+        traj = _read(rung(t_j).xi)
         if traj.status != "reached_end":
             notes.append(
                 f"orbit from t_j = {t_j:g} leaves the region at "
@@ -616,41 +730,14 @@ def bounded_solution(
         )
     xi = xi_sequence[-1][2]
 
-    starts = [get_start(t) for t in ladder]
+    starts = [_read(rung(t).start) for t in ladder]
 
-    # quilt assembly: each rung contributes its settled span
-    grid_start = t_lo + SETTLE
-    n_nodes = int(round((t_hi - grid_start) / SAMPLE_DT))
-    grid = grid_start + SAMPLE_DT * np.arange(n_nodes + 1)
-    ts_out: list[float] = []
-    xs_out: list[np.ndarray] = []
-    prev_end = -math.inf
-    for start in starts:
-        span_end = min(start.t + SETTLE + spacing, t_hi)
-        claim = grid[(grid > prev_end + 1e-12) & (grid <= span_end + 1e-12)]
-        if claim.size == 0:
-            prev_end = span_end
-            continue
-        patch = integrate(
-            qp.rhs,
-            start.t,
-            start.chart.point(start.u),
-            float(claim[-1]),
-            tol=config.integrator_tol,
-            t_samples=claim[:-1],
-        )
-        for t, x in zip(patch.ts[1:], patch.xs[1:]):
-            if not ts_out or t > ts_out[-1] + 1e-12:
-                ts_out.append(float(t))
-                xs_out.append(x)
-        prev_end = span_end
-    traj = Trajectory(
-        ts=np.array(ts_out),
-        xs=np.array(xs_out),
-        events=[],
-        status="reached_end",
-    )
-    vs = np.array([qp.quad_v(float(t), x) for t, x in zip(traj.ts, traj.xs)])
+    # quilt assembly: the claims tile the grid in ladder order, and each
+    # patch holds exactly its claim's nodes
+    patches = [_read(r.patch) for r in map(rung, ladder)
+               if r.patch is not None]
+    ts, xs, vs = (np.concatenate(part) for part in zip(*patches))
+    traj = Trajectory(ts=ts, xs=xs, events=[], status="reached_end")
     i_max = int(np.argmax(vs))
     return BoundedSolutionResult(
         traj=traj,
@@ -661,7 +748,8 @@ def bounded_solution(
         sup_v_time=float(traj.ts[i_max]),
         starts=starts,
         rungs=sorted(
-            (s for s in found.values() if isinstance(s, TrappedStart)),
+            (r.start for r in map(rung, times.values())
+             if isinstance(r.start, TrappedStart)),
             key=lambda s: s.t,
         ),
         notes=notes,

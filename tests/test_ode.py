@@ -14,8 +14,10 @@ from vwbound.expr import MatrixFunction, VectorFunction, compile_rhs
 from vwbound.growth import GrowthPair
 from vwbound.ode import (
     EventSpec,
+    Trajectory,
     _dense_output,
     _initial_step,
+    _row_sign,
     integrate,
     make_region_events,
     eval_v_w_along,
@@ -551,6 +553,36 @@ class TestCsvAndCurves:
         assert len(event_lines) == len(traj.events)
         assert event_lines[0].startswith("#event,across,")
 
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_csv_rows_are_the_per_value_format(self, tmp_path, n):
+        # every row equals f"{v:.17g}" per value, as the writer gave when
+        # it formatted value by value, including signed zeros, subnormals
+        # and the ends of the range
+        special = [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0 / 3.0,
+                   -123456.789, 2.0**-1074 * 3]
+        m = len(special)
+        ts = np.array(special[::-1])
+        xs = np.array([[special[(i + k) % m] for k in range(n)]
+                       for i in range(m)])
+        traj = Trajectory(ts=ts, xs=xs, events=[])
+
+        def quad_v(t, x):
+            return -x[0]
+
+        def quad_w(t, x):
+            return t * 2.0
+
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj, quad_v, quad_w)
+        old = [f"t,{','.join(f'x{i + 1}' for i in range(n))},V,W"]
+        for t, x in zip(traj.ts, traj.xs):
+            row = ",".join(f"{val:.17g}" for val in x)
+            v, w = quad_v(float(t), x), quad_w(float(t), x)
+            old.append(f"{t:.17g},{row},{v:.17g},{w:.17g}")
+        assert path.read_bytes() == ("\n".join(old) + "\n").encode()
+        assert "-0," in path.read_text() and "4.9406564584124654e-324" \
+            in path.read_text()
+
     def test_vw_derivatives_match_finite_differences(self):
         qp = make_reference_problem()
         dt = 1e-6
@@ -644,3 +676,44 @@ class TestStackedCurves:
         if with_clock:
             assert 0 < np.count_nonzero(np.isnan(curves.f_dot)) < traj.ts.size
         assert np.array_equal(curves.ts, traj.ts)
+
+
+class TestExitRow:
+    """A run given an ``exit_row`` reads the sign of its exit coordinate
+    without locating the exit, when its last step cannot change it."""
+
+    @pytest.mark.parametrize("slope, expected", [
+        (-0.1, 1.0), (0.4, 1.0), (-2.0, None), (math.nan, None),
+    ])
+    def test_sign_bound(self, slope, expected):
+        # u = x along a straight step of derivative `slope` from u(0) = 1:
+        # u(1) = 1 + slope keeps its sign only for slope > -1, and the
+        # bound asks for a margin of twice the drift
+        stages = [[slope]] * 7
+        assert _row_sign(([1.0], [1.0]), [1.0], 1.0, stages) == expected
+
+    def test_sign_read_where_the_step_cannot_move_it(self):
+        qp = make_reference_problem()
+        events = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
+                                    qp.w_minus, 0.02, 0.15)
+        args = (qp.rhs, -5.0, [0.01, 0.0], 20.0)
+        located = integrate(*args, tol=1e-8, events=events, t_samples=())
+        lean = integrate(*args, tol=1e-8, events=events, t_samples=(),
+                         exit_row=([1.0, 0.0], [1.0, 0.0]))
+        assert located.status == lean.status == "event:W_hits_wplus"
+        assert located.side is None and lean.side == 1.0
+        assert lean.events == [] and len(located.events) == 1
+        # the unlocated run ends at the end of the step the exit is in
+        assert lean.t_end > located.t_end
+        assert (lean.n_accepted, lean.n_rejected, lean.n_rhs) == (
+            located.n_accepted, located.n_rejected, located.n_rhs)
+
+    def test_runs_with_samples_still_locate(self):
+        qp = make_reference_problem()
+        events = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
+                                    qp.w_minus, 0.02, 0.15)
+        traj = integrate(qp.rhs, -5.0, [0.01, 0.0], 20.0, tol=1e-8,
+                         events=events, t_samples=[-4.0],
+                         exit_row=([1.0, 0.0], [1.0, 0.0]))
+        assert traj.side is None
+        assert [ev.kind for ev in traj.events] == ["W_hits_wplus"]

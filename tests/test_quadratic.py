@@ -17,6 +17,7 @@ from vwbound.errors import (
     DomainError,
     InfeasibleConditionE,
 )
+from vwbound import quadratic
 from vwbound.expr import MatrixFunction, VectorFunction
 from vwbound.growth import GrowthPair
 from vwbound.pencil import SymmetricPencil, lambda_extremes
@@ -376,6 +377,39 @@ class TestCertify:
         assert cert.omega0 == pytest.approx(-0.02)
         assert cert.v_small_star == pytest.approx(0.0889789646973690, rel=1e-9)
         assert cert.vstar_slack > 0.0
+
+    @pytest.mark.parametrize("a", ["1", "1 + 0.5*x1*x2"],
+                             ids=["state-free", "sampled"])
+    def test_grid_stacks_evaluated_once(self, monkeypatch, a):
+        # certify evaluates B, C, B', C' and f0 on its grid once and hands
+        # the rows to the fits and to alpha; rows evaluated afresh there
+        # give the same certificate
+        qp = make_reference_problem(
+            a=MatrixFunction.from_strings([[a, "0"], ["0", "-1"]],
+                                          n_states=2),
+            n_grid=41, n_state_samples=6,
+        )
+        grid = quadratic._grid
+        calls = []
+
+        def counted(qp, ts):
+            calls.append(len(ts))
+            return grid(qp, ts)
+
+        monkeypatch.setattr(quadratic, "_grid", counted)
+        cert = certify(qp)
+        assert calls == [41]
+        fit, alpha = quadratic.fit_constants, quadratic.alpha_curve
+        monkeypatch.setattr(quadratic, "fit_constants",
+                            lambda *args: fit(*args[:4]))
+        monkeypatch.setattr(quadratic, "alpha_curve",
+                            lambda *args: alpha(*args[:5]))
+        fresh = certify(qp)
+        assert len(calls) > 2
+        assert repr(fresh) == repr(cert)
+        for name in ("lam_plus", "lam_minus", "alpha", "ceiling"):
+            assert getattr(fresh, name).tobytes() == getattr(
+                cert, name).tobytes()
 
     def test_reference_curves(self, reference_certificate):
         cert = reference_certificate

@@ -22,7 +22,12 @@ from vwbound.errors import (
 )
 from vwbound.expr import MatrixFunction, VectorFunction, compile_stepper
 from vwbound.growth import growth_integral_inv
-from vwbound.ode import eval_v_w_along, integrate, make_region_events
+from vwbound.ode import (
+    eval_v_w_along,
+    integrate,
+    make_region_events,
+    write_trajectory_csv,
+)
 from vwbound.problemdoc import load_problem_document
 from vwbound import shooting
 from vwbound.quadratic import QuadraticProblem, certify
@@ -235,6 +240,95 @@ class TestTrappedStart:
         assert "does not disprove existence" in str(info.value)
 
 
+DEMOS = pathlib.Path(__file__).parents[1] / "demos"
+
+
+class TestLeanProbe:
+    """On a one-dimensional disk whose C does not depend on t, a probe
+    reads the side of its exit without locating it whenever its last
+    step cannot change that side; it must be the side location gives."""
+
+    @pytest.mark.parametrize("demo", ["saddle", "nonlinear"])
+    def test_unlocated_sides_are_the_located_ones(self, monkeypatch, demo):
+        doc = load_problem_document(str(DEMOS / f"{demo}.problem"))
+        qp = doc.to_problem()
+        cert = certify(qp)
+        classify = shooting.classify_start
+        counts = {"unlocated": 0, "located": 0, "stayed": 0}
+
+        def spy(qp, chart, u, horizon, v0, v_star, tol, events, exit_row):
+            res = classify(qp, chart, u, horizon, v0, v_star, tol, events,
+                           exit_row)
+            if res.is_stayed:
+                counts["stayed"] += 1
+                return res
+            if res.side is None:
+                counts["located"] += 1
+                return res
+            counts["unlocated"] += 1
+            ref = classify(qp, chart, u, horizon, v0, v_star, tol, events,
+                           None)
+            assert ref.side is None
+            assert ref.kind == res.kind
+            # the bisection reads only the sign of the side
+            assert math.copysign(1.0, shooting._exit_side(qp, chart, ref)) \
+                == res.side
+            assert res.t >= ref.t
+            return res
+
+        _affinity(monkeypatch, 1)
+        monkeypatch.setattr(shooting, "classify_start", spy)
+        bounded_solution(qp, cert, ShootingConfig(integrator_tol=doc.tol))
+        # the boundary starts at +-radius exit before any step, located
+        assert counts["located"] == 2 * 14
+        assert counts["unlocated"] > 20 * counts["located"]
+
+    def test_coordinate_near_zero_is_located(self):
+        # x1 (the chart coordinate) stays 0 while x2 grows, so the orbit
+        # leaves through W = w- with u+ = 0 all along: the sign bound
+        # cannot hold, and the probe locates its exit
+        qp = make_reference_problem(
+            a=MatrixFunction.from_strings([["-1", "0"], ["0", "1"]],
+                                          n_states=2),
+            f0=VectorFunction.from_strings(["0", "0.1"], n_states=2),
+        )
+        chart = make_disk_chart(qp, -5.0)
+        events = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
+                                    qp.w_minus, 0.02, 0.15)
+        lean = classify_start(qp, chart, np.array([0.0]), 20.0, 0.02, 0.15,
+                              1e-8, events, shooting._exit_row(qp, chart))
+        plain = classify_start(qp, chart, np.array([0.0]), 20.0, 0.02, 0.15)
+        assert lean.kind == plain.kind == "W_hits_wminus"
+        assert lean.side is None and lean.x[0] == 0.0
+        assert (lean.t, lean.x.tolist()) == (plain.t, plain.x.tolist())
+
+    def test_t_dependent_c_locates_every_exit(self, monkeypatch):
+        qp = make_reference_problem(
+            c=MatrixFunction.from_strings(
+                [["1 + 0.2*sin(0.3*t)", "0"], ["0", "-1"]], n_states=2,
+                symmetric=True,
+            ),
+        )
+        assert shooting._exit_row(qp, make_disk_chart(qp, -5.0)) is None
+        classify = shooting.classify_start
+        sides = []
+
+        def spy(*args, **kwargs):
+            res = classify(*args, **kwargs)
+            sides.append(None if res.is_stayed else res.side)
+            return res
+
+        monkeypatch.setattr(shooting, "classify_start", spy)
+        got = find_trapped_start(qp, -5.0, 0.02, 0.15)
+        assert len(sides) == got.iterations and set(sides) == {None}
+        # the start the search found before probes could skip location
+        assert (got.u[0].hex(), got.iterations, got.bracket_width.hex(),
+                got.stayed, got.exit_kinds, got.steps_accepted,
+                got.steps_rejected) == (
+            "-0x1.c75f8c8bcac96p-5", 53, "0x1.2800000000000p-52", True,
+            ("W_hits_wplus",), 6462, 0)
+
+
 class TestBoundedSolution:
     def test_initial_value_and_sup(self, reference_solution_run):
         sol = reference_solution_run
@@ -320,7 +414,19 @@ def _rung_record(start):
             start.exit_kinds, start.steps_accepted, start.steps_rejected)
 
 
-def assert_same_solution(a, b):
+def _solve_files(qp, sol, out):
+    out.mkdir()
+    write_trajectory_csv(out / "trajectory.csv", sol.traj, qp.quad_v,
+                         qp.quad_w)
+    write_xi_csv(out / "xi.csv", sol.xi_sequence)
+    return [(out / name).read_bytes() for name in ("trajectory.csv",
+                                                    "xi.csv")]
+
+
+def assert_same_solution(a, b, qp, tmp_path):
+    """The same solution, down to the bytes of the files solve writes."""
+    assert _solve_files(qp, a, tmp_path / "a") == _solve_files(
+        qp, b, tmp_path / "b")
     for x, y in ((a.traj.ts, b.traj.ts), (a.traj.xs, b.traj.xs),
                  (a.xi, b.xi)):
         assert np.array_equal(x, y)
@@ -369,25 +475,31 @@ class TestRungProcesses:
     def test_one_cpu_forks_nothing(self, monkeypatch, forked,
                                    reference_problem, reference_certificate):
         _affinity(monkeypatch, 1)
-        got = shooting.search_rungs(reference_problem, [-5.0, -10.0],
-                                    0.02, 0.15, ShootingConfig())
+
+        def task(t):
+            return shooting._run_rung(reference_problem, t, 0.02, 0.15,
+                                      ShootingConfig(), None, None)
+
+        got = shooting.search_rungs(task, [-5.0, -10.0])
         assert forked == []
-        assert [s.t for s in got] == [-5.0, -10.0]
+        assert [r.start.t for r in got] == [-5.0, -10.0]
+        assert [(r.xi, r.patch) for r in got] == [(None, None)] * 2
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_same_result_on_more_processes(
         self, monkeypatch, forked, reference_problem, reference_certificate,
-        one_process_run, cpus,
+        one_process_run, cpus, tmp_path,
     ):
         _affinity(monkeypatch, cpus)
         got = bounded_solution(reference_problem, reference_certificate)
         assert len(forked) == cpus - 1
         assert_reaped(forked)
-        assert_same_solution(got, one_process_run)
+        assert_same_solution(got, one_process_run, reference_problem,
+                             tmp_path)
 
     def test_failed_fork_is_searched_here(
         self, monkeypatch, reference_problem, reference_certificate,
-        one_process_run,
+        one_process_run, tmp_path,
     ):
         def no_fork():
             raise BlockingIOError("fork: resource temporarily unavailable")
@@ -395,7 +507,44 @@ class TestRungProcesses:
         _affinity(monkeypatch, 2)
         monkeypatch.setattr(os, "fork", no_fork)
         got = bounded_solution(reference_problem, reference_certificate)
-        assert_same_solution(got, one_process_run)
+        assert_same_solution(got, one_process_run, reference_problem,
+                             tmp_path)
+
+    @pytest.mark.parametrize("cpus, failing, searched", [
+        # one process: the search stops at -25, and the ladder's rungs
+        # below it are searched where they are read
+        (1, -25.0, [(0, -5.0), (0, -10.0), (0, -15.0), (0, -20.0),
+                    (0, -25.0), (0, -40.0), (0, -35.0), (0, -30.0)]),
+        # the worker stops at -30; the caller searches its whole share,
+        # then -40 when the ladder reads it
+        (2, -30.0, [(0, -5.0), (0, -15.0), (0, -25.0), (0, -35.0),
+                    (0, 0.0), (0, 10.0), (0, 20.0), (0, -40.0),
+                    (1, -10.0), (1, -20.0), (1, -30.0)]),
+    ])
+    def test_failed_search_stops_its_share(
+        self, monkeypatch, forked, tmp_path, reference_problem,
+        reference_certificate, cpus, failing, searched,
+    ):
+        log = tmp_path / "searched"
+        parent = os.getpid()
+        search = shooting.find_trapped_start
+
+        def logged(qp, t, *args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{int(os.getpid() != parent)} {t!r}\n")
+            if t == failing:
+                raise NoSignChange(f"no sign change at t_j = {t:g}")
+            return search(qp, t, *args, **kwargs)
+
+        _affinity(monkeypatch, cpus)
+        monkeypatch.setattr(shooting, "find_trapped_start", logged)
+        with pytest.raises(NoSignChange,
+                           match=f"no sign change at t_j = {failing:g}$"):
+            bounded_solution(reference_problem, reference_certificate)
+        assert_reaped(forked)
+        got = [(int(w), float(t)) for w, t in
+               (line.split() for line in log.read_text().splitlines())]
+        assert sorted(got, key=lambda r: r[0]) == searched
 
     def test_dead_worker_is_named(self, monkeypatch, forked,
                                   reference_problem, reference_certificate):
