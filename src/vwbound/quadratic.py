@@ -146,8 +146,9 @@ class QuadraticProblem:
 
 
 class _Grid(NamedTuple):
-    """B, C, B', C' and f0 of a problem at a set of times, as stacks."""
+    """B, C, B', C' and f0 of a problem at the times ``ts``, as stacks."""
 
+    ts: np.ndarray
     b: np.ndarray
     c: np.ndarray
     b_dot: np.ndarray
@@ -159,9 +160,18 @@ class _Grid(NamedTuple):
 
 
 def _grid(qp: QuadraticProblem, ts) -> _Grid:
+    ts = np.asarray(ts, dtype=float)
     return _Grid(
-        *(fn.stack(ts) for fn in (qp.b, qp.c, qp.b_dot, qp.c_dot, qp.f0))
+        ts, *(fn.stack(ts) for fn in (qp.b, qp.c, qp.b_dot, qp.c_dot, qp.f0))
     )
+
+
+def _grid_at(qp: QuadraticProblem, ts, grid: _Grid | None) -> _Grid:
+    """``grid`` when it holds exactly the times ``ts``, in order; else
+    :func:`_grid` at ``ts``."""
+    if grid is not None and np.array_equal(grid.ts, ts):
+        return grid
+    return _grid(qp, ts)
 
 
 def _forcing(g: _Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +272,7 @@ def fit_constants(
     ``2 psi <= c2 lam_W`` and ``|Lam_V| <= c3 V^sigma lam_W``.  Only c3
     depends on sigma, so each sample's rates are computed once.  B, C,
     B', C' and f0 are evaluated once per distinct sample time, or taken
-    from ``grid`` when the caller has them there already: one row per
-    distinct sample time, in increasing order.
+    from ``grid`` when its times are exactly the distinct sample times.
 
     Raises
     ------
@@ -280,7 +289,7 @@ def fit_constants(
     xs = np.array([x for _, x in samples], dtype=float).reshape(times.size, qp.n)
     # B, C, B', C' and f0 once per distinct sample time
     grid_ts, at = np.unique(times, return_inverse=True)
-    g = _grid(qp, grid_ts) if grid is None else grid
+    g = _grid_at(qp, grid_ts, grid)
     ph, ps = (v[at] for v in _forcing(g))
     g, a = g.take(at), qp.a.stack(times, xs)
     lam_v = np.abs(_v_rates(g, a))
@@ -354,9 +363,9 @@ def alpha_curve(
     """``alpha(t) = inf { lam_W(t,x) : x in region, V(t,x) > v0 }``,
     approximated by the min over state samples (exact when A is
     state-independent, since lam_W then does not depend on x).
-    ``grid`` is ``_grid(qp, ts)`` when the caller has it already."""
+    ``grid`` is used when it holds exactly the times ``ts``."""
     ts = np.asarray(ts, dtype=float)
-    g = _grid(qp, ts) if grid is None else grid
+    g = _grid_at(qp, ts, grid)
     if not qp.a.depends_on_state:
         return _w_rates(g, qp.a.stack(ts))
     at, xs = _sample_grid(qp, ts, rng, v0 * (1.0 + 1e-9), v_hi)

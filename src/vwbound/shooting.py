@@ -29,16 +29,16 @@ is located and charted.
 
 Given the region, the work on one rung does not depend on any other, so
 :func:`bounded_solution` runs every rung's task up front: the search for
-its trapped start, then, from that start, its xi orbit to t = 0 and its
-patch of the returned trajectory with V at each node (:class:`Rung`).
-The tasks are spread over the CPUs the process may use: the calling
-process and ``w - 1`` forked workers (``w`` the size of its CPU affinity
-set, at most one per rung) each take an interleaved share, and the
-workers send their rungs back through pipes; the caller then only
-assembles them.  A process stops its share at its first failed search,
-and the caller runs a rung nobody ran when it reads it.  There is no
-setting for this; the results, and so every output, are the same for any
-``w``, and with one CPU nothing forks.
+its trapped start, then, from that start, its patch of the returned
+trajectory with V at each node (:class:`Rung`).  The tasks are spread
+over the CPUs the process may use: the calling process and ``w - 1``
+forked workers (``w`` the size of its CPU affinity set, at most one per
+rung) each take an interleaved share, and the workers send their rungs
+back through pipes.  The caller then walks the xi orbits from the starts
+until they converge and assembles the patches.  A process stops its
+share at its first failed search, and the caller runs a rung nobody ran
+when it reads it.  There is no setting for this; the results, and so
+every output, are the same for any ``w``, and with one CPU nothing forks.
 """
 
 from __future__ import annotations
@@ -440,38 +440,29 @@ class Rung:
 
     ``start`` is the trapped start on the rung's disk, or the toolkit
     error its search raised.  From a start found, the task also
-    integrates the rung's xi orbit to t = 0 when the rung is on the xi
-    schedule (``xi``, a run that records no nodes) and its quilt patch
-    when the rung claims nodes of the returned grid (``patch``: the node
-    times, the states and V at each).  Either is the toolkit error its
-    integration raised instead, raised where the caller reads it.
+    integrates the rung's quilt patch when the rung claims nodes of the
+    returned grid (``patch``: the node times, the states and V at each),
+    or holds the toolkit error that integration raised, raised where the
+    caller reads it.
     """
 
     start: TrappedStart | VWBoundError
-    xi: Trajectory | VWBoundError | None = None
     patch: tuple | VWBoundError | None = None
 
 
-def _run_rung(qp, t, v0, v_star, config, exits, claim) -> Rung:
-    """The task of the rung at ``t``: the search, then the xi orbit when
-    ``exits`` (the region levels) are given and the patch over ``claim``
-    when it holds nodes."""
+def _run_rung(qp, t, v0, v_star, config, claim) -> Rung:
+    """The task of the rung at ``t``: the search, then the patch over
+    ``claim`` when it holds nodes."""
     try:
         start = find_trapped_start(qp, t, v0, v_star, config)
     except VWBoundError as exc:
         return Rung(exc)
     rung = Rung(start)
-    x0 = start.chart.point(start.u)
-    if exits is not None:
-        try:
-            rung.xi = integrate(qp.rhs, t, x0, 0.0, tol=config.integrator_tol,
-                                events=exits, t_samples=np.array([]))
-        except VWBoundError as exc:
-            rung.xi = exc
     if claim is not None and claim.size:
         try:
-            patch = integrate(qp.rhs, t, x0, float(claim[-1]),
-                              tol=config.integrator_tol, t_samples=claim[:-1])
+            patch = integrate(qp.rhs, t, start.chart.point(start.u),
+                              float(claim[-1]), tol=config.integrator_tol,
+                              t_samples=claim[:-1])
         except VWBoundError as exc:
             rung.patch = exc
         else:
@@ -665,7 +656,6 @@ def bounded_solution(
     times: dict[float, float] = {}
     for t in xi_times + ladder:
         times.setdefault(round(t, 9), t)
-    xi_keys = {round(t, 9) for t in xi_times}
 
     # the grid nodes each ladder rung claims: its settled span, less what
     # the rungs below it claimed
@@ -684,9 +674,7 @@ def bounded_solution(
     # every rung's task runs up front, spread over the CPUs; a failed part
     # raises where it is read
     def task(t):
-        key = round(t, 9)
-        return _run_rung(qp, t, v0, v_star, config,
-                         exits if key in xi_keys else None, claims.get(key))
+        return _run_rung(qp, t, v0, v_star, config, claims.get(round(t, 9)))
 
     found = dict(zip(times, search_rungs(task, list(times.values()))))
 
@@ -704,8 +692,16 @@ def bounded_solution(
     prev_xi = None
     prev_d = math.inf
     for j, t_j in enumerate(xi_times, start=1):
-        _read(rung(t_j).start)
-        traj = _read(rung(t_j).xi)
+        start = _read(rung(t_j).start)
+        traj = integrate(
+            qp.rhs,
+            t_j,
+            start.chart.point(start.u),
+            0.0,
+            tol=config.integrator_tol,
+            events=exits,
+            t_samples=np.array([]),
+        )
         if traj.status != "reached_end":
             notes.append(
                 f"orbit from t_j = {t_j:g} leaves the region at "

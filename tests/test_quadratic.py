@@ -259,6 +259,12 @@ class TestConstantFitting:
                 samples.append((float(t), x))
         fits = fit_constants(qp, SIGMA_GRID, samples, v0=0.02)
         assert [gp.sigma for gp in fits] == list(SIGMA_GRID)
+        # a grid at the sample times is used; one at other times (or with
+        # a time missing) is not, and the fit stays the same
+        ts = np.linspace(-40.0, 40.0, 9)
+        for grid in (quadratic._grid(qp, ts), quadratic._grid(qp, ts[1:]),
+                     quadratic._grid(qp, ts + 1.0)):
+            assert fit_constants(qp, SIGMA_GRID, samples, 0.02, grid) == fits
         for k, sigma in enumerate(SIGMA_GRID):
             # fitting the grid at once equals fitting each sigma alone
             assert fits[k] == fit_constants(qp, (sigma,), samples, 0.02)[0]

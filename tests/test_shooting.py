@@ -478,12 +478,12 @@ class TestRungProcesses:
 
         def task(t):
             return shooting._run_rung(reference_problem, t, 0.02, 0.15,
-                                      ShootingConfig(), None, None)
+                                      ShootingConfig(), None)
 
         got = shooting.search_rungs(task, [-5.0, -10.0])
         assert forked == []
         assert [r.start.t for r in got] == [-5.0, -10.0]
-        assert [(r.xi, r.patch) for r in got] == [(None, None)] * 2
+        assert [r.patch for r in got] == [None] * 2
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_same_result_on_more_processes(
