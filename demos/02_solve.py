@@ -72,5 +72,5 @@ print(f"trajectory nodes: {sol.traj.ts.size}, worst error vs closed form: "
       f"{max(errs):.3e}")
 
 write_trajectory_csv(os.path.join(OUT, "trajectory.csv"), sol.traj,
-                     qp.quad_v, qp.quad_w)
+                     sol.v, qp.quad_w)
 print(f"wrote {os.path.join(OUT, 'trajectory.csv')}")

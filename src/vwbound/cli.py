@@ -197,7 +197,7 @@ def cmd_solve(args) -> int:
     attach_solution(rep, sol, EXIT_OK)
     write_trajectory_csv(
         os.path.join(out_dir, "trajectory.csv"), sol.traj,
-        qp.quad_v, qp.quad_w,
+        sol.v, qp.quad_w,
     )
     write_xi_csv(os.path.join(out_dir, "xi.csv"), sol.xi_sequence)
     rep.write(os.path.join(out_dir, "solve-report.txt"))

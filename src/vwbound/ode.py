@@ -561,9 +561,11 @@ def make_region_events(
     ]
 
 
-def write_trajectory_csv(path, traj: Trajectory, quadform_v, quadform_w):
+def write_trajectory_csv(path, traj: Trajectory, v, quadform_w):
     """Plot-ready CSV: header ``t,x1,...,xn,V,W``, one row per node,
-    events appended as ``#event,kind,t,x1,...,xn`` comment lines.
+    events appended as ``#event,kind,t,x1,...,xn`` comment lines.  The V
+    column is ``v``, V at each node (as ``BoundedSolutionResult.v``
+    holds it); W is ``quadform_w`` at each node.
 
     Each row is formatted once, from Python floats, by one ``%.17g``
     format (the same text as ``f"{v:.17g}"`` per value), and written as
@@ -574,8 +576,9 @@ def write_trajectory_csv(path, traj: Trajectory, quadform_v, quadform_w):
         cols = ",".join(f"x{i + 1}" for i in range(n))
         fh.write(f"t,{cols},V,W\n")
         fh.writelines(
-            row % (t, *x, quadform_v(t, x), quadform_w(t, x))
-            for t, x in zip(traj.ts.tolist(), traj.xs.tolist())
+            row % (t, *x, v_t, quadform_w(t, x))
+            for t, x, v_t in zip(traj.ts.tolist(), traj.xs.tolist(),
+                                 np.asarray(v).tolist())
         )
         for ev in traj.events:
             row = ",".join(f"{val:.17g}" for val in ev.x)

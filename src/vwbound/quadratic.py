@@ -10,6 +10,13 @@ asymptotic conditions (A) and (B) on the configured window, and assembles
 everything into a :class:`Certificate` that the shooting and CLI layers
 consume.
 
+When A depends on the state, the fits, the alpha curve and the separation
+test read states sampled from the region ``{V in [v_lo, v_hi], w- <= W <=
+w+}`` by one batched sampler, :func:`sample_region_states`, which draws
+and W-tests every grid time of a call together; the states at a time do
+not depend on what the other times rejected.  A state-independent A
+needs no samples.
+
 Asymptotic quantities (liminf/limsup as t -> -infinity, divergent
 integrals) are necessarily evaluated on the finite window; every such
 check is flagged ``window_certified`` instead of pretending to be a proof
@@ -53,6 +60,7 @@ from .pencil import (
 
 __all__ = [
     "QuadraticProblem",
+    "SamplingStats",
     "sample_region_states",
     "fit_constants",
     "closed_form_ceiling",
@@ -206,51 +214,73 @@ def _w_rates(g: _Grid, a: np.ndarray) -> np.ndarray:
 # region sampling
 
 
+@dataclass
+class SamplingStats:
+    """What :func:`sample_region_states` did over a run: calls, rejection
+    rounds, candidates drawn and states kept.  Counts only, so a seed
+    repeats them exactly."""
+
+    calls: int = 0
+    rounds: int = 0
+    drawn: int = 0
+    accepted: int = 0
+
+
 def sample_region_states(
     qp: QuadraticProblem,
-    t: float,
+    ts,
     rng: np.random.Generator,
     n: int,
     v_lo: float,
     v_hi: float,
-) -> list[np.ndarray]:
-    """Draw up to ``n`` states with ``V(t,x)`` uniform in [v_lo, v_hi] and
-    ``W(t,x)`` inside [w_minus, w_plus].
+    stats: SamplingStats | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw up to ``n`` states at each time of ``ts`` with ``V(t,x)``
+    uniform in [v_lo, v_hi] and ``W(t,x)`` inside [w_minus, w_plus];
+    returns the grid index and the state of every sample, grouped by time
+    in grid order.
 
     V is hit exactly by scaling B-unit directions; W is then enforced by
     rejection, so the draw is uniform over directions, not over the region
-    volume — adequate for worst-case margin estimation.
+    volume — adequate for worst-case margin estimation.  Each round draws
+    one block of ``n`` candidates for every time and tests W on all of
+    them as one stack; a time keeps its first accepted candidates, in
+    round and candidate order, until it holds ``n``.  A time's block does
+    not depend on what the other times accepted, so its states depend
+    only on the generator's state at the call, the grid size and its
+    index.  After ``SAMPLE_TRIES`` rounds a time keeps what it has,
+    possibly nothing.  ``stats``, when given, is added to.
     """
-    low_inv = np.linalg.inv(cholesky_spd(qp.b.eval(t)))
-    out: list[np.ndarray] = []
-    for _ in range(SAMPLE_TRIES):
-        if len(out) >= n:
-            break
-        m = n - len(out)
-        u = rng.standard_normal((m, qp.n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        vs = rng.uniform(v_lo, v_hi, size=m)
+    ts = np.asarray(ts, dtype=float)
+    shape = (ts.size, n)
+    low_inv = np.linalg.inv(cholesky_spd(qp.b.stack(ts)))
+    c = qp.c.stack(ts)
+    need = np.full(ts.size, n)
+    rows, states = [], []
+    rounds = 0
+    while rounds < SAMPLE_TRIES and need.any():
+        rounds += 1
+        u = rng.standard_normal((*shape, qp.n))
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        vs = rng.uniform(v_lo, v_hi, size=shape)
         # x = sqrt(v) L^-T u  has  <Bx, x> = v exactly
-        xs = (u @ low_inv) * np.sqrt(vs)[:, None]
-        for x in xs:
-            w = qp.quad_w(t, x)
-            if qp.w_minus <= w <= qp.w_plus:
-                out.append(x)
-                if len(out) >= n:
-                    break
-    return out
-
-
-def _sample_grid(qp, ts, rng, v_lo: float, v_hi: float):
-    """:func:`sample_region_states` at each time of ``ts`` in turn; returns
-    the grid index and the state of every sample."""
-    batches = [
-        sample_region_states(qp, float(t), rng, qp.n_state_samples, v_lo, v_hi)
-        for t in ts
-    ]
-    at = np.repeat(np.arange(len(ts)), [len(batch) for batch in batches])
-    xs = np.array([x for batch in batches for x in batch])
-    return at, xs.reshape(at.size, qp.n)
+        xs = (u @ low_inv) * np.sqrt(vs)[..., None]
+        w = np.sum((xs @ c) * xs, axis=-1)
+        keep = (qp.w_minus <= w) & (w <= qp.w_plus)
+        keep &= np.cumsum(keep, axis=1) <= need[:, None]
+        need -= keep.sum(axis=1)
+        rows.append(np.nonzero(keep)[0])
+        states.append(xs[keep])
+    # a stable sort by time keeps each time's states in round order
+    at = np.concatenate(rows)
+    order = np.argsort(at, kind="stable")
+    at, xs = at[order], np.concatenate(states)[order]
+    if stats is not None:
+        stats.calls += 1
+        stats.rounds += rounds
+        stats.drawn += rounds * ts.size * n
+        stats.accepted += at.size
+    return at, xs
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +389,21 @@ def alpha_curve(
     v_hi: float,
     rng: np.random.Generator,
     grid: _Grid | None = None,
+    stats: SamplingStats | None = None,
 ) -> np.ndarray:
     """``alpha(t) = inf { lam_W(t,x) : x in region, V(t,x) > v0 }``,
     approximated by the min over state samples (exact when A is
-    state-independent, since lam_W then does not depend on x).
-    ``grid`` is used when it holds exactly the times ``ts``."""
+    state-independent, since lam_W then does not depend on x, and then
+    nothing is sampled).  All times are sampled by one
+    :func:`sample_region_states` call, which adds to ``stats``; a time
+    without states gets nan.  ``grid`` is used when it holds exactly the
+    times ``ts``."""
     ts = np.asarray(ts, dtype=float)
     g = _grid_at(qp, ts, grid)
     if not qp.a.depends_on_state:
         return _w_rates(g, qp.a.stack(ts))
-    at, xs = _sample_grid(qp, ts, rng, v0 * (1.0 + 1e-9), v_hi)
+    at, xs = sample_region_states(qp, ts, rng, qp.n_state_samples,
+                                  v0 * (1.0 + 1e-9), v_hi, stats)
     lam_w = _w_rates(g.take(at), qp.a.stack(ts[at], xs))
     out = np.full(ts.size, math.nan)
     np.fmin.at(out, at, lam_w)  # fmin skips the NaN of a time without states
@@ -449,7 +484,8 @@ class Certificate:
 
     ``conditions`` maps the condition tags (a)-(g), (A), (B) to their
     results; ``feasible`` is True when every non-window condition passed
-    and the ceiling check ``v_star > max(required)`` holds.
+    and the ceiling check ``v_star > max(required)`` holds.  ``sampling``
+    counts what the region sampler did; nothing reads it back.
     """
 
     sigma: float
@@ -478,6 +514,8 @@ class Certificate:
     conditions: dict = field(repr=False)
     seed: int = 0
     notes: list = field(default_factory=list, repr=False)
+    sampling: SamplingStats = field(default_factory=SamplingStats,
+                                    repr=False)
 
     def growth_pair(self) -> GrowthPair:
         return GrowthPair(
@@ -543,6 +581,7 @@ def certify(
     conditions: dict[str, ConditionResult] = {}
     notes: list[str] = []
     grid = _grid(qp, ts)
+    sampling = SamplingStats()
 
     # (a) SPD check of B on the grid
     try:
@@ -640,7 +679,8 @@ def certify(
             xs = np.zeros((ts.size, qp.n))
             xs[:, 0] = math.sqrt(v0) * (1.0 / np.sqrt(grid.b[:, 0, 0]))
             return list(zip(ts.tolist(), xs)), grid
-        at, xs = _sample_grid(qp, ts, rng, v0, v_hi)
+        at, xs = sample_region_states(qp, ts, rng, qp.n_state_samples, v0,
+                                      v_hi, sampling)
         if not at.size:
             raise InfeasibleConditionE(
                 "region sampler produced no states; region may be empty"
@@ -693,7 +733,7 @@ def certify(
     gp = best
 
     # alpha curve, (f) and (B): window divergence of the return clock
-    alpha = alpha_curve(qp, ts, v0, v_star, rng, grid)
+    alpha = alpha_curve(qp, ts, v0, v_star, rng, grid, sampling)
     if np.any(np.isnan(alpha)):
         conditions["f"] = ConditionResult(
             name="alpha integral divergence",
@@ -799,6 +839,7 @@ def certify(
         conditions=conditions,
         seed=seed,
         notes=notes,
+        sampling=sampling,
     )
 
 
@@ -878,10 +919,10 @@ def uniqueness_quadratic(
     v_lo = qp.v0 if qp.v0 is not None else v_hi / 4.0
 
     # the region states of each grid time, paired off in twos
+    at, xs = sample_region_states(qp, ts, rng, SEPARATION_STATES, v_lo, v_hi)
+    per_time = np.split(xs, np.cumsum(np.bincount(at, minlength=ts.size))[:-1])
     pairs = []  # (grid index, x, y)
-    for i, t in enumerate(ts.tolist()):
-        states = sample_region_states(qp, t, rng, SEPARATION_STATES, v_lo,
-                                      v_hi)
+    for i, states in enumerate(per_time):
         if len(states) < 2:
             states = [z.copy(), z.copy()]
         pairs += [(i, x, y) for x, y in zip(states[::2], states[1::2])]

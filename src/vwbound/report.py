@@ -143,7 +143,8 @@ class RunReport:
 def report_from_certificate(
     cert: Certificate, exit_code: int, n: int, source: str = ""
 ) -> RunReport:
-    """Serialize a certificate (scalars, condition table, curves)."""
+    """Serialize a certificate (scalars, condition table, curves) and the
+    region sampler's counts."""
     rep = RunReport()
     rep.add("format", FORMAT_TAG)
     rep.add("problem.n", n)
@@ -193,6 +194,9 @@ def report_from_certificate(
     rep.add_array("curve.ceiling", cert.ceiling)
     for i, note in enumerate(cert.notes, start=1):
         rep.add(f"note.{i}", note.replace("\n", "; "))
+    # what the region sampler did: counts only, 0 on the state-free path
+    for name in ("calls", "rounds", "drawn", "accepted"):
+        rep.add(f"stats.sampling.{name}", getattr(cert.sampling, name))
     return rep
 
 
@@ -378,6 +382,10 @@ def render_table(rep: RunReport) -> str:
         _short(rep, "bound.curve_t0"),
         _short(rep, "bound.closed_form"),
     ))
+    if rep.has("stats.sampling.calls"):
+        line("  sampling: %d calls, %d rounds, %d drawn, %d accepted" % tuple(
+            rep.get_int(f"stats.sampling.{name}")
+            for name in ("calls", "rounds", "drawn", "accepted")))
     if rep.has("solution.sup_v"):
         n = 1
         xi = []

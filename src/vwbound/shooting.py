@@ -587,6 +587,7 @@ class BoundedSolutionResult:
     """Trapped trajectory plus the convergence bookkeeping behind it."""
 
     traj: Trajectory
+    v: np.ndarray  # V at each node of traj, as the rung tasks computed it
     xi: np.ndarray
     xi_sequence: list  # (j, t_j, xi_j)
     converged_at_j: int
@@ -737,6 +738,7 @@ def bounded_solution(
     i_max = int(np.argmax(vs))
     return BoundedSolutionResult(
         traj=traj,
+        v=vs,
         xi=xi,
         xi_sequence=xi_sequence,
         converged_at_j=converged_at,

@@ -231,10 +231,10 @@ def test_criterion_5_clock_inequality(capsys, reference_problem,
                              cert.v0, cert.v_star)
     while checked < 20:
         t0 = float(rng.uniform(-35.0, 25.0))
-        states = sample_region_states(
-            qp, t0, rng, 1, cert.v0 * 1.02, 0.9 * cert.v_star
+        _, states = sample_region_states(
+            qp, [t0], rng, 1, cert.v0 * 1.02, 0.9 * cert.v_star
         )
-        if not states:
+        if not len(states):
             continue
         traj = integrate(qp.rhs, t0, states[0], t0 + 10.0, tol=1e-9,
                          events=evs)
@@ -358,7 +358,7 @@ def test_criterion_8_negative_controls(capsys, tmp_path, reference_problem,
                                      "bound.v_small_star = 0.0001"))
     traj_path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj_path, reference_solution_run.traj,
-                         reference_problem.quad_v, reference_problem.quad_w)
+                         reference_solution_run.v, reference_problem.quad_w)
     code = main(["verify", str(reference_document_path),
                  "--cert", str(bad_cert), "--traj", str(traj_path)])
     if code != 5:

@@ -259,12 +259,25 @@ class TestSolve:
                                                       solve_dir):
         solved = RunReport.load(solve_dir / "solve-report.txt")
         assert solved.get_int("stats.shooting.rungs") == 14
+        assert solved.get_int("stats.sampling.calls") == 0
+        # the sampler's counts, changed or gone, change nothing either
+        text = solved.to_text()
+        assert text.count("stats.sampling.") == 4
+        changed = RunReport.from_text("".join(
+            ln.rsplit("=", 1)[0] + "= 7\n"
+            if ln.startswith("stats.sampling.") else ln
+            for ln in text.splitlines(keepends=True)))
+        gone = RunReport.from_text("".join(
+            ln for ln in text.splitlines(keepends=True)
+            if not ln.startswith("stats.sampling.")))
         a = certificate_from_report(RunReport.load(cert_file))
-        b = certificate_from_report(solved)
-        assert repr(a) == repr(b)
-        for name in ("ts", "lam_plus", "lam_minus", "lam_mp", "alpha",
-                     "ceiling"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for rep in (solved, changed, gone):
+            b = certificate_from_report(rep)
+            assert repr(a) == repr(b)
+            for name in ("ts", "lam_plus", "lam_minus", "lam_mp", "alpha",
+                         "ceiling"):
+                assert getattr(a, name).tobytes() == getattr(
+                    b, name).tobytes()
 
 
 class TestVerify:

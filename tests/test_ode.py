@@ -537,7 +537,9 @@ class TestCsvAndCurves:
         traj = integrate(qp.rhs, 0.0, np.array([0.05, 0.1]), 2.0, tol=1e-9,
                          events=[ev], t_samples=np.linspace(0.2, 1.8, 9))
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj, qp.quad_v, qp.quad_w)
+        v = [qp.quad_v(t, x) for t, x in zip(traj.ts.tolist(),
+                                             traj.xs.tolist())]
+        write_trajectory_csv(path, traj, v, qp.quad_w)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x1,x2,V,W"
         data = [ln for ln in lines[1:] if not ln.startswith("#")]
@@ -573,7 +575,8 @@ class TestCsvAndCurves:
             return t * 2.0
 
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj, quad_v, quad_w)
+        write_trajectory_csv(path, traj, [quad_v(float(t), x) for t, x in
+                                          zip(traj.ts, traj.xs)], quad_w)
         old = [f"t,{','.join(f'x{i + 1}' for i in range(n))},V,W"]
         for t, x in zip(traj.ts, traj.xs):
             row = ",".join(f"{val:.17g}" for val in x)

@@ -5,6 +5,7 @@ two-solution separation test.
 
 import dataclasses
 import math
+import pathlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +22,14 @@ from vwbound import quadratic
 from vwbound.expr import MatrixFunction, VectorFunction
 from vwbound.growth import GrowthPair
 from vwbound.pencil import SymmetricPencil, lambda_extremes
+from vwbound.problemdoc import parse_problem_text
 from vwbound.quadratic import (
     SAFETY_INFLATION,
+    SAMPLE_TRIES,
     SIGMA_GRID,
     Certificate,
     QuadraticProblem,
+    SamplingStats,
     _forcing,
     _grid,
     _v_rates,
@@ -106,8 +110,8 @@ def rate_inequalities_check(qp, v_hi, n_samples=2000, seed=0):
     count = 0
     while count < n_samples:
         t = float(rng.uniform(t_lo, t_hi))
-        states = sample_region_states(
-            qp, t, rng, min(16, n_samples - count), qp.v0, v_hi
+        _, states = sample_region_states(
+            qp, [t], rng, min(16, n_samples - count), qp.v0, v_hi
         )
         bmat, cmat = qp.b.eval(t), qp.c.eval(t)
         bdot, cdot = qp.b_dot.eval(t), qp.c_dot.eval(t)
@@ -189,11 +193,87 @@ class TestRateBounds:
                 assert abs(refined - lam) <= 1e-8 * max(1.0, abs(lam))
 
 
+NONLINEAR_DOC = pathlib.Path(__file__).parents[1] / "demos" / "nonlinear.problem"
+STATE_DEPENDENT_A = MatrixFunction.from_strings(
+    [["1 + 0.5*x1*x2", "0"], ["0", "-1"]], n_states=2
+)
+
+
 class TestRegionSampling:
+    def test_states_at_a_time_ignore_the_other_times(self):
+        # the same problem with a C(t) that equals C exactly at t = 0 and
+        # differs elsewhere: the other times reject other candidates, and
+        # the states at t = 0 must not notice
+        text = NONLINEAR_DOC.read_text()
+        assert text.count('C.2.2 = "-1"\n') == 1
+        moved = text.replace('C.2.2 = "-1"\n',
+                             'C.2.2 = "-(1 + 3*sin(t)^2)"\n')
+        qps = [parse_problem_text(doc).to_problem() for doc in (text, moved)]
+        ts = np.linspace(-4.0, 4.0, 9)
+        i0 = int(np.flatnonzero(ts == 0.0)[0])
+        assert i0 > 0
+        got = [sample_region_states(qp, ts, np.random.default_rng(5), 16,
+                                    0.02, 0.15) for qp in qps]
+        (at_a, xs_a), (at_b, xs_b) = got
+        assert np.count_nonzero(at_a == i0) == 16
+        assert np.array_equal(xs_a[at_a == i0], xs_b[at_b == i0])
+        # elsewhere C differs, and so do the states kept
+        assert not np.array_equal(xs_a[at_a == 0], xs_b[at_b == 0])
+
+    def test_per_time_properties(self):
+        qp = make_reference_problem(
+            a=STATE_DEPENDENT_A,
+            c=MatrixFunction.from_strings(
+                [["1 + 0.5*sin(t)", "0.2*cos(t)"], ["0.2*cos(t)", "-1"]],
+                n_states=2, symmetric=True),
+        )
+        ts = np.linspace(-40.0, 40.0, 11)
+        n, v_lo, v_hi = 8, 0.02, 0.15
+        stats = SamplingStats()
+        at, xs = sample_region_states(qp, ts, np.random.default_rng(2), n,
+                                      v_lo, v_hi, stats)
+        assert xs.shape == (at.size, qp.n)
+        # grouped by time in grid order, at most n per time
+        assert np.all(np.diff(at) >= 0)
+        assert np.bincount(at, minlength=ts.size).max() <= n
+        for i, x in zip(at.tolist(), xs):
+            t = float(ts[i])
+            v, w = qp.quad_v(t, x), qp.quad_w(t, x)
+            assert v_lo * (1 - 1e-14) <= v <= v_hi * (1 + 1e-14)
+            assert qp.w_minus - 1e-15 <= w <= qp.w_plus + 1e-15
+        # the same seed gives the same states
+        again = sample_region_states(qp, ts, np.random.default_rng(2), n,
+                                     v_lo, v_hi)
+        assert np.array_equal(at, again[0]) and np.array_equal(xs, again[1])
+        assert stats.calls == 1 and 1 <= stats.rounds <= SAMPLE_TRIES
+        assert stats.drawn == stats.rounds * ts.size * n
+        assert stats.accepted == at.size == ts.size * n
+
+    def test_time_with_no_admissible_state(self):
+        # at t = 0, C = diag(1, 2) is positive definite, so W >= V >= 0.05
+        # > w+ rejects every candidate; elsewhere C = diag(1, -1) to within
+        # exp(-100)
+        qp = make_reference_problem(
+            a=STATE_DEPENDENT_A, v0=0.05,
+            c=MatrixFunction.from_strings(
+                [["1", "0"], ["0", "-1 + 3*exp(-100*t^2)"]],
+                n_states=2, symmetric=True),
+        )
+        ts = np.linspace(-2.0, 2.0, 5)
+        stats = SamplingStats()
+        at, xs = sample_region_states(qp, ts, np.random.default_rng(0), 8,
+                                      0.05, 0.15, stats)
+        assert np.bincount(at, minlength=5).tolist() == [8, 8, 0, 8, 8]
+        assert stats.rounds == SAMPLE_TRIES
+        assert stats.drawn == SAMPLE_TRIES * 5 * 8
+        alpha = alpha_curve(qp, ts, 0.05, 0.15, np.random.default_rng(0))
+        assert np.isnan(alpha[2])
+        assert np.all(np.isfinite(np.delete(alpha, 2)))
+
     def test_v_hit_exactly_w_inside(self, reference_problem):
         rng = np.random.default_rng(4)
-        states = sample_region_states(
-            reference_problem, 0.7, rng, 32, 0.02, 0.12
+        _, states = sample_region_states(
+            reference_problem, [0.7], rng, 32, 0.02, 0.12
         )
         assert len(states) == 32
         for x in states:
@@ -229,12 +309,10 @@ class TestRegionSampling:
 class TestConstantFitting:
     def test_reference_fit_values(self, reference_problem):
         rng = np.random.default_rng(0)
-        samples = []
-        for t in np.linspace(-40.0, 40.0, 41):
-            for x in sample_region_states(
-                reference_problem, float(t), rng, 4, 0.02, 0.12
-            ):
-                samples.append((float(t), x))
+        ts = np.linspace(-40.0, 40.0, 41)
+        at, xs = sample_region_states(reference_problem, ts, rng, 4, 0.02,
+                                      0.12)
+        samples = list(zip(ts[at].tolist(), xs))
         consts = fit_constants(
             reference_problem, (0.25,), samples, v0=0.02
         )[0]
@@ -253,15 +331,13 @@ class TestConstantFitting:
             )
         )
         rng = np.random.default_rng(3)
-        samples = []
-        for t in np.linspace(-40.0, 40.0, 9):
-            for x in sample_region_states(qp, float(t), rng, 6, 0.02, 0.15):
-                samples.append((float(t), x))
+        ts = np.linspace(-40.0, 40.0, 9)
+        at, xs = sample_region_states(qp, ts, rng, 6, 0.02, 0.15)
+        samples = list(zip(ts[at].tolist(), xs))
         fits = fit_constants(qp, SIGMA_GRID, samples, v0=0.02)
         assert [gp.sigma for gp in fits] == list(SIGMA_GRID)
         # a grid at the sample times is used; one at other times (or with
         # a time missing) is not, and the fit stays the same
-        ts = np.linspace(-40.0, 40.0, 9)
         for grid in (quadratic._grid(qp, ts), quadratic._grid(qp, ts[1:]),
                      quadratic._grid(qp, ts + 1.0)):
             assert fit_constants(qp, SIGMA_GRID, samples, 0.02, grid) == fits
@@ -417,6 +493,40 @@ class TestCertify:
             assert getattr(fresh, name).tobytes() == getattr(
                 cert, name).tobytes()
 
+    @pytest.mark.parametrize("a", ["1", "1 + 0.5*x1*x2"],
+                             ids=["state-free", "sampled"])
+    def test_sampler_calls(self, monkeypatch, a):
+        # the state-free path never samples; the sampled path samples the
+        # whole grid once per V* round and once for alpha, and the
+        # certificate counts what the sampler did
+        qp = make_reference_problem(
+            a=MatrixFunction.from_strings([[a, "0"], ["0", "-1"]],
+                                          n_states=2),
+            n_grid=41, n_state_samples=6,
+        )
+        sample = quadratic.sample_region_states
+        calls = []
+
+        def spy(qp, ts, rng, n, v_lo, v_hi, stats=None):
+            calls.append((len(ts), n))
+            return sample(qp, ts, rng, n, v_lo, v_hi, stats)
+
+        monkeypatch.setattr(quadratic, "sample_region_states", spy)
+        fits = []
+        fit = quadratic.fit_constants
+        monkeypatch.setattr(quadratic, "fit_constants",
+                            lambda *args: fits.append(1) or fit(*args))
+        cert = certify(qp)
+        stats = cert.sampling
+        if a == "1":
+            assert calls == [] and stats == SamplingStats()
+            return
+        assert calls == [(41, 6)] * (len(fits) + 1)
+        assert stats.calls == len(calls)
+        assert stats.accepted == 41 * 6 * len(calls)
+        assert stats.drawn == stats.rounds * 41 * 6
+        assert len(calls) <= stats.rounds <= SAMPLE_TRIES * len(calls)
+
     def test_reference_curves(self, reference_certificate):
         cert = reference_certificate
         assert np.allclose(cert.lam_plus, 1.0, atol=1e-9)
@@ -530,7 +640,8 @@ class TestUniqueness:
 
 def uniqueness_per_time(qp, a_hat, v_hi, seed):
     """:func:`uniqueness_quadratic` as it was before it stacked its grid,
-    one grid time at a time, kept as its oracle (``a_hat`` given)."""
+    one grid time at a time, kept as its oracle (``a_hat`` given); the
+    region states come from one sampler call over the grid, as there."""
     from vwbound.quadratic import (
         DIVERGENCE_THRESHOLD,
         SEPARATION_STATES,
@@ -547,6 +658,7 @@ def uniqueness_per_time(qp, a_hat, v_hi, seed):
     big_lam = np.empty(ts.size)
     beta_min = math.inf
     witness = None
+    at, xs = sample_region_states(qp, ts, rng, SEPARATION_STATES, v_lo, v_hi)
     for i, t in enumerate(ts):
         tt = float(t)
         bmat = qp.b.eval(tt, z)
@@ -554,8 +666,7 @@ def uniqueness_per_time(qp, a_hat, v_hi, seed):
         big_lo, big_hi = lambda_extremes(SymmetricPencil(ch, bmat))
         big_lam[i] = big_hi if abs(big_hi) >= abs(big_lo) else big_lo
         chd = c_hat_dot.eval(tt, z)
-        states = sample_region_states(qp, tt, rng, SEPARATION_STATES, v_lo,
-                                      v_hi)
+        states = list(xs[at == i])
         if len(states) < 2:
             states = [z.copy(), z.copy()]
         pairs = list(zip(states[::2], states[1::2]))

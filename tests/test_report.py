@@ -5,7 +5,10 @@ lossless certificate round trip, and the human-readable table.
 import numpy as np
 import pytest
 
+from conftest import make_reference_problem
 from vwbound.errors import DocumentError
+from vwbound.expr import MatrixFunction
+from vwbound.quadratic import certify
 from vwbound.report import (
     CONDITION_ORDER,
     FORMAT_TAG,
@@ -170,7 +173,8 @@ class TestAttachments:
         assert {k.rsplit(".", 1)[-1] for k in rep.keys()
                 if k.startswith("stats.")} == {
             "rungs", "t", "iterations", "stayed", "exit_kinds",
-            "steps_accepted", "steps_rejected"}
+            "steps_accepted", "steps_rejected",
+            "calls", "rounds", "drawn", "accepted"}
         line = next(ln for ln in render_table(rep).splitlines()
                     if ln.strip().startswith("search:"))
         assert line.split() == [
@@ -189,6 +193,34 @@ class TestAttachments:
                     if ln.strip().startswith("search:"))
         assert "steps" not in line and line.split()[-2:] == [
             "exits", "W_hits_wplus"]
+
+    def test_sampling_stats(self, reference_report):
+        # the state-free reference samples nothing; a state-dependent A
+        # samples, and the report carries the certificate's counts
+        names = ("calls", "rounds", "drawn", "accepted")
+        assert [reference_report.get_int(f"stats.sampling.{k}")
+                for k in names] == [0, 0, 0, 0]
+        qp = make_reference_problem(
+            a=MatrixFunction.from_strings(
+                [["1 + 0.5*x1*x2", "0"], ["0", "-1"]], n_states=2),
+            n_grid=41, n_state_samples=6,
+        )
+        cert = certify(qp)
+        rep = report_from_certificate(cert, exit_code=2, n=2)
+        counts = [getattr(cert.sampling, k) for k in names]
+        assert counts[0] >= 2 and counts[3] == 41 * 6 * counts[0]
+        assert [rep.get_int(f"stats.sampling.{k}") for k in names] == counts
+        line = next(ln for ln in render_table(rep).splitlines()
+                    if ln.strip().startswith("sampling:"))
+        assert line.split() == [
+            "sampling:", str(counts[0]), "calls,", str(counts[1]),
+            "rounds,", str(counts[2]), "drawn,", str(counts[3]),
+            "accepted"]
+        # a report without the counts renders without the line
+        old = RunReport.from_text("".join(
+            ln for ln in rep.to_text().splitlines(keepends=True)
+            if not ln.startswith("stats.sampling.")))
+        assert "sampling:" not in render_table(old)
 
     def test_verification_keys(self, reference_problem,
                                reference_certificate,

@@ -350,6 +350,16 @@ class TestBoundedSolution:
         assert np.all(gaps > 0.0)
         assert np.max(gaps) < 0.05
 
+    def test_v_column_is_quad_v_at_the_nodes(self, reference_problem,
+                                              reference_solution_run):
+        # the rung tasks' V, which the trajectory CSV writes, is the
+        # compiled V at each node, bit for bit
+        qp, sol = reference_problem, reference_solution_run
+        assert sol.v.tolist() == [
+            qp.quad_v(t, x)
+            for t, x in zip(sol.traj.ts.tolist(), sol.traj.xs.tolist())]
+        assert sol.sup_v == max(sol.v.tolist())
+
     def test_stays_inside_region(self, reference_problem,
                                  reference_solution_run):
         traj = reference_solution_run.traj
@@ -416,8 +426,7 @@ def _rung_record(start):
 
 def _solve_files(qp, sol, out):
     out.mkdir()
-    write_trajectory_csv(out / "trajectory.csv", sol.traj, qp.quad_v,
-                         qp.quad_w)
+    write_trajectory_csv(out / "trajectory.csv", sol.traj, sol.v, qp.quad_w)
     write_xi_csv(out / "xi.csv", sol.xi_sequence)
     return [(out / name).read_bytes() for name in ("trajectory.csv",
                                                     "xi.csv")]
