@@ -45,9 +45,11 @@ from .quadratic import SIGMA_GRID, certify
 from .report import (
     RunReport,
     attach_solution,
+    attach_solve_failure,
     attach_verification,
     certificate_from_report,
-    parse_csv_report,
+    condition_failure_report,
+    load_report_or_csv,
     render_csv,
     render_table,
     report_from_certificate,
@@ -109,48 +111,23 @@ _FAILURE_TAGS = (
 )
 
 
-def _failure_report(doc, tag: str, exc) -> RunReport:
-    rep = RunReport()
-    rep.add("format", "vwbound-report-1")
-    rep.add("problem.n", doc.n)
-    rep.add("problem.source", doc.source)
-    rep.add("problem.t_minus", doc.window[0])
-    rep.add("problem.t_plus", doc.window[1])
-    rep.add("seed", doc.seed)
-    rep.add("exit.code", EXIT_FAILED)
-    rep.add("exit.meaning", "condition-failed")
-    rep.add("failed.condition", tag)
-    rep.add(f"cond.{tag}.passed", False)
-    rep.add(f"cond.{tag}.margin", float("nan"))
-    rep.add(f"cond.{tag}.window_certified", False)
-    rep.add(f"cond.{tag}.note", str(exc).replace("\n", "; "))
-    return rep
-
-
-def _certify_doc(doc, args):
-    """Run certification; condition failures become exit code 3 with a
-    report that names the failing condition."""
+def cmd_certify(args) -> int:
+    """Certify; a condition failure exits 3 with a report that names the
+    failing condition."""
+    doc = load_problem_document(args.problem)
+    _apply_overrides(doc, args)
     qp = doc.to_problem()
     try:
         cert = certify(qp, sigma_grid=_sigma_grid(args), seed=doc.seed)
     except tuple(cls for cls, _ in _FAILURE_TAGS) as exc:
         tag = next(t for cls, t in _FAILURE_TAGS if isinstance(exc, cls))
         sys.stderr.write(f"condition ({tag}) failed: {exc}\n")
-        return None, _failure_report(doc, tag, exc), EXIT_FAILED
-    if not cert.feasible:
         code = EXIT_FAILED
-    elif cert.window_certified_only:
-        code = EXIT_WINDOW
+        rep = condition_failure_report(doc, tag, exc, code)
     else:
-        code = EXIT_OK
-    rep = report_from_certificate(cert, code, doc.n, source=doc.source)
-    return cert, rep, code
-
-
-def cmd_certify(args) -> int:
-    doc = load_problem_document(args.problem)
-    _apply_overrides(doc, args)
-    _, rep, code = _certify_doc(doc, args)
+        code = (EXIT_FAILED if not cert.feasible else
+                EXIT_WINDOW if cert.window_certified_only else EXIT_OK)
+        rep = report_from_certificate(cert, code, doc.n, source=doc.source)
     out = getattr(args, "out", None)
     if out:
         rep.write(out)
@@ -179,19 +156,12 @@ def cmd_solve(args) -> int:
         raise DocumentError(str(exc), key="tol") from None
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
+    report_path = os.path.join(out_dir, "solve-report.txt")
     try:
         sol = bounded_solution(qp, cert, config)
     except (NotConverged, BudgetExhausted, NoSignChange) as exc:
-        attach_failure = RunReport.from_text(rep.to_text())
-        attach_failure.add("solution.exit.code", EXIT_NOT_CONVERGED)
-        attach_failure.add("solution.exit.meaning", "not-converged")
-        attach_failure.add(
-            "solution.error", str(exc).replace("\n", "; ")
-        )
-        seq = getattr(exc, "xi_sequence", None) or []
-        for j, t_j, xi in seq:
-            attach_failure.add_array(f"solution.xi_{j}.at_{t_j:g}", xi)
-        attach_failure.write(os.path.join(out_dir, "solve-report.txt"))
+        attach_solve_failure(rep, exc, EXIT_NOT_CONVERGED)
+        rep.write(report_path)
         sys.stderr.write(f"solve failed: {exc}\n")
         return EXIT_NOT_CONVERGED
     attach_solution(rep, sol, EXIT_OK)
@@ -200,7 +170,7 @@ def cmd_solve(args) -> int:
         sol.v, qp.quad_w,
     )
     write_xi_csv(os.path.join(out_dir, "xi.csv"), sol.xi_sequence)
-    rep.write(os.path.join(out_dir, "solve-report.txt"))
+    rep.write(report_path)
     sys.stdout.write(
         "converged at j=%d; xi = (%s); sup V = %.17g at t = %.6g\n"
         % (
@@ -295,15 +265,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {args.report}: {exc}") from None
-    if text.lstrip().startswith("key,value"):
-        rep = parse_csv_report(text)
-    else:
-        rep = RunReport.from_text(text)
+    rep = load_report_or_csv(args.report)
     fmt = args.format or "text"
     if fmt == "csv":
         rendered = render_csv(rep)

@@ -81,6 +81,12 @@ SAFETY_INFLATION = 1.01
 VSTAR_HEADROOM = 1.05
 # rejection rounds of sample_region_states before it returns what it has
 SAMPLE_TRIES = 64
+# most candidates (grid x samples) one sampler round may draw: a round of
+# 10^6 peaks at ~140 MB for n = 2
+MAX_SAMPLE_BLOCK = 10**6
+# most grid points: certify holds ~37 MB at 4e4 for n = 2, and the
+# separation test's rounds (SEPARATION_STATES per point) fit the block
+MAX_GRID = 40_000
 # states drawn per grid time by uniqueness_quadratic, paired off in twos
 SEPARATION_STATES = 24
 # normalized window integral above which the separation test counts as
@@ -138,6 +144,20 @@ class QuadraticProblem:
             raise ValueError(
                 "grid needs at least 9 points to resolve the window, "
                 f"got {self.n_grid}"
+            )
+        if self.n_grid > MAX_GRID:
+            raise ValueError(
+                f"grid may have at most {MAX_GRID} points, got {self.n_grid}"
+            )
+        if self.n_state_samples < 1:
+            raise ValueError(
+                f"samples must be at least 1, got {self.n_state_samples}"
+            )
+        block = self.n_grid * self.n_state_samples
+        if self.a.depends_on_state and block > MAX_SAMPLE_BLOCK:
+            raise ValueError(
+                f"grid x samples = {block} exceeds the {MAX_SAMPLE_BLOCK} "
+                "candidates one sampling round may draw"
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")

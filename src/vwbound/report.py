@@ -1,15 +1,16 @@
 """Flat machine-readable run reports.
 
 A report is an ordered list of ``key = value`` lines: keys are dotted
-ASCII identifiers, values are either strings (no newlines), integers, or
-floats printed with 17 significant digits so every float64 round-trips
-bit-exactly.  ``RunReport.from_text(r.to_text())`` reproduces the text
-byte for byte; the CSV rendering re-parses losslessly as well.
+ASCII identifiers, values are either strings (a newline is written as
+``; ``), integers, or floats printed with 17 significant digits so every
+float64 round-trips bit-exactly.  ``RunReport.from_text(r.to_text())``
+reproduces the text byte for byte; the CSV rendering re-parses
+losslessly as well.
 
 The report carries the full certificate — scalars, per-condition table,
 sampled curves — so downstream commands can rebuild a
 :class:`~vwbound.quadratic.Certificate` without re-running the
-certification.
+certification.  Every report key is written here.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ __all__ = [
     "RunReport",
     "report_from_certificate",
     "certificate_from_report",
+    "condition_failure_report",
     "attach_solution",
+    "attach_solve_failure",
     "attach_verification",
+    "load_report_or_csv",
     "render_table",
     "render_csv",
     "parse_csv_report",
@@ -53,7 +57,17 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return "%.17g" % float(value)
+    if isinstance(value, np.ndarray):
+        return " ".join("%.17g" % float(v) for v in value)
     return str(value)
+
+
+def _read(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
 class RunReport:
@@ -66,14 +80,12 @@ class RunReport:
     def add(self, key: str, value) -> None:
         if " " in key or "=" in key or "\n" in key:
             raise ValueError(f"bad report key {key!r}")
-        text = _fmt(value)
-        if "\n" in text:
-            raise ValueError(f"value for {key!r} contains a newline")
+        text = _fmt(value).replace("\n", "; ")
         self._pairs.append((key, text))
         self._index[key] = text
 
     def add_array(self, key: str, values) -> None:
-        self.add(key, " ".join("%.17g" % float(v) for v in values))
+        self.add(key, np.asarray(values, dtype=float))
 
     def has(self, key: str) -> bool:
         return key in self._index
@@ -106,18 +118,11 @@ class RunReport:
         return "".join(f"{k} = {v}\n" for k, v in self._pairs)
 
     @classmethod
-    def from_text(cls, text: str) -> "RunReport":
+    def from_pairs(cls, pairs) -> "RunReport":
+        """A report of the formatted ``(key, value)`` pairs of a file."""
         rep = cls()
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            key, sep, value = line.partition(" = ")
-            if not sep or " " in key:
-                raise DocumentError(
-                    f"bad report line {line!r}", line=line_no
-                )
-            rep._pairs.append((key, value))
-            rep._index[key] = value
+        rep._pairs = [(key, value) for key, value in pairs]
+        rep._index = dict(rep._pairs)
         if not rep._pairs:
             raise DocumentError("empty report")
         if rep._index.get("format") != FORMAT_TAG:
@@ -127,17 +132,149 @@ class RunReport:
         return rep
 
     @classmethod
+    def from_text(cls, text: str) -> "RunReport":
+        pairs = []
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            key, sep, value = line.partition(" = ")
+            if not sep or " " in key:
+                raise DocumentError(f"bad report line {line!r}", line=line_no)
+            pairs.append((key, value))
+        return cls.from_pairs(pairs)
+
+    @classmethod
     def load(cls, path) -> "RunReport":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise DocumentError(f"cannot read {path}: {exc}") from None
-        return cls.from_text(text)
+        return cls.from_text(_read(path))
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
+
+
+def load_report_or_csv(path) -> RunReport:
+    """Read a report file or its CSV twin (:func:`render_csv`)."""
+    text = _read(path)
+    if text.lstrip().startswith("key,value"):
+        return parse_csv_report(text)
+    return RunReport.from_text(text)
+
+
+# ---------------------------------------------------------------------------
+# the certificate's keys
+
+
+def _finite(get):
+    def read(rep, key):
+        value = get(rep, key)
+        if not np.all(np.isfinite(value)):
+            raise DocumentError("value is not a finite number", key=key)
+        return value
+    return read
+
+
+def _not_infinite(rep, key):
+    # nan marks a grid time without sampled states, as certify writes it
+    value = rep.get_array(key)
+    if np.any(np.isinf(value)):
+        raise DocumentError("value is infinite", key=key)
+    return value
+
+
+def _text(rep, key):
+    # looked up on the instance, as the typed getters look it up, so a
+    # RunReport subclass sees every read
+    return rep.get(key)
+
+
+_FLOAT, _CURVE = _finite(RunReport.get_float), _finite(RunReport.get_array)
+_INT, _BOOL = RunReport.get_int, RunReport.get_bool
+
+# (report key, Certificate field, reader) of every certificate number a
+# report carries, in report order; a pair field takes one key per entry.
+# The header's window and seed open the exit-3 report too; the curves
+# follow the condition table.
+_HEADER_KEYS = (("problem.t_minus", "window", _FLOAT),
+                ("problem.t_plus", "window", _FLOAT), ("seed", "seed", _INT))
+_SCALAR_KEYS = (
+    ("cert.sigma", "sigma", _FLOAT), ("cert.c1", "c1", _FLOAT),
+    ("cert.c2", "c2", _FLOAT), ("cert.c3", "c3", _FLOAT),
+    ("cert.v0", "v0", _FLOAT), ("cert.v0_auto", "v0_auto", _BOOL),
+    ("cert.v_star", "v_star", _FLOAT),
+    ("cert.v_star_auto", "v_star_auto", _BOOL),
+    ("cert.w_minus", "w_minus", _FLOAT), ("cert.w_plus", "w_plus", _FLOAT),
+    ("cert.nu", "nu", _FLOAT), ("cert.omega_tilde", "omega_tilde", _FLOAT),
+    ("cert.omega0", "omega0", _FLOAT),
+    ("bound.v_small_star", "v_small_star", _FLOAT),
+    ("bound.vstar_required.1", "vstar_required", _FLOAT),
+    ("bound.vstar_required.2", "vstar_required", _FLOAT),
+    ("bound.vstar_slack", "vstar_slack", _FLOAT),
+)
+_CURVE_KEYS = (
+    ("curve.ts", "ts", _CURVE), ("curve.lam_plus", "lam_plus", _CURVE),
+    ("curve.lam_minus", "lam_minus", _CURVE),
+    ("curve.lam_mp", "lam_mp", _CURVE),
+    ("curve.alpha", "alpha", _not_infinite),
+    ("curve.ceiling", "ceiling", _CURVE),
+)
+
+
+def _condition_keys(tag: str):
+    """The table of condition ``tag``'s ConditionResult fields."""
+    return tuple((f"cond.{tag}.{name}", name, read) for name, read in (
+        ("passed", _BOOL), ("margin", RunReport.get_float),
+        ("window_certified", _BOOL), ("note", _text)))
+
+
+def _put(rep: RunReport, src, keys) -> None:
+    """Add the fields of ``src`` under ``keys``, a table of the above."""
+    taken = {}
+    for key, name, _ in keys:
+        value = getattr(src, name)
+        if isinstance(value, tuple):
+            taken[name] = taken.get(name, -1) + 1
+            value = value[taken[name]]
+        rep.add(key, value)
+
+
+def _get(rep: RunReport, keys) -> dict:
+    """The fields :func:`_put` wrote under ``keys``, by field name."""
+    fields = {}
+    for key, name, read in keys:
+        value = read(rep, key)
+        # the second key of a pair field completes the pair
+        fields[name] = (fields[name], value) if name in fields else value
+    return fields
+
+
+def _put_exit(rep: RunReport, prefix: str, exit_code: int) -> None:
+    rep.add(f"{prefix}exit.code", exit_code)
+    rep.add(f"{prefix}exit.meaning", EXIT_MEANINGS[exit_code])
+
+
+def _put_numbered(rep: RunReport, prefix: str, values) -> None:
+    for i, value in enumerate(values, start=1):
+        rep.add(f"{prefix}.{i}", value)
+
+
+def _numbered(rep: RunReport, prefix: str) -> list[str]:
+    """The values of ``<prefix>.1``, ``<prefix>.2``, ... that exist."""
+    values = []
+    while rep.has(f"{prefix}.{len(values) + 1}"):
+        values.append(rep.get(f"{prefix}.{len(values) + 1}"))
+    return values
+
+
+def _header(src, exit_code: int, n: int, source: str) -> RunReport:
+    """A new report's opening keys, the window and seed from ``src``."""
+    rep = RunReport()
+    rep.add("format", FORMAT_TAG)
+    rep.add("problem.n", n)
+    if source:
+        rep.add("problem.source", source)
+    _put(rep, src, _HEADER_KEYS)
+    _put_exit(rep, "", exit_code)
+    return rep
 
 
 def report_from_certificate(
@@ -145,33 +282,8 @@ def report_from_certificate(
 ) -> RunReport:
     """Serialize a certificate (scalars, condition table, curves) and the
     region sampler's counts."""
-    rep = RunReport()
-    rep.add("format", FORMAT_TAG)
-    rep.add("problem.n", n)
-    if source:
-        rep.add("problem.source", source)
-    rep.add("problem.t_minus", cert.window[0])
-    rep.add("problem.t_plus", cert.window[1])
-    rep.add("seed", cert.seed)
-    rep.add("exit.code", exit_code)
-    rep.add("exit.meaning", EXIT_MEANINGS[exit_code])
-    rep.add("cert.sigma", cert.sigma)
-    rep.add("cert.c1", cert.c1)
-    rep.add("cert.c2", cert.c2)
-    rep.add("cert.c3", cert.c3)
-    rep.add("cert.v0", cert.v0)
-    rep.add("cert.v0_auto", cert.v0_auto)
-    rep.add("cert.v_star", cert.v_star)
-    rep.add("cert.v_star_auto", cert.v_star_auto)
-    rep.add("cert.w_minus", cert.w_minus)
-    rep.add("cert.w_plus", cert.w_plus)
-    rep.add("cert.nu", cert.nu)
-    rep.add("cert.omega_tilde", cert.omega_tilde)
-    rep.add("cert.omega0", cert.omega0)
-    rep.add("bound.v_small_star", cert.v_small_star)
-    rep.add("bound.vstar_required.1", cert.vstar_required[0])
-    rep.add("bound.vstar_required.2", cert.vstar_required[1])
-    rep.add("bound.vstar_slack", cert.vstar_slack)
+    rep = _header(cert, exit_code, n, source)
+    _put(rep, cert, _SCALAR_KEYS)
     # headline bounds: envelope curve at t = 0 and the constants-only
     # closed form at the window spread
     i0 = int(np.argmin(np.abs(cert.ts)))
@@ -180,23 +292,22 @@ def report_from_certificate(
     rep.add("bound.closed_form",
             closed_form_ceiling(cert.growth_pair(), spread))
     for tag in CONDITION_ORDER:
-        cond = cert.conditions[tag]
-        prefix = f"cond.{tag}"
-        rep.add(f"{prefix}.passed", cond.passed)
-        rep.add(f"{prefix}.margin", cond.margin)
-        rep.add(f"{prefix}.window_certified", cond.window_certified)
-        rep.add(f"{prefix}.note", cond.note.replace("\n", "; "))
-    rep.add_array("curve.ts", cert.ts)
-    rep.add_array("curve.lam_plus", cert.lam_plus)
-    rep.add_array("curve.lam_minus", cert.lam_minus)
-    rep.add_array("curve.lam_mp", cert.lam_mp)
-    rep.add_array("curve.alpha", cert.alpha)
-    rep.add_array("curve.ceiling", cert.ceiling)
-    for i, note in enumerate(cert.notes, start=1):
-        rep.add(f"note.{i}", note.replace("\n", "; "))
+        _put(rep, cert.conditions[tag], _condition_keys(tag))
+    _put(rep, cert, _CURVE_KEYS)
+    _put_numbered(rep, "note", cert.notes)
     # what the region sampler did: counts only, 0 on the state-free path
     for name in ("calls", "rounds", "drawn", "accepted"):
         rep.add(f"stats.sampling.{name}", getattr(cert.sampling, name))
+    return rep
+
+
+def condition_failure_report(doc, tag: str, exc, exit_code: int) -> RunReport:
+    """The report of a certify run stopped by condition ``tag`` failing
+    with ``exc``: ``doc``'s header, the tag and the condition's row."""
+    rep = _header(doc, exit_code, doc.n, doc.source)
+    rep.add("failed.condition", tag)
+    _put(rep, ConditionResult(name=tag, passed=False, note=str(exc)),
+         _condition_keys(tag))
     return rep
 
 
@@ -214,63 +325,12 @@ def certificate_from_report(rep: RunReport) -> Certificate:
         whose growth constant is out of range.  Other keys, such as
         ``solution.*`` and ``stats.*``, are not read.
     """
-
-    def finite(key, get=rep.get_float):
-        value = get(key)
-        if not np.all(np.isfinite(value)):
-            raise DocumentError("value is not a finite number", key=key)
-        return value
-
-    def not_infinite(key):
-        value = rep.get_array(key)
-        if np.any(np.isinf(value)):
-            raise DocumentError("value is infinite", key=key)
-        return value
-
-    conditions = {}
-    for tag in CONDITION_ORDER:
-        prefix = f"cond.{tag}"
-        conditions[tag] = ConditionResult(
-            name=tag,
-            passed=rep.get_bool(f"{prefix}.passed"),
-            margin=rep.get_float(f"{prefix}.margin"),
-            window_certified=rep.get_bool(f"{prefix}.window_certified"),
-            note=rep.get(f"{prefix}.note"),
-        )
-    notes = []
-    i = 1
-    while rep.has(f"note.{i}"):
-        notes.append(rep.get(f"note.{i}"))
-        i += 1
-    cert = Certificate(
-        sigma=finite("cert.sigma"),
-        c1=finite("cert.c1"),
-        c2=finite("cert.c2"),
-        c3=finite("cert.c3"),
-        v0=finite("cert.v0"),
-        v0_auto=rep.get_bool("cert.v0_auto"),
-        v_star=finite("cert.v_star"),
-        v_star_auto=rep.get_bool("cert.v_star_auto"),
-        w_minus=finite("cert.w_minus"),
-        w_plus=finite("cert.w_plus"),
-        window=(finite("problem.t_minus"), finite("problem.t_plus")),
-        nu=finite("cert.nu"),
-        omega_tilde=finite("cert.omega_tilde"),
-        omega0=finite("cert.omega0"),
-        v_small_star=finite("bound.v_small_star"),
-        vstar_required=(finite("bound.vstar_required.1"),
-                        finite("bound.vstar_required.2")),
-        vstar_slack=finite("bound.vstar_slack"),
-        ts=finite("curve.ts", rep.get_array),
-        lam_plus=finite("curve.lam_plus", rep.get_array),
-        lam_minus=finite("curve.lam_minus", rep.get_array),
-        lam_mp=finite("curve.lam_mp", rep.get_array),
-        alpha=not_infinite("curve.alpha"),
-        ceiling=finite("curve.ceiling", rep.get_array),
-        conditions=conditions,
-        seed=rep.get_int("seed"),
-        notes=notes,
-    )
+    conditions = {
+        tag: ConditionResult(name=tag, **_get(rep, _condition_keys(tag)))
+        for tag in CONDITION_ORDER
+    }
+    cert = Certificate(**_get(rep, _HEADER_KEYS + _SCALAR_KEYS + _CURVE_KEYS),
+                       conditions=conditions, notes=_numbered(rep, "note"))
     try:
         cert.growth_pair()
     except DomainError as exc:
@@ -286,18 +346,15 @@ def certificate_from_report(rep: RunReport) -> Certificate:
 
 def attach_solution(rep: RunReport, sol, exit_code: int) -> None:
     """Append the solution summary of a solve run."""
-    rep.add("solution.exit.code", exit_code)
-    rep.add("solution.exit.meaning", EXIT_MEANINGS[exit_code])
+    _put_exit(rep, "solution.", exit_code)
     rep.add("solution.converged_at_j", sol.converged_at_j)
-    for i, val in enumerate(sol.xi, start=1):
-        rep.add(f"solution.xi.{i}", float(val))
+    _put_numbered(rep, "solution.xi", map(float, sol.xi))
     rep.add("solution.sup_v", sol.sup_v)
     rep.add("solution.sup_v_time", sol.sup_v_time)
     rep.add("solution.coverage.lo", float(sol.traj.ts[0]))
     rep.add("solution.coverage.hi", float(sol.traj.ts[-1]))
     rep.add("solution.nodes", int(sol.traj.ts.size))
-    for i, note in enumerate(sol.notes, start=1):
-        rep.add(f"solution.note.{i}", note.replace("\n", "; "))
+    _put_numbered(rep, "solution.note", sol.notes)
     # what the search did, per rung: counts only, so reports of one
     # problem compare across machines
     rep.add("stats.shooting.rungs", len(sol.rungs))
@@ -311,26 +368,27 @@ def attach_solution(rep: RunReport, sol, exit_code: int) -> None:
         rep.add(f"{prefix}.steps_rejected", start.steps_rejected)
 
 
+def attach_solve_failure(rep: RunReport, exc, exit_code: int) -> None:
+    """Append why a solve run stopped (``exc``) and, when ``exc`` carries
+    it, the xi each searched rung reached."""
+    _put_exit(rep, "solution.", exit_code)
+    rep.add("solution.error", str(exc))
+    for j, t_j, xi in getattr(exc, "xi_sequence", None) or []:
+        rep.add_array(f"solution.xi_{j}.at_{t_j:g}", xi)
+
+
 def attach_verification(rep: RunReport, ver, exit_code: int) -> None:
     """Append a verification outcome."""
-    rep.add("verify.exit.code", exit_code)
-    rep.add("verify.exit.meaning", EXIT_MEANINGS[exit_code])
-    rep.add("verify.passed", ver.passed)
-    rep.add("verify.sup_v", ver.sup_v)
-    rep.add("verify.sup_v_time", ver.sup_v_time)
-    rep.add("verify.slack_envelope", ver.slack_envelope)
-    rep.add("verify.slack_const", ver.slack_const)
-    rep.add("verify.slack_closed_form", ver.slack_closed_form)
-    rep.add("verify.w_range_margin", ver.w_range_margin)
-    rep.add("verify.clock_margin", ver.clock_margin)
-    rep.add("verify.clock_nodes", ver.clock_nodes)
+    _put_exit(rep, "verify.", exit_code)
+    for name in ("passed", "sup_v", "sup_v_time", "slack_envelope",
+                 "slack_const", "slack_closed_form", "w_range_margin",
+                 "clock_margin", "clock_nodes"):
+        rep.add(f"verify.{name}", getattr(ver, name))
     rep.add("verify.coverage.lo", ver.coverage[0])
     rep.add("verify.coverage.hi", ver.coverage[1])
     rep.add("verify.nodes", ver.n_nodes)
-    for i, v in enumerate(ver.violations, start=1):
-        rep.add(f"verify.violation.{i}", v.replace("\n", "; "))
-    for i, note in enumerate(ver.notes, start=1):
-        rep.add(f"verify.note.{i}", note.replace("\n", "; "))
+    _put_numbered(rep, "verify.violation", ver.violations)
+    _put_numbered(rep, "verify.note", ver.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +407,10 @@ def render_table(rep: RunReport) -> str:
          f"exit code {rep.get('exit.code')})")
     line(f"  window  [{rep.get('problem.t_minus')}, "
          f"{rep.get('problem.t_plus')}]   seed {rep.get('seed')}")
-    line(
-        "  sigma %-8s c1 %-12s c2 %-12s c3 %s"
-        % tuple(
-            _short(rep, k)
-            for k in ("cert.sigma", "cert.c1", "cert.c2", "cert.c3")
-        )
-    )
-    line(
-        "  v0 %-12s V* %-12s w- %-12s w+ %s"
-        % tuple(
-            _short(rep, k)
-            for k in ("cert.v0", "cert.v_star", "cert.w_minus",
-                      "cert.w_plus")
-        )
-    )
+    line("  sigma %-8s c1 %-12s c2 %-12s c3 %s" % _shorts(
+        rep, "cert.sigma", "cert.c1", "cert.c2", "cert.c3"))
+    line("  v0 %-12s V* %-12s w- %-12s w+ %s" % _shorts(
+        rep, "cert.v0", "cert.v_star", "cert.w_minus", "cert.w_plus"))
     line()
     line("  condition  passed  window-certified  margin        note")
     for tag in CONDITION_ORDER:
@@ -377,30 +424,24 @@ def render_table(rep: RunReport) -> str:
         line(f"  ({tag:<3})      {passed:<7} {window:<17} {margin:<13} "
              f"{note}")
     line()
-    line("  bounds: v_* %s   curve(0) %s   closed-form %s" % (
-        _short(rep, "bound.v_small_star"),
-        _short(rep, "bound.curve_t0"),
-        _short(rep, "bound.closed_form"),
-    ))
+    line("  bounds: v_* %s   curve(0) %s   closed-form %s" % _shorts(
+        rep, "bound.v_small_star", "bound.curve_t0", "bound.closed_form"))
     if rep.has("stats.sampling.calls"):
         line("  sampling: %d calls, %d rounds, %d drawn, %d accepted" % tuple(
             rep.get_int(f"stats.sampling.{name}")
             for name in ("calls", "rounds", "drawn", "accepted")))
+    if rep.has("solution.error"):
+        line("  solution: %s (exit code %s): %s" % (
+            rep.get("solution.exit.meaning"), rep.get("solution.exit.code"),
+            rep.get("solution.error")))
     if rep.has("solution.sup_v"):
-        n = 1
-        xi = []
-        while rep.has(f"solution.xi.{n}"):
-            xi.append(rep.get(f"solution.xi.{n}"))
-            n += 1
         line()
         line("  solution: xi (%s)  converged at j=%s" % (
-            ", ".join(xi), rep.get("solution.converged_at_j")))
-        line("            sup V %s at t=%s   coverage [%s, %s]" % (
-            _short(rep, "solution.sup_v"),
-            _short(rep, "solution.sup_v_time"),
-            _short(rep, "solution.coverage.lo"),
-            _short(rep, "solution.coverage.hi"),
-        ))
+            ", ".join(_numbered(rep, "solution.xi")),
+            rep.get("solution.converged_at_j")))
+        line("            sup V %s at t=%s   coverage [%s, %s]" % _shorts(
+            rep, "solution.sup_v", "solution.sup_v_time",
+            "solution.coverage.lo", "solution.coverage.hi"))
     if rep.has("stats.shooting.rungs"):
         rungs = [f"stats.shooting.rung.{i}"
                  for i in range(1, rep.get_int("stats.shooting.rungs") + 1)]
@@ -425,18 +466,12 @@ def render_table(rep: RunReport) -> str:
         line()
         line("  verify: %s  slack envelope %s  const %s  closed-form %s" % (
             "pass" if rep.get_bool("verify.passed") else "VIOLATED",
-            _short(rep, "verify.slack_envelope"),
-            _short(rep, "verify.slack_const"),
-            _short(rep, "verify.slack_closed_form"),
-        ))
-        i = 1
-        while rep.has(f"verify.violation.{i}"):
-            line(f"    violation: {rep.get(f'verify.violation.{i}')}")
-            i += 1
-    i = 1
-    while rep.has(f"note.{i}"):
-        line(f"  note: {rep.get(f'note.{i}')}")
-        i += 1
+            *_shorts(rep, "verify.slack_envelope", "verify.slack_const",
+                     "verify.slack_closed_form")))
+        for violation in _numbered(rep, "verify.violation"):
+            line(f"    violation: {violation}")
+    for note in _numbered(rep, "note"):
+        line(f"  note: {note}")
     return out.getvalue()
 
 
@@ -445,6 +480,10 @@ def _short(rep: RunReport, key: str) -> str:
         return "%.6g" % rep.get_float(key)
     except (ValueError, DocumentError):
         return rep.get(key) if rep.has(key) else "-"
+
+
+def _shorts(rep: RunReport, *keys: str) -> tuple[str, ...]:
+    return tuple(_short(rep, key) for key in keys)
 
 
 def render_csv(rep: RunReport) -> str:
@@ -459,14 +498,10 @@ def render_csv(rep: RunReport) -> str:
 
 
 def parse_csv_report(text: str) -> RunReport:
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["key", "value"]:
         raise DocumentError("not a report CSV (missing key,value header)")
-    rep = RunReport()
-    for key, value in rows[1:]:
-        rep._pairs.append((key, value))
-        rep._index[key] = value
-    if rep._index.get("format") != FORMAT_TAG:
-        raise DocumentError("CSV does not contain a report (no format key)")
-    return rep
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != 2:
+            raise DocumentError(f"bad report CSV row {row!r}", line=line_no)
+    return RunReport.from_pairs(rows[1:])

@@ -7,12 +7,21 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from vwbound import shooting
+from vwbound import cli, shooting
 from vwbound.cli import main
 from vwbound.errors import NoSignChange
+from vwbound.ode import integrate, make_region_events, write_trajectory_csv
+from vwbound.problemdoc import load_problem_document
+from vwbound.quadratic import (
+    MAX_GRID,
+    MAX_SAMPLE_BLOCK,
+    sample_region_states,
+)
 from vwbound.report import FORMAT_TAG, RunReport, certificate_from_report
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -287,6 +296,29 @@ class TestVerify:
                      "--traj", str(solve_dir / "trajectory.csv")])
         assert code == 0
         assert "pass" in capsys.readouterr().out
+
+    def test_segment_above_v0_runs_the_growth_clock(self, ref_doc, cert_file,
+                                                    tmp_path, capsys):
+        # a solution segment that starts in the region above v0, as a
+        # CSV: verify evaluates the growth clock at its nodes and passes
+        qp = load_problem_document(ref_doc).to_problem()
+        cert = certificate_from_report(RunReport.load(cert_file))
+        rng = np.random.default_rng(5)
+        _, states = sample_region_states(qp, [-10.0], rng, 1,
+                                         1.02 * cert.v0, 1.5 * cert.v0)
+        traj = integrate(qp.rhs, -10.0, states[0], 0.0, tol=1e-9,
+                         events=make_region_events(
+                             qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus,
+                             cert.v0, cert.v_star))
+        csv_path, out = tmp_path / "segment.csv", tmp_path / "verify.txt"
+        write_trajectory_csv(csv_path, traj, [
+            qp.quad_v(t, x) for t, x in zip(traj.ts, traj.xs)], qp.quad_w)
+        assert main(["verify", ref_doc, "--cert", cert_file, "--traj",
+                     str(csv_path), "--out", str(out)]) == 0
+        assert "verify pass" in capsys.readouterr().out
+        rep = RunReport.load(out)
+        assert rep.get_int("verify.clock_nodes") > 0
+        assert rep.get_float("verify.clock_margin") > 0.0
 
     def test_corrupted_certificate_flagged(self, ref_doc, cert_file,
                                            solve_dir, tmp_path, capsys):
@@ -706,3 +738,54 @@ class TestNonlinear:
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         assert NONLINEAR_DOC.read_text() == workloads.nonlinear_text(ROOT)
+
+    # the state-dependent demo samples at every grid time: samples below 1
+    # and sizes past their bound are usage errors, raised when the problem
+    # is built, before certify allocates the grid or a sampler round
+    @pytest.mark.parametrize("grid,samples,named", [
+        (51, 0, "samples must be at least 1, got 0"),
+        (51, -1, "samples must be at least 1, got -1"),
+        (MAX_GRID + 1, 16, f"at most {MAX_GRID} points, got {MAX_GRID + 1}"),
+        (100000000000, 16, "got 100000000000"),
+        # one candidate past the block: 101 x 9901 = 10^6 + 1
+        (101, 9901, f"1000001 exceeds the {MAX_SAMPLE_BLOCK} candidates"),
+    ])
+    def test_sizes_rejected_before_certify(self, tmp_path, capsys,
+                                           monkeypatch, grid, samples, named):
+        monkeypatch.setattr(cli, "certify",
+                            lambda *a, **k: pytest.fail("certify ran"))
+        doc = tmp_path / "sized.problem"
+        doc.write_text(NONLINEAR_DOC.read_text().replace(
+            "grid = 51\n", f"grid = {grid}\n").replace(
+            "samples = 16\n", f"samples = {samples}\n"))
+        tracemalloc.start()
+        try:
+            assert main(["certify", str(doc)]) == 64
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        # np.linspace alone would take 745 GiB for the 1e11-point grid
+        assert peak < 1e6
+        # the flag is bounded as the document is
+        assert main(["certify", str(NONLINEAR_DOC),
+                     f"--grid={MAX_GRID + 1}"]) == 64
+
+    @pytest.mark.parametrize("grid,samples", [(MAX_GRID, 16), (100, 10000)])
+    def test_sizes_at_their_bound_reach_certify(self, tmp_path, monkeypatch,
+                                                grid, samples):
+        class Reached(Exception):
+            pass
+
+        def reached(qp, **kwargs):
+            assert (qp.n_grid, qp.n_state_samples) == (grid, samples)
+            raise Reached
+
+        monkeypatch.setattr(cli, "certify", reached)
+        doc = tmp_path / "sized.problem"
+        doc.write_text(NONLINEAR_DOC.read_text().replace(
+            "grid = 51\n", f"grid = {grid}\n").replace(
+            "samples = 16\n", f"samples = {samples}\n"))
+        with pytest.raises(Reached):
+            main(["certify", str(doc)])

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import make_reference_problem
-from vwbound.errors import DocumentError
+from vwbound.errors import DocumentError, InfeasibleConditionE, NotConverged
 from vwbound.expr import MatrixFunction
+from vwbound.problemdoc import load_problem_document
 from vwbound.quadratic import certify
 from vwbound.report import (
     CONDITION_ORDER,
     FORMAT_TAG,
     RunReport,
     attach_solution,
+    attach_solve_failure,
     attach_verification,
     certificate_from_report,
+    condition_failure_report,
     parse_csv_report,
     render_csv,
     render_table,
@@ -102,6 +105,19 @@ class TestCsvTwin:
         with pytest.raises(DocumentError):
             parse_csv_report("alpha,1\n")
 
+    def test_same_checks_as_the_text_form(self):
+        # one constructor checks the format tag of both forms
+        for parse, text in ((parse_csv_report, "key,value\nalpha,1\n"),
+                            (RunReport.from_text, "alpha = 1\n")):
+            with pytest.raises(DocumentError, match=f"not a {FORMAT_TAG}"):
+                parse(text)
+
+    def test_row_of_wrong_width_rejected(self, reference_report):
+        text = render_csv(reference_report) + "extra,1,2\n"
+        with pytest.raises(DocumentError) as info:
+            parse_csv_report(text)
+        assert info.value.line == len(reference_report.keys()) + 2
+
 
 class TestCertificateRoundTrip:
     def test_rebuild_is_exact(self, reference_certificate, reference_report):
@@ -139,6 +155,29 @@ class TestCertificateRoundTrip:
     def test_exit_code_and_meaning(self, reference_report):
         assert reference_report.get_int("exit.code") == 2
         assert reference_report.get("exit.meaning") == "window-certified"
+
+    def test_reader_reads_what_the_writer_writes(self, reference_report):
+        # a key added to one side only fails here; the writer's other
+        # keys are for people and for later stages, never read back
+        class Recording(RunReport):
+            def __init__(self):
+                super().__init__()
+                self.read = set()
+
+            def get(self, key):
+                self.read.add(key)
+                return super().get(key)
+
+        def write_only(key):
+            return (key in ("format", "problem.n", "problem.source",
+                            "bound.curve_t0", "bound.closed_form")
+                    or key.startswith(("exit.", "stats.")))
+
+        rep = Recording.from_text(reference_report.to_text())
+        certificate_from_report(rep)
+        written = reference_report.keys()
+        assert "note.1" in written and "problem.source" in written
+        assert rep.read == {k for k in written if not write_only(k)}
 
 
 class TestAttachments:
@@ -233,6 +272,61 @@ class TestAttachments:
         assert rep.get_float("verify.slack_envelope") > 0.0
         assert rep.get_int("verify.nodes") == \
             reference_solution_run.traj.ts.size
+
+
+class TestFailureReports:
+    def test_condition_failure(self, reference_document_path):
+        doc = load_problem_document(reference_document_path)
+        exc = InfeasibleConditionE("c2 too large\nfor this v0")
+        rep = condition_failure_report(doc, "e", exc, exit_code=3)
+        assert rep.items() == [
+            ("format", FORMAT_TAG),
+            ("problem.n", "2"),
+            ("problem.source", str(reference_document_path)),
+            ("problem.t_minus", "%.17g" % doc.window[0]),
+            ("problem.t_plus", "%.17g" % doc.window[1]),
+            ("seed", str(doc.seed)),
+            ("exit.code", "3"),
+            ("exit.meaning", "condition-failed"),
+            ("failed.condition", "e"),
+            ("cond.e.passed", "0"),
+            ("cond.e.margin", "nan"),
+            ("cond.e.window_certified", "0"),
+            ("cond.e.note", "c2 too large; for this v0"),
+        ]
+        assert RunReport.from_text(rep.to_text()).items() == rep.items()
+        table = render_table(rep)
+        assert table.startswith("run report (condition-failed, exit code 3)")
+        assert "(e  )      NO" in table
+        # it carries no certificate
+        with pytest.raises(DocumentError, match="missing key"):
+            certificate_from_report(rep)
+
+    def test_solve_failure(self, reference_report):
+        xi = [(1, -1.0, np.array([0.1 + 0.2, -1 / 3])),
+              (2, -2.5, np.array([1e-300, 2.0]))]
+        rep = RunReport.from_text(reference_report.to_text())
+        attach_solve_failure(rep, NotConverged("no xi\nconverged", xi), 4)
+        added = rep.items()[len(reference_report.keys()):]
+        assert [k for k, _ in added] == [
+            "solution.exit.code", "solution.exit.meaning", "solution.error",
+            "solution.xi_1.at_-1", "solution.xi_2.at_-2.5"]
+        assert rep.get("solution.exit.meaning") == "not-converged"
+        assert rep.get("solution.error") == "no xi; converged"
+        for j, t_j, values in xi:
+            key = f"solution.xi_{j}.at_{t_j:g}"
+            assert np.array_equal(rep.get_array(key), values)
+        # an error without a sequence appends the exit and the error only
+        bare = RunReport.from_text(reference_report.to_text())
+        attach_solve_failure(bare, RuntimeError("stop"), 4)
+        assert len(bare.keys()) == len(reference_report.keys()) + 3
+        # the rendering names the solve's outcome, and only it changes
+        before = render_table(reference_report).splitlines()
+        after = render_table(rep).splitlines()
+        line = "  solution: not-converged (exit code 4): no xi; converged"
+        assert [ln for ln in after if ln not in before] == [line]
+        assert len(after) == len(before) + 1
+        assert after[0] == before[0]  # still the certificate's exit code
 
 
 class TestTable:

@@ -30,7 +30,11 @@ from vwbound.ode import (
 )
 from vwbound.problemdoc import load_problem_document
 from vwbound import shooting
-from vwbound.quadratic import QuadraticProblem, certify
+from vwbound.quadratic import (
+    QuadraticProblem,
+    certify,
+    sample_region_states,
+)
 from vwbound.shooting import (
     ShootingConfig,
     bounded_solution,
@@ -634,6 +638,37 @@ class TestVerifyBound:
         assert rep.clock_nodes == 0
         assert any("above the threshold" in n or "vacuous" in n
                    for n in rep.notes)
+
+    def test_growth_clock_on_segments_above_v0(self, reference_problem,
+                                               reference_certificate):
+        # solution segments that start above v0 (V <= 1.5 v0 keeps them
+        # under every ceiling) run the growth clock at their nodes and
+        # satisfy it; read against a problem whose second mode grows
+        # instead of decaying, dW/dt falls below |dF/dt| on some of them
+        qp, cert = reference_problem, reference_certificate
+        growing = make_reference_problem(a=MatrixFunction.from_strings(
+            [["1", "0"], ["0", "1"]], n_states=2))
+        evs = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
+                                 qp.w_minus, cert.v0, cert.v_star)
+        rng = np.random.default_rng(5)
+        flagged = 0
+        for t0 in (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0):
+            _, states = sample_region_states(qp, [t0], rng, 4,
+                                             1.02 * cert.v0, 1.5 * cert.v0)
+            assert len(states) == 4
+            for x in states:
+                traj = integrate(qp.rhs, t0, x, t0 + 10.0, tol=1e-9,
+                                 events=evs)
+                rep = verify_bound(qp, cert, traj)
+                assert rep.passed and not rep.violations
+                assert rep.clock_nodes > 0 and rep.clock_margin > 0.0
+                bad = verify_bound(growing, cert, traj)
+                # V and W are those of the same nodes: only the clock fails
+                assert bad.clock_nodes == rep.clock_nodes
+                assert all(v.startswith("growth-clock inequality violated")
+                           for v in bad.violations)
+                flagged += not bad.passed
+        assert flagged >= 10
 
     def test_envelope_matches_per_node_inversion(self, reference_problem,
                                                  reference_certificate,
