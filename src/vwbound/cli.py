@@ -136,12 +136,25 @@ def cmd_certify(args) -> int:
     return code
 
 
+def _load_certificate(path) -> RunReport:
+    """The certificate report at ``path``.  A solve or verify report is
+    refused: its block would be written a second time after it."""
+    rep = RunReport.load(path)
+    for key in rep.keys():
+        if key.startswith(("solution.", "verify.")):
+            raise DocumentError(
+                f"{path} is a solve or verify report, not a certificate",
+                key=key,
+            )
+    return rep
+
+
 def cmd_solve(args) -> int:
     doc = load_problem_document(args.problem)
     _apply_overrides(doc, args)
     if not args.cert:
         raise DocumentError("solve requires --cert CERTIFICATE", key="cert")
-    rep = RunReport.load(args.cert)
+    rep = _load_certificate(args.cert)
     cert_code = rep.get_int("exit.code")
     if cert_code not in (EXIT_OK, EXIT_WINDOW):
         raise DocumentError(
@@ -238,7 +251,7 @@ def cmd_verify(args) -> int:
         raise DocumentError("verify requires --cert CERTIFICATE", key="cert")
     if not args.traj:
         raise DocumentError("verify requires --traj TRAJECTORY", key="traj")
-    rep = RunReport.load(args.cert)
+    rep = _load_certificate(args.cert)
     cert = certificate_from_report(rep)
     qp = doc.to_problem()
     traj = _read_trajectory_csv(args.traj, doc.n)

@@ -11,15 +11,19 @@ Grammar
 -------
 Binary operators ``+ - * /`` and ``^``; ``^`` takes a *numeric literal*
 exponent (optionally signed).  Precedence, tightest first: ``^``, unary
-minus, ``* /``, ``+ -``; equal precedence associates left.  Functions:
-``sin cos exp ln sqrt abs``.  Whitespace is insignificant.
+minus, ``* /``, ``+ -``; equal precedence associates left, so ``-2^2``
+is -4 and ``(-2)^2`` is 4.  Functions: ``sin cos exp ln sqrt abs``.
+Whitespace is insignificant.  A literal must be finite (``1e999`` is
+refused), and an entry at most :data:`MAX_DEPTH` levels deep.
 
 The module provides
 
 * :func:`parse_expr` — text to AST with byte-offset error reporting,
 * :func:`eval_expr` — interpreted evaluation with precise domain errors,
 * :func:`diff_t` — exact symbolic derivative in ``t`` (state held fixed),
-* :func:`to_text` — canonical printing (``parse(to_text(a)) == a``),
+* :func:`to_text` — the one printer: the canonical text
+  (``parse_expr(to_text(a)) == a``) and, given a frame, the Python
+  source of the same tree that generated code inlines,
 * :class:`MatrixFunction` / :class:`VectorFunction` — entry grids, each
   evaluated by one generated function, constants cached, symmetry checked
   on the expressions themselves; ``stack`` evaluates one at many points,
@@ -37,7 +41,8 @@ The module provides
   reached or an entry trips.
 
 All generated code comes from one template (:func:`_compile_guarded`):
-the entries inlined as Python arithmetic, the math functions bound as
+the entries inlined as Python arithmetic printed by :func:`to_text`,
+with the parentheses of the canonical text, the math functions bound as
 plain names (``sin``, not ``math.sin``) and a coefficient of exactly
 ``1.0`` or ``-1.0`` folded (``y0``, ``-y0``, the same float), with a
 fallback that runs the same template through :func:`eval_expr` when the
@@ -55,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +74,7 @@ from .errors import (
 )
 
 __all__ = [
+    "MAX_DEPTH",
     "ExprAST",
     "Num",
     "TimeVar",
@@ -96,29 +103,22 @@ _FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt", "abs")
 # AST
 
 
+@dataclass(frozen=True, slots=True)
 class ExprAST:
-    """Base node.  ``off`` is the source offset used in error messages."""
+    """Base node; ``prec`` is the printing precedence (atoms bind
+    tightest)."""
 
-    __slots__ = ("off",)
-    prec = 5  # printing precedence; atoms bind tightest
-
-    def __init__(self, off: int = 0):
-        self.off = off
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({to_text(self)!r})"
+    prec = 5
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Num(ExprAST):
-    __slots__ = ("value",)
-
-    def __init__(self, value: float, off: int = 0):
-        super().__init__(off)
-        self.value = float(value)
+    value: float
 
     @property
     def prec(self):
-        return 5 if self.value >= 0 else 3
+        # a negative literal (and -0.0) is grouped like a unary minus
+        return 3 if math.copysign(1.0, self.value) < 0.0 else 5
 
     def __eq__(self, other):
         return isinstance(other, Num) and (
@@ -130,114 +130,64 @@ class Num(ExprAST):
         return hash(("Num", self.value))
 
 
+@dataclass(frozen=True, slots=True)
 class TimeVar(ExprAST):
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, TimeVar)
-
-    def __hash__(self):
-        return hash("TimeVar")
+    pass
 
 
+@dataclass(frozen=True, slots=True)
 class StateVar(ExprAST):
     """State variable; ``index`` is zero-based, ``name`` is the surface
     spelling (``x3``, or a custom name such as ``v``)."""
 
-    __slots__ = ("index", "name")
-
-    def __init__(self, index: int, name: str, off: int = 0):
-        super().__init__(off)
-        self.index = index
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, StateVar) and self.index == other.index
-
-    def __hash__(self):
-        return hash(("StateVar", self.index))
+    index: int
+    name: str = field(compare=False)
 
 
+@dataclass(frozen=True, slots=True)
 class Neg(ExprAST):
-    __slots__ = ("arg",)
+    arg: ExprAST
     prec = 3
 
-    def __init__(self, arg: ExprAST, off: int = 0):
-        super().__init__(off)
-        self.arg = arg
 
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("Neg", self.arg))
-
-
+@dataclass(frozen=True, slots=True)
 class BinOp(ExprAST):
-    __slots__ = ("op", "lhs", "rhs")
-
-    def __init__(self, op: str, lhs: ExprAST, rhs: ExprAST, off: int = 0):
-        super().__init__(off)
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
+    op: str
+    lhs: ExprAST
+    rhs: ExprAST
 
     @property
     def prec(self):
         return 1 if self.op in "+-" else 2
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinOp)
-            and self.op == other.op
-            and self.lhs == other.lhs
-            and self.rhs == other.rhs
-        )
 
-    def __hash__(self):
-        return hash(("BinOp", self.op, self.lhs, self.rhs))
-
-
+@dataclass(frozen=True, slots=True)
 class Pow(ExprAST):
     """Power with a literal real exponent (the only exponent form the
     language admits, which keeps the derivative rule exact)."""
 
-    __slots__ = ("base", "exponent")
+    base: ExprAST
+    exponent: float
     prec = 4
 
-    def __init__(self, base: ExprAST, exponent: float, off: int = 0):
-        super().__init__(off)
-        self.base = base
-        self.exponent = float(exponent)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pow)
-            and self.base == other.base
-            and self.exponent == other.exponent
-        )
-
-    def __hash__(self):
-        return hash(("Pow", self.base, self.exponent))
-
-
+@dataclass(frozen=True, slots=True)
 class Call(ExprAST):
-    __slots__ = ("fn", "arg")
-
-    def __init__(self, fn: str, arg: ExprAST, off: int = 0):
-        super().__init__(off)
-        self.fn = fn
-        self.arg = arg
-
-    def __eq__(self, other):
-        return isinstance(other, Call) and self.fn == other.fn and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("Call", self.fn, self.arg))
+    fn: str
+    arg: ExprAST
 
 
 # ---------------------------------------------------------------------------
 # tokenizer / parser
+
+# Deepest entry the parser accepts: each operator of a chain, each
+# parenthesis pair, each call, each unary minus and each ``^`` is one
+# level.  The parser recurses six frames per nested level, every tree
+# walk one frame per level of a tree whose derivative may be three times
+# as deep, and generated code opens one bracket per level (CPython allows
+# 200).  Unbounded, the first shape to fail is 164 nested parentheses, in
+# the parser's own recursion; 100 leaves room for the callers' frames.
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -272,12 +222,22 @@ def _tokenize(text: str):
     return tokens
 
 
+def _literal(value: str, off: int) -> float:
+    out = float(value)
+    if math.isinf(out):
+        raise ExprSyntaxError(f"number {value} overflows a double", off)
+    return out
+
+
 class _Parser:
+    """Recursive descent; each rule returns ``(node, depth)``, the depth
+    in levels as :data:`MAX_DEPTH` counts them."""
+
     def __init__(self, text: str, names: dict[str, int]):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.names = names
+        self.nesting = 0  # enclosing parentheses, calls and unary minuses
 
     def peek(self):
         return self.tokens[self.i]
@@ -293,50 +253,72 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", off)
         return self.next()
 
+    @staticmethod
+    def deeper(depth: int, off: int) -> int:
+        if depth >= MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", off
+            )
+        return depth + 1
+
+    def nested(self, rule, off: int):
+        """``rule()`` one level down from the token at ``off``.  The
+        nesting is checked on the way in, so the parser's own recursion
+        stays bounded."""
+        self.nesting = self.deeper(self.nesting, off)
+        node, depth = rule()
+        self.nesting -= 1
+        return node, self.deeper(depth, off)
+
     # expr := term (('+'|'-') term)*
-    def expr(self) -> ExprAST:
-        node = self.term()
+    def expr(self):
+        node, depth = self.term()
         while True:
             kind, value, off = self.peek()
             if kind == "op" and value in "+-":
                 self.next()
-                node = BinOp(value, node, self.term(), off)
+                rhs, rhs_depth = self.term()
+                node = BinOp(value, node, rhs)
+                depth = self.deeper(max(depth, rhs_depth), off)
             else:
-                return node
+                return node, depth
 
     # term := unary (('*'|'/') unary)*
-    def term(self) -> ExprAST:
-        node = self.unary()
+    def term(self):
+        node, depth = self.unary()
         while True:
             kind, value, off = self.peek()
             if kind == "op" and value in "*/":
                 self.next()
-                node = BinOp(value, node, self.unary(), off)
+                rhs, rhs_depth = self.unary()
+                node = BinOp(value, node, rhs)
+                depth = self.deeper(max(depth, rhs_depth), off)
             else:
-                return node
+                return node, depth
 
     # unary := '-' unary | power
-    def unary(self) -> ExprAST:
+    def unary(self):
         kind, value, off = self.peek()
         if kind == "op" and value == "-":
             self.next()
-            arg = self.unary()
+            arg, depth = self.nested(self.unary, off)
             if isinstance(arg, Num):
                 # fold so printed negative literals reparse to themselves
-                return Num(-arg.value, off)
-            return Neg(arg, off)
+                return Num(-arg.value), depth
+            return Neg(arg), depth
         return self.power()
 
     # power := atom ('^' exponent)* , exponent := ['-'] NUMBER
-    def power(self) -> ExprAST:
-        node = self.atom()
+    def power(self):
+        node, depth = self.atom()
         while True:
             kind, value, off = self.peek()
             if kind == "op" and value == "^":
                 self.next()
-                node = Pow(node, self.exponent_literal(), off)
+                node = Pow(node, self.exponent_literal())
+                depth = self.deeper(depth, off)
             else:
-                return node
+                return node, depth
 
     def exponent_literal(self) -> float:
         kind, value, off = self.peek()
@@ -348,26 +330,26 @@ class _Parser:
         if kind != "num":
             raise ExprSyntaxError("expected numeric literal exponent", off)
         self.next()
-        return sign * float(value)
+        return sign * _literal(value, off)
 
-    def atom(self) -> ExprAST:
+    def atom(self):
         kind, value, off = self.next()
         if kind == "num":
-            return Num(float(value), off)
+            return Num(_literal(value, off)), 0
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.nested(self.expr, off)
             self.expect_op(")")
             return node
         if kind == "ident":
             if value in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, off)
                 self.expect_op(")")
-                return Call(value, arg, off)
+                return Call(value, arg), depth
             if value == "t":
-                return TimeVar(off)
+                return TimeVar(), 0
             if value in self.names:
-                return StateVar(self.names[value], value, off)
+                return StateVar(self.names[value], value), 0
             raise UnknownIdentifier(value, off)
         raise ExprSyntaxError(
             "expected a number, variable, function or '('", off
@@ -387,13 +369,15 @@ def parse_expr(text: str, n_states: int = 0) -> ExprAST:
     Raises
     ------
     ExprSyntaxError
-        With the byte offset of the failure and what was expected there.
+        With the byte offset of the failure and what was expected there;
+        also for a literal that overflows a double and for an entry
+        deeper than :data:`MAX_DEPTH`, at the token that crosses it.
     UnknownIdentifier
         For identifiers outside ``t``, the state names and the function set.
     """
     names = {f"x{i + 1}": i for i in range(n_states)}
     parser = _Parser(text, names)
-    node = parser.expr()
+    node, _ = parser.expr()
     kind, value, off = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {value!r}", off)
@@ -404,34 +388,50 @@ def parse_expr(text: str, n_states: int = 0) -> ExprAST:
 # printing
 
 
-def to_text(ast: ExprAST) -> str:
-    """Canonical rendering; reparsing it reproduces the AST exactly."""
+def to_text(ast: ExprAST, frame=None) -> str:
+    """The one printer of an expression.
+
+    Without ``frame`` it writes the canonical text, and reparsing it
+    reproduces the AST (``parse_expr(to_text(a)) == a``).  With a frame
+    (see ``_ARGS``) it writes the Python source of the same tree for
+    generated code: ``t`` and the state spelled by the frame, ``ln`` as
+    ``log``, ``^`` as ``**`` for an integral exponent and ``_pow``
+    otherwise, and a non-finite constant as a name bound in
+    ``_COMPILE_GLOBALS``.  Both add parentheses by one precedence rule,
+    which Python's shares: ``^`` (``**``), unary minus, ``* /``, ``+ -``.
+    Python's ``**`` groups to the right, so in code a power's base that
+    is itself a power is grouped too.
+    """
     if isinstance(ast, Num):
         return repr(ast.value)
     if isinstance(ast, TimeVar):
-        return "t"
+        return "t" if frame is None else frame[0]
     if isinstance(ast, StateVar):
-        return ast.name
+        return ast.name if frame is None else frame[2].format(ast.index)
     if isinstance(ast, Neg):
-        inner = to_text(ast.arg)
-        if ast.arg.prec < 4:
-            inner = f"({inner})"
-        return f"-{inner}"
+        # a minus of a minus prints as --x, one level as in the source
+        arg = to_text(ast.arg, frame)
+        return f"-({arg})" if ast.arg.prec < 3 else f"-{arg}"
     if isinstance(ast, BinOp):
-        lhs = to_text(ast.lhs)
+        lhs = to_text(ast.lhs, frame)
         if ast.lhs.prec < ast.prec:
             lhs = f"({lhs})"
-        rhs = to_text(ast.rhs)
+        rhs = to_text(ast.rhs, frame)
         if ast.rhs.prec <= ast.prec:
             rhs = f"({rhs})"
         return f"{lhs}{ast.op}{rhs}"
     if isinstance(ast, Pow):
-        base = to_text(ast.base)
-        if ast.base.prec < 4:
+        base = to_text(ast.base, frame)
+        exponent = repr(ast.exponent)
+        if frame is not None and not ast.exponent.is_integer():
+            return f"_pow({base},{exponent})"
+        if ast.base.prec < 4 or (frame is not None and ast.base.prec == 4):
             base = f"({base})"
-        return f"{base}^{repr(ast.exponent)}"
+        return f"{base}{'^' if frame is None else '**'}{exponent}"
     if isinstance(ast, Call):
-        return f"{ast.fn}({to_text(ast.arg)})"
+        # an entry's abs stays the builtin: abs(-0.0) is 0.0, as in eval_expr
+        fn = "log" if frame is not None and ast.fn == "ln" else ast.fn
+        return f"{fn}({to_text(ast.arg, frame)})"
     raise TypeError(f"not an expression node: {ast!r}")
 
 
@@ -560,9 +560,6 @@ def eval_expr(ast: ExprAST, t: float, x=()) -> float:
 # ---------------------------------------------------------------------------
 # symbolic derivative in t
 
-_ZERO = Num(0.0)
-
-
 def _is_num(ast, value=None):
     if not isinstance(ast, Num):
         return False
@@ -689,6 +686,9 @@ _COMPILE_GLOBALS = {
     "sqrt": math.sqrt,
     "isfinite": math.isfinite,
     "_pow": _pow,
+    # a constant folded to a non-finite value prints as one of these
+    "inf": _INF,
+    "nan": math.nan,
     "_FAST_PATH_ERRORS": _FAST_PATH_ERRORS,
     "_ndarray": np.ndarray,
 }
@@ -703,36 +703,13 @@ _FLOAT_STATE = "if isinstance(x, _ndarray): x = x.tolist()"
 _ARGS = ("t", "x", "x[{}]")
 
 
-def _codegen(ast: ExprAST, frame=_ARGS) -> str:
-    if isinstance(ast, Num):
-        return repr(ast.value)
-    if isinstance(ast, TimeVar):
-        return frame[0]
-    if isinstance(ast, StateVar):
-        return frame[2].format(ast.index)
-    if isinstance(ast, Neg):
-        return f"(-{_codegen(ast.arg, frame)})"
-    if isinstance(ast, BinOp):
-        return f"({_codegen(ast.lhs, frame)}{ast.op}{_codegen(ast.rhs, frame)})"
-    if isinstance(ast, Pow):
-        base = _codegen(ast.base, frame)
-        if float(ast.exponent).is_integer():
-            return f"({base}**{repr(ast.exponent)})"
-        return f"_pow({base},{repr(ast.exponent)})"
-    if isinstance(ast, Call):
-        # an entry's abs stays the builtin: abs(-0.0) is 0.0, as in eval_expr
-        inner = _codegen(ast.arg, frame)
-        return f"{'log' if ast.fn == 'ln' else ast.fn}({inner})"
-    raise TypeError(f"not an expression node: {ast!r}")
-
-
 def _compile_guarded(body_of, params="t, x", on_trip=None):
     """Generate ``f(params)`` running the lines ``body_of(code)``, where
     ``code(ast, frame)`` turns an entry AST into source text.  The one
     ``exec`` of the package.
 
     The guard sits inside the generated function, so one call is one
-    Python call.  The fast body inlines every entry (:func:`_codegen`).
+    Python call.  The fast body inlines every entry (:func:`to_text`).
     On a domain issue it returns ``on_trip``, an expression over its
     locals; by default that is ``f.slow`` on the same arguments: the same
     template with one interpreter call per entry, compiled on first use,
@@ -742,6 +719,9 @@ def _compile_guarded(body_of, params="t, x", on_trip=None):
     """
     asts: list = []
     built: list = []
+
+    def generated(ast, frame=_ARGS):
+        return to_text(ast, frame)
 
     def interpreted(ast, frame=_ARGS):
         asts.append(ast)
@@ -765,7 +745,7 @@ def _compile_guarded(body_of, params="t, x", on_trip=None):
             built.append(define(interpreted, guarded=False))
         return built[0](*args)
 
-    fast = define(_codegen, guarded=True)
+    fast = define(generated, guarded=True)
     fast.slow = slow
     return fast
 
@@ -783,7 +763,7 @@ class _Entries:
     def _build(self, flat, layout):
         self.depends_on_state = any(depends_on_state(e) for e in flat)
         self.depends_on_t = any(depends_on_t(e) for e in flat)
-        self._fn = _compile_guarded(layout)
+        self._fn = _compile_guarded(lambda code: [_FLOAT_STATE, *layout(code)])
         self._origin = (0.0,) * self.n_states
         self._const = None
         if not (self.depends_on_state or self.depends_on_t):
@@ -796,9 +776,6 @@ class _Entries:
             return self._const
         if x is None:
             x = self._origin
-        elif self.depends_on_state and isinstance(x, np.ndarray):
-            # Python floats, so that 1/0 is DivisionByZero and not inf
-            x = x.tolist()
         return np.array(self._fn(t, x))
 
     def stack(self, ts, xs=None) -> np.ndarray:
@@ -811,7 +788,7 @@ class _Entries:
         if xs is None:
             xs = [self._origin] * ts.size
         else:
-            # Python floats, as in eval
+            # Python floats, so that 1/0 is DivisionByZero and not inf
             xs = np.asarray(xs, dtype=float).reshape(ts.size, self.n_states).tolist()
         return np.array([self._fn(t, x) for t, x in zip(ts.tolist(), xs)])
 
@@ -864,12 +841,18 @@ class MatrixFunction(_Entries):
 
     @classmethod
     def constant(cls, array, n_states: int, symmetric: bool = False):
-        arr = np.asarray(array, dtype=float)
-        entries = [[Num(v) for v in row] for row in arr]
+        # Python floats: a numpy scalar would print as np.float64(...)
+        rows = np.asarray(array, dtype=float).tolist()
+        entries = [[Num(v) for v in row] for row in rows]
         return cls(entries, n_states, symmetric=symmetric)
 
     def diff_t(self) -> "MatrixFunction":
         entries = [[diff_t(e) for e in row] for row in self.entries]
+        if self.symmetric:
+            # one derivative for each mirrored pair, so the structural
+            # check compares a tree with itself, not two deep trees
+            for i, row in enumerate(entries):
+                row[:i] = [entries[j][i] for j in range(i)]
         return MatrixFunction(entries, self.n_states, symmetric=self.symmetric)
 
 
@@ -919,7 +902,8 @@ def _rhs_rows(a: MatrixFunction, f0: VectorFunction, code, frame=_ARGS):
             if not _is_num(entry, 0.0)
         ]
         if not _is_num(f0.entries[i], 0.0):
-            terms.append(code(f0.entries[i], frame))
+            # grouped, so the sum adds the forcing last and whole
+            terms.append(f"({code(f0.entries[i], frame)})")
         rows.append(" + ".join(terms) if terms else "0.0")
     return rows
 
@@ -942,7 +926,9 @@ def compile_rhs(a: MatrixFunction, f0: VectorFunction):
     Entry expressions are inlined into one generated function.  ``x`` may
     be any indexable sequence of floats (an ndarray is read as Python
     floats); the result is a list of ``n`` floats, one sum per row with a
-    term per nonzero entry.  Domain issues fall back to the interpreter,
+    term per entry that is not the literal zero, then the forcing.  A
+    ``-0`` entry has no term either, so a row it would make ``-0.0`` is
+    ``0.0``.  Domain issues fall back to the interpreter,
     as everywhere in generated code.  The returned function carries
     ``float_lists = True`` (it may be called on float lists directly) and
     ``system = (a, f0)``, from which :func:`compile_stepper` inlines the

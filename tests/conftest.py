@@ -11,9 +11,15 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vwbound.expr import MatrixFunction, VectorFunction
 from vwbound.quadratic import QuadraticProblem, certify
+
+# every run draws the same examples, so a new random example cannot fail
+# the suite; no deadline, since a first call compiles generated code
+settings.register_profile("vwbound", derandomize=True, deadline=None)
+settings.load_profile("vwbound")
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 EPS_REF = 0.1  # forcing amplitude of the reference problem

@@ -15,6 +15,7 @@ import pytest
 from vwbound import cli, shooting
 from vwbound.cli import main
 from vwbound.errors import NoSignChange
+from vwbound.expr import MAX_DEPTH
 from vwbound.ode import integrate, make_region_events, write_trajectory_csv
 from vwbound.problemdoc import load_problem_document
 from vwbound.quadratic import (
@@ -23,6 +24,8 @@ from vwbound.quadratic import (
     sample_region_states,
 )
 from vwbound.report import FORMAT_TAG, RunReport, certificate_from_report
+
+from test_expr import DEPTH_SHAPES
 
 ROOT = pathlib.Path(__file__).parents[1]
 SADDLE_DOC = ROOT / "demos" / "saddle.problem"
@@ -171,6 +174,18 @@ class TestSolve:
         bad_cert = tmp_path / "bad-cert.txt"
         assert main(["certify", str(doc), "--out", str(bad_cert)]) == 3
         assert main(["solve", ref_doc, "--cert", str(bad_cert)]) == 64
+
+    def test_refuses_a_solve_report_as_certificate(self, ref_doc, solve_dir,
+                                                   tmp_path, capsys):
+        # its solution.* block would be written a second time after it
+        out = tmp_path / "again"
+        assert main(["solve", ref_doc, "--cert",
+                     str(solve_dir / "solve-report.txt"),
+                     "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert "not a certificate" in err
+        assert "key 'solution.exit.code'" in err
+        assert not out.exists()
 
     def test_emits_files(self, solve_dir):
         for name in ("trajectory.csv", "xi.csv", "solve-report.txt"):
@@ -404,6 +419,23 @@ class TestVerify:
         assert captured.out == ""
         assert "trajectory times must strictly increase" in captured.err
         assert "line 3" in captured.err
+
+    def test_refuses_a_solve_or_verify_report_as_certificate(
+            self, ref_doc, cert_file, solve_dir, tmp_path, capsys):
+        traj = str(solve_dir / "trajectory.csv")
+        verified = tmp_path / "verify.txt"
+        assert main(["verify", ref_doc, "--cert", cert_file, "--traj", traj,
+                     "--out", str(verified)]) == 0
+        capsys.readouterr()
+        for report, key in ((verified, "verify.exit.code"),
+                            (solve_dir / "solve-report.txt",
+                             "solution.exit.code")):
+            again = tmp_path / "again.txt"
+            assert main(["verify", ref_doc, "--cert", str(report),
+                         "--traj", traj, "--out", str(again)]) == 64
+            captured = capsys.readouterr()
+            assert f"key {key!r}" in captured.err and captured.out == ""
+            assert not again.exists()
 
     def test_requires_both_inputs(self, ref_doc, cert_file, capsys):
         assert main(["verify", ref_doc, "--cert", cert_file]) == 64
@@ -789,3 +821,89 @@ class TestNonlinear:
             "samples = 16\n", f"samples = {samples}\n"))
         with pytest.raises(Reached):
             main(["certify", str(doc)])
+
+
+def _saddle_with(**entries):
+    """The shipped saddle document with the given entries (``A_1_1``
+    for ``A.1.1``) replaced or added."""
+    text = SADDLE_DOC.read_text()
+    for name, value in entries.items():
+        key = name.replace("_", ".")
+        line = next((ln for ln in text.splitlines()
+                     if ln.startswith(f"{key} = ")), None)
+        new = f'{key} = "{value}"'
+        if line is None:
+            section = "[system]" if key[0] in "Af" else "[guiding]"
+            text = text.replace(f"{section}\n", f"{section}\n{new}\n")
+        else:
+            text = text.replace(line, new)
+    return text
+
+
+class TestEntrySizes:
+    """No entry exits 1: one nested deeper than ``MAX_DEPTH`` levels, or a
+    literal that overflows, exits 64 naming the matrix and the line; every
+    shape at the bound certifies."""
+
+    # the first four and 1e999 exit 1 at the parent commit: too many
+    # nested parentheses, RecursionError, NameError: name 'inf'
+    @pytest.mark.parametrize("entry,named", [
+        ("+".join(["0.005"] * 200), "deeper than"),
+        ("+".join(["0.001"] * 1000), "deeper than"),
+        ("(" * 300 + "1" + ")" * 300, "deeper than"),
+        ("1" + "^1" * 300, "deeper than"),
+        ("+".join(["0.01"] * (MAX_DEPTH + 2)), "deeper than"),
+        ("(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "deeper than"),
+        ("1e999", "number 1e999 overflows a double (offset 0)"),
+        ("1^1e999", "overflows a double (offset 2)"),
+    ])
+    def test_refused_with_exit_64(self, tmp_path, capsys, entry, named):
+        doc = tmp_path / "entry.problem"
+        doc.write_text(_saddle_with(A_1_1=entry))
+        assert main(["certify", str(doc)]) == 64
+        err = capsys.readouterr().err
+        assert "matrix A fails to evaluate" in err and named in err
+        assert "line 11" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES)
+    def test_each_shape_at_the_bound_certifies(self, tmp_path, capsys,
+                                               shape):
+        # in A and as a t-dependent off-diagonal entry of C, whose
+        # derivative condition (e) reads, on a window where t^101 and
+        # exp(t)^-98 stay far from overflow
+        deep = DEPTH_SHAPES[shape](MAX_DEPTH)
+        doc = tmp_path / "deep.problem"
+        doc.write_text(_saddle_with(A_1_2=deep, C_1_2=deep, C_2_1=deep))
+        assert main(["certify", str(doc), "--grid", "21",
+                     "--window=-1,1"]) in (0, 2, 3)
+
+    def test_folded_infinite_derivative_certifies(self, tmp_path, capsys):
+        # B's derivative folds to the constant inf (a NameError before)
+        doc = tmp_path / "inf.problem"
+        doc.write_text(_saddle_with(B_1_1="1e200*t*1e200"))
+        assert main(["certify", str(doc)]) == 3
+        assert "condition (a) failed" in capsys.readouterr().err
+
+    def test_negative_base_is_squared(self, tmp_path):
+        # (-1)^2 is 1, so the document certifies as the shipped one does
+        doc = tmp_path / "squared.problem"
+        doc.write_text(_saddle_with(A_1_1="(-1)^2"))
+        reports = []
+        for source in (doc, SADDLE_DOC):
+            out = tmp_path / "cert.txt"
+            assert main(["certify", str(source), "--out", str(out)]) == 2
+            reports.append([ln for ln in out.read_text().splitlines()
+                            if not ln.startswith("problem.source = ")])
+        assert reports[0] == reports[1]
+
+    def test_entries_at_the_bound_from_a_fresh_interpreter(self, tmp_path):
+        doc = tmp_path / "deep.problem"
+        doc.write_text(_saddle_with(
+            A_1_1=DEPTH_SHAPES["sum"](MAX_DEPTH),
+            f0_1=DEPTH_SHAPES["calls"](MAX_DEPTH),
+            C_1_2=DEPTH_SHAPES["quotient"](MAX_DEPTH),
+            C_2_1=DEPTH_SHAPES["quotient"](MAX_DEPTH)))
+        proc = TestUsage()._run_module("certify", str(doc), "--grid", "21",
+                                       "--window=-1,1")
+        assert proc.returncode in (0, 2, 3), proc.stderr
+        assert b"Traceback" not in proc.stderr

@@ -2,10 +2,11 @@
 compiled fast paths, and the matrix/vector wrappers."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vwbound.errors import (
@@ -16,8 +17,11 @@ from vwbound.errors import (
     NotDifferentiable,
     UnknownIdentifier,
 )
+from vwbound.ode import integrate, make_region_events
 from vwbound.expr import (
+    MAX_DEPTH,
     MatrixFunction,
+    Num,
     VectorFunction,
     compile_quadform,
     compile_rhs,
@@ -289,3 +293,170 @@ class TestMatrixVector:
         q = compile_quadform(b)
         x = np.array([0.5, -1.0])
         assert math.isclose(q(0.0, x), float(x @ b.eval(0.0) @ x))
+
+
+# one of each construct the depth bound counts, nested ``depth`` levels
+# deep; every shape depends on t, so a derivative is taken and evaluated
+DEPTH_SHAPES = {
+    "sum": lambda d: "+".join(["t"] * (d + 1)),
+    "product": lambda d: "*".join(["t"] * (d + 1)),
+    "quotient": lambda d: "/".join(["exp(t)"] * d),
+    "parentheses": lambda d: "(" * d + "t" + ")" * d,
+    "calls": lambda d: "sin(" * d + "t" + ")" * d,
+    "unary minus": lambda d: "-" * d + "t",
+    "power": lambda d: "t" + "^1" * d,
+}
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES)
+    def test_bound_builds_and_one_more_level_is_refused(self, shape):
+        ast = parse_expr(DEPTH_SHAPES[shape](MAX_DEPTH), 0)
+        assert parse_expr(to_text(ast), 0) == ast
+        # a mirrored t-dependent entry of a symmetric matrix: parsed,
+        # differentiated, generated and evaluated like any other
+        m = MatrixFunction([[Num(1.0), ast], [ast, Num(1.0)]], 0,
+                           symmetric=True)
+        d = m.diff_t()
+        for fn, entry in ((m, ast), (d, diff_t(ast))):
+            want = eval_expr(entry, 0.25)
+            assert fn.eval(0.25)[0, 1] == want
+            assert fn._fn.slow(0.25, ())[0][1] == want
+        # inlined into the step loop as A and f0 and as a watched form
+        rhs = compile_rhs(MatrixFunction([[ast]], 1),
+                          VectorFunction([ast], 1))
+        q = compile_quadform(MatrixFunction([[ast]], 1, symmetric=True))
+        events = make_region_events(q, q, 1e300, -1e300, 1.0, 1e300)
+        inlined = integrate(rhs, 0.0, [1.0], 0.5, events=events)
+        called = integrate(lambda t, x: rhs(t, x), 0.0, [1.0], 0.5,
+                           events=events)
+        assert inlined.status == called.status == "reached_end"
+        assert inlined.xs.tobytes() == called.xs.tobytes()
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(DEPTH_SHAPES[shape](MAX_DEPTH + 1), 0)
+        assert f"deeper than {MAX_DEPTH} levels" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# the generated code against the interpreter, over the grammar
+
+LITERALS = ("0", "1", "2", "0.5", "3", "7.25", "1e-320", "1e300", "1e308")
+EXPONENTS = ("0", "-0", "1", "2", "3", "-1", "-2", "0.5", "-0.5", "2.5")
+# where an entry is evaluated: zeros of both signs, huge and non-finite
+SPECIAL = (0.0, -0.0, 1.5, -2.0, 1e300, -1e300, math.inf, -math.inf,
+           math.nan)
+# one level of each construct, as (prefix, suffix) around an operand
+WRAPS = (("(", ")"), ("-", ""), ("sin(", ")"), ("cos(", ")"), ("exp(", ")"),
+         ("ln(", ")"), ("sqrt(", ")"), ("abs(", ")"), ("", "^1"),
+         ("", "^-1"), ("", "^2"))
+
+plain = st.sampled_from(LITERALS + ("t", "x1", "x2"))  # depth 0
+# and negative literals, grouped so they can be the base of a power
+leaves = plain | st.sampled_from(LITERALS).flatmap(
+    lambda s: st.sampled_from((f"(-{s})", f"-{s}")))
+
+
+def _grow(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            "".join),
+        st.tuples(children, st.sampled_from(EXPONENTS),
+                  st.booleans()).map(
+            lambda p: f"({p[0]})^{p[1]}" if p[2] else f"{p[0]}^{p[1]}"),
+        st.tuples(st.sampled_from(WRAPS), children).map(
+            lambda p: p[0][0] + p[1] + p[0][1]),
+    )
+
+
+# long chains and deep nests, up to the bound: a chain of up to
+# MAX_DEPTH operators, or up to MAX_DEPTH levels of one construct
+deep = st.one_of(
+    st.tuples(plain, st.lists(st.tuples(st.sampled_from("+-*/"), plain),
+                              min_size=1, max_size=MAX_DEPTH)).map(
+        lambda p: p[0] + "".join(op + leaf for op, leaf in p[1])),
+    st.tuples(st.sampled_from(WRAPS), st.integers(1, MAX_DEPTH),
+              plain).map(lambda p: p[0][0] * p[1] + p[2] + p[0][1] * p[1]),
+)
+expressions = st.one_of(st.recursive(leaves, _grow, max_leaves=12), deep)
+values = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+def outcome(fn):
+    """``fn()``'s float as its bits, or the class of what it raised.  A
+    nan is any nan: when both operands of an operation are nan, CPython's
+    float code and its specialized instructions may pass on either one,
+    so a nan's sign bit is not part of the value (and no output shows
+    it)."""
+    try:
+        value = fn()
+    except Exception as exc:  # noqa: BLE001 - the class is the outcome
+        return type(exc)
+    return [struct.pack("<d", v) if v == v else "nan"
+            for v in np.ravel(value).tolist()]
+
+
+class TestGeneratedCodeAgainstInterpreter:
+    @given(expressions, values, values, values)
+    @example("(-2)^2", 0.0, 0.0, 0.0)
+    @example("(-1e-320)^0", 0.0, 0.0, 0.0)
+    @example("-0^2*t", -0.0, 0.0, 0.0)
+    @example("1e200*t*1e200", 1.0, 0.0, 0.0)  # a derivative of inf
+    @example("1e200*t*1e200-1e200*t*1e200", 1.0, 0.0, 0.0)  # and of nan
+    @settings(max_examples=150)
+    def test_entry_functions_match_eval_expr(self, text, t, x1, x2):
+        ast = parse_expr(text, 2)
+        assert parse_expr(to_text(ast), 2) == ast
+        assert to_text(parse_expr(to_text(ast), 2)) == to_text(ast)
+        x = (x1, x2)
+        want = outcome(lambda: eval_expr(ast, t, x))
+        assert outcome(lambda: MatrixFunction([[ast]], 2).eval(t, x)[0, 0]) \
+            == want
+        assert outcome(lambda: VectorFunction([ast], 2).eval(t, x)[0]) == want
+        assert outcome(lambda: MatrixFunction([[ast]], 2).stack(
+            [t], [x])[0, 0, 0]) == want
+        try:
+            d = diff_t(ast)
+        except NotDifferentiable:
+            return
+        assert outcome(lambda: MatrixFunction([[d]], 2).eval(t, x)[0, 0]) \
+            == outcome(lambda: eval_expr(d, t, x))
+
+    @given(st.lists(st.sampled_from(("0", "-0", "1", "-1")) | expressions,
+                    min_size=6, max_size=6),
+           values, values, values)
+    @example(["(-2)^2", "0", "0", "-1", "-0", "x1"], 0.0, 1.0, 2.0)
+    @settings(max_examples=60)
+    def test_rhs_and_quadform_are_their_sums(self, texts, t, x1, x2):
+        # A = [[a, b], [c, d]] and f0 = (e, f): each generated sum has one
+        # term per entry that is not the literal zero, in entry order, so a
+        # -0 entry drops its term as a 0 entry does (a documented choice)
+        entries = [parse_expr(s, 2) for s in texts]
+        a, f0 = [entries[0:2], entries[2:4]], entries[4:6]
+        try:  # a constant entry is evaluated when its matrix is built
+            a_fn, f_fn = MatrixFunction(a, 2), VectorFunction(f0, 2)
+        except (DomainError, DivisionByZero):
+            return
+        x = (x1, x2)
+
+        def summed(terms):
+            """Each entry's value times its factors, added left to right
+            (0.0 for no term), evaluated in order."""
+            total = None
+            for entry, factors in terms:
+                term = eval_expr(entry, t, x)
+                for factor in factors:
+                    term = term * factor
+                total = term if total is None else total + term
+            return 0.0 if total is None else total
+
+        def nonzero(ast):
+            return not (isinstance(ast, Num) and ast.value == 0.0)
+
+        rows = [[(e, (x[j],)) for j, e in enumerate(a[i]) if nonzero(e)]
+                + [(f0[i], ())] * nonzero(f0[i]) for i in range(2)]
+        assert outcome(lambda: compile_rhs(a_fn, f_fn)(t, x)) == outcome(
+            lambda: [summed(row) for row in rows])
+        form = [(e, (x[i], x[j])) for i in range(2)
+                for j, e in enumerate(a[i]) if nonzero(e)]
+        assert outcome(lambda: compile_quadform(a_fn)(t, x)) == outcome(
+            lambda: summed(form))
