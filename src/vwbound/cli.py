@@ -197,6 +197,58 @@ def cmd_solve(args) -> int:
 
 
 def _read_trajectory_csv(path, n: int) -> Trajectory:
+    """The nodes of the trajectory CSV at ``path`` (``t,x1..xn,V,W``).
+
+    A well-formed file is parsed in one pass (:func:`_node_table`).  A
+    file that pass refuses is read again by
+    :func:`_read_trajectory_rows`, which names the first bad line."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
+    with fh:
+        try:
+            table = _node_table(fh.read(), n)
+        except UnicodeDecodeError:
+            table = None
+    if table is None:
+        return _read_trajectory_rows(path, n)
+    return Trajectory(
+        ts=table[:, 0].copy(), xs=table[:, 1:n + 1].copy(), events=[],
+        status="reached_end",
+    )
+
+
+def _node_table(text: str, n: int) -> np.ndarray | None:
+    """The data rows of a trajectory CSV's ``text`` as one ``(rows, n + 3)``
+    array, or None unless the file is well formed: the ``n``-state header,
+    at least one row, ``n + 3`` fields in each (blank and ``#`` lines
+    dropped), every field a finite ``float()`` and the times strictly
+    increasing.  All fields go through one ``map(float, ...)``, so a row
+    holds the same bits as :func:`_read_trajectory_rows` reads."""
+    header, _, body = text.partition("\n")
+    expected = ["t"] + [f"x{i}" for i in range(1, n + 1)] + ["V", "W"]
+    if header.strip() != ",".join(expected):
+        return None
+    rows = [row for row in map(str.strip, body.split("\n"))
+            if row and row[0] != "#"]
+    if not rows or any(row.count(",") != n + 2 for row in rows):
+        return None
+    try:
+        values = np.fromiter(map(float, ",".join(rows).split(",")), float,
+                             count=len(rows) * (n + 3))
+    except ValueError:
+        return None
+    table = values.reshape(len(rows), n + 3)
+    ts = table[:, 0]
+    if not (np.isfinite(values).all() and (ts[1:] > ts[:-1]).all()):
+        return None
+    return table
+
+
+def _read_trajectory_rows(path, n: int) -> Trajectory:
+    """:func:`_read_trajectory_csv` row by row, raising
+    :class:`DocumentError` at the first line that is not a node."""
     ts, xs = [], []
     try:
         fh = open(path, "r", encoding="utf-8")

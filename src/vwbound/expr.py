@@ -127,7 +127,9 @@ class Num(ExprAST):
         )
 
     def __hash__(self):
-        return hash(("Num", self.value))
+        # a float nan hashes by identity, but every nan Num is equal
+        value = None if math.isnan(self.value) else self.value
+        return hash(("Num", value))
 
 
 @dataclass(frozen=True, slots=True)

@@ -76,8 +76,27 @@ VMAX_FACTOR = 1.0e6
 
 _EPS = float(np.finfo(float).eps)
 
-# Gauss-Legendre (node, weight) pairs on [-1, 1], one panel of the F sum
-_GL_RULE = tuple(zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(16))))
+# 16-point Gauss-Legendre (node, weight) pairs on [-1, 1], one panel of
+# the F sum: numpy.polynomial.legendre.leggauss(16) as literals, bit for
+# bit, so start-up does not import numpy.polynomial
+_GL_RULE = (
+    (-0.9894009349916499, 0.027152459411754176),
+    (-0.9445750230732326, 0.062253523938647456),
+    (-0.8656312023878318, 0.0951585116824926),
+    (-0.755404408355003, 0.12462897125553407),
+    (-0.6178762444026438, 0.1495959888165767),
+    (-0.45801677765722737, 0.16915651939500265),
+    (-0.2816035507792589, 0.18260341504492364),
+    (-0.09501250983763744, 0.18945061045506864),
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
 
 
 @dataclass(frozen=True)

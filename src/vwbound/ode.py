@@ -609,7 +609,8 @@ def eval_v_w_along(qp, traj: Trajectory, gp=None) -> VWCurves:
     """
     ts, xs = traj.ts, traj.xs
     b, c, b_dot, c_dot = (fn.stack(ts) for fn in (qp.b, qp.c, qp.b_dot, qp.c_dot))
-    f = np.array([qp.rhs(t, x) for t, x in zip(ts.tolist(), xs)])[..., None]
+    # the rhs at each node, called on Python floats
+    f = np.array(list(map(qp.rhs, ts.tolist(), xs.tolist())))[..., None]
     # x as rows and columns: each product is that of (x B) x + 2 (B x) f
     row, col = xs[:, None, :], xs[..., None]
     v = (row @ b @ col)[:, 0, 0]

@@ -40,7 +40,12 @@ _SYM_TOL = 1e-10
 # an eigenvalue within this fraction of ||C||_2 of zero makes C degenerate
 DEGENERACY_RTOL = 1e-10
 
-
+# Entries near the float limit overflow in the products of the functions
+# marked ``@np.errstate(over="ignore", invalid="ignore")``, here and in
+# quadratic's forcing and rate stacks.  The inf or nan lands in a pivot, a
+# characteristic value or a fitted constant, which is checked there or by
+# ``quadratic.certify``, so numpy's warning would only reach stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -83,6 +88,7 @@ class PencilEigen:
     vectors: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pivot_loop(a: np.ndarray, index: int | None) -> np.ndarray:
     """Cholesky factor by the textbook column loop, raising at the first
     nonpositive or non-finite pivot."""
@@ -123,6 +129,7 @@ def cholesky_spd(a: np.ndarray) -> np.ndarray:
     return np.stack([_pivot_loop(m, k) for k, m in enumerate(a)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_pencil(pencil: SymmetricPencil) -> PencilEigen:
     """All characteristic values and vectors of ``C - lambda B``.
 

@@ -202,6 +202,7 @@ def _grid_at(qp: QuadraticProblem, ts, grid: _Grid | None) -> _Grid:
     return _grid(qp, ts)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _forcing(g: _Grid) -> tuple[np.ndarray, np.ndarray]:
     """The forcing sizes at each row of ``g``: phi ``= sqrt(<B f0, f0>)``
     in the B metric and psi ``= sqrt(<B^-1 C f0, C f0>)`` as seen by W,
@@ -212,6 +213,7 @@ def _forcing(g: _Grid) -> tuple[np.ndarray, np.ndarray]:
     return ph, np.sqrt((y.mT @ y)[..., 0, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _v_rates(g: _Grid, a: np.ndarray) -> np.ndarray:
     """At each row of ``g`` and ``a`` (A there), the characteristic value
     of ``(BA + A^T B + B') - lambda B`` that is maximal in absolute value
@@ -222,6 +224,7 @@ def _v_rates(g: _Grid, a: np.ndarray) -> np.ndarray:
     return np.where(np.abs(hi) >= np.abs(lo), hi, lo)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _w_rates(g: _Grid, a: np.ndarray) -> np.ndarray:
     """At each row of ``g`` and ``a`` (A there), the smallest
     characteristic value of ``(CA + A^T C + C') - lambda B``; it bounds

@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, emitted files."""
 
 import importlib.util
+import math
 import os
 import pathlib
 import shutil
@@ -14,9 +15,15 @@ import pytest
 
 from vwbound import cli, shooting
 from vwbound.cli import main
-from vwbound.errors import NoSignChange
+from vwbound.errors import DocumentError, NoSignChange
 from vwbound.expr import MAX_DEPTH
-from vwbound.ode import integrate, make_region_events, write_trajectory_csv
+from vwbound.ode import (
+    EventRecord,
+    Trajectory,
+    integrate,
+    make_region_events,
+    write_trajectory_csv,
+)
 from vwbound.problemdoc import load_problem_document
 from vwbound.quadratic import (
     MAX_GRID,
@@ -451,6 +458,237 @@ class TestVerify:
         assert "does not match" in capsys.readouterr().err
 
 
+def _read_rows_oracle(path, n: int) -> Trajectory:
+    """The trajectory reader as it was before the one-pass parse, kept
+    verbatim as the oracle the one-pass reader must agree with."""
+    ts, xs = [], []
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
+    with fh:
+        header = fh.readline().strip()
+        cols = header.split(",")
+        expected = ["t"] + [f"x{i}" for i in range(1, n + 1)] + ["V", "W"]
+        if cols != expected:
+            raise DocumentError(
+                f"trajectory header {header!r} does not match the "
+                f"{n}-state layout {','.join(expected)!r}",
+                line=1,
+            )
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != n + 3:
+                raise DocumentError(
+                    f"expected {n + 3} columns, got {len(parts)}",
+                    line=line_no,
+                )
+            try:
+                values = [float(p) for p in parts]
+            except ValueError:
+                raise DocumentError(
+                    f"non-numeric value in row: {line!r}", line=line_no
+                ) from None
+            if not all(map(math.isfinite, values)):
+                raise DocumentError(
+                    f"non-finite value in row: {line!r}", line=line_no
+                )
+            if ts and not values[0] > ts[-1]:
+                raise DocumentError("trajectory times must strictly "
+                                    "increase", line=line_no)
+            ts.append(values[0])
+            xs.append(values[1:n + 1])
+    if not ts:
+        raise DocumentError(f"trajectory {path} has no data rows")
+    return Trajectory(
+        ts=np.asarray(ts), xs=np.asarray(xs), events=[],
+        status="reached_end",
+    )
+
+
+def _read_outcome(reader, path, n):
+    """What ``reader`` makes of ``path``: the nodes' bits, shapes and
+    layout, or the error's type, text and line."""
+    try:
+        traj = reader(path, n)
+    except DocumentError as exc:
+        return ("DocumentError", str(exc), exc.line)
+    except UnicodeDecodeError as exc:
+        return ("UnicodeDecodeError", str(exc))
+    arrays = (traj.ts, traj.xs)
+    return tuple((a.dtype, a.shape, a.flags.c_contiguous, a.tobytes())
+                 for a in arrays) + (traj.events, traj.status)
+
+
+@pytest.fixture(scope="module")
+def nonlinear_solve_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("nonlinear")
+    cert = out / "cert.txt"
+    assert main(["certify", str(NONLINEAR_DOC), "--out", str(cert)]) == 2
+    assert main(["solve", str(NONLINEAR_DOC), "--cert", str(cert),
+                 "--out", str(out)]) == 0
+    return out
+
+
+def _events_between_rows(text):
+    header, *rows = text.splitlines()
+    event = "#event,W_hits_wplus,1.5,0.25,-0.25"
+    return "\n".join([header, event, rows[0], event, *rows[1:], event]) + "\n"
+
+
+def _spaced(text):
+    header, *rows = text.splitlines()
+    return "\n".join([" " + header + "  "] + [
+        " " + " , ".join(row.split(",")) + "\t" for row in rows]) + "\n"
+
+
+def _blank_lines(text):
+    header, *rows = text.splitlines()
+    return "\n".join([header, "", rows[0], "   ", *rows[1:], "", ""])
+
+
+def _edit_cell(row, col, value):
+    def edit(text):
+        lines = text.splitlines()
+        cells = lines[row].split(",")
+        cells[col] = value
+        lines[row] = ",".join(cells)
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _edit_line(row, make):
+    def edit(text):
+        lines = text.splitlines()
+        lines[row] = make(lines[row])
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+# each edit maps a solve CSV's text to the text (or bytes) under test
+_WELL_FORMED = {
+    "as written": lambda text: text,
+    "event lines": _events_between_rows,
+    "CRLF": lambda text: text.replace("\n", "\r\n"),
+    "CR": lambda text: text.replace("\n", "\r"),
+    "no final newline": lambda text: text.rstrip("\n"),
+    "blank lines": _blank_lines,
+    "spaces around fields": _spaced,
+    "underscore digits": _edit_cell(5, 1, "1_0"),
+    "Arabic-Indic digits": _edit_cell(5, 2, "\u0661\u0662"),
+    "signed zero and subnormal": _edit_line(7, lambda row: ",".join(
+        [row.split(",")[0], "-0.0", "5e-324", *row.split(",")[3:]])),
+    "huge V and W": _edit_line(
+        3, lambda row: ",".join(row.split(",")[:-2] + ["1e308", "-1e308"])),
+}
+_MALFORMED = {
+    "wrong header": lambda text: text.replace("t,x1,x2", "t,y1,y2", 1),
+    "header only": lambda text: text.splitlines()[0] + "\n",
+    "empty file": lambda text: "",
+    "only events": lambda text: text.splitlines()[0]
+        + "\n#event,W_hits_wplus,1,2,3\n\n",
+    "ragged row": _edit_line(9, lambda row: row + ",1"),
+    "short row": _edit_line(9, lambda row: row.rsplit(",", 1)[0]),
+    "trailing comma": _edit_line(9, lambda row: row + ","),
+    "empty field": _edit_cell(9, 2, ""),
+    "abc": _edit_cell(9, 1, "abc"),
+    "hex": _edit_cell(9, 1, "0x10"),
+    "space inside a field": _edit_cell(9, 1, "1 2"),
+    "nan state": _edit_cell(9, 1, "nan"),
+    "nan time": _edit_cell(9, 0, "nan"),
+    "inf state": _edit_cell(9, 2, "inf"),
+    "overflowing state": _edit_cell(9, 2, "1e999"),
+    "nan(1)": _edit_cell(9, 2, "nan(1)"),
+    "non-finite V": _edit_cell(9, 3, "-inf"),
+    "equal times": lambda text: _edit_cell(
+        9, 0, text.splitlines()[8].split(",")[0])(text),
+    "decreasing times": lambda text: "\n".join(
+        [text.splitlines()[0]] + text.splitlines()[:0:-1]) + "\n",
+    "bad row then ragged row": lambda text: _edit_line(
+        20, lambda row: row + ",1")(_edit_cell(9, 1, "abc")(text)),
+    # one field moves from row 10 to the end of row 9, where it holds row
+    # 10's time: the field count and the times hold, the rows do not
+    "long row then short row": lambda text: "\n".join(
+        text.splitlines()[:9]
+        + [text.splitlines()[9] + "," + text.splitlines()[10].split(",")[0],
+           text.splitlines()[10].rsplit(",", 1)[0]]
+        + text.splitlines()[11:]) + "\n",
+}
+_EDITS = {**_WELL_FORMED, **_MALFORMED}
+
+
+class TestTrajectoryReader:
+    """``cli._read_trajectory_csv`` parses a well-formed file in one pass
+    and reads any other file row by row; either way it returns what the
+    row loop it replaced returns, bit for bit, or raises its error."""
+
+    @pytest.fixture(params=["saddle", "nonlinear"])
+    def solve_csv(self, request, solve_dir, nonlinear_solve_dir):
+        run = solve_dir if request.param == "saddle" else nonlinear_solve_dir
+        return (run / "trajectory.csv").read_text()
+
+    @pytest.mark.parametrize("edit", _EDITS)
+    def test_agrees_with_the_row_loop(self, solve_csv, tmp_path, edit):
+        changed = _EDITS[edit](solve_csv)
+        path = tmp_path / "edited.csv"
+        path.write_bytes(changed.encode("utf-8"))
+        expected = _read_outcome(_read_rows_oracle, path, 2)
+        assert _read_outcome(cli._read_trajectory_csv, path, 2) == expected
+        assert (expected[0] == "DocumentError") == (edit in _MALFORMED)
+
+    def test_well_formed_files_take_the_one_pass(self, solve_csv, tmp_path,
+                                                 monkeypatch):
+        def refuse(path, n):
+            raise AssertionError("the row loop read a well-formed file")
+
+        monkeypatch.setattr(cli, "_read_trajectory_rows", refuse)
+        for name, edit in _WELL_FORMED.items():
+            path = tmp_path / "edited.csv"
+            path.write_text(edit(solve_csv), encoding="utf-8", newline="")
+            assert cli._read_trajectory_csv(path, 2).ts.size > 0, name
+
+    @pytest.mark.parametrize("at", ["first line", "late row"])
+    def test_undecodable_bytes(self, solve_csv, tmp_path, at):
+        data = solve_csv.encode("utf-8")
+        cut = data.index(b"\n") if at == "first line" else len(data) - 40
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data[:cut] + b"\xe9" + data[cut:])
+        assert (_read_outcome(cli._read_trajectory_csv, path, 2)
+                == _read_outcome(_read_rows_oracle, path, 2))
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        assert (_read_outcome(cli._read_trajectory_csv, path, 2)
+                == _read_outcome(_read_rows_oracle, path, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_written_nodes_read_back_bit_for_bit(self, tmp_path, n):
+        # random finite doubles of every magnitude, subnormals and signed
+        # zeros included, as states; strictly increasing times
+        rng = np.random.default_rng(n)
+        bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64)
+        pool = bits.view(np.float64)
+        pool = pool[np.isfinite(pool)]
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+        ts = np.unique(np.concatenate([pool[:300], special]))
+        xs = rng.choice(np.concatenate([pool, special]), size=(ts.size, n))
+        xs[:len(special), 0] = special
+        traj = Trajectory(ts=ts, xs=xs, events=[
+            EventRecord("W_hits_wplus", float(ts[1]), xs[1])])
+        path = tmp_path / "nodes.csv"
+        write_trajectory_csv(path, traj, np.zeros(ts.size),
+                             lambda t, x: 1.0)
+        back = cli._read_trajectory_csv(path, n)
+        assert back.ts.tobytes() == ts.tobytes()
+        assert back.xs.tobytes() == xs.tobytes()
+        assert _read_outcome(_read_rows_oracle, path, n) == _read_outcome(
+            cli._read_trajectory_csv, path, n)
+
+
 class TestRejectedDocumentValues:
     # values the problem or the shooting configuration rejects: each must
     # be a usage error that names the value, not a traceback
@@ -748,6 +986,37 @@ class TestRuntimeImports:
         assert proc.stdout.splitlines()[-1] == "[]"
 
 
+    def test_pipeline_leaves_numpy_polynomial_unimported(self, tmp_path):
+        # certify, solve and verify in one fresh interpreter: none of
+        # them may import numpy.polynomial (milliseconds and ~1 MB of
+        # every start-up); the Gauss-Legendre rule is a literal
+        cert, run = tmp_path / "cert.txt", tmp_path / "run"
+        script = textwrap.dedent(f"""
+            import sys
+            import vwbound.cli
+
+            doc = {str(SADDLE_DOC)!r}
+            cert, run = {str(cert)!r}, {str(run)!r}
+            assert vwbound.cli.main(["certify", doc, "--out", cert]) == 2
+            assert vwbound.cli.main(
+                ["solve", doc, "--cert", cert, "--out", run]) == 0
+            assert vwbound.cli.main(
+                ["verify", doc, "--cert", cert,
+                 "--traj", run + "/trajectory.csv"]) == 0
+            print(sorted(m for m in sys.modules
+                         if m.startswith("numpy.polynomial")))
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestNonlinear:
     """State-dependent A: certify fits the growth pair on sampled states
     instead of the state-free fast path."""
@@ -876,6 +1145,26 @@ class TestEntrySizes:
         doc.write_text(_saddle_with(A_1_2=deep, C_1_2=deep, C_2_1=deep))
         assert main(["certify", str(doc), "--grid", "21",
                      "--window=-1,1"]) in (0, 2, 3)
+
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES)
+    def test_each_shape_on_the_full_window(self, tmp_path, capsys, shape):
+        # the same entries on saddle's window [-40, 40], where t^101 and
+        # exp(t)^-98 overflow: a condition fails or holds, and no numpy
+        # warning is raised (the suite turns a RuntimeWarning into an error)
+        deep = DEPTH_SHAPES[shape](MAX_DEPTH)
+        doc = tmp_path / "deep.problem"
+        doc.write_text(_saddle_with(A_1_2=deep, C_1_2=deep, C_2_1=deep))
+        assert main(["certify", str(doc), "--grid", "21"]) in (0, 2, 3)
+
+    def test_overflowing_entry_fails_without_numpy_warnings(self, tmp_path):
+        # B's off-diagonal reaches 4e201, so its pivot overflows: condition
+        # (a) fails, and numpy's overflow warning stays off stderr
+        doc = tmp_path / "huge.problem"
+        doc.write_text(_saddle_with(B_1_2="1e200*t", B_2_1="1e200*t"))
+        proc = TestUsage()._run_module("certify", str(doc))
+        assert proc.returncode == 3, proc.stderr
+        assert b"condition (a) failed" in proc.stderr
+        assert b"RuntimeWarning" not in proc.stderr
 
     def test_folded_infinite_derivative_certifies(self, tmp_path, capsys):
         # B's derivative folds to the constant inf (a NameError before)

@@ -90,6 +90,21 @@ class TestParsingAndEval:
                 )
 
 
+class TestNumIdentity:
+    def test_every_nan_hashes_alike(self):
+        # Num(nan) equals every other Num(nan), so a set holds one
+        nan = float("nan")
+        assert Num(nan) == Num(float("nan"))
+        assert hash(Num(nan)) == hash(Num(-nan))
+        assert len({Num(nan), Num(float("nan")), Num(-nan)}) == 1
+        assert len({Num(nan), Num(1.0)}) == 2
+
+    def test_signed_zeros_equal_and_hash_alike(self):
+        assert Num(0.0) == Num(-0.0)
+        assert hash(Num(0.0)) == hash(Num(-0.0))
+        assert len({Num(0.0), Num(-0.0)}) == 1
+
+
 class TestDerivative:
     def test_polynomial(self):
         d = diff_t(parse_expr("t^3 + 2*t", 0))

@@ -137,6 +137,13 @@ class TestGrowthIntegral:
                     z, abs=1e-8, rel=1e-8
                 )
 
+    def test_gauss_legendre_literals_are_numpys_rule(self):
+        # the 16 (node, weight) pairs are literals so that start-up does
+        # not import numpy.polynomial; they must be its rule bit for bit
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert growth._GL_RULE == tuple(zip(nodes.tolist(), weights.tolist()))
+        assert all(type(v) is float for pair in growth._GL_RULE for v in pair)
+
     def test_inverse_at_zero(self):
         gp = make_pair()
         assert growth_integral_inv(gp, 0.0) == pytest.approx(gp.v0)
