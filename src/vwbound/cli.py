@@ -20,10 +20,10 @@ Exit codes form a total contract:
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -128,9 +128,8 @@ def cmd_certify(args) -> int:
         code = (EXIT_FAILED if not cert.feasible else
                 EXIT_WINDOW if cert.window_certified_only else EXIT_OK)
         rep = report_from_certificate(cert, code, doc.n, source=doc.source)
-    out = getattr(args, "out", None)
-    if out:
-        rep.write(out)
+    if args.out:
+        rep.write(args.out)
     else:
         sys.stdout.write(rep.to_text())
     return code
@@ -310,9 +309,8 @@ def cmd_verify(args) -> int:
     ver = verify_bound(qp, cert, traj)
     code = EXIT_OK if ver.passed else EXIT_VIOLATION
     attach_verification(rep, ver, code)
-    out = getattr(args, "out", None)
-    if out:
-        rep.write(out)
+    if args.out:
+        rep.write(args.out)
     sys.stdout.write(
         "verify %s: sup V = %.17g, slack envelope %.6g, const %.6g, "
         "closed-form %.6g\n"
@@ -338,77 +336,128 @@ def cmd_report(args) -> int:
         rendered = render_table(rep)
     else:
         raise DocumentError(f"unknown --format {fmt!r}; use text or csv")
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vwbound",
-        description=(
-            "certify V-bounded-solution conditions for a quadratic "
-            "V/W pair, find the trapped solution by topological "
-            "shooting, and verify the certified ceilings along it"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# subcommand: (handler, help, positional, {flag: (converter, metavar,
+# help)}); a handler reads the positional's value as its lower-cased name
+# and a flag's as the flag's name, None when it is not given
+COMMANDS = {
+    "certify": (cmd_certify, "check the conditions of the document PROBLEM, "
+                "write a certificate", "PROBLEM", {
+        "out": (str, "FILE", "write the report here instead of stdout"),
+        "window": (str, "T-,T+", "override the document's window"),
+        "grid": (int, "N", "override the grid size"),
+        "seed": (int, "N", "override the sampling seed"),
+        "sigma": (float, "S", "fix the growth exponent in (0, 1] instead "
+                              "of searching the grid"),
+    }),
+    "solve": (cmd_solve, "find the trapped solution of PROBLEM", "PROBLEM", {
+        "cert": (str, "FILE", "certificate report from certify (required)"),
+        "out": (str, "DIR", "output directory (default: the current one)"),
+        "window": (str, "T-,T+", "override the document's window"),
+        "tol": (float, "TOL", "override the integrator tolerance, "
+                              "in [1e-12, 1e-3]"),
+    }),
+    "verify": (cmd_verify, "check a trajectory of PROBLEM against a "
+               "certificate", "PROBLEM", {
+        "cert": (str, "FILE", "certificate report from certify (required)"),
+        "traj": (str, "FILE", "trajectory CSV from solve (required)"),
+        "out": (str, "FILE", "write the report here"),
+    }),
+    "report": (cmd_report, "render the report REPORT for humans or as CSV",
+               "REPORT", {
+        "format": (str, "text|csv", "text (default) or csv"),
+        "out": (str, "FILE", "write here instead of stdout"),
+    }),
+}
 
-    def common(p):
-        p.add_argument("problem", help="problem document path")
-        p.add_argument("--out", help="output file (certify/verify/report) "
-                                     "or directory (solve)")
+DESCRIPTION = (
+    "certify V-bounded-solution conditions for a quadratic V/W pair, find\n"
+    "the trapped solution by topological shooting, and verify the\n"
+    "certified ceilings along it"
+)
 
-    def window(p):
-        p.add_argument("--window", help="override window as 'T-,T+'")
 
-    p_cert = sub.add_parser("certify", help="check conditions, emit report")
-    common(p_cert)
-    window(p_cert)
-    p_cert.add_argument("--grid", type=int, help="override grid size")
-    p_cert.add_argument("--seed", type=int, help="override sampling seed")
-    p_cert.add_argument(
-        "--sigma", type=float,
-        help="fix the growth exponent instead of searching the grid",
-    )
-    p_solve = sub.add_parser("solve", help="find the trapped solution")
-    common(p_solve)
-    window(p_solve)
-    p_solve.add_argument("--tol", type=float,
-                         help="override integrator tolerance")
-    p_solve.add_argument("--cert", help="certificate report from certify")
-    p_verify = sub.add_parser("verify", help="check a trajectory against "
-                                             "a certificate")
-    common(p_verify)
-    p_verify.add_argument("--cert", help="certificate report from certify")
-    p_verify.add_argument("--traj", help="trajectory CSV from solve")
-    p_report = sub.add_parser("report", help="render a report")
-    p_report.add_argument("report", help="report path")
-    p_report.add_argument("--format", help="text (default) or csv")
-    p_report.add_argument("--out", help="output file")
-    return parser
+def _help(command=None) -> str:
+    """The ``--help`` text of ``command``, or of vwbound itself."""
+    if command is None:
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+        head = (f"usage: vwbound {{{','.join(COMMANDS)}}} ...\n\n"
+                f"{DESCRIPTION}\n\nsubcommands "
+                "(vwbound COMMAND --help lists a command's flags):\n")
+    else:
+        _, about, positional, flags = COMMANDS[command]
+        rows = [(f"--{name} {metavar}", text)
+                for name, (_, metavar, text) in flags.items()]
+        head = (f"usage: vwbound {command} {positional} [flags]\n\n"
+                f"{about}\n\n")
+    width = max(len(left) for left, _ in rows)
+    return head + "".join(f"  {left:{width}}  {text}\n" for left, text in rows)
+
+
+def _parse(argv):
+    """The handler and its arguments for the command line ``argv``, or
+    None once a ``-h``/``--help`` text is printed.  Flags may come before
+    or after the positional, as ``--flag value`` or ``--flag=value`` (the
+    value may start with ``-``), and the last occurrence wins.  Any other
+    command line raises :class:`DocumentError`."""
+    if not argv:
+        raise DocumentError(f"no subcommand; use one of {', '.join(COMMANDS)}")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        sys.stdout.write(_help())
+        return None
+    if command not in COMMANDS:
+        raise DocumentError(f"unknown subcommand {command!r}; use one of "
+                            f"{', '.join(COMMANDS)}")
+    handler, _, positional, flags = COMMANDS[command]
+    key = positional.lower()
+    values = dict.fromkeys([key, *flags])
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_help(command))
+            return None
+        if not token.startswith("-"):
+            if values[key] is not None:
+                raise DocumentError(f"{command} takes one {positional}, "
+                                    f"got a second: {token!r}")
+            values[key] = token
+            continue
+        flag, eq, value = token.partition("=")
+        name = flag[2:]
+        if not flag.startswith("--") or name not in flags:
+            raise DocumentError(f"{command} takes no flag {flag}; its flags "
+                                f"are --{', --'.join(flags)}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise DocumentError(f"{flag} expects a value")
+        convert = flags[name][0]
+        try:
+            values[name] = convert(value)
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            raise DocumentError(
+                f"{flag} expects {kind}, got {value!r}") from None
+    if values[key] is None:
+        raise DocumentError(f"{command} requires {positional}")
+    return handler, types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help, 2 for usage errors; fold usage
-        # errors into the documented contract
-        return 0 if exc.code == 0 else EXIT_USAGE
-    handlers = {
-        "certify": cmd_certify,
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "report": cmd_report,
-    }
-    try:
-        return handlers[args.command](args)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            return EXIT_OK
+        handler, args = parsed
+        return handler(args)
     except DocumentError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -100,25 +100,34 @@ class NotDifferentiable(VWBoundError):
 
 
 class NotPositiveDefinite(VWBoundError):
-    """Cholesky factorization hit a nonpositive pivot; ``index`` is the
-    failing matrix's position in a stack (None for a single matrix)."""
+    """Cholesky factorization hit a nonpositive pivot, or the matrix has a
+    non-finite entry; ``index`` is the failing matrix's position in a stack
+    (None for a single matrix), and ``entry`` is the (row, column) of the
+    non-finite entry, counted from 1 (None for a pivot failure)."""
 
     def __init__(
         self,
-        pivot: int,
+        pivot: int | None,
         value: float,
         index: int | None = None,
         where: str | None = None,
+        entry: tuple[int, int] | None = None,
     ):
         if where is None:
             where = "matrix" if index is None else f"matrix {index} of the stack"
-        super().__init__(
-            f"{where} is not positive definite: pivot {pivot} has "
-            f"nonpositive value {value:.6g}"
-        )
+        if entry is None:
+            super().__init__(
+                f"{where} is not positive definite: pivot {pivot} has "
+                f"nonpositive value {value:.6g}"
+            )
+        else:
+            super().__init__(
+                f"{where}: entry {entry} = {value:.6g} is not finite"
+            )
         self.pivot = pivot
         self.value = value
         self.index = index
+        self.entry = entry
 
 
 class DegeneratePencil(VWBoundError):

@@ -59,6 +59,19 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (a + a.mT)
 
 
+def _first_non_finite(a: np.ndarray):
+    """``(index, entry, value)`` of the first non-finite entry of the
+    matrix or stack ``a``, or None if every entry is finite: ``index`` is
+    the matrix's position in a stack (None for a single matrix) and
+    ``entry`` the (row, column), counted from 1."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return None
+    pos = np.unravel_index(int(np.argmin(finite)), a.shape)
+    index = int(pos[0]) if a.ndim == 3 else None
+    return index, (int(pos[-2]) + 1, int(pos[-1]) + 1), float(a[pos])
+
+
 @dataclass
 class SymmetricPencil:
     """The pair (C, B); both symmetric, B positive definite.  ``c`` and
@@ -114,9 +127,14 @@ def cholesky_spd(a: np.ndarray) -> np.ndarray:
     ------
     NotPositiveDefinite
         With the index and value of the first nonpositive pivot and, for
-        a stack, the index of the first matrix that has one.
+        a stack, the index of the first matrix that has one; or, before
+        any factorization, with the first non-finite entry.
     """
     a = np.asarray(a, dtype=float)
+    bad = _first_non_finite(a)
+    if bad is not None:
+        index, entry, value = bad
+        raise NotPositiveDefinite(None, value, index=index, entry=entry)
     try:
         low = np.linalg.cholesky(a)
         if np.all(np.isfinite(low)):
@@ -177,10 +195,17 @@ def spectral_projectors(c: np.ndarray) -> ProjectorPair:
         If some eigenvalue lies inside the band
         ``DEGENERACY_RTOL * ||c||_2`` around zero — the splitting would
         then be numerically meaningless — or if the signature changes
-        across a stack.  Every matrix is checked for degeneracy before
-        any signature is compared.
+        across a stack, or if an entry is not finite.  Every matrix is
+        checked for finite entries, then for degeneracy, before any
+        signature is compared.
     """
     c = _check_symmetric(c, "C")
+    bad = _first_non_finite(c)
+    if bad is not None:
+        index, entry, value = bad
+        raise DegeneratePencil(
+            f"entry {entry} = {value:.6g} is not finite", index=index
+        )
     values, u = np.linalg.eigh(c)
     stack = values.reshape(-1, values.shape[-1])
     norm2 = np.max(np.abs(stack), axis=-1)

@@ -612,22 +612,22 @@ def certify(
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             exc.pivot, exc.value, index=exc.index,
-            where=f"B(t = {ts[exc.index]:.6g})",
+            where=f"B(t = {ts[exc.index]:.6g})", entry=exc.entry,
         ) from None
     min_b_eig = float(np.min(np.linalg.eigvalsh(grid.b)[:, 0]))
     conditions["a"] = ConditionResult(
         name="B positive definite", passed=min_b_eig > 0.0, margin=min_b_eig
     )
 
-    # (b) C nondegenerate with constant signature on the whole grid, then
-    # the extreme characteristic values of C - lambda B and the minimum
-    # over the positive C-subspace
-    pencil = SymmetricPencil(grid.c, grid.b)
-    lam_minus, lam_plus = lambda_extremes(pencil)
+    # (b) C finite and nondegenerate with constant signature on the whole
+    # grid, then the extreme characteristic values of C - lambda B and the
+    # minimum over the positive C-subspace
     try:
         proj = spectral_projectors(grid.c)
     except DegeneratePencil as exc:
         raise DegeneratePencil(f"C(t = {ts[exc.index]:.6g}): {exc}") from None
+    pencil = SymmetricPencil(grid.c, grid.b)
+    lam_minus, lam_plus = lambda_extremes(pencil)
     eigs = np.abs(np.concatenate([proj.eigs_minus, proj.eigs_plus], axis=-1))
     conditions["b"] = ConditionResult(
         name="C nondegenerate, constant signature",

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -879,6 +880,16 @@ class TestReport:
         assert main(["report", str(empty)]) == 64
 
 
+def _readme_flags():
+    """``{subcommand: (positional, {flag names})}`` from the rows of
+    README's Flags table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("\n### Flags\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+) ([A-Z]+)` \| (.*) \|$", table, re.M)
+    return {command: (positional, set(re.findall(r"`--([a-z]+)", flags)))
+            for command, positional, flags in rows}
+
+
 class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -921,6 +932,93 @@ class TestUsage:
             argv += ["--cert", cert_file, "--out", str(tmp_path / "run")]
         assert main(argv) == 64
         assert f"got {extra[-1]}" in capsys.readouterr().err
+
+    # every flag of README's Flags table, as "--f v" and as "--f=v", before
+    # and after the positional; each value starts with "-"
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, (_, flags) in _readme_flags().items()
+        for flag in flags
+    ])
+    @pytest.mark.parametrize("spelling", ["space", "equals"])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_every_flag_is_accepted(self, command, flag, spelling, where):
+        convert = cli.COMMANDS[command][3][flag][0]
+        value = {int: "-3", float: "-0.5", str: "-10,10"}[convert]
+        given = ([f"--{flag}", value] if spelling == "space"
+                 else [f"--{flag}={value}"])
+        argv = ([command] + given + ["doc"] if where == "before"
+                else [command, "doc"] + given)
+        handler, args = cli._parse(argv)
+        assert handler is cli.COMMANDS[command][0]
+        assert getattr(args, flag) == convert(value)
+        assert getattr(args, cli.COMMANDS[command][2].lower()) == "doc"
+
+    def test_last_occurrence_wins(self):
+        _, args = cli._parse(["certify", "--grid", "5", "doc", "--grid=7"])
+        assert args.grid == 7 and args.seed is None
+
+    def test_window_value_may_start_with_a_minus(self, ref_doc, cert_file,
+                                                 tmp_path):
+        spaced, attached = tmp_path / "spaced.txt", tmp_path / "attached.txt"
+        assert main(["certify", ref_doc, "--window", "-10,10",
+                     "--out", str(spaced)]) == 2
+        assert main(["certify", ref_doc, "--window=-10,10",
+                     "--out", str(attached)]) == 2
+        assert spaced.read_bytes() == attached.read_bytes()
+        # the override took: the document's window is [-40, 40]
+        assert spaced.read_bytes() != open(cert_file, "rb").read()
+
+    # each exits 64 before any stage runs, naming what is wrong on stderr
+    @pytest.mark.parametrize("extra,named", [
+        (["--gr", "5"], "--gr"),                # an abbreviation
+        (["--grid"], "--grid expects a value"),
+        (["--out", "--grid", "5"], "--out expects a value"),
+        (["second.problem"], "'second.problem'"),
+        (["--grid", "x"], "--grid expects an integer, got 'x'"),
+        (["--sigma=y"], "--sigma expects a number, got 'y'"),
+        (["--tol", "1e-9"], "--tol"),           # solve's flag
+        (["-x"], "-x"),
+    ])
+    def test_usage_error_names_the_flag(self, ref_doc, monkeypatch, capsys,
+                                        extra, named):
+        monkeypatch.setattr(cli, "load_problem_document",
+                            lambda *a: pytest.fail("certify ran"))
+        assert main(["certify", ref_doc] + extra) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["certify"], "certify requires PROBLEM"),
+        (["report", "--format", "csv"], "report requires REPORT"),
+        (["--out", "x", "certify"], "unknown subcommand '--out'"),
+    ])
+    def test_missing_positional_or_subcommand(self, capsys, argv, named):
+        assert main(argv) == 64
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize("where", ["-h", "--help", "doc --help"])
+    def test_subcommand_help_lists_its_flags_only(self, capsys, command,
+                                                  where):
+        assert main([command] + where.split()) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith(f"usage: vwbound {command} ")
+        listed = {word[2:] for word in out.split() if word.startswith("--")
+                  and word != "--help"}
+        assert listed == set(cli.COMMANDS[command][3])
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        assert main(["-h"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"\n  {command} " in out for command in cli.COMMANDS)
+
+    def test_readme_lists_the_parser_flags(self):
+        # README's Flags table names exactly each subcommand's positional
+        # and flags, so the docs and the parser cannot drift apart
+        assert _readme_flags() == {
+            command: (positional, set(flags))
+            for command, (_, _, positional, flags) in cli.COMMANDS.items()
+        }
 
     def _run_module(self, *args):
         # the process exit status is what a shell sees: main()'s return
@@ -986,11 +1084,12 @@ class TestRuntimeImports:
         assert proc.stdout.splitlines()[-1] == "[]"
 
 
-    def test_pipeline_leaves_numpy_polynomial_unimported(self, tmp_path):
-        # certify, solve and verify in one fresh interpreter: none of
-        # them may import numpy.polynomial (milliseconds and ~1 MB of
-        # every start-up); the Gauss-Legendre rule is a literal
-        cert, run = tmp_path / "cert.txt", tmp_path / "run"
+    @pytest.fixture(scope="class")
+    def pipeline_modules(self, tmp_path_factory):
+        """``sys.modules`` after ``import vwbound.cli`` and certify, solve
+        and verify on saddle in one fresh interpreter."""
+        tmp = tmp_path_factory.mktemp("pipeline")
+        cert, run = tmp / "cert.txt", tmp / "run"
         script = textwrap.dedent(f"""
             import sys
             import vwbound.cli
@@ -1003,8 +1102,7 @@ class TestRuntimeImports:
             assert vwbound.cli.main(
                 ["verify", doc, "--cert", cert,
                  "--traj", run + "/trajectory.csv"]) == 0
-            print(sorted(m for m in sys.modules
-                         if m.startswith("numpy.polynomial")))
+            print(" ".join(sorted(sys.modules)))
         """)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -1014,7 +1112,20 @@ class TestRuntimeImports:
                               capture_output=True, text=True, env=env,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        return set(proc.stdout.splitlines()[-1].split())
+
+    def test_pipeline_leaves_numpy_polynomial_unimported(
+        self, pipeline_modules,
+    ):
+        # milliseconds and ~1 MB of every start-up; the Gauss-Legendre
+        # rule is a literal
+        assert not {m for m in pipeline_modules
+                    if m.startswith("numpy.polynomial")}
+
+    def test_pipeline_leaves_argparse_unimported(self, pipeline_modules):
+        # the command line is read against cli.COMMANDS; argparse would
+        # bring gettext, and its first message lookup locale
+        assert not pipeline_modules & {"argparse", "gettext", "locale"}
 
 
 class TestNonlinear:
@@ -1165,6 +1276,22 @@ class TestEntrySizes:
         assert proc.returncode == 3, proc.stderr
         assert b"condition (a) failed" in proc.stderr
         assert b"RuntimeWarning" not in proc.stderr
+
+    # 100 exp(t) factors: inf off the diagonal from t = -40 to -7.6, on
+    # the full window
+    @pytest.mark.parametrize("matrix,tag", [("C", "b"), ("B", "a")])
+    def test_infinite_entry_names_matrix_and_time(self, tmp_path, capsys,
+                                                  matrix, tag):
+        quotient = DEPTH_SHAPES["quotient"](MAX_DEPTH)
+        doc = tmp_path / "inf.problem"
+        doc.write_text(_saddle_with(**{f"{matrix}_1_2": quotient,
+                                       f"{matrix}_2_1": quotient}))
+        out = tmp_path / "cert.txt"
+        assert main(["certify", str(doc), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"condition ({tag}) failed: {matrix}(t = -40)"
+                              ": entry (1, 2) = inf is not finite")
+        assert RunReport.load(str(out)).get("failed.condition") == tag
 
     def test_folded_infinite_derivative_certifies(self, tmp_path, capsys):
         # B's derivative folds to the constant inf (a NameError before)

@@ -85,6 +85,19 @@ class TestCholesky:
             cholesky_spd(stack[3])
         assert info.value.index is None
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_refused_before_factoring(self, bad):
+        # an inf off the diagonal used to reach the pivot loop as a
+        # "nonpositive value -inf"; nan passed the symmetry test
+        stack = np.stack([np.eye(2)] * 4)
+        stack[2, 0, 1] = stack[2, 1, 0] = bad
+        with pytest.raises(NotPositiveDefinite) as info:
+            cholesky_spd(stack)
+        assert info.value.index == 2 and info.value.entry == (1, 2)
+        assert info.value.pivot is None
+        assert str(info.value) == (f"matrix 2 of the stack: entry (1, 2) = "
+                                   f"{bad:.6g} is not finite")
+
     def test_semidefinite_rejected(self):
         b = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1
         with pytest.raises(NotPositiveDefinite):
@@ -212,6 +225,18 @@ class TestProjectors:
             spectral_projectors(cs)
         assert info.value.index == 2
         assert "degeneracy band" in str(info.value)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_refused_before_eigh(self, bad):
+        # inf - inf is nan, which passes the symmetry test, and eigh's nan
+        # eigenvalues counted as negative: a signature change, not this
+        cs = np.stack([np.diag([1.0, -1.0])] * 5)
+        cs[:3, 0, 1] = cs[:3, 1, 0] = bad
+        with pytest.raises(DegeneratePencil) as info:
+            spectral_projectors(cs)
+        assert info.value.index == 0
+        assert str(info.value) == (f"entry (1, 2) = {bad:.6g} is not finite "
+                                   "(matrix 0 of the stack)")
 
     def test_signature_counts(self):
         proj = spectral_projectors(np.diag([4.0, -1.0]))
