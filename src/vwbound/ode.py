@@ -57,9 +57,11 @@ __all__ = [
     "EventRecord",
     "Trajectory",
     "integrate",
+    "levels_at_start",
     "make_region_events",
     "write_trajectory_csv",
     "VWCurves",
+    "quad_along",
     "eval_v_w_along",
 ]
 
@@ -247,6 +249,36 @@ def _row_sign(exit_row, x, hs, stages):
     return None
 
 
+def levels_at_start(events, t0: float, x0: list, f0: list,
+                    direction: float):
+    """Each level of ``events`` at the start ``(t0, x0)``, and the events
+    that fire there, up to the first terminal one.
+
+    A start sitting on a watched level (within its ``tol``) whose slope
+    along ``f0``, the right-hand side there, points the event's way is an
+    immediate event; the shooting stage's boundary starts rely on this.
+    The slope is a difference quotient over ``1e-8 max(1, |t0|)`` in the
+    run's ``direction``.  Levels after a firing terminal event are not
+    evaluated.
+    """
+    g_start, fired = [], []
+    for ev in events:
+        g0 = float(ev.level(t0, x0))
+        g_start.append(g0)
+        if abs(g0) <= ev.tol:
+            dt_probe = 1e-8 * max(1.0, abs(t0)) * direction
+            x_probe = [v + dt_probe * f for v, f in zip(x0, f0)]
+            g_probe = float(ev.level(t0 + dt_probe, x_probe))
+            slope = (g_probe - g0) / dt_probe
+            if (ev.direction == 0
+                    or (ev.direction > 0 and slope > 0.0)
+                    or (ev.direction < 0 and slope < 0.0)):
+                fired.append(ev)
+                if ev.terminal:
+                    break
+    return g_start, fired
+
+
 def _locate(level, t_a, g_a, t_b, g_b, xtol):
     """Zero of ``level`` between ``t_a`` and ``t_b`` (either order), whose
     values ``g_a`` and ``g_b`` there have strictly opposite signs.
@@ -358,41 +390,25 @@ def integrate(
 
     ts = [t0]
     xs = [x0]
-    records: list[EventRecord] = []
     status = "reached_end"
     side = None
 
-    # a start sitting on a watched level with matching outgoing slope is an
-    # immediate event (boundary starts of the shooting stage rely on this);
-    # the levels at the start seed the step loop
+    # the levels at the start seed the step loop; one the start sits on
+    # with outgoing slope fires there
     f0 = rhs(t0, x0)
     n_rhs = 2  # f0 plus the probe in _initial_step
-    g_start = []
-    for ev in events:
-        g0 = float(ev.level(t0, x0))
-        g_start.append(g0)
-        if abs(g0) <= ev.tol:
-            dt_probe = 1e-8 * max(1.0, abs(t0)) * direction
-            x_probe = [v + dt_probe * f for v, f in zip(x0, f0)]
-            g_probe = float(ev.level(t0 + dt_probe, x_probe))
-            slope = (g_probe - g0) / dt_probe
-            fires = (
-                ev.direction == 0
-                or (ev.direction > 0 and slope > 0.0)
-                or (ev.direction < 0 and slope < 0.0)
-            )
-            if fires:
-                records.append(EventRecord(ev.kind, t0, np.array(x0)))
-                if ev.terminal:
-                    return Trajectory(
-                        ts=np.array(ts),
-                        xs=np.array(xs),
-                        events=records,
-                        status=f"event:{ev.kind}",
-                        n_accepted=0,
-                        n_rejected=0,
-                        n_rhs=n_rhs,
-                    )
+    g_start, fired = levels_at_start(events, t0, x0, f0, direction)
+    records = [EventRecord(ev.kind, t0, np.array(x0)) for ev in fired]
+    if fired and fired[-1].terminal:
+        return Trajectory(
+            ts=np.array(ts),
+            xs=np.array(xs),
+            events=records,
+            status=f"event:{fired[-1].kind}",
+            n_accepted=0,
+            n_rejected=0,
+            n_rhs=n_rhs,
+        )
 
     if span == 0.0:
         return Trajectory(
@@ -585,6 +601,16 @@ def write_trajectory_csv(path, traj: Trajectory, v, quadform_w):
             fh.write(f"#event,{ev.kind},{ev.t:.17g},{row}\n")
 
 
+def quad_along(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``<M_k x_k, x_k>`` at each node: ``m`` the ``(K, n, n)`` stack of M
+    at the node times, ``xs`` the ``(K, n)`` states, as the stacked
+    product ``(x M) x``.  The one evaluation of V along nodes: the V
+    column of ``trajectory.csv`` (through the rung tasks) and ``verify``
+    (through :func:`eval_v_w_along`) both come from here, and agree bit
+    for bit."""
+    return (xs[:, None, :] @ m @ xs[..., None])[:, 0, 0]
+
+
 @dataclass
 class VWCurves:
     """V, W and their exact time derivatives along trajectory nodes, plus
@@ -613,8 +639,8 @@ def eval_v_w_along(qp, traj: Trajectory, gp=None) -> VWCurves:
     f = np.array(list(map(qp.rhs, ts.tolist(), xs.tolist())))[..., None]
     # x as rows and columns: each product is that of (x B) x + 2 (B x) f
     row, col = xs[:, None, :], xs[..., None]
-    v = (row @ b @ col)[:, 0, 0]
-    w = (row @ c @ col)[:, 0, 0]
+    v = quad_along(b, xs)
+    w = quad_along(c, xs)
     v_dot = (row @ b_dot @ col + (2.0 * (b @ col)).mT @ f)[:, 0, 0]
     w_dot = (row @ c_dot @ col + (2.0 * (c @ col)).mT @ f)[:, 0, 0]
     f_dot = None

@@ -25,6 +25,7 @@ at infinity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -41,7 +42,13 @@ from .errors import (
     InfeasibleConditionE,
     NotPositiveDefinite,
 )
-from .expr import MatrixFunction, VectorFunction, compile_quadform, compile_rhs
+from .expr import (
+    MatrixFunction,
+    Num,
+    VectorFunction,
+    compile_quadform,
+    compile_rhs,
+)
 from .growth import (
     GrowthPair,
     bound_excursion,
@@ -133,6 +140,10 @@ class QuadraticProblem:
             raise ValueError(
                 f"window ({t_lo:g}, {t_hi:g}) must contain 0 strictly inside"
             )
+        if not math.isfinite(t_hi - t_lo):
+            raise ValueError(
+                f"window ({t_lo:g}, {t_hi:g}) must have a finite width"
+            )
         if not self.w_minus < 0.0 < self.w_plus:
             raise ValueError(
                 f"need w_minus < 0 < w_plus, got w_minus = {self.w_minus:g}, "
@@ -167,6 +178,25 @@ class QuadraticProblem:
         self.quad_w = compile_quadform(self.c)
         self.b_dot = self.b.diff_t()
         self.c_dot = self.c.diff_t()
+
+    @functools.cached_property
+    def pair_rhs(self):
+        """The right-hand side of the ``2n``-state pair ``(p, q)`` with
+        ``p' = A(t) p + f0(t)`` and ``q' = A(t) q``, for an A that does not
+        depend on the state (:func:`compile_rhs` of the block-diagonal
+        system; built on first use, so its step loop is built once per
+        problem).  The flow is then affine in the start: the orbit from
+        ``p0 + u q0`` is ``p + u q``."""
+        if self.a.depends_on_state:
+            raise ValueError("the pair system needs an A free of the state")
+        n = self.n
+        zeros = [Num(0.0)] * n
+        a = MatrixFunction(
+            [row + zeros for row in self.a.entries]
+            + [zeros + row for row in self.a.entries],
+            2 * n,
+        )
+        return compile_rhs(a, VectorFunction(self.f0.entries + zeros, 2 * n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,21 @@ could not meet the verification tolerances; the ladder keeps every
 contributed node within a fixed error band instead.  The ``xi_j = x_j(0)``
 bookkeeping and its convergence rule are unchanged.
 
-A probe (:func:`classify_start`) answers which side its orbit leaves
-through: on a one-dimensional disk whose C does not depend on t it reads
-the sign of the exit chart coordinate, and locates the exit only when the
-last step could have moved that coordinate across zero (see
+A probe answers which side its orbit leaves through.  When A does not
+depend on the state and the disk is one-dimensional, the flow is affine
+in the start, so one run of the ``2n``-state pair system
+(:attr:`~vwbound.quadratic.QuadraticProblem.pair_rhs`) from the disk
+centre and the chart's basis vector carries every probe's orbit as
+``p + u q`` (:class:`_PairOrbits`): a probe reads its exit and side off
+that run's nodes, in closed form, and the rung's patch and xi orbit are
+the same combination on a run with the same steps (:func:`_orbit`).
+Otherwise each probe is an integration (:func:`classify_start`): on a
+one-dimensional disk whose C does not depend on t it reads the sign of
+the exit chart coordinate, and locates the exit only when the last step
+could have moved that coordinate across zero (see
 :func:`vwbound.ode.integrate`); otherwise, and on larger disks, the exit
-is located and charted.
+is located and charted.  The path is chosen from the problem alone: there
+is no setting for it.
 
 Given the region, the work on one rung does not depend on any other, so
 :func:`bounded_solution` runs every rung's task up front: the search for
@@ -43,6 +52,7 @@ every output, are the same for any ``w``, and with one CPU nothing forks.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import pickle
@@ -66,7 +76,9 @@ from .ode import (
     Trajectory,
     eval_v_w_along,
     integrate,
+    levels_at_start,
     make_region_events,
+    quad_along,
 )
 from .quadratic import Certificate, QuadraticProblem, closed_form_ceiling
 from .pencil import spectral_projectors
@@ -193,9 +205,10 @@ class ShootingConfig:
 
 @dataclass
 class Stayed:
-    """The orbit reached the horizon without leaving the region."""
+    """The orbit reached the horizon without leaving the region (``traj``
+    is None when the probe read it in closed form)."""
 
-    traj: Trajectory
+    traj: Trajectory | None
 
     is_stayed = True
 
@@ -261,10 +274,13 @@ def classify_start(
 class TrappedStart:
     """Localized trapped start on one disk.
 
-    ``steps_accepted`` and ``steps_rejected`` sum the integrator's step
-    counters over the search's probes; a probe that ends in step-size
-    underflow (an exit of kind ``blowup``) has no trajectory and adds
-    none.
+    ``closed_form`` says that the search read its probes off one run of
+    the pair system (:class:`_PairOrbits`); the start's orbit is then
+    integrated the same way (:func:`_orbit`).  ``steps_accepted`` and
+    ``steps_rejected`` sum the integrator's step counters over the
+    search's integrations: that run, and each probe integrated on its
+    own; a probe that ends in step-size underflow (an exit of kind
+    ``blowup``) has no trajectory and adds none.
     """
 
     t: float
@@ -276,6 +292,7 @@ class TrappedStart:
     exit_kinds: tuple[str, ...] = ()
     steps_accepted: int = 0
     steps_rejected: int = 0
+    closed_form: bool = False
 
 
 def _exit_row(qp: QuadraticProblem, chart: DiskChart):
@@ -291,17 +308,160 @@ def _exit_row(qp: QuadraticProblem, chart: DiskChart):
             (np.abs(chart.c_mat) @ np.abs(e)).tolist())
 
 
+def _exit_chart(qp: QuadraticProblem, chart0: DiskChart, t: float) -> DiskChart:
+    """The chart at ``t`` aligned to the start chart ``chart0``; when C does
+    not depend on t (it never depends on the state), ``chart0`` itself."""
+    if qp.c.depends_on_t:
+        return make_disk_chart(qp, t, align_to=chart0)
+    return chart0
+
+
 def _exit_side(qp: QuadraticProblem, chart0: DiskChart, res: Exited) -> float:
     """First chart coordinate of the exit state, measured in the chart at
     the exit time aligned to the start chart, or its sign when the probe
-    read it unlocated.  When C does not depend on t (it never depends on
-    the state), that chart is the start chart."""
+    read it unlocated."""
     if res.side is not None:
         return res.side
-    chart_e = chart0
-    if qp.c.depends_on_t:
-        chart_e = make_disk_chart(qp, res.t, align_to=chart0)
-    return float(chart_e.coords(res.x)[0])
+    return float(_exit_chart(qp, chart0, res.t).coords(res.x)[0])
+
+
+def _pair_run(qp: QuadraticProblem, chart: DiskChart, t_end: float,
+              tol: float, t_samples=None) -> Trajectory:
+    """One run of the pair system from ``(p, q) = (0, e)`` at the chart's
+    time, ``e`` its basis vector: ``p`` is the orbit from the disk centre
+    and ``q`` the homogeneous orbit from ``e``.  Every accepted step is a
+    node unless ``t_samples`` are given; samples do not change the steps."""
+    x0 = np.concatenate([np.zeros(qp.n), chart.basis[:, 0]])
+    return integrate(qp.pair_rhs, chart.t, x0, t_end, tol=tol,
+                     t_samples=t_samples)
+
+
+class _PairOrbits:
+    """The orbit of every start on a one-dimensional disk, in closed form,
+    from one run of the pair system (:func:`_pair_run`) with A free of the
+    state.
+
+    Dormand-Prince steps on a linear system are affine maps, so on the
+    run's steps ``x = p + u q`` *is* the integrator's orbit from
+    ``chart.point(u)``.  Forming it rounds by at most ``eps/2 (a + |x|)``
+    componentwise, ``a = |p| + |u| |q|``: the ``eps |x0| e^(lambda tau)``
+    floor that rounding sets for an integrated orbit too.
+
+    A probe reads its orbit at the run's nodes, with the integrated
+    probe's rules: a start on a level with outgoing slope exits at once
+    (:func:`vwbound.ode.levels_at_start`); otherwise the orbit exits at
+    the first node where a level (``W = w+-``, ``V = V*``, in its
+    direction) is crossed, and the exit side is the sign of the chart
+    coordinate there.
+
+    The rounding rule keeps a node from deciding what the rounding of
+    ``x`` and of the value read from it could flip.  With ``b = a + |x|``,
+    a level value ``g = <M x, x> - c`` at a node counts only when ``|g| >
+    (n + 2) eps <|M| (|x| + eps b), b> + eps |c|``, and the chart
+    coordinate ``s = <C e, x>`` of the exit node only when ``|s| > (n + 2)
+    eps <|C| |e|, b>``.  A level is crossed at the first node where it
+    counts as out while the last node where it counted was inside; nodes
+    in between decide nothing, so an orbit whose exit the rounding hides
+    stays.  When the side does not count, or two levels are crossed at
+    the same node, the probe is left undecided (``None``) for an
+    integrated probe to answer.
+    """
+
+    def __init__(self, qp: QuadraticProblem, chart: DiskChart,
+                 run: Trajectory, events):
+        n = qp.n
+        self.qp, self.chart, self.events = qp, chart, events
+        self.ts = run.ts
+        self.p = np.ascontiguousarray(run.xs[:, :n])
+        self.q = np.ascontiguousarray(run.xs[:, n:])
+        self.mag_p, self.mag_q = np.abs(self.p), np.abs(self.q)
+        self.eps = np.finfo(float).eps
+        self.slack = (n + 2) * self.eps
+        # the level matrices side by side, M = [M_1 | M_2 ...], one matrix
+        # when none depends on t, else a stack over the nodes; ``blocks``
+        # sums each block of a row of x^T M times [y | y ...]
+        forms: dict = {}  # level matrix -> its block
+        for ev in events:
+            forms.setdefault(ev.form[0], len(forms))
+        if any(m.depends_on_t for m in forms):
+            mats = [m.stack(self.ts) for m in forms]
+        else:
+            mats = [m.eval(chart.t) for m in forms]
+        self.mat = np.concatenate(mats, axis=-1)
+        self.mat_abs = np.abs(self.mat)
+        self.n_forms = len(forms)
+        self.blocks = np.kron(np.eye(self.n_forms), np.ones((n, 1)))
+        self.which = [forms[ev.form[0]] for ev in events]
+        self.direction = np.array([[ev.direction] for ev in events], float)
+        self.level = np.array([[ev.form[1]] for ev in events], float)
+        self.levels = np.arange(len(events))
+        # flat index of node 0 of each level's row
+        self.rows = self.levels[:, None] * self.ts.size
+        self.nodes = np.arange(self.ts.size)
+        self.charts = {}  # node -> exit chart
+
+    def states(self, u: float) -> np.ndarray:
+        """The orbit from ``chart.point(u)`` at the run's nodes."""
+        return self.p + u * self.q
+
+    def _pairing(self, mat: np.ndarray, x: np.ndarray,
+                 y: np.ndarray) -> np.ndarray:
+        """``x_k^T M_i y_k``, row i for each level matrix, column k for
+        each node."""
+        xm = x @ mat if mat.ndim == 2 else (x[:, None, :] @ mat)[:, 0, :]
+        return ((xm * np.tile(y, self.n_forms)) @ self.blocks).T
+
+    def first_exit(self, u: float, x: np.ndarray):
+        """``(k, events)``: the first node ``k >= 1`` where the orbit ``x``
+        from ``chart.point(u)`` crosses a level, by the rounding rule, and
+        the events crossed there; ``None`` when it crosses none."""
+        x_abs = np.abs(x)
+        b = self.mag_p + abs(u) * self.mag_q + x_abs
+        values = self._pairing(self.mat, x, x)
+        bounds = self._pairing(self.mat_abs, x_abs + self.eps * b, b)
+        g = self.direction * (values[self.which] - self.level)
+        r = self.slack * bounds[self.which] + self.eps * np.abs(self.level)
+        out, inside = g > r, g < -r
+        # per level, the last node up to each one where it counted (node 0
+        # when none did, which then counts as inside only if it was)
+        last = np.maximum.accumulate((out | inside) * self.nodes, axis=1)
+        crossing = out[:, 1:] & inside.ravel()[last[:, :-1] + self.rows]
+        at = crossing.argmax(axis=1)
+        hit = crossing[self.levels, at]
+        if not hit.any():
+            return None
+        at = np.where(hit, at + 1, self.ts.size)
+        k = int(at.min())
+        return k, [ev for ev, k_ev in zip(self.events, at) if k_ev == k]
+
+    def probe(self, u: float) -> Stayed | Exited | None:
+        """:func:`classify_start` at ``chart.point(u)`` in closed form, or
+        ``None`` when no node may decide it."""
+        t0 = self.chart.t
+        x = self.states(u)
+        x0 = x[0].tolist()
+        _, fired = levels_at_start(self.events, t0, x0, self.qp.rhs(t0, x0),
+                                   1.0)
+        if fired and fired[-1].terminal:
+            return Exited(t=t0, kind=fired[-1].kind, x=x[0])
+        hit = self.first_exit(u, x)
+        if hit is None:
+            return Stayed(traj=None)
+        k, crossed = hit
+        if len(crossed) > 1:
+            return None
+        chart_k = self.charts.get(k)
+        if chart_k is None:
+            chart_k = self.charts[k] = _exit_chart(self.qp, self.chart,
+                                                   float(self.ts[k]))
+        side = float(chart_k.coords(x[k])[0])
+        b_k = self.mag_p[k] + abs(u) * self.mag_q[k] + np.abs(x[k])
+        bound = self.slack * float(
+            np.abs(chart_k.basis[:, 0]) @ np.abs(chart_k.c_mat) @ b_k)
+        if not abs(side) > bound:
+            return None
+        return Exited(t=float(self.ts[k]), kind=crossed[0].kind, x=x[k],
+                      side=math.copysign(1.0, side))
 
 
 def find_trapped_start(
@@ -317,6 +477,11 @@ def find_trapped_start(
     One-dimensional positive subspace: bisection on the chart interval,
     steered by the sign of the exit chart coordinate.  Raises
     :class:`NoSignChange` when both bracket ends exit the same side.
+    With A free of the state, the probes are read in closed form off one
+    run of the pair system to the horizon (:class:`_PairOrbits`; the
+    start is then marked ``closed_form``), and only a probe no node may
+    decide is integrated (:func:`classify_start`); with a state-dependent
+    A every probe is integrated.
 
     Higher-dimensional disks: budgeted refinement around the start with
     the latest exit (a heuristic — existence is guaranteed by the
@@ -328,20 +493,35 @@ def find_trapped_start(
     horizon = t_j + config.horizon_span
     u_tol = 4.0 * np.finfo(float).eps * chart.radius
 
-    steps = [0, 0]  # accepted and rejected, over the probes so far
+    steps = [0, 0]  # accepted and rejected, over the integrations so far
     events = make_region_events(
         qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
     )
     exit_row = _exit_row(qp, chart)
 
+    def counted(traj):
+        steps[0] += traj.n_accepted
+        steps[1] += traj.n_rejected
+
+    closed = None
+    if chart.n_plus == 1 and not qp.a.depends_on_state:
+        try:
+            run = _pair_run(qp, chart, horizon, config.integrator_tol)
+        except StepSizeUnderflow:
+            pass  # every probe is integrated, and reports its blow-up
+        else:
+            counted(run)
+            closed = _PairOrbits(qp, chart, run, events)
+
     def probe(u):
-        res = classify_start(
-            qp, chart, u, horizon, v0, v_star, config.integrator_tol,
-            events, exit_row,
-        )
-        if res.traj is not None:  # None after a blow-up
-            steps[0] += res.traj.n_accepted
-            steps[1] += res.traj.n_rejected
+        res = None if closed is None else closed.probe(float(u[0]))
+        if res is None:
+            res = classify_start(
+                qp, chart, u, horizon, v0, v_star, config.integrator_tol,
+                events, exit_row,
+            )
+            if res.traj is not None:  # None after a blow-up
+                counted(res.traj)
         return res
 
     def found(u, iterations, bracket_width, stayed, kinds=()):
@@ -350,6 +530,7 @@ def find_trapped_start(
             bracket_width=bracket_width, stayed=stayed,
             exit_kinds=tuple(sorted(kinds)),
             steps_accepted=steps[0], steps_rejected=steps[1],
+            closed_form=closed is not None,
         )
 
     def side_of(u_scalar: float):
@@ -460,16 +641,47 @@ def _run_rung(qp, t, v0, v_star, config, claim) -> Rung:
     rung = Rung(start)
     if claim is not None and claim.size:
         try:
-            patch = integrate(qp.rhs, t, start.chart.point(start.u),
-                              float(claim[-1]), tol=config.integrator_tol,
-                              t_samples=claim[:-1])
+            patch = _orbit(qp, start, float(claim[-1]), config.integrator_tol,
+                           t_samples=claim[:-1])
         except VWBoundError as exc:
             rung.patch = exc
         else:
             ts, xs = patch.ts[1:], patch.xs[1:]
-            rung.patch = (ts, xs, np.array([qp.quad_v(tau, x) for tau, x in
-                                            zip(ts.tolist(), xs.tolist())]))
+            rung.patch = (ts, xs, quad_along(qp.b.stack(ts), xs))
     return rung
+
+
+def _orbit(qp: QuadraticProblem, start: TrappedStart, t_end: float,
+           tol: float, t_samples=(), events=None) -> Trajectory:
+    """The orbit of ``start`` up to ``t_end``, integrated the way its
+    search probed it, with nodes at ``t_samples`` (see
+    :func:`vwbound.ode.integrate`) or, given ``events``, ending at the
+    first it crosses.
+
+    A start found in closed form is the combination ``p + u q`` of a pair
+    run (:class:`_PairOrbits`) on the search run's steps, so every node
+    lies on the orbit the search probed; an orbit integrated on its own
+    from such a start would drift off it by the chart resolution times
+    ``e^(t - start.t)``.  Given ``events``, that orbit has only its start
+    and its end or exit node, the exit read at the first node past it.
+    """
+    if not start.closed_form:
+        return integrate(qp.rhs, start.t, start.chart.point(start.u), t_end,
+                         tol=tol, events=events, t_samples=t_samples)
+    u = float(start.u[0])
+    if not events:
+        run = _pair_run(qp, start.chart, t_end, tol, t_samples)
+        xs = run.xs[:, :qp.n] + u * run.xs[:, qp.n:]
+        return dataclasses.replace(run, xs=xs)
+    run = _pair_run(qp, start.chart, t_end, tol)
+    orbits = _PairOrbits(qp, start.chart, run, events)
+    xs = orbits.states(u)
+    hit = orbits.first_exit(u, xs)
+    k, status = -1, "reached_end"
+    if hit is not None:
+        k, status = hit[0], f"event:{hit[1][0].kind}"
+    return dataclasses.replace(run, ts=run.ts[[0, k]], xs=xs[[0, k]],
+                               status=status)
 
 
 def _run_share(task, share) -> list:
@@ -694,15 +906,7 @@ def bounded_solution(
     prev_d = math.inf
     for j, t_j in enumerate(xi_times, start=1):
         start = _read(rung(t_j).start)
-        traj = integrate(
-            qp.rhs,
-            t_j,
-            start.chart.point(start.u),
-            0.0,
-            tol=config.integrator_tol,
-            events=exits,
-            t_samples=np.array([]),
-        )
+        traj = _orbit(qp, start, 0.0, config.integrator_tol, events=exits)
         if traj.status != "reached_end":
             notes.append(
                 f"orbit from t_j = {t_j:g} leaves the region at "

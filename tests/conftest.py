@@ -84,6 +84,43 @@ def reference_solution(t):
     return np.array([-0.5 * EPS_REF * s, 0.5 * EPS_REF * s])
 
 
+def rotated_saddle(n: int, seed: int):
+    """The benchmark's ``wide`` construction (perfbench/README.md) at ``n``
+    states, drawn from ``seed``: A = Q diag(1, -1, ...) Q^T, C(t) = Q
+    diag(1 + 0.2 sin 0.3t, -1, ...) Q^T, B = I and f0_i = 0.02 sin(w_i t +
+    p_i), on the window +-40 with w+- = +-0.02.  Returns the document text
+    and the bounded solution at t = 0: since A^2 = I, it is x(0) = -sum_i
+    0.02 (A sin p_i + w_i cos p_i I) e_i / (1 + w_i^2)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))[None, :]
+    omega = rng.uniform(0.5, 1.5, size=n)
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    a = q @ np.diag([1.0] + [-1.0] * (n - 1)) @ q.T
+    a = 0.5 * (a + a.T)
+    q1 = q[:, 0]
+    lines = ["[problem]", f"n = {n}", "t_minus = -40", "t_plus = 40", "",
+             "[system]"]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    lines += [f'A.{i + 1}.{j + 1} = "({float(a[min(i, j), max(i, j)])!r})"'
+              for i, j in pairs]
+    lines += [f'f0.{i + 1} = "0.02*sin({float(omega[i])!r}*t + '
+              f'({float(phase[i])!r}))"' for i in range(n)]
+    lines += ["", "[guiding]"]
+    for i, j in pairs:
+        lo, hi = min(i, j), max(i, j)
+        lines.append(f'B.{i + 1}.{j + 1} = "{1 if i == j else 0}"')
+        lines.append(f'C.{i + 1}.{j + 1} = "({float(a[lo, hi])!r}) + '
+                     f'({float(0.2 * q1[lo] * q1[hi])!r})*sin(0.3*t)"')
+    lines += ["", "[region]", "v0 = auto", "w_minus = -0.02",
+              "w_plus = 0.02", "v_star = auto", ""]
+    xi = np.zeros(n)
+    for i, e in enumerate(np.eye(n)):
+        xi -= 0.02 * (a @ e * math.sin(phase[i])
+                      + omega[i] * math.cos(phase[i]) * e) / (1 + omega[i]**2)
+    return "\n".join(lines), xi
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 

@@ -21,6 +21,7 @@ from vwbound.expr import MAX_DEPTH
 from vwbound.ode import (
     EventRecord,
     Trajectory,
+    eval_v_w_along,
     integrate,
     make_region_events,
     write_trajectory_csv,
@@ -33,6 +34,7 @@ from vwbound.quadratic import (
 )
 from vwbound.report import FORMAT_TAG, RunReport, certificate_from_report
 
+from conftest import rotated_saddle
 from test_expr import DEPTH_SHAPES
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -80,6 +82,16 @@ def cert_file(ref_doc, tmp_path_factory):
 def solve_dir(ref_doc, cert_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("solve")
     assert main(["solve", ref_doc, "--cert", cert_file,
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def nonlinear_solve_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("nonlinear")
+    cert = out / "cert.txt"
+    assert main(["certify", str(NONLINEAR_DOC), "--out", str(cert)]) == 2
+    assert main(["solve", str(NONLINEAR_DOC), "--cert", str(cert),
                  "--out", str(out)]) == 0
     return out
 
@@ -251,11 +263,14 @@ class TestSolve:
         assert here == str(os.getpid()) != worker
 
     def test_search_step_totals_are_the_probes(
-        self, ref_doc, cert_file, tmp_path, capsys, monkeypatch,
+        self, nonlinear_solve_dir, tmp_path, capsys, monkeypatch,
     ):
         # on one CPU every probe runs here, where a wrapper can add up its
         # counters; two CPUs write the same totals, though half the
-        # probes then run in the forked worker
+        # probes then run in the forked worker.  A state-dependent A, so
+        # that every probe is integrated
+        doc = str(NONLINEAR_DOC)
+        cert = str(nonlinear_solve_dir / "cert.txt")
         classify = shooting.classify_start
         seen = [0, 0, 0]  # probes, accepted, rejected
 
@@ -273,7 +288,7 @@ class TestSolve:
             monkeypatch.setattr(os, "sched_getaffinity",
                                 lambda pid, n=cpus: set(range(n)))
             out = tmp_path / f"cpus{cpus}"
-            assert main(["solve", ref_doc, "--cert", cert_file,
+            assert main(["solve", doc, "--cert", cert,
                          "--out", str(out)]) == 0
             rep = RunReport.load(out / "solve-report.txt")
             rungs = [f"stats.shooting.rung.{i}" for i in
@@ -286,6 +301,22 @@ class TestSolve:
         capsys.readouterr()
         assert totals[0] == totals[1]
         assert 0 < seen[0] < seen[1]
+
+    @pytest.mark.parametrize("run", ["solve_dir", "nonlinear_solve_dir"],
+                             ids=["saddle", "nonlinear"])
+    def test_v_column_is_verifys_v(self, request, ref_doc, run):
+        # the V column that solve writes is the V that verify computes at
+        # each node, bit for bit
+        out = request.getfixturevalue(run)
+        doc = ref_doc if run == "solve_dir" else str(NONLINEAR_DOC)
+        qp = load_problem_document(doc).to_problem()
+        path = out / "trajectory.csv"
+        rows = [row.split(",") for row in path.read_text().splitlines()[1:]
+                if not row.startswith("#")]
+        column = np.array([float(row[qp.n + 1]) for row in rows])
+        traj = cli._read_trajectory_csv(path, qp.n)
+        assert column.size == traj.ts.size > 3000
+        assert column.tobytes() == eval_v_w_along(qp, traj).v.tobytes()
 
     def test_report_stats_leave_the_certificate_alone(self, cert_file,
                                                       solve_dir):
@@ -524,16 +555,6 @@ def _read_outcome(reader, path, n):
                  for a in arrays) + (traj.events, traj.status)
 
 
-@pytest.fixture(scope="module")
-def nonlinear_solve_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("nonlinear")
-    cert = out / "cert.txt"
-    assert main(["certify", str(NONLINEAR_DOC), "--out", str(cert)]) == 2
-    assert main(["solve", str(NONLINEAR_DOC), "--cert", str(cert),
-                 "--out", str(out)]) == 0
-    return out
-
-
 def _events_between_rows(text):
     header, *rows = text.splitlines()
     event = "#event,W_hits_wplus,1.5,0.25,-0.25"
@@ -705,6 +726,14 @@ class TestRejectedDocumentValues:
          "integrator_tol must lie in [1e-12, 0.001], got 0"),
         ("certify", None, None, ["--grid", "5"], "window, got 5"),
         ("certify", None, None, ["--window=3,4"], "window (3, 4)"),
+        # a width that overflows, from the document or the flag
+        ("certify", "t_minus = -40\nt_plus = 40",
+         "t_minus = -1e308\nt_plus = 1e308", [],
+         "window (-1e+308, 1e+308) must have a finite width"),
+        ("certify", None, None, ["--window=-1e308,1e308"],
+         "window (-1e+308, 1e+308) must have a finite width"),
+        ("solve", None, None, ["--window=-1e308,1e308"],
+         "window (-1e+308, 1e+308) must have a finite width"),
     ])
     def test_rejected_value_is_usage_error(
         self, ref_doc, cert_file, tmp_path, capsys,
@@ -720,7 +749,8 @@ class TestRejectedDocumentValues:
         if command == "solve":
             argv += ["--cert", cert_file, "--out", str(tmp_path / "run")]
         assert main(argv) == 64
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
 
 
     # outside the integrator's range, from the document or the flag
@@ -1126,6 +1156,27 @@ class TestRuntimeImports:
         # the command line is read against cli.COMMANDS; argparse would
         # bring gettext, and its first message lookup locale
         assert not pipeline_modules & {"argparse", "gettext", "locale"}
+
+
+class TestRotatedSaddle:
+    """A state-free A on three states with a t-dependent C: the benchmark's
+    ``wide`` construction at n = 3, whose bounded solution has a closed
+    form, solved by the closed-form probes."""
+
+    def test_pipeline_finds_the_closed_form(self, tmp_path, capsys):
+        text, xi = rotated_saddle(3, seed=1)
+        doc = tmp_path / "rotated.problem"
+        doc.write_text(text)
+        cert, run = tmp_path / "cert.txt", tmp_path / "run"
+        assert main(["certify", str(doc), "--out", str(cert)]) == 2
+        assert main(["solve", str(doc), "--cert", str(cert),
+                     "--out", str(run)]) == 0
+        rep = RunReport.load(run / "solve-report.txt")
+        got = np.array([rep.get_float(f"solution.xi.{i}") for i in (1, 2, 3)])
+        assert np.max(np.abs(got - xi)) < 1e-6
+        assert main(["verify", str(doc), "--cert", str(cert),
+                     "--traj", str(run / "trajectory.csv")]) == 0
+        assert "verify pass" in capsys.readouterr().out
 
 
 class TestNonlinear:

@@ -12,13 +12,19 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import EPS_REF, make_reference_problem, reference_solution
+from conftest import (
+    EPS_REF,
+    make_reference_problem,
+    reference_solution,
+    rotated_saddle,
+)
 from vwbound.errors import (
     BudgetExhausted,
     EmptyPositiveSubspace,
     NoSignChange,
     NotConverged,
     RungWorkerLost,
+    StepSizeUnderflow,
 )
 from vwbound.expr import MatrixFunction, VectorFunction, compile_stepper
 from vwbound.growth import growth_integral_inv
@@ -247,14 +253,32 @@ class TestTrappedStart:
 DEMOS = pathlib.Path(__file__).parents[1] / "demos"
 
 
+# the nonlinear demo with a state-dependent stable mode as well
+BOTH_MODES = ('A.2.2 = "-1"', 'A.2.2 = "-1 - 0.5*x1*x2"')
+
+
+def _state_dependent_doc(name, tmp_path):
+    """``demos/nonlinear.problem``, or with both modes state-dependent."""
+    text = (DEMOS / "nonlinear.problem").read_text()
+    if name == "both-modes":
+        assert text.count(BOTH_MODES[0]) == 1
+        text = text.replace(*BOTH_MODES)
+    path = tmp_path / f"{name}.problem"
+    path.write_text(text)
+    return load_problem_document(str(path))
+
+
 class TestLeanProbe:
     """On a one-dimensional disk whose C does not depend on t, a probe
     reads the side of its exit without locating it whenever its last
-    step cannot change that side; it must be the side location gives."""
+    step cannot change that side; it must be the side location gives.
+    A state-free A takes the closed-form probes instead (see
+    :class:`TestClosedFormProbe`), so these run on a state-dependent A."""
 
-    @pytest.mark.parametrize("demo", ["saddle", "nonlinear"])
-    def test_unlocated_sides_are_the_located_ones(self, monkeypatch, demo):
-        doc = load_problem_document(str(DEMOS / f"{demo}.problem"))
+    @pytest.mark.parametrize("demo", ["nonlinear", "both-modes"])
+    def test_unlocated_sides_are_the_located_ones(self, monkeypatch, demo,
+                                                  tmp_path):
+        doc = _state_dependent_doc(demo, tmp_path)
         qp = doc.to_problem()
         cert = certify(qp)
         classify = shooting.classify_start
@@ -308,6 +332,8 @@ class TestLeanProbe:
 
     def test_t_dependent_c_locates_every_exit(self, monkeypatch):
         qp = make_reference_problem(
+            a=MatrixFunction.from_strings(
+                [["1 + 0.5*x1*x2", "0"], ["0", "-1"]], n_states=2),
             c=MatrixFunction.from_strings(
                 [["1 + 0.2*sin(0.3*t)", "0"], ["0", "-1"]], n_states=2,
                 symmetric=True,
@@ -325,12 +351,136 @@ class TestLeanProbe:
         monkeypatch.setattr(shooting, "classify_start", spy)
         got = find_trapped_start(qp, -5.0, 0.02, 0.15)
         assert len(sides) == got.iterations and set(sides) == {None}
-        # the start the search found before probes could skip location
+        # the start the located search finds, pinned when this test moved
+        # to a state-dependent A (the code before the closed-form probes
+        # found the same)
         assert (got.u[0].hex(), got.iterations, got.bracket_width.hex(),
                 got.stayed, got.exit_kinds, got.steps_accepted,
                 got.steps_rejected) == (
-            "-0x1.c75f8c8bcac96p-5", 53, "0x1.2800000000000p-52", True,
-            ("W_hits_wplus",), 6462, 0)
+            "-0x1.c73b0f9014473p-5", 53, "0x1.2000000000000p-53", False,
+            ("W_hits_wplus",), 6461, 0)
+
+
+def _closed_form_problem(name, tmp_path):
+    """A problem whose probes on a one-dimensional disk are closed-form."""
+    if name == "saddle":
+        path = DEMOS / "saddle.problem"
+    elif name == "t-dependent-c":
+        return make_reference_problem(c=MatrixFunction.from_strings(
+            [["1 + 0.2*sin(0.3*t)", "0"], ["0", "-1"]], n_states=2,
+            symmetric=True))
+    else:
+        path = tmp_path / "rotated.problem"
+        path.write_text(rotated_saddle(3, seed=1)[0])
+    return load_problem_document(str(path)).to_problem()
+
+
+class TestClosedFormProbe:
+    """With A free of the state, a probe on a one-dimensional disk reads
+    its orbit off one run of the pair system (shooting._PairOrbits).  More
+    than 1e-6 from the root, where rounding cannot flip what a probe sees,
+    it must see what an integrated probe sees."""
+
+    @pytest.mark.parametrize("name", ["saddle", "t-dependent-c",
+                                      "rotated-3"])
+    def test_sides_and_kinds_are_the_integrated_ones(self, monkeypatch,
+                                                     tmp_path, name):
+        qp = _closed_form_problem(name, tmp_path)
+        t, v0, v_star = -5.0, 0.02, 0.15
+        visited = []
+        probe = shooting._PairOrbits.probe
+
+        def spy(orbits, u):
+            visited.append(u)
+            return probe(orbits, u)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(shooting._PairOrbits, "probe", spy)
+            start = find_trapped_start(qp, t, v0, v_star)
+        assert start.closed_form and start.chart.n_plus == 1
+        chart = start.chart
+        horizon = t + ShootingConfig().horizon_span
+        events = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
+                                    qp.w_minus, v0, v_star)
+        orbits = shooting._PairOrbits(
+            qp, chart, shooting._pair_run(qp, chart, horizon, 1e-8), events)
+
+        def integrated(u):
+            return classify_start(qp, chart, np.array([u]), horizon, v0,
+                                  v_star, 1e-8, events,
+                                  shooting._exit_row(qp, chart))
+
+        def side(res):
+            return math.copysign(1.0, shooting._exit_side(qp, chart, res))
+
+        root = float(start.u[0])
+        grid = np.linspace(-chart.radius, chart.radius, 41)[1:-1].tolist()
+        starts = [u for u in grid + visited if abs(u - root) > 1e-6]
+        assert len(starts) > 50
+        for u in starts:
+            closed, ref = orbits.probe(u), integrated(u)
+            assert not closed.is_stayed and not ref.is_stayed
+            assert (closed.kind, side(closed)) == (ref.kind, side(ref)), u
+        # a start on the disk's edge leaves at once, on its own side
+        for u in (-chart.radius, chart.radius):
+            closed, ref = orbits.probe(u), integrated(u)
+            assert closed.t == ref.t == t
+            assert closed.kind == ref.kind == "W_hits_wplus"
+            assert side(closed) == side(ref) == math.copysign(1.0, u)
+
+
+class TestProbeDispatch:
+    """The closed-form probes are taken exactly when A is free of the
+    state (and the disk is one-dimensional)."""
+
+    @pytest.mark.parametrize("demo", ["saddle", "nonlinear"])
+    def test_integrated_probes_only_for_a_state_dependent_a(
+        self, monkeypatch, demo,
+    ):
+        doc = load_problem_document(str(DEMOS / f"{demo}.problem"))
+        qp = doc.to_problem()
+        cert = certify(qp)
+        classify = shooting.classify_start
+        rungs = []  # the rung time of each integrated probe
+
+        def spy(qp, chart, *args):
+            rungs.append(chart.t)
+            return classify(qp, chart, *args)
+
+        _affinity(monkeypatch, 1)
+        monkeypatch.setattr(shooting, "classify_start", spy)
+        sol = bounded_solution(qp, cert, ShootingConfig(integrator_tol=doc.tol))
+        integrated = {r.t: rungs.count(r.t) for r in sol.rungs}
+        if demo == "saddle":
+            assert rungs == []
+            assert all(r.closed_form for r in sol.rungs)
+        else:
+            assert integrated == {r.t: r.iterations for r in sol.rungs}
+            assert not any(r.closed_form for r in sol.rungs)
+        assert len(sol.rungs) == 14
+
+
+    def test_pair_run_that_underflows_integrates_every_probe(
+        self, monkeypatch,
+    ):
+        # q1 grows like 1/|t + 4| towards t = -4, so the pair run from
+        # t = -5 ends in step-size underflow; the probes are integrated,
+        # each reporting its own blow-up or exit
+        qp = make_reference_problem(a=MatrixFunction.from_strings(
+            [["1 - 1/(t + 4)", "0"], ["0", "-1"]], n_states=2))
+        with pytest.raises(StepSizeUnderflow):
+            shooting._pair_run(qp, make_disk_chart(qp, -5.0), 31.0, 1e-8)
+        classify = shooting.classify_start
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2])
+            return classify(*args)
+
+        monkeypatch.setattr(shooting, "classify_start", spy)
+        got = find_trapped_start(qp, -5.0, 0.02, 0.15)
+        assert not got.closed_form
+        assert len(calls) == got.iterations == 53
 
 
 class TestBoundedSolution:
@@ -354,14 +504,12 @@ class TestBoundedSolution:
         assert np.all(gaps > 0.0)
         assert np.max(gaps) < 0.05
 
-    def test_v_column_is_quad_v_at_the_nodes(self, reference_problem,
-                                              reference_solution_run):
-        # the rung tasks' V, which the trajectory CSV writes, is the
-        # compiled V at each node, bit for bit
+    def test_v_column_is_verifys_v(self, reference_problem,
+                                   reference_solution_run):
+        # the rung tasks' V, which the trajectory CSV writes, is the V that
+        # verify computes at each node, bit for bit
         qp, sol = reference_problem, reference_solution_run
-        assert sol.v.tolist() == [
-            qp.quad_v(t, x)
-            for t, x in zip(sol.traj.ts.tolist(), sol.traj.xs.tolist())]
+        assert sol.v.tobytes() == eval_v_w_along(qp, sol.traj).v.tobytes()
         assert sol.sup_v == max(sol.v.tolist())
 
     def test_stays_inside_region(self, reference_problem,
@@ -737,10 +885,12 @@ class TestVerifyBound:
         assert any("subwindow" in n or "window" in n for n in rep.notes)
 
 
-def test_one_solve_builds_two_step_loops():
-    # one step loop per rhs and layout of watched levels: the exit levels
-    # of the searches and xi runs, and none for the sampled patches;
-    # loading, certify and verify build none
+def test_one_solve_builds_one_step_loop():
+    # one step loop per rhs and layout of watched levels: on the saddle,
+    # whose A is free of the state, that of the pair system, with no level
+    # watched, for the searches, the patches and the xi runs (the probes
+    # read the levels off its nodes); loading, certify and verify build
+    # none
     built = compile_stepper.cache_info
     before = built().misses
     doc = load_problem_document(
@@ -750,6 +900,6 @@ def test_one_solve_builds_two_step_loops():
     cert = certify(qp)
     assert built().misses == before
     sol = bounded_solution(qp, cert, ShootingConfig(integrator_tol=doc.tol))
-    assert built().misses - before == 2
+    assert built().misses - before == 1
     verify_bound(qp, cert, sol.traj)
-    assert built().misses - before == 2
+    assert built().misses - before == 1
