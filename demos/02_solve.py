@@ -72,5 +72,5 @@ print(f"trajectory nodes: {sol.traj.ts.size}, worst error vs closed form: "
       f"{max(errs):.3e}")
 
 write_trajectory_csv(os.path.join(OUT, "trajectory.csv"), sol.traj,
-                     sol.v, qp.quad_w)
+                     sol.v, sol.w)
 print(f"wrote {os.path.join(OUT, 'trajectory.csv')}")

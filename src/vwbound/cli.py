@@ -177,10 +177,8 @@ def cmd_solve(args) -> int:
         sys.stderr.write(f"solve failed: {exc}\n")
         return EXIT_NOT_CONVERGED
     attach_solution(rep, sol, EXIT_OK)
-    write_trajectory_csv(
-        os.path.join(out_dir, "trajectory.csv"), sol.traj,
-        sol.v, qp.quad_w,
-    )
+    write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), sol.traj,
+                         sol.v, sol.w)
     write_xi_csv(os.path.join(out_dir, "xi.csv"), sol.xi_sequence)
     rep.write(report_path)
     sys.stdout.write(

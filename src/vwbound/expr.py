@@ -36,9 +36,10 @@ The module provides
   and each quadratic-form level evaluated once per accepted step.  It
   calls no builtin on its step path: ``max``, ``min`` and ``abs`` are
   spelled as conditional expressions with the builtins' semantics.  It
-  hands a step back to :func:`vwbound.ode.integrate`, whose cold path
-  does the rest, when a level crosses, a sample falls due, the end is
-  reached or an entry trips.
+  keeps the stages of the steps over a requested window, and hands a
+  step back to :func:`vwbound.ode.integrate`, whose cold path does the
+  rest, when a level crosses, the window ends, the end is reached or an
+  entry trips.
 
 All generated code comes from one template (:func:`_compile_guarded`):
 the entries inlined as Python arithmetic printed by :func:`to_text`,
@@ -1044,21 +1045,27 @@ def compile_stepper(system, n: int, layout: tuple):
     callable ``level(t, [y1, ...])``.  Built once per key and cached.
 
     The result is ``advance(state, consts, rhs, t_end, direction, tol,
-    t_due, limit, record, ts, xs)``; ``consts`` holds each level's ``c``
-    or callable.  It unpacks ``state = (t, x, k0, h, err_prev, rejected,
-    n_accepted, n_rejected, levels)`` into scalar locals and takes
-    Dormand-Prince steps under PI control, appending accepted ones to
-    ``ts`` and ``xs`` when ``record``, until it returns ``(code, state,
-    step)``:
+    keep_from, keep_to, kept, limit, record, ts, xs)``; ``consts`` holds
+    each level's ``c`` or callable.  It unpacks ``state = (t, x, k0, h,
+    err_prev, rejected, n_accepted, n_rejected, levels)`` into scalar
+    locals and takes Dormand-Prince steps under PI control, appending
+    accepted ones to ``ts`` and ``xs`` when ``record``, until it returns
+    ``(code, state, step)``:
 
     * ``"end"``: ``t`` reached ``t_end``;
     * ``"stop"``: the step just accepted crossed a level in its direction
-      or passed the sample time ``t_due``; ``step = (t, x, hs, stages,
-      levels)`` at its start, for the dense output;
+      or ended the window; ``step = (t, x, hs, stages, levels)`` at its
+      start, for the dense output;
     * ``"budget"``: ``n_accepted + n_rejected`` reached ``limit``;
     * ``"underflow"``: the step size fell below ``1e-14 max(1, |t|)``;
     * ``"trip"``: an entry hit a domain issue; ``state`` is the start of
       that step, and ``advance.slow`` retakes it interpreting every entry.
+
+    The list ``kept`` is extended by the row ``(t, hs, x_1..x_n, k0_1..
+    k6_n)`` of each accepted step whose end reaches ``keep_from`` less the
+    step-size floor there, up to the first that reaches ``keep_to`` so,
+    which ends the window: the steps :func:`vwbound.ode.dense_at` reads
+    the window's times in.  ``keep_from = direction * inf`` keeps none.
 
     The loop calls no builtin: ``max``, ``min`` and ``abs`` are
     conditional expressions (:func:`_max` and its neighbours), and the
@@ -1157,12 +1164,16 @@ def compile_stepper(system, n: int, layout: tuple):
             value = (f"float(p{j}(t_new, {seq('z')}))" if m is None
                      else f"w{forms[m]} - p{j}")
             lines.append(f"    q{j} = {value}")
-        due = "(t_due - t_new) * direction <= h_min"
-        stop = [crossed(j, d) for j, (d, _) in enumerate(layout)] + [due]
+        stop = [crossed(j, d) for j, (d, _) in enumerate(layout)]
         stages = ", ".join(seq(f"k{k}_") for k in range(7))
+        row = "".join(f", x{i}" for i in range(n)) + "".join(
+            f", k{k}_{i}" for k in range(7) for i in range(n))
         lines += [
             f"    h_min = 1e-14 * ({_max_one_abs('t_new')})",
-            f"    stop = {' or '.join(stop)}",
+            f"    stop = {' or '.join(stop) or 'False'}",
+            "    if (keep_from - t_new) * direction <= h_min:",
+            f"        kept.extend((t, hs{row}))",
+            "        stop = stop or (keep_to - t_new) * direction <= h_min",
             "    if stop:",
             f"        step = (t, {seq('x')}, hs, ({stages}), {levels})",
             "    t = t_new",
@@ -1193,7 +1204,7 @@ def compile_stepper(system, n: int, layout: tuple):
 
     return _compile_guarded(
         body,
-        params="state, consts, rhs, t_end, direction, tol, t_due, limit, "
-        "record, ts, xs",
+        params="state, consts, rhs, t_end, direction, tol, keep_from, "
+        "keep_to, kept, limit, record, ts, xs",
         on_trip=f"'trip', ({state}), None",
     )

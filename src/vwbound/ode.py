@@ -20,10 +20,13 @@ steps and the PI control are plain float arithmetic, with the entries of
 and a level marked as a quadratic form (:attr:`EventSpec.form`, as
 :func:`make_region_events` marks W and V) is evaluated once per accepted
 step.  The loop calls no builtin on its step path and folds
-coefficients of exactly +-1, without changing a float it computes.
+coefficients of exactly +-1, without changing a float it computes.  It
+keeps the stages of the accepted steps over requested windows
+(``keep``), whose dense output :func:`dense_at` evaluates at many times
+in one stacked pass; ``t_samples`` are taken so, after the run.
 The cold path here begins where the loop hands a step back: a
-level crossed or a sample fell due (dense output, event location, sample
-emission, truncation), the end was reached, or an entry tripped a domain
+level crossed (dense output, event location, truncation) or a window
+ended, the end was reached, or an entry tripped a domain
 issue, in which case that one step is retaken with every entry
 interpreted, for the interpreter's value or error.  numpy is used only on
 that path and for the arrays of the returned :class:`Trajectory`.  A run
@@ -57,6 +60,7 @@ __all__ = [
     "EventRecord",
     "Trajectory",
     "integrate",
+    "dense_at",
     "levels_at_start",
     "make_region_events",
     "write_trajectory_csv",
@@ -151,7 +155,8 @@ class Trajectory:
     ``side`` is +-1.0 when a run given an ``exit_row`` ended in a step
     that cannot change the sign of its exit coordinate: that sign, with
     the exit not located, ``events`` left empty and the step's end as
-    the last node.
+    the last node.  ``steps`` has a row ``(t, hs, x, k0..k6)`` per step
+    kept over the run's windows or samples, for :func:`dense_at`.
     """
 
     ts: np.ndarray
@@ -162,6 +167,8 @@ class Trajectory:
     n_rejected: int = 0
     n_rhs: int = 0
     side: float | None = None
+    steps: np.ndarray = field(default_factory=lambda: np.empty((0, 0)),
+                              repr=False)
 
     @property
     def t_end(self) -> float:
@@ -202,6 +209,34 @@ def _dense_output(t, x, h_signed, stages):
         return x + h_signed * (q @ np.array([theta, theta**2, theta**3, theta**4]))
 
     return at
+
+
+def dense_at(steps, taus) -> np.ndarray:
+    """The dense output of kept steps (:attr:`Trajectory.steps`) at
+    ``taus``, which run their way, in one stacked pass: the states at the
+    first ``m`` times the steps cover, ``(m, n)``.  A time falls in the
+    first step whose end it passes by at most ``1e-14 max(1, |end|)``, as
+    the step loop reckons, and gets :func:`_dense_output`'s bits there:
+    the same products, with ``theta ** k`` taken on Python floats, which
+    numpy's array power may round differently."""
+    taus = np.asarray(taus, dtype=float)
+    if not len(steps) or not taus.size:
+        return np.empty((0, 0))
+    t, hs = steps[:, 0], steps[:, 1]
+    n = (steps.shape[1] - 2) // 8
+    direction = 1.0 if hs[0] > 0.0 else -1.0
+    ends = t + hs
+    i = np.searchsorted(ends * direction, taus * direction)
+    before = np.maximum(i - 1, 0)
+    i -= (i > 0) & ((taus - ends[before]) * direction
+                    <= 1e-14 * np.maximum(1.0, np.abs(ends[before])))
+    m = int(np.count_nonzero(i < len(steps)))
+    i = i[:m]
+    powers = np.array([(th, th**2, th**3, th**4)
+                       for th in ((taus[:m] - t[i]) / hs[i]).tolist()])
+    q = steps[:, 2 + n:].reshape(-1, 7, n).mT @ _P  # (steps, n, 4)
+    return steps[i, 2:2 + n] + hs[i, None] * (
+        q[i] @ powers.reshape(-1, 4, 1))[..., 0]
 
 
 # the nonzero rows of _P: stage index, weights of theta..theta^4, and the
@@ -324,6 +359,7 @@ def integrate(
     events: list[EventSpec] | None = None,
     t_samples=None,
     exit_row=None,
+    keep=(),
 ) -> Trajectory:
     """Integrate ``dx/dt = rhs(t, x)`` from ``t0`` to ``t_end``.
 
@@ -353,6 +389,10 @@ def integrate(
         is terminal and the step cannot change the sign, the run ends
         there unlocated with :attr:`Trajectory.side` set; otherwise the
         exit is located as without it.
+    keep : sequence of ``(t_a, t_b)``, optional
+        For a run without ``t_samples``: windows, in the run's direction
+        and order, over which :attr:`Trajectory.steps` keeps the accepted
+        steps, for :func:`dense_at`.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(
@@ -386,7 +426,11 @@ def integrate(
              and (t_end - tau) * direction > before),
             reverse=direction < 0,
         )
-    sample_idx = 0
+    windows = iter([(t_samples[0], t_samples[-1])] if t_samples else
+                   [(float(t_a), float(t_b)) for t_a, t_b in keep])
+    never = (direction * math.inf, direction * math.inf)
+    keep_from, keep_to = next(windows, never)
+    kept = []  # the rows of the kept steps, end to end
 
     ts = [t0]
     xs = [x0]
@@ -427,13 +471,12 @@ def integrate(
     )
     consts = [ev.form[1] if ev.form else ev.level for ev in events]
     state = (t0, x0, f0, h, 1.0, False, 0, 0, g_start)
-    no_sample = direction * math.inf
-    t_due = t_samples[0] if t_samples else no_sample
     step_fn, limit = advance, MAX_STEPS
 
     while True:
         code, state, step = step_fn(state, consts, rhs, t_end, direction,
-                                    tol, t_due, limit, record_steps, ts, xs)
+                                    tol, keep_from, keep_to, kept, limit,
+                                    record_steps, ts, xs)
         t, x, _, _, _, _, n_accepted, n_rejected, g_new = state
         step_fn, limit = advance, MAX_STEPS
         if code == "trip":  # retake that step interpreting every entry
@@ -453,8 +496,10 @@ def integrate(
                 xs.append(x)
             break
 
-        # "stop": the step from t_old to t crossed a level or passed a
-        # sample; locate and emit on its dense output
+        # "stop": the step from t_old to t ended the window or crossed a
+        # level
+        if (keep_to - t) * direction <= 1e-14 * max(1.0, abs(t)):
+            keep_from, keep_to = next(windows, never)
         t_old, x_old, hs, stages, g_old = step
         crossed = [
             (ev, g_a, g_b) for ev, g_a, g_b in zip(events, g_old, g_new)
@@ -499,22 +544,6 @@ def integrate(
                 if ev.terminal and truncate_at is None:
                     truncate_at = (t_ev, x_ev, ev.kind)
 
-        # emit sample nodes up to the end of this step (or the truncation)
-        if t_samples is not None:
-            step_end_t = truncate_at[0] if truncate_at else t
-            while sample_idx < len(t_samples) and (
-                (t_samples[sample_idx] - step_end_t) * direction
-                <= 1e-14 * max(1.0, abs(step_end_t))
-            ):
-                tau = t_samples[sample_idx]
-                if dense is None:
-                    dense = _dense_output(t_old, x_old, hs, stages)
-                ts.append(tau)
-                xs.append(dense(tau))
-                sample_idx += 1
-            t_due = (t_samples[sample_idx] if sample_idx < len(t_samples)
-                     else no_sample)
-
         if truncate_at is not None:
             t_ev, x_ev, kind = truncate_at
             if record_steps:  # the event node replaces the step's end
@@ -525,6 +554,15 @@ def integrate(
             status = f"event:{kind}"
             break
 
+    steps = np.array(kept).reshape(-1, 2 + 8 * n)
+    if t_samples:  # those up to the last node go in before it
+        t_last = ts[-1]
+        floor = 1e-14 * max(1.0, abs(t_last))
+        reached = dense_at(steps, [tau for tau in t_samples
+                                   if (tau - t_last) * direction <= floor])
+        ts[1:1] = t_samples[:len(reached)]
+        xs[1:1] = list(reached)
+
     return Trajectory(
         ts=np.array(ts),
         xs=np.array(xs),
@@ -534,6 +572,7 @@ def integrate(
         n_rejected=n_rejected,
         n_rhs=n_rhs + 6 * (n_accepted + n_rejected),
         side=side,
+        steps=steps,
     )
 
 
@@ -577,25 +616,23 @@ def make_region_events(
     ]
 
 
-def write_trajectory_csv(path, traj: Trajectory, v, quadform_w):
+def write_trajectory_csv(path, traj: Trajectory, v, w):
     """Plot-ready CSV: header ``t,x1,...,xn,V,W``, one row per node,
     events appended as ``#event,kind,t,x1,...,xn`` comment lines.  The V
-    column is ``v``, V at each node (as ``BoundedSolutionResult.v``
-    holds it); W is ``quadform_w`` at each node.
+    and W columns are ``v`` and ``w``, their values at each node (as
+    ``BoundedSolutionResult.v`` and ``.w`` hold them).
 
     Each row is formatted once, from Python floats, by one ``%.17g``
     format (the same text as ``f"{v:.17g}"`` per value), and written as
-    it is made."""
+    it is made, a block of rows at a time."""
     n = traj.xs.shape[1]
     row = ",".join(["%.17g"] * (n + 3)) + "\n"
+    table = np.column_stack([traj.ts, traj.xs, v, w])
     with open(path, "w", encoding="utf-8") as fh:
         cols = ",".join(f"x{i + 1}" for i in range(n))
         fh.write(f"t,{cols},V,W\n")
-        fh.writelines(
-            row % (t, *x, v_t, quadform_w(t, x))
-            for t, x, v_t in zip(traj.ts.tolist(), traj.xs.tolist(),
-                                 np.asarray(v).tolist())
-        )
+        for k in range(0, len(table), 1024):
+            fh.writelines(row % tuple(r) for r in table[k:k + 1024].tolist())
         for ev in traj.events:
             row = ",".join(f"{val:.17g}" for val in ev.x)
             fh.write(f"#event,{ev.kind},{ev.t:.17g},{row}\n")
@@ -604,10 +641,10 @@ def write_trajectory_csv(path, traj: Trajectory, v, quadform_w):
 def quad_along(m: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """``<M_k x_k, x_k>`` at each node: ``m`` the ``(K, n, n)`` stack of M
     at the node times, ``xs`` the ``(K, n)`` states, as the stacked
-    product ``(x M) x``.  The one evaluation of V along nodes: the V
-    column of ``trajectory.csv`` (through the rung tasks) and ``verify``
-    (through :func:`eval_v_w_along`) both come from here, and agree bit
-    for bit."""
+    product ``(x M) x``.  The one evaluation of V and W along nodes: the
+    V and W columns of ``trajectory.csv`` (through the rung tasks and
+    ``bounded_solution``) and ``verify`` (through :func:`eval_v_w_along`)
+    all come from here, and agree bit for bit."""
     return (xs[:, None, :] @ m @ xs[..., None])[:, 0, 0]
 
 

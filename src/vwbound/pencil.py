@@ -1,21 +1,20 @@
 """Symmetric matrix pencils C - lambda B with positive definite B.
 
-Characteristic values and B-orthonormal characteristic vectors are the
-spectral raw material for everything downstream: rate extremes of the
-quadratic pair, the positive/negative splitting of the guiding matrix, and
-the disks the shooting stage launches from.
+Characteristic values and the eigenspaces of C are the spectral raw
+material for everything downstream: rate extremes of the quadratic pair,
+the positive/negative splitting of the guiding matrix, and the disks the
+shooting stage launches from.
 
 Every function takes one ``(n, n)`` matrix or an ``(m, n, n)`` stack of
 them and runs on ``numpy.linalg`` only, so a whole time grid is one call.
 The solve route is a Cholesky reduction ``B = L L^T`` followed by a
-symmetric eigendecomposition of ``L^-1 C L^-T``; characteristic vectors
-map back through ``L^-T`` and are exactly B-orthonormal up to roundoff.
+symmetric eigendecomposition of ``L^-1 C L^-T``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import (
 
 __all__ = [
     "SymmetricPencil",
-    "PencilEigen",
     "ProjectorPair",
     "cholesky_spd",
     "solve_pencil",
@@ -92,15 +90,6 @@ class SymmetricPencil:
             raise ValueError("C and B must have equal shape")
 
 
-@dataclass
-class PencilEigen:
-    """Characteristic values (ascending, last axis) and B-orthonormal
-    vectors (columns of ``vectors``, aligned with ``values``)."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _pivot_loop(a: np.ndarray, index: int | None) -> np.ndarray:
     """Cholesky factor by the textbook column loop, raising at the first
@@ -148,22 +137,19 @@ def cholesky_spd(a: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def solve_pencil(pencil: SymmetricPencil) -> PencilEigen:
-    """All characteristic values and vectors of ``C - lambda B``.
-
-    The vectors ``v_i`` satisfy ``<B v_i, v_j> = delta_ij`` and
-    ``C v_i = lambda_i B v_i`` up to roundoff.
-    """
+def solve_pencil(pencil: SymmetricPencil) -> np.ndarray:
+    """All characteristic values of ``C - lambda B``, ascending along the
+    last axis, from ``eigh`` with its vectors dropped: ``eigvalsh`` takes
+    another LAPACK route, whose values differ in the last bits."""
     low_inv = np.linalg.inv(cholesky_spd(pencil.b))
     reduced = low_inv @ pencil.c @ low_inv.mT
-    values, u = np.linalg.eigh(0.5 * (reduced + reduced.mT))
-    return PencilEigen(values=values, vectors=low_inv.mT @ u)
+    return np.linalg.eigh(0.5 * (reduced + reduced.mT))[0]
 
 
 def lambda_extremes(pencil: SymmetricPencil):
     """(smallest, largest) characteristic value of the pencil: two floats,
     or two arrays for a stack."""
-    values = solve_pencil(pencil).values
+    values = solve_pencil(pencil)
     lo, hi = values[..., 0], values[..., -1]
     if values.ndim == 1:
         return float(lo), float(hi)
@@ -172,18 +158,16 @@ def lambda_extremes(pencil: SymmetricPencil):
 
 @dataclass
 class ProjectorPair:
-    """Orthogonal projectors onto the positive and negative eigenspaces of
-    a symmetric nondegenerate matrix (or of each matrix in a stack of
-    constant signature), plus orthonormal bases of both."""
+    """The splitting of a symmetric nondegenerate matrix (or of each
+    matrix in a stack of constant signature) into its positive and
+    negative eigenspaces: their dimensions, an orthonormal basis of the
+    positive one (columns) and the eigenvalues of both, ascending."""
 
-    p_plus: np.ndarray
-    p_minus: np.ndarray
     n_plus: int
     n_minus: int
-    basis_plus: np.ndarray = field(repr=False, default=None)
-    basis_minus: np.ndarray = field(repr=False, default=None)
-    eigs_plus: np.ndarray = field(repr=False, default=None)
-    eigs_minus: np.ndarray = field(repr=False, default=None)
+    basis_plus: np.ndarray
+    eigs_plus: np.ndarray
+    eigs_minus: np.ndarray
 
 
 def spectral_projectors(c: np.ndarray) -> ProjectorPair:
@@ -229,15 +213,10 @@ def spectral_projectors(c: np.ndarray) -> ProjectorPair:
         )
     # eigh sorts ascending, so the negative eigenspace comes first
     n_minus = values.shape[-1] - int(n_plus[0])
-    u_pos = u[..., n_minus:]
-    u_neg = u[..., :n_minus]
     return ProjectorPair(
-        p_plus=u_pos @ u_pos.mT,
-        p_minus=u_neg @ u_neg.mT,
         n_plus=int(n_plus[0]),
         n_minus=n_minus,
-        basis_plus=u_pos,
-        basis_minus=u_neg,
+        basis_plus=u[..., n_minus:],
         eigs_plus=values[..., n_minus:],
         eigs_minus=values[..., :n_minus],
     )
@@ -263,5 +242,5 @@ def lambda_minus_plus(pencil: SymmetricPencil, proj: ProjectorPair):
     restricted = SymmetricPencil(
         c=basis.mT @ pencil.c @ basis, b=basis.mT @ pencil.b @ basis
     )
-    lowest = solve_pencil(restricted).values[..., 0]
+    lowest = solve_pencil(restricted)[..., 0]
     return float(lowest) if lowest.ndim == 0 else lowest

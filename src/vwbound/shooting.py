@@ -26,33 +26,33 @@ in the start, so one run of the ``2n``-state pair system
 (:attr:`~vwbound.quadratic.QuadraticProblem.pair_rhs`) from the disk
 centre and the chart's basis vector carries every probe's orbit as
 ``p + u q`` (:class:`_PairOrbits`): a probe reads its exit and side off
-that run's nodes, in closed form, and the rung's patch and xi orbit are
-the same combination on a run with the same steps (:func:`_orbit`).
-Otherwise each probe is an integration (:func:`classify_start`): on a
-one-dimensional disk whose C does not depend on t it reads the sign of
-the exit chart coordinate, and locates the exit only when the last step
-could have moved that coordinate across zero (see
-:func:`vwbound.ode.integrate`); otherwise, and on larger disks, the exit
-is located and charted.  The path is chosen from the problem alone: there
-is no setting for it.
+that run's nodes, in closed form, and the rung reads its patch and x(0)
+off the dense output of the steps the run keeps over them (:func:`_patch`,
+:func:`_pair_xi`), so that no orbit is integrated twice.  Otherwise each
+probe is an integration (:func:`classify_start`): on a one-dimensional
+disk whose C does not depend on t it reads the sign of the exit chart
+coordinate, and locates the exit only when the last step could have
+moved that coordinate across zero (see :func:`vwbound.ode.integrate`);
+otherwise, and on larger disks, the exit is located and charted.  The
+path is chosen from the problem alone: there is no setting for it.
 
 Given the region, the work on one rung does not depend on any other, so
-:func:`bounded_solution` runs every rung's task up front: the search for
-its trapped start, then, from that start, its patch of the returned
-trajectory with V at each node (:class:`Rung`).  The tasks are spread
-over the CPUs the process may use: the calling process and ``w - 1``
-forked workers (``w`` the size of its CPU affinity set, at most one per
-rung) each take an interleaved share, and the workers send their rungs
-back through pipes.  The caller then walks the xi orbits from the starts
-until they converge and assembles the patches.  A process stops its
-share at its first failed search, and the caller runs a rung nobody ran
-when it reads it.  There is no setting for this; the results, and so
-every output, are the same for any ``w``, and with one CPU nothing forks.
+:func:`bounded_solution` runs every rung's task up front (:class:`Rung`):
+the search for its trapped start, then its patch of the returned
+trajectory with V and W at each node and, on an xi rung whose search run
+reaches 0, x(0).  The tasks are spread over the CPUs the process may use:
+the calling process and ``w - 1`` forked workers (``w`` the size of its
+CPU affinity set, at most one per rung) each take an interleaved share,
+and the workers send their rungs back through pipes.  The caller then
+walks the xi orbits until they converge, integrating only those no task
+read, and assembles the patches.  A process stops its share at its first
+failed search, and the caller runs a rung nobody ran when it reads it.
+There is no setting for this; the results, and so every output, are the
+same for any ``w``, and with one CPU nothing forks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import pickle
@@ -74,6 +74,7 @@ from .ode import (
     TOL_MAX,
     TOL_MIN,
     Trajectory,
+    dense_at,
     eval_v_w_along,
     integrate,
     levels_at_start,
@@ -275,12 +276,12 @@ class TrappedStart:
     """Localized trapped start on one disk.
 
     ``closed_form`` says that the search read its probes off one run of
-    the pair system (:class:`_PairOrbits`); the start's orbit is then
-    integrated the same way (:func:`_orbit`).  ``steps_accepted`` and
-    ``steps_rejected`` sum the integrator's step counters over the
-    search's integrations: that run, and each probe integrated on its
-    own; a probe that ends in step-size underflow (an exit of kind
-    ``blowup``) has no trajectory and adds none.
+    the pair system (:class:`_PairOrbits`), ``pair_run``, which the rung
+    task reads and drops.  ``steps_accepted`` and ``steps_rejected`` sum
+    the integrator's step counters over the search's integrations: that
+    run, and each probe integrated on its own; a probe that ends in
+    step-size underflow (an exit of kind ``blowup``) has no trajectory and
+    adds none.
     """
 
     t: float
@@ -293,6 +294,8 @@ class TrappedStart:
     steps_accepted: int = 0
     steps_rejected: int = 0
     closed_form: bool = False
+    pair_run: Trajectory | None = field(default=None, repr=False,
+                                        compare=False)
 
 
 def _exit_row(qp: QuadraticProblem, chart: DiskChart):
@@ -326,14 +329,13 @@ def _exit_side(qp: QuadraticProblem, chart0: DiskChart, res: Exited) -> float:
 
 
 def _pair_run(qp: QuadraticProblem, chart: DiskChart, t_end: float,
-              tol: float, t_samples=None) -> Trajectory:
+              tol: float, keep=()) -> Trajectory:
     """One run of the pair system from ``(p, q) = (0, e)`` at the chart's
     time, ``e`` its basis vector: ``p`` is the orbit from the disk centre
     and ``q`` the homogeneous orbit from ``e``.  Every accepted step is a
-    node unless ``t_samples`` are given; samples do not change the steps."""
+    node, and the steps over the ``keep`` windows keep their stages."""
     x0 = np.concatenate([np.zeros(qp.n), chart.basis[:, 0]])
-    return integrate(qp.pair_rhs, chart.t, x0, t_end, tol=tol,
-                     t_samples=t_samples)
+    return integrate(qp.pair_rhs, chart.t, x0, t_end, tol=tol, keep=keep)
 
 
 class _PairOrbits:
@@ -470,6 +472,7 @@ def find_trapped_start(
     v0: float,
     v_star: float,
     config: ShootingConfig | None = None,
+    keep=(),
 ) -> TrappedStart:
     """Localize a start on the disk at ``t_j`` whose orbit stays in the
     region until ``t_j + horizon_span``.
@@ -477,11 +480,11 @@ def find_trapped_start(
     One-dimensional positive subspace: bisection on the chart interval,
     steered by the sign of the exit chart coordinate.  Raises
     :class:`NoSignChange` when both bracket ends exit the same side.
-    With A free of the state, the probes are read in closed form off one
-    run of the pair system to the horizon (:class:`_PairOrbits`; the
-    start is then marked ``closed_form``), and only a probe no node may
-    decide is integrated (:func:`classify_start`); with a state-dependent
-    A every probe is integrated.
+    With A free of the state, the probes are read off one run of the pair
+    system to the horizon, its steps kept over the ``keep`` windows
+    (:class:`_PairOrbits`; the start is then ``closed_form`` and carries
+    the run), and only a probe no node may decide is integrated
+    (:func:`classify_start`), as every probe is otherwise.
 
     Higher-dimensional disks: budgeted refinement around the start with
     the latest exit (a heuristic — existence is guaranteed by the
@@ -503,10 +506,10 @@ def find_trapped_start(
         steps[0] += traj.n_accepted
         steps[1] += traj.n_rejected
 
-    closed = None
+    closed = run = None
     if chart.n_plus == 1 and not qp.a.depends_on_state:
         try:
-            run = _pair_run(qp, chart, horizon, config.integrator_tol)
+            run = _pair_run(qp, chart, horizon, config.integrator_tol, keep)
         except StepSizeUnderflow:
             pass  # every probe is integrated, and reports its blow-up
         else:
@@ -531,6 +534,7 @@ def find_trapped_start(
             exit_kinds=tuple(sorted(kinds)),
             steps_accepted=steps[0], steps_rejected=steps[1],
             closed_form=closed is not None,
+            pair_run=run,
         )
 
     def side_of(u_scalar: float):
@@ -617,71 +621,93 @@ def find_trapped_start(
 @dataclass
 class Rung:
     """What the task of one rung computed, in the process that searched
-    it.
-
-    ``start`` is the trapped start on the rung's disk, or the toolkit
-    error its search raised.  From a start found, the task also
-    integrates the rung's quilt patch when the rung claims nodes of the
-    returned grid (``patch``: the node times, the states and V at each),
-    or holds the toolkit error that integration raised, raised where the
-    caller reads it.
+    it: the trapped start, or the toolkit error its search raised; the
+    quilt patch when the rung claims nodes (the node times, the states, V
+    and W at each), or the toolkit error that raised, raised where the
+    caller reads it; and on an xi rung whose pair run reaches 0, the orbit
+    to 0.
     """
 
     start: TrappedStart | VWBoundError
     patch: tuple | VWBoundError | None = None
+    xi: Trajectory | None = None
 
 
-def _run_rung(qp, t, v0, v_star, config, claim) -> Rung:
-    """The task of the rung at ``t``: the search, then the patch over
-    ``claim`` when it holds nodes."""
+def _run_rung(qp, t, v0, v_star, config, claim, exits=None) -> Rung:
+    """The task of the rung at ``t``: the search, whose pair run keeps its
+    steps over ``claim`` and, given the region levels ``exits`` of an xi
+    rung, over t = 0; then what the rung reads off it."""
+    claimed = claim is not None and claim.size > 0
+    windows = [(claim[0], claim[-1])] if claimed else []
+    if exits is not None:
+        windows = sorted(windows + [(0.0, 0.0)])
     try:
-        start = find_trapped_start(qp, t, v0, v_star, config)
+        start = find_trapped_start(qp, t, v0, v_star, config, windows)
     except VWBoundError as exc:
         return Rung(exc)
+    run, start.pair_run = start.pair_run, None
     rung = Rung(start)
-    if claim is not None and claim.size:
+    if claimed:
         try:
-            patch = _orbit(qp, start, float(claim[-1]), config.integrator_tol,
-                           t_samples=claim[:-1])
+            xs = _patch(qp, start, run, claim, config.integrator_tol)
         except VWBoundError as exc:
             rung.patch = exc
         else:
-            ts, xs = patch.ts[1:], patch.xs[1:]
-            rung.patch = (ts, xs, quad_along(qp.b.stack(ts), xs))
+            rung.patch = (claim, xs, quad_along(qp.b.stack(claim), xs),
+                          quad_along(qp.c.stack(claim), xs))
+    if run is not None and exits is not None:
+        rung.xi = _pair_xi(qp, start, run, exits)
     return rung
 
 
-def _orbit(qp: QuadraticProblem, start: TrappedStart, t_end: float,
-           tol: float, t_samples=(), events=None) -> Trajectory:
-    """The orbit of ``start`` up to ``t_end``, integrated the way its
-    search probed it, with nodes at ``t_samples`` (see
-    :func:`vwbound.ode.integrate`) or, given ``events``, ending at the
-    first it crosses.
-
-    A start found in closed form is the combination ``p + u q`` of a pair
-    run (:class:`_PairOrbits`) on the search run's steps, so every node
-    lies on the orbit the search probed; an orbit integrated on its own
-    from such a start would drift off it by the chart resolution times
-    ``e^(t - start.t)``.  Given ``events``, that orbit has only its start
-    and its end or exit node, the exit read at the first node past it.
-    """
+def _patch(qp, start, run, claim, tol) -> np.ndarray:
+    """The states of ``start``'s orbit at the claim's times: for a
+    closed-form start ``p + u q`` on the dense output of its search run's
+    kept steps, on the orbit the search probed (one integrated from the
+    start would drift off it by the chart resolution times ``e^(t -
+    start.t)``), or of a pair run to the claim's end when the search run
+    ends before it; else integrated."""
     if not start.closed_form:
-        return integrate(qp.rhs, start.t, start.chart.point(start.u), t_end,
-                         tol=tol, events=events, t_samples=t_samples)
+        return integrate(qp.rhs, start.t, start.chart.point(start.u),
+                         claim[-1], tol=tol, t_samples=claim[:-1]).xs[1:]
+    pairs = dense_at(run.steps, claim)
+    if len(pairs) < claim.size:
+        run = _pair_run(qp, start.chart, float(claim[-1]), tol,
+                        [(claim[0], claim[-1])])
+        pairs = dense_at(run.steps, claim)
+    return pairs[:, :qp.n] + float(start.u[0]) * pairs[:, qp.n:]
+
+
+def _pair_xi(qp, start, run, events) -> Trajectory | None:
+    """The orbit of the closed-form ``start`` to t = 0 off its pair run:
+    the run's nodes before 0 and the dense state at 0, the ``events``
+    read off them by :class:`_PairOrbits`' rules.  It holds the start
+    and the end or exit node; ``None`` when the run ends before 0."""
+    at_0 = dense_at(run.steps, [0.0])
+    if not len(at_0):
+        return None
+    k = int(np.searchsorted(run.ts, 0.0))
+    nodes = Trajectory(ts=np.append(run.ts[:k], 0.0),
+                       xs=np.vstack([run.xs[:k], at_0]))
+    orbits = _PairOrbits(qp, start.chart, nodes, events)
     u = float(start.u[0])
-    if not events:
-        run = _pair_run(qp, start.chart, t_end, tol, t_samples)
-        xs = run.xs[:, :qp.n] + u * run.xs[:, qp.n:]
-        return dataclasses.replace(run, xs=xs)
-    run = _pair_run(qp, start.chart, t_end, tol)
-    orbits = _PairOrbits(qp, start.chart, run, events)
     xs = orbits.states(u)
     hit = orbits.first_exit(u, xs)
     k, status = -1, "reached_end"
     if hit is not None:
         k, status = hit[0], f"event:{hit[1][0].kind}"
-    return dataclasses.replace(run, ts=run.ts[[0, k]], xs=xs[[0, k]],
-                               status=status)
+    return Trajectory(ts=nodes.ts[[0, k]], xs=xs[[0, k]], status=status)
+
+
+def _xi_orbit(qp, start, tol, events) -> Trajectory:
+    """The orbit of ``start`` to t = 0 where no rung task read it: a pair
+    run to 0 read by :func:`_pair_xi` for a closed-form start, else
+    integrated with the region levels ``events`` watched."""
+    if start.closed_form:
+        run = _pair_run(qp, start.chart, 0.0, tol, [(0.0, 0.0)])
+        return _pair_xi(qp, start, run, events)
+    return integrate(qp.rhs, start.t, start.chart.point(start.u), 0.0,
+                     tol=tol, events=events, t_samples=())
 
 
 def _run_share(task, share) -> list:
@@ -799,7 +825,8 @@ class BoundedSolutionResult:
     """Trapped trajectory plus the convergence bookkeeping behind it."""
 
     traj: Trajectory
-    v: np.ndarray  # V at each node of traj, as the rung tasks computed it
+    v: np.ndarray  # V and W at each node of traj, as the rung tasks
+    w: np.ndarray  # computed them
     xi: np.ndarray
     xi_sequence: list  # (j, t_j, xi_j)
     converged_at_j: int
@@ -827,13 +854,11 @@ def bounded_solution(
 
     The ladder ``t_k = T- + k * spacing``, ``spacing = |T-| / J_COUNT``,
     supplies trapped starts; rungs below zero double as the xi schedule
-    (``xi_j = x_j(0)``, declared converged at the first j with two
-    consecutive increments below ``XI_TOL``).  Each rung contributes the
-    trajectory span
-    ``(t_k + SETTLE, t_k + SETTLE + spacing]`` where the start transient
-    has decayed and the chart-resolution error has not yet grown; spans
-    tile the window, so every returned node carries a uniform error band
-    instead of the exponentially amplified error of one long orbit.
+    (``xi_j = x_j(0)``, converged at the first j with two consecutive
+    increments below ``XI_TOL``).  Each rung contributes the span
+    ``(t_k + SETTLE, t_k + SETTLE + spacing]``, where its transient has
+    decayed and its chart-resolution error not yet grown; the spans tile
+    the window, so every node carries the same error band.
 
     Raises
     ------
@@ -886,8 +911,12 @@ def bounded_solution(
 
     # every rung's task runs up front, spread over the CPUs; a failed part
     # raises where it is read
+    xi_keys = {round(t, 9) for t in xi_times}
+
     def task(t):
-        return _run_rung(qp, t, v0, v_star, config, claims.get(round(t, 9)))
+        key = round(t, 9)
+        return _run_rung(qp, t, v0, v_star, config, claims.get(key),
+                         exits if key in xi_keys else None)
 
     found = dict(zip(times, search_rungs(task, list(times.values()))))
 
@@ -905,8 +934,11 @@ def bounded_solution(
     prev_xi = None
     prev_d = math.inf
     for j, t_j in enumerate(xi_times, start=1):
-        start = _read(rung(t_j).start)
-        traj = _orbit(qp, start, 0.0, config.integrator_tol, events=exits)
+        r = rung(t_j)
+        start = _read(r.start)
+        traj = r.xi
+        if traj is None:
+            traj = _xi_orbit(qp, start, config.integrator_tol, exits)
         if traj.status != "reached_end":
             notes.append(
                 f"orbit from t_j = {t_j:g} leaves the region at "
@@ -937,12 +969,13 @@ def bounded_solution(
     # patch holds exactly its claim's nodes
     patches = [_read(r.patch) for r in map(rung, ladder)
                if r.patch is not None]
-    ts, xs, vs = (np.concatenate(part) for part in zip(*patches))
+    ts, xs, vs, ws = (np.concatenate(part) for part in zip(*patches))
     traj = Trajectory(ts=ts, xs=xs, events=[], status="reached_end")
     i_max = int(np.argmax(vs))
     return BoundedSolutionResult(
         traj=traj,
         v=vs,
+        w=ws,
         xi=xi,
         xi_sequence=xi_sequence,
         converged_at_j=converged_at,

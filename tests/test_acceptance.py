@@ -70,22 +70,24 @@ def test_criterion_1_pencil_oracle(capsys):
         s = rng.standard_normal((n, n))
         c = s + s.T
         pencil = SymmetricPencil(c, b)
-        eig = solve_pencil(pencil)
-        for lam in eig.values:
+        for lam in solve_pencil(pencil):
             refined = det_root_refine(c, b, lam)
             if abs(refined - lam) > 1e-8 * max(1.0, abs(lam)):
                 failures.append((case, lam, refined))
-        # congruence: eigenvectors are B-orthonormal
-        gram = eig.vectors.T @ b @ eig.vectors
-        if np.max(np.abs(gram - np.eye(n))) > 1e-8:
-            failures.append((case, "gram"))
-        # projector invariants
+        # the splitting of C that certify and the disk charts read: an
+        # orthonormal basis of the positive eigenspace, and the
+        # eigenvalues of both parts
         proj = spectral_projectors(c)
-        for p in (proj.p_plus, proj.p_minus):
-            if np.max(np.abs(p @ p - p)) > 1e-10:
-                failures.append((case, "idempotence"))
-        if np.max(np.abs(proj.p_plus + proj.p_minus - np.eye(n))) > 1e-10:
-            failures.append((case, "complementarity"))
+        u = proj.basis_plus
+        if np.abs(u.T @ u - np.eye(proj.n_plus)).max(initial=0.0) > 1e-10:
+            failures.append((case, "orthonormality"))
+        if np.abs(c @ u - u * proj.eigs_plus).max(initial=0.0) > 1e-10 * n:
+            failures.append((case, "invariance"))
+        eigs = np.concatenate([proj.eigs_minus, proj.eigs_plus])
+        if (proj.n_plus + proj.n_minus != n or np.any(proj.eigs_minus >= 0)
+                or np.any(proj.eigs_plus <= 0)
+                or np.max(np.abs(eigs - np.linalg.eigvalsh(c))) > 1e-10 * n):
+            failures.append((case, "signature"))
     elapsed = time.perf_counter() - t_start
     ok = not failures and elapsed < budget
     _verdict(capsys, 1, "pencil eigenvalues vs determinant-root oracle",
@@ -358,7 +360,7 @@ def test_criterion_8_negative_controls(capsys, tmp_path, reference_problem,
                                      "bound.v_small_star = 0.0001"))
     traj_path = tmp_path / "trajectory.csv"
     write_trajectory_csv(traj_path, reference_solution_run.traj,
-                         reference_solution_run.v, reference_problem.quad_w)
+                         reference_solution_run.v, reference_solution_run.w)
     code = main(["verify", str(reference_document_path),
                  "--cert", str(bad_cert), "--traj", str(traj_path)])
     if code != 5:

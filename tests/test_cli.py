@@ -302,21 +302,35 @@ class TestSolve:
         assert totals[0] == totals[1]
         assert 0 < seen[0] < seen[1]
 
-    @pytest.mark.parametrize("run", ["solve_dir", "nonlinear_solve_dir"],
-                             ids=["saddle", "nonlinear"])
-    def test_v_column_is_verifys_v(self, request, ref_doc, run):
-        # the V column that solve writes is the V that verify computes at
-        # each node, bit for bit
+    @staticmethod
+    def column_and_verifys(request, ref_doc, run, offset, name):
+        # a value column of the solve's CSV (offset 1 is V, 2 is W) and the
+        # same curve as verify computes it at the CSV's nodes
         out = request.getfixturevalue(run)
         doc = ref_doc if run == "solve_dir" else str(NONLINEAR_DOC)
         qp = load_problem_document(doc).to_problem()
         path = out / "trajectory.csv"
         rows = [row.split(",") for row in path.read_text().splitlines()[1:]
                 if not row.startswith("#")]
-        column = np.array([float(row[qp.n + 1]) for row in rows])
+        column = np.array([float(row[qp.n + offset]) for row in rows])
         traj = cli._read_trajectory_csv(path, qp.n)
         assert column.size == traj.ts.size > 3000
-        assert column.tobytes() == eval_v_w_along(qp, traj).v.tobytes()
+        return column, getattr(eval_v_w_along(qp, traj), name)
+
+    @pytest.mark.parametrize("run", ["solve_dir", "nonlinear_solve_dir"],
+                             ids=["saddle", "nonlinear"])
+    def test_v_column_is_verifys_v(self, request, ref_doc, run):
+        # the V column that solve writes is the V that verify computes at
+        # each node, bit for bit
+        column, v = self.column_and_verifys(request, ref_doc, run, 1, "v")
+        assert column.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("run", ["solve_dir", "nonlinear_solve_dir"],
+                             ids=["saddle", "nonlinear"])
+    def test_w_column_is_verifys_w(self, request, ref_doc, run):
+        # and the W column the W that verify computes
+        column, w = self.column_and_verifys(request, ref_doc, run, 2, "w")
+        assert column.tobytes() == w.tobytes()
 
     def test_report_stats_leave_the_certificate_alone(self, cert_file,
                                                       solve_dir):
@@ -366,7 +380,8 @@ class TestVerify:
                              cert.v0, cert.v_star))
         csv_path, out = tmp_path / "segment.csv", tmp_path / "verify.txt"
         write_trajectory_csv(csv_path, traj, [
-            qp.quad_v(t, x) for t, x in zip(traj.ts, traj.xs)], qp.quad_w)
+            qp.quad_v(t, x) for t, x in zip(traj.ts, traj.xs)], [
+            qp.quad_w(t, x) for t, x in zip(traj.ts, traj.xs)])
         assert main(["verify", ref_doc, "--cert", cert_file, "--traj",
                      str(csv_path), "--out", str(out)]) == 0
         assert "verify pass" in capsys.readouterr().out
@@ -702,8 +717,7 @@ class TestTrajectoryReader:
         traj = Trajectory(ts=ts, xs=xs, events=[
             EventRecord("W_hits_wplus", float(ts[1]), xs[1])])
         path = tmp_path / "nodes.csv"
-        write_trajectory_csv(path, traj, np.zeros(ts.size),
-                             lambda t, x: 1.0)
+        write_trajectory_csv(path, traj, np.zeros(ts.size), np.ones(ts.size))
         back = cli._read_trajectory_csv(path, n)
         assert back.ts.tobytes() == ts.tobytes()
         assert back.xs.tobytes() == xs.tobytes()

@@ -7,7 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import vwbound.ode as ode
 from conftest import make_reference_problem
 from vwbound.errors import DomainError, StepSizeUnderflow
 from vwbound.expr import MatrixFunction, VectorFunction, compile_rhs
@@ -18,6 +21,7 @@ from vwbound.ode import (
     _dense_output,
     _initial_step,
     _row_sign,
+    dense_at,
     integrate,
     make_region_events,
     eval_v_w_along,
@@ -463,6 +467,159 @@ class TestStepLoop:
         )
 
 
+def _due(tau, step, direction):
+    """Whether ``tau`` falls due in the reference step ``step``: the step
+    loop's rule, at most the step-size floor past its end."""
+    end = step[4]
+    return (tau - end) * direction <= 1e-14 * max(1.0, abs(end))
+
+
+def _kept_row(step):
+    t, x, hs, ks = step[:4]
+    return [t, hs, *x.tolist(), *np.concatenate(ks).tolist()]
+
+
+# entries of small systems: a constant, a periodic term in t, and a small
+# state term; a switch whose exp overflows for t > 17.75 makes the
+# generated code trip there, and each step beyond is retaken interpreted
+_COEF = st.sampled_from([-1.5, -0.6, -0.25, 0.3, 0.8, 1.2])
+_ENTRY = st.one_of(
+    _COEF.map(repr),
+    st.tuples(_COEF, st.sampled_from([0.5, 1.3, 2.0])).map(
+        lambda cw: f"{cw[0]}*sin({cw[1]}*t)"),
+    _COEF.map(lambda c: f"{c / 8}*x1"),
+)
+_SWITCH = "1/(1 + exp(40*t))"
+
+
+class TestStepLoopProperty:
+    """The generated step loop against :func:`reference_dp5` on drawn
+    small systems: the accepted steps, the steps a window keeps and the
+    stacked samples, bit for bit."""
+
+    @settings(max_examples=12)
+    @given(
+        n=st.sampled_from([1, 2]),
+        entries=st.lists(_ENTRY, min_size=6, max_size=6),
+        x0=st.lists(st.sampled_from([-0.4, -0.1, 0.0, 0.2, 0.5]),
+                    min_size=2, max_size=2),
+        span=st.sampled_from([1.5, -2.0, 3.0]),
+        tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
+        window=st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 0.5)),
+        switch=st.booleans(),
+    )
+    @example(n=2, entries=["-0.6", "0.3*sin(1.3*t)", "0.3", "-1.5",
+                           "0.1*x1", "0.8"],
+             x0=[0.2, -0.1], span=3.5, tol=1e-8, window=(0.3, 0.6),
+             switch=True)
+    def test_steps_kept_stages_and_samples(self, n, entries, x0, span, tol,
+                                           window, switch):
+        a = [entries[i * n:(i + 1) * n] for i in range(n)]
+        if switch:  # the run crosses t = 17.75
+            a[0][0] = f"{a[0][0]} + {_SWITCH}"
+        rhs = compile_rhs(MatrixFunction.from_strings(a, n_states=n),
+                          VectorFunction.from_strings(entries[4:4 + n],
+                                                      n_states=n))
+        t0 = (17.0 if span > 0.0 else 18.5) if switch else 0.0
+        t_end, x0 = t0 + span, x0[:n]
+        direction = math.copysign(1.0, span)
+        retaken = []
+        stepper = ode.compile_stepper
+
+        def spy(*key):
+            advance = stepper(*key)
+
+            def fast(*args):
+                return advance(*args)
+
+            def slow(*args):
+                retaken.append(args[0][0])
+                return advance.slow(*args)
+
+            fast.slow = slow
+            return fast
+
+        steps, n_rej = reference_dp5(
+            lambda t, x: np.array(rhs(t, x.tolist())), t0, x0, t_end, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ode, "compile_stepper", spy)
+            TestStepLoop.assert_reference_run(
+                integrate(rhs, t0, np.array(x0), t_end, tol=tol), x0, steps,
+                n_rej)
+        assert bool(retaken) == switch
+        if switch and span > 0.0:  # the steps up to the switch ran generated
+            assert t0 < min(retaken) < 17.75
+
+        # a window keeps the steps from the first its start falls due in
+        # to the first its end falls due in
+        lo = t0 + span * window[0]
+        hi = lo + (t_end - lo) * window[1]
+        run = integrate(rhs, t0, np.array(x0), t_end, tol=tol,
+                        keep=[(lo, hi)])
+        first = next(i for i, s in enumerate(steps) if _due(lo, s, direction))
+        last = next(i for i, s in enumerate(steps) if _due(hi, s, direction))
+        want = np.array([_kept_row(s) for s in steps[first:last + 1]])
+        assert np.array(run.steps).tobytes() == want.tobytes()
+
+        # samples: each on the dense output of the step it falls due in,
+        # as _dense_output gives it, through integrate and dense_at alike
+        taus = (t0 + span * np.linspace(0.01, 0.99, 23)).tolist()
+        dense = [
+            _dense_output(s[0], s[1].tolist(), s[2],
+                          [k.tolist() for k in s[3]])(tau)
+            for tau in taus
+            for s in [next(s for s in steps if _due(tau, s, direction))]
+        ]
+        traj = integrate(rhs, t0, np.array(x0), t_end, tol=tol,
+                         t_samples=taus)
+        assert traj.ts.tolist() == [t0, *taus, t_end]
+        assert traj.xs.tobytes() == np.array(
+            [x0, *dense, steps[-1][5]]).tobytes()
+        inside = [i for i, tau in enumerate(taus)
+                  if (tau - lo) * direction >= 0.0
+                  and (hi - tau) * direction >= 0.0]
+        assert dense_at(run.steps, [taus[i] for i in inside]).tobytes() == (
+            np.array([dense[i] for i in inside]).reshape(-1, n).tobytes())
+
+
+class TestDenseAt:
+    def test_bits_of_the_per_step_dense_output(self):
+        # dense_at on the steps a run kept gives _dense_output's bits at
+        # many times, including times just past a step's end, which fall
+        # in that step as the step loop let a sample fall due there
+        qp = make_reference_problem()
+        run = integrate(qp.rhs, 0.0, np.array([0.05, 0.1]), 4.0, tol=1e-9,
+                        keep=[(0.0, 4.0)])
+        steps = run.steps
+        n = 2
+        ends = steps[:, 0] + steps[:, 1]
+        rng = np.random.default_rng(3)
+        taus = np.sort(rng.uniform(0.0, ends[-1], 4000))
+        past = ends[:-1] + 0.5e-14 * np.maximum(1.0, ends[:-1])
+        taus = np.sort(np.concatenate([taus, past]))
+        got = dense_at(steps, taus)
+        assert got.shape == (taus.size, n)
+        rows = np.searchsorted(ends, taus)
+        rows[np.isin(taus, past)] -= 1
+        want = [
+            _dense_output(steps[i, 0], steps[i, 2:2 + n].tolist(),
+                          steps[i, 1],
+                          steps[i, 2 + n:].reshape(7, n).tolist())(tau)
+            for i, tau in zip(rows.tolist(), taus.tolist())
+        ]
+        assert got.tobytes() == np.array(want).tobytes()
+        # steps that end before the last times cover only the first ones
+        assert dense_at(steps[:10], taus).shape == (
+            np.count_nonzero(taus <= past[9]), n)
+        # a step from x = 0 with hs = 1 shows the powers of theta bare
+        stages = rng.standard_normal((7, n))
+        row = np.concatenate([[0.0, 1.0, 0.0, 0.0], stages.ravel()])
+        thetas = rng.uniform(0.0, 1.0, 2000)
+        bare = _dense_output(0.0, [0.0, 0.0], 1.0, stages.tolist())
+        assert dense_at(row[None, :], thetas).tobytes() == np.array(
+            [bare(th) for th in thetas.tolist()]).tobytes()
+
+
 class TestBlowUp:
     def test_step_underflow_reports_location(self):
         # x' = x^2 from 1 blows up at t = 1
@@ -539,7 +696,9 @@ class TestCsvAndCurves:
         path = tmp_path / "traj.csv"
         v = [qp.quad_v(t, x) for t, x in zip(traj.ts.tolist(),
                                              traj.xs.tolist())]
-        write_trajectory_csv(path, traj, v, qp.quad_w)
+        w = [qp.quad_w(t, x) for t, x in zip(traj.ts.tolist(),
+                                             traj.xs.tolist())]
+        write_trajectory_csv(path, traj, v, w)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,x1,x2,V,W"
         data = [ln for ln in lines[1:] if not ln.startswith("#")]
@@ -576,7 +735,9 @@ class TestCsvAndCurves:
 
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, traj, [quad_v(float(t), x) for t, x in
-                                          zip(traj.ts, traj.xs)], quad_w)
+                                          zip(traj.ts, traj.xs)],
+                             [quad_w(float(t), x) for t, x in
+                              zip(traj.ts, traj.xs)])
         old = [f"t,{','.join(f'x{i + 1}' for i in range(n))},V,W"]
         for t, x in zip(traj.ts, traj.xs):
             row = ",".join(f"{val:.17g}" for val in x)

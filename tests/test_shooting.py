@@ -483,6 +483,169 @@ class TestProbeDispatch:
         assert len(calls) == got.iterations == 53
 
 
+def _count_integrations(monkeypatch):
+    """The times of every run shooting integrates, in call order."""
+    calls = []
+    real = shooting.integrate
+
+    def spy(rhs, t0, *args, **kwargs):
+        calls.append(t0)
+        return real(rhs, t0, *args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate", spy)
+    return calls
+
+
+def _separate_patch(qp, start, claim, tol):
+    """The patch as a run of its own gave it: the pair system integrated
+    to the claim's end with the claim's other times as samples, combined
+    as ``p + u q``; and the start of that run's last, clipped step."""
+    x0 = np.concatenate([np.zeros(qp.n), start.chart.basis[:, 0]])
+    run = integrate(qp.pair_rhs, start.t, x0, float(claim[-1]), tol=tol,
+                    t_samples=claim[:-1])
+    steps = integrate(qp.pair_rhs, start.t, x0, float(claim[-1]), tol=tol)
+    u = float(start.u[0])
+    return run.xs[1:, :qp.n] + u * run.xs[1:, qp.n:], steps.ts[-2]
+
+
+def _separate_xi(qp, start, tol):
+    """x(0) as a pair run to 0 of its own gave it: its end node."""
+    x0 = np.concatenate([np.zeros(qp.n), start.chart.basis[:, 0]])
+    run = integrate(qp.pair_rhs, start.t, x0, 0.0, tol=tol)
+    return run.xs[-1, :qp.n] + float(start.u[0]) * run.xs[-1, qp.n:]
+
+
+def _claim(t):
+    """A claim like those bounded_solution makes on the window +-40: the
+    grid nodes in ``(t + SETTLE, t + SETTLE + 5]``."""
+    return t + shooting.SETTLE + shooting.SAMPLE_DT * np.arange(1, 251)
+
+
+class TestSearchRunReuse:
+    """A closed-form rung reads its patch and x(0) off the steps its search
+    run kept, and integrates again only where that run ends too soon."""
+
+    @pytest.mark.parametrize("name", ["saddle", "rotated-3"])
+    def test_patch_and_xi_are_the_separate_runs(self, tmp_path, name):
+        # the search run takes the patch run's steps, so the patch keeps
+        # its bits except in the separate run's last step, which was
+        # clipped to end at the claim's end; x(0) is read on the dense
+        # output at 0 instead of at the end of a step clipped there
+        qp = _closed_form_problem(name, tmp_path)
+        cert = certify(qp)
+        exits = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
+                                   qp.w_minus, cert.v0, cert.v_star)
+        config = ShootingConfig(integrator_tol=1e-8)
+        moved = 0
+        for t in (-35.0, -20.0, -5.0, 10.0):
+            # x(0) from t = -35 is e^35 times the chart resolution off
+            claim = _claim(t)
+            xi_rung = -20.0 <= t < 0.0
+            rung = shooting._run_rung(qp, t, cert.v0, cert.v_star, config,
+                                      claim, exits if xi_rung else None)
+            assert rung.start.closed_form and rung.start.pair_run is None
+            ts, xs, v, w = rung.patch
+            assert ts.tobytes() == claim.tobytes()
+            want, clipped = _separate_patch(qp, rung.start, claim, 1e-8)
+            same = claim <= clipped
+            assert 0 < np.count_nonzero(~same) < 10
+            assert xs[same].tobytes() == want[same].tobytes()
+            assert np.max(np.abs(xs[~same] - want[~same])) < 1e-9
+            moved += np.count_nonzero(np.any(xs != want, axis=1))
+            if xi_rung:
+                assert rung.xi.status == "reached_end"
+                assert rung.xi.ts.tolist() == [t, 0.0]
+                xi = _separate_xi(qp, rung.start, 1e-8)
+                assert np.max(np.abs(rung.xi.x_end - xi)) < 1e-8
+            else:
+                assert rung.xi is None
+        assert moved > 0
+
+    @pytest.mark.parametrize("demo", ["saddle", "nonlinear"])
+    def test_integrations_per_solve(self, monkeypatch, demo):
+        # saddle: each rung integrates its search run and nothing else
+        # (32 runs before the patches and x(0) were read off it); the
+        # nonlinear demo still integrates every probe, each patch and each
+        # xi orbit the walk reads
+        doc = load_problem_document(str(DEMOS / f"{demo}.problem"))
+        qp = doc.to_problem()
+        cert = certify(qp)
+        _affinity(monkeypatch, 1)
+        calls = _count_integrations(monkeypatch)
+        sol = bounded_solution(qp, cert, ShootingConfig(integrator_tol=doc.tol))
+        assert len(sol.rungs) == len(sol.starts) == 14
+        if demo == "saddle":
+            assert sorted(calls) == sorted(r.t for r in sol.rungs)
+        else:
+            assert len(calls) == (sum(r.iterations for r in sol.rungs)
+                                  + len(sol.starts) + sol.converged_at_j)
+
+    def test_claim_past_the_search_run(self, monkeypatch):
+        # a claim that ends past t + horizon_span (a window wider than
+        # +-192 makes one) is read off a second pair run, to its end
+        doc = load_problem_document(str(DEMOS / "saddle.problem"))
+        qp = doc.to_problem()
+        cert = certify(qp)
+        config = ShootingConfig(integrator_tol=doc.tol)
+        claim = -5.0 + shooting.SETTLE + 0.02 * np.arange(1, 1401)
+        assert claim[-1] > -5.0 + config.horizon_span
+        calls = _count_integrations(monkeypatch)
+        rung = shooting._run_rung(qp, -5.0, cert.v0, cert.v_star, config,
+                                  claim)
+        assert calls == [-5.0, -5.0]
+        want, clipped = _separate_patch(qp, rung.start, claim, doc.tol)
+        same = claim <= clipped
+        assert rung.patch[1][same].tobytes() == want[same].tobytes()
+        assert np.max(np.abs(rung.patch[1] - want)) < 1e-9
+
+    def test_xi_rung_below_the_horizon(self, monkeypatch):
+        # the search run from t = -40 ends at -4, so the rung has no x(0):
+        # the walk, should it get there, runs the pair system to 0 and
+        # reads the region levels off its nodes, as the rung would have
+        doc = load_problem_document(str(DEMOS / "saddle.problem"))
+        qp = doc.to_problem()
+        cert = certify(qp)
+        exits = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
+                                   qp.w_minus, cert.v0, cert.v_star)
+        config = ShootingConfig(integrator_tol=doc.tol)
+        rung = shooting._run_rung(qp, -40.0, cert.v0, cert.v_star, config,
+                                  _claim(-40.0), exits)
+        assert rung.xi is None and rung.patch is not None
+        calls = _count_integrations(monkeypatch)
+        orbit = shooting._xi_orbit(qp, rung.start, doc.tol, exits)
+        assert calls == [-40.0]
+        x0 = np.concatenate([np.zeros(qp.n), rung.start.chart.basis[:, 0]])
+        nodes = integrate(qp.pair_rhs, -40.0, x0, 0.0, tol=doc.tol)
+        orbits = shooting._PairOrbits(qp, rung.start.chart, nodes, exits)
+        u = float(rung.start.u[0])
+        hit = orbits.first_exit(u, orbits.states(u))
+        assert (orbit.status == "reached_end") == (hit is None)
+        assert orbit.ts[0] == -40.0
+
+    def test_pair_run_that_underflows_integrates_the_orbits(
+        self, monkeypatch,
+    ):
+        # when the search's pair run ends in step-size underflow (forced
+        # here on the saddle), the probes, the patches and the xi orbits
+        # are integrated from the states, and the solution still verifies
+        doc = load_problem_document(str(DEMOS / "saddle.problem"))
+        qp = doc.to_problem()
+        cert = certify(qp)
+
+        def underflow(qp, chart, t_end, tol, keep=()):
+            raise StepSizeUnderflow(chart.t, np.zeros(2 * qp.n))
+
+        _affinity(monkeypatch, 1)
+        monkeypatch.setattr(shooting, "_pair_run", underflow)
+        calls = _count_integrations(monkeypatch)
+        sol = bounded_solution(qp, cert, ShootingConfig(integrator_tol=doc.tol))
+        assert not any(r.closed_form for r in sol.rungs)
+        assert len(calls) == (sum(r.iterations for r in sol.rungs)
+                              + len(sol.starts) + sol.converged_at_j)
+        assert verify_bound(qp, cert, sol.traj).passed
+        assert np.max(np.abs(sol.xi - np.array([-0.05, 0.05]))) < 1e-6
+
+
 class TestBoundedSolution:
     def test_initial_value_and_sup(self, reference_solution_run):
         sol = reference_solution_run
@@ -578,7 +741,7 @@ def _rung_record(start):
 
 def _solve_files(qp, sol, out):
     out.mkdir()
-    write_trajectory_csv(out / "trajectory.csv", sol.traj, sol.v, qp.quad_w)
+    write_trajectory_csv(out / "trajectory.csv", sol.traj, sol.v, sol.w)
     write_xi_csv(out / "xi.csv", sol.xi_sequence)
     return [(out / name).read_bytes() for name in ("trajectory.csv",
                                                     "xi.csv")]
@@ -888,9 +1051,9 @@ class TestVerifyBound:
 def test_one_solve_builds_one_step_loop():
     # one step loop per rhs and layout of watched levels: on the saddle,
     # whose A is free of the state, that of the pair system, with no level
-    # watched, for the searches, the patches and the xi runs (the probes
-    # read the levels off its nodes); loading, certify and verify build
-    # none
+    # watched, for the search runs (the probes, the patches and x(0) are
+    # read off their nodes and kept steps); loading, certify and verify
+    # build none
     built = compile_stepper.cache_info
     before = built().misses
     doc = load_problem_document(
