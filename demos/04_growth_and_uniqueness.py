@@ -16,7 +16,6 @@ import numpy as np
 
 from vwbound.growth import (
     bound_excursion,
-    global_sup_bound,
     growth_integral,
     growth_integral_inv,
 )
@@ -43,7 +42,7 @@ peak = bound_excursion(gp, qp.w_plus, qp.w_minus)
 print(f"W band width = {qp.w_plus - qp.w_minus}")
 print(f"excursion peak bound = F^-1((w+ - w-)/2) = {peak:.6g}")
 print(f"(same number as the global ceiling: "
-      f"{global_sup_bound(gp, qp.w_plus, qp.w_minus):.6g})")
+      f"{bound_excursion(gp, qp.w_plus, qp.w_minus):.6g})")
 print(f"round trip check: F(F^-1(0.02)) = "
       f"{growth_integral(gp, growth_integral_inv(gp, 0.02)):.12g}")
 print()

@@ -38,6 +38,7 @@ from .errors import (
     NotConverged,
     NotPositiveDefinite,
     VWBoundError,
+    read_text,
 )
 from .ode import Trajectory, write_trajectory_csv
 from .problemdoc import load_problem_document
@@ -194,41 +195,38 @@ def cmd_solve(args) -> int:
 
 
 def _read_trajectory_csv(path, n: int) -> Trajectory:
-    """The nodes of the trajectory CSV at ``path`` (``t,x1..xn,V,W``).
-
-    A well-formed file is parsed in one pass (:func:`_node_table`).  A
-    file that pass refuses is read again by
-    :func:`_read_trajectory_rows`, which names the first bad line."""
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from None
-    with fh:
-        try:
-            table = _node_table(fh.read(), n)
-        except UnicodeDecodeError:
-            table = None
+    """The nodes of the trajectory CSV at ``path`` (``t,x1..xn,V,W``),
+    read once.  A well-formed file is parsed in one pass
+    (:func:`_node_table`); any other raises :class:`DocumentError` at its
+    first bad line (:func:`_first_bad_line`)."""
+    text = read_text(path)
+    header, _, body = text.partition("\n")
+    header = header.strip()
+    expected = ",".join(["t"] + [f"x{i}" for i in range(1, n + 1)]
+                        + ["V", "W"])
+    if header != expected:
+        raise DocumentError(
+            f"trajectory header {header!r} does not match the {n}-state "
+            f"layout {expected!r}", line=1,
+        )
+    lines = body.split("\n")
+    table = _node_table(lines, n)
     if table is None:
-        return _read_trajectory_rows(path, n)
+        raise _first_bad_line(lines, n, path)
     return Trajectory(
         ts=table[:, 0].copy(), xs=table[:, 1:n + 1].copy(), events=[],
         status="reached_end",
     )
 
 
-def _node_table(text: str, n: int) -> np.ndarray | None:
-    """The data rows of a trajectory CSV's ``text`` as one ``(rows, n + 3)``
-    array, or None unless the file is well formed: the ``n``-state header,
-    at least one row, ``n + 3`` fields in each (blank and ``#`` lines
+def _node_table(lines: list, n: int) -> np.ndarray | None:
+    """The data rows among a trajectory CSV's ``lines`` (after the header)
+    as one ``(rows, n + 3)`` array, or None unless they are well formed: at
+    least one row, ``n + 3`` fields in each (blank and ``#`` lines
     dropped), every field a finite ``float()`` and the times strictly
     increasing.  All fields go through one ``map(float, ...)``, so a row
-    holds the same bits as :func:`_read_trajectory_rows` reads."""
-    header, _, body = text.partition("\n")
-    expected = ["t"] + [f"x{i}" for i in range(1, n + 1)] + ["V", "W"]
-    if header.strip() != ",".join(expected):
-        return None
-    rows = [row for row in map(str.strip, body.split("\n"))
-            if row and row[0] != "#"]
+    holds the bits ``float()`` gives each of its fields."""
+    rows = [row for row in map(str.strip, lines) if row and row[0] != "#"]
     if not rows or any(row.count(",") != n + 2 for row in rows):
         return None
     try:
@@ -243,55 +241,31 @@ def _node_table(text: str, n: int) -> np.ndarray | None:
     return table
 
 
-def _read_trajectory_rows(path, n: int) -> Trajectory:
-    """:func:`_read_trajectory_csv` row by row, raising
-    :class:`DocumentError` at the first line that is not a node."""
-    ts, xs = [], []
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from None
-    with fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        expected = ["t"] + [f"x{i}" for i in range(1, n + 1)] + ["V", "W"]
-        if cols != expected:
-            raise DocumentError(
-                f"trajectory header {header!r} does not match the "
-                f"{n}-state layout {','.join(expected)!r}",
-                line=1,
-            )
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != n + 3:
-                raise DocumentError(
-                    f"expected {n + 3} columns, got {len(parts)}",
-                    line=line_no,
-                )
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise DocumentError(
-                    f"non-numeric value in row: {line!r}", line=line_no
-                ) from None
-            if not all(map(math.isfinite, values)):
-                raise DocumentError(
-                    f"non-finite value in row: {line!r}", line=line_no
-                )
-            if ts and not values[0] > ts[-1]:
-                raise DocumentError("trajectory times must strictly "
-                                    "increase", line=line_no)
-            ts.append(values[0])
-            xs.append(values[1:n + 1])
-    if not ts:
-        raise DocumentError(f"trajectory {path} has no data rows")
-    return Trajectory(
-        ts=np.asarray(ts), xs=np.asarray(xs), events=[],
-        status="reached_end",
-    )
+def _first_bad_line(lines: list, n: int, path) -> DocumentError:
+    """The error naming the first of a trajectory CSV's ``lines`` (after
+    the header, which is line 1) that is not a node, for lines
+    :func:`_node_table` refuses; a file without one has no data rows."""
+    t_last = None
+    for line_no, line in enumerate(map(str.strip, lines), start=2):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != n + 3:
+            return DocumentError(f"expected {n + 3} columns, got {len(parts)}",
+                                 line=line_no)
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            return DocumentError(f"non-numeric value in row: {line!r}",
+                                 line=line_no)
+        if not all(map(math.isfinite, values)):
+            return DocumentError(f"non-finite value in row: {line!r}",
+                                 line=line_no)
+        if t_last is not None and not values[0] > t_last:
+            return DocumentError("trajectory times must strictly increase",
+                                 line=line_no)
+        t_last = values[0]
+    return DocumentError(f"trajectory {path} has no data rows")
 
 
 def cmd_verify(args) -> int:

@@ -166,11 +166,6 @@ class NoUpperBracket(VWBoundError):
         self.reached = reached
 
 
-class WindowExhausted(VWBoundError):
-    """A quantity defined through an integral over the time window never
-    reaches the required level inside the window."""
-
-
 # ---------------------------------------------------------------------------
 # certification
 
@@ -256,3 +251,25 @@ class DocumentError(VWBoundError):
         super().__init__(" — ".join(parts))
         self.line = line
         self.key = key
+
+
+def read_text(path) -> str:
+    """The text of the input file at ``path``, read once: UTF-8 with
+    universal newlines, as text-mode ``open`` reads it.  A file that cannot
+    be opened, or is not UTF-8, raises :class:`DocumentError` naming it
+    (and the line of the first bad byte)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(
+            f"cannot read {path}: byte {exc.start} is not UTF-8 "
+            f"({exc.reason})", line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text

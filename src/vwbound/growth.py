@@ -17,15 +17,13 @@ converts a budget on W into certified ceilings for V, which is what the
 ``bound_*`` functions below compute:
 
 * :func:`bound_from_threshold`   — trajectory last seen at ``V = v0``,
-* :func:`bound_from_interior`    — trajectory never seen at ``v0``,
-* :func:`bound_mixed`            — maximum of both when the history is
-  unknown,
+* :func:`bound_from_interior`    — trajectory never seen at ``v0``
+  (with the former, the two ceilings certify requires of V*),
 * :func:`bound_excursion`        — over one excursion with ``V = v0`` at
-  both ends,
-* :func:`return_time`            — how long V can stay above ``v0``,
-* :func:`global_sup_bound` / :func:`sup_bound_curve` — ceilings along the
-  whole line from the W-window alone, the latter through
-  :func:`envelope_ceilings`, one F^-1 per distinct budget.
+  both ends: the constant ceiling from the W-window alone,
+* :func:`sup_bound_curve`        — the ceiling along the whole line from
+  the W envelopes, through :func:`envelope_ceilings`, one F^-1 per
+  distinct budget.
 
 :func:`growth_integral` and :func:`growth_integral_inv` are the one F /
 F^-1 engine, on numpy and the standard library only.  With ``s = sqrt(u)``
@@ -50,12 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleConditionE,
-    NoUpperBracket,
-    WindowExhausted,
-)
+from .errors import DomainError, InfeasibleConditionE, NoUpperBracket
 
 __all__ = [
     "GrowthPair",
@@ -63,10 +56,7 @@ __all__ = [
     "growth_integral_inv",
     "bound_from_threshold",
     "bound_from_interior",
-    "bound_mixed",
     "bound_excursion",
-    "return_time",
-    "global_sup_bound",
     "sup_bound_curve",
     "envelope_ceilings",
 ]
@@ -313,102 +303,18 @@ def bound_from_interior(
     gp: GrowthPair, v_start: float, w_sup: float, w_start: float
 ) -> float:
     """Ceiling for V from an interior start ``(v_start, w_start)`` with
-    ``v_start >= v0``, valid while V has not returned to ``v0``."""
-    z = growth_integral(gp, v_start) + (w_sup - w_start)
+    ``v_start >= v0``, valid while V has not returned to ``v0``:
+    ``F^-1(F(v_start) + w_sup - w_start)``, summed left to right."""
+    z = growth_integral(gp, v_start) + w_sup - w_start
     return growth_integral_inv(gp, max(0.0, z))
-
-
-def bound_mixed(
-    gp: GrowthPair,
-    v_start: float,
-    w_sup: float,
-    w_start: float,
-    w_entry: float,
-) -> float:
-    """Ceiling valid regardless of whether V revisited ``v0``: the larger
-    of the interior and threshold ceilings.
-
-    A negative F-argument means the corresponding branch is impossible
-    given the budget; it is clamped to zero (yielding the trivial ceiling
-    ``v0``).  Both branches negative means the data are inconsistent.
-    """
-    z_interior = growth_integral(gp, v_start) + (w_sup - w_start)
-    z_threshold = w_sup - w_entry
-    if z_interior < 0.0 and z_threshold < 0.0:
-        raise DomainError(
-            "both ceiling arguments are negative "
-            f"({z_interior:.6g}, {z_threshold:.6g}); W budget inconsistent"
-        )
-    b_interior = growth_integral_inv(gp, max(0.0, z_interior))
-    b_threshold = growth_integral_inv(gp, max(0.0, z_threshold))
-    return max(b_interior, b_threshold)
 
 
 def bound_excursion(gp: GrowthPair, w_exit: float, w_entry: float) -> float:
     """Ceiling for V over one excursion above ``v0`` (``V = v0`` at both
-    ends); ``w_entry`` / ``w_exit`` are the W values at the endpoints."""
+    ends); ``w_entry`` / ``w_exit`` are the W values at the endpoints.
+    With the W-window ``(w_plus, w_minus)`` it is the constant ceiling
+    along any solution confined to ``w_minus <= W <= w_plus``."""
     return growth_integral_inv(gp, max(0.0, 0.5 * (w_exit - w_entry)))
-
-
-def return_time(
-    ts: np.ndarray,
-    alpha: np.ndarray,
-    t0: float,
-    w_sup: float,
-    w_inf: float,
-    g_v0: float,
-) -> float:
-    """First time ``theta >= t0`` with ``integral of alpha >= (w_sup -
-    w_inf)/g(v0)``; V must have returned to ``v0`` by then.
-
-    ``alpha`` is the rate floor sampled on the grid ``ts``; the cumulative
-    integral uses the trapezoid rule with linear interpolation inside the
-    deciding segment.
-
-    Raises
-    ------
-    WindowExhausted
-        If the accumulated integral never reaches the requirement inside
-        the sampled window.
-    """
-    ts = np.asarray(ts, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if ts.ndim != 1 or ts.shape != alpha.shape or ts.size < 2:
-        raise ValueError("ts and alpha must be equal-length 1-D arrays")
-    if not g_v0 > 0.0:
-        raise ValueError(f"g(v0) must be positive, got {g_v0:.6g}")
-    if t0 < ts[0] or t0 > ts[-1]:
-        raise ValueError(f"t0 = {t0:.6g} outside the sampled window")
-    target = (w_sup - w_inf) / g_v0
-    if target <= 0.0:
-        return float(t0)
-
-    # restrict to [t0, end], inserting t0 as a grid point
-    k = int(np.searchsorted(ts, t0, side="right"))
-    a0 = float(np.interp(t0, ts, alpha))
-    sub_t = np.concatenate(([t0], ts[k:]))
-    sub_a = np.concatenate(([a0], alpha[k:]))
-    seg = 0.5 * (sub_a[1:] + sub_a[:-1]) * np.diff(sub_t)
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    idx = int(np.searchsorted(cum, target, side="left"))
-    if idx >= cum.size:
-        raise WindowExhausted(
-            f"rate integral reaches only {cum[-1]:.6g} by t = {ts[-1]:.6g}; "
-            f"needs {target:.6g}"
-        )
-    if idx == 0:
-        return float(t0)
-    # linear interpolation of the cumulative integral inside the segment
-    need = target - cum[idx - 1]
-    width = sub_t[idx] - sub_t[idx - 1]
-    frac = need / seg[idx - 1] if seg[idx - 1] > 0.0 else 1.0
-    return float(sub_t[idx - 1] + min(1.0, frac) * width)
-
-
-def global_sup_bound(gp: GrowthPair, w_plus: float, w_minus: float) -> float:
-    """Constant ceiling for V along any solution confined to
-    ``w_minus <= W <= w_plus``: ``F^-1((w_plus - w_minus)/2)``."""
-    return bound_excursion(gp, w_plus, w_minus)
 
 
 def envelope_ceilings(inverse, w_upper, w_lower, at_upper=slice(None),

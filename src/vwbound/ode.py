@@ -23,22 +23,22 @@ step.  The loop calls no builtin on its step path and folds
 coefficients of exactly +-1, without changing a float it computes.  It
 keeps the stages of the accepted steps over requested windows
 (``keep``), whose dense output :func:`dense_at` evaluates at many times
-in one stacked pass; ``t_samples`` are taken so, after the run.
-The cold path here begins where the loop hands a step back: a
-level crossed (dense output, event location, truncation) or a window
-ended, the end was reached, or an entry tripped a domain
+in one stacked pass: a caller samples an orbit so, at times of its
+choosing, after the run.  The cold path here begins where the loop hands
+a step back: a level crossed (dense output, event location, truncation)
+or a window ended, the end was reached, or an entry tripped a domain
 issue, in which case that one step is retaken with every entry
 interpreted, for the interpreter's value or error.  numpy is used only on
 that path and for the arrays of the returned :class:`Trajectory`.  A run
-that asks for no samples (``t_samples=()``) records no per-step nodes,
-only the start and the end or truncation node; the shooting probes run
-so, since they read only where and how an orbit ends.  A probe on a
-one-dimensional disk reads even less, the sign of one chart coordinate
-``c . x`` at its exit, and passes ``c`` as ``exit_row``: when the step
-the run stops in crossed one terminal level and provably cannot change
-that sign anywhere on its dense output (:func:`_row_sign`), the run ends
-there with the sign, without locating the exit.  Every other stop is
-located as above.
+records every accepted step as a node unless asked not to
+(``nodes=False``): it then holds only the start and the end or
+truncation node; the shooting probes run so, since they read only where
+and how an orbit ends.  A probe on a one-dimensional disk reads even
+less, the sign of one chart coordinate ``c . x`` at its exit, and passes
+``c`` as ``exit_row``: when the step the run stops in crossed one
+terminal level and provably cannot change that sign anywhere on its
+dense output (:func:`_row_sign`), the run ends there with the sign,
+without locating the exit.  Every other stop is located as above.
 
 Blow-up shows up as step-size underflow and is reported as
 :class:`~vwbound.errors.StepSizeUnderflow` with the last reachable point,
@@ -148,15 +148,15 @@ class EventRecord:
 class Trajectory:
     """Recorded solution path.
 
-    ``ts``/``xs`` hold the nodes (accepted steps, or the requested sample
-    times when ``t_samples`` was passed to :func:`integrate`); ``events``
+    ``ts``/``xs`` hold the nodes (the start and each accepted step; with
+    :func:`integrate`'s ``nodes=False``, the start and the end); ``events``
     the located crossings in time order; ``status`` is ``"reached_end"``
     or ``"event:<kind>"`` when a terminal event truncated the run.
     ``side`` is +-1.0 when a run given an ``exit_row`` ended in a step
     that cannot change the sign of its exit coordinate: that sign, with
     the exit not located, ``events`` left empty and the step's end as
     the last node.  ``steps`` has a row ``(t, hs, x, k0..k6)`` per step
-    kept over the run's windows or samples, for :func:`dense_at`.
+    kept over the run's windows, for :func:`dense_at`.
     """
 
     ts: np.ndarray
@@ -357,7 +357,7 @@ def integrate(
     t_end: float,
     tol: float = 1e-9,
     events: list[EventSpec] | None = None,
-    t_samples=None,
+    nodes: bool = True,
     exit_row=None,
     keep=(),
 ) -> Trajectory:
@@ -377,22 +377,21 @@ def integrate(
     events : list of EventSpec
         Watched level functions.  Terminal events truncate; all fired
         events are recorded with their located time and state.
-    t_samples : array, optional
-        When given, the recorded nodes are exactly these times (dense
-        -output evaluated, restricted to the covered span plus the two
-        endpoints) instead of the accepted steps; an empty one keeps
-        only the start and the end (or truncation) node.
+    nodes : bool
+        Record every accepted step as a node (the default); with False
+        the trajectory holds only the start and the end (or truncation)
+        node.
     exit_row : pair of float lists, optional
-        ``(c, a)`` for a run that asks for no samples and reads only the
-        sign of ``c . x`` at its exit (see :func:`_row_sign`).  When the
-        run stops in a step where exactly one level crossed, that level
-        is terminal and the step cannot change the sign, the run ends
-        there unlocated with :attr:`Trajectory.side` set; otherwise the
-        exit is located as without it.
+        ``(c, a)`` for a run that reads only the sign of ``c . x`` at its
+        exit (see :func:`_row_sign`).  When the run stops in a step where
+        exactly one level crossed, that level is terminal and the step
+        cannot change the sign, the run ends there unlocated, with that
+        step's end as its last node and :attr:`Trajectory.side` set;
+        otherwise the exit is located as without it.
     keep : sequence of ``(t_a, t_b)``, optional
-        For a run without ``t_samples``: windows, in the run's direction
-        and order, over which :attr:`Trajectory.steps` keeps the accepted
-        steps, for :func:`dense_at`.
+        Windows, in the run's direction and order, over which
+        :attr:`Trajectory.steps` keeps the accepted steps, for
+        :func:`dense_at`: the way to sample the orbit at given times.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(
@@ -413,21 +412,7 @@ def integrate(
     direction = 1.0 if t_end >= t0 else -1.0
     span = abs(t_end - t0)
 
-    record_steps = t_samples is None
-    if t_samples is not None:
-        # the samples strictly inside the span, in the order they are
-        # reached; filtered as Python floats, so that the empty list a
-        # shooting probe passes costs next to nothing
-        after = 1e-14 * max(1.0, abs(t0))
-        before = 1e-14 * max(1.0, abs(t_end))
-        t_samples = sorted(
-            (tau for tau in np.asarray(t_samples, dtype=float).tolist()
-             if (tau - t0) * direction > after
-             and (t_end - tau) * direction > before),
-            reverse=direction < 0,
-        )
-    windows = iter([(t_samples[0], t_samples[-1])] if t_samples else
-                   [(float(t_a), float(t_b)) for t_a, t_b in keep])
+    windows = iter([(float(t_a), float(t_b)) for t_a, t_b in keep])
     never = (direction * math.inf, direction * math.inf)
     keep_from, keep_to = next(windows, never)
     kept = []  # the rows of the kept steps, end to end
@@ -476,7 +461,7 @@ def integrate(
     while True:
         code, state, step = step_fn(state, consts, rhs, t_end, direction,
                                     tol, keep_from, keep_to, kept, limit,
-                                    record_steps, ts, xs)
+                                    nodes, ts, xs)
         t, x, _, _, _, _, n_accepted, n_rejected, g_new = state
         step_fn, limit = advance, MAX_STEPS
         if code == "trip":  # retake that step interpreting every entry
@@ -491,7 +476,7 @@ def integrate(
         if code == "underflow":
             raise StepSizeUnderflow(t, np.array(x))
         if code == "end":
-            if not record_steps:
+            if not nodes:
                 ts.append(t_end)
                 xs.append(x)
             break
@@ -506,12 +491,13 @@ def integrate(
             if (ev.direction >= 0 and g_a < 0.0 <= g_b)
             or (ev.direction <= 0 and g_a > 0.0 >= g_b)
         ]
-        if (exit_row is not None and t_samples == [] and len(crossed) == 1
+        if (exit_row is not None and len(crossed) == 1
                 and crossed[0][0].terminal):
             side = _row_sign(exit_row, x_old, hs, stages)
             if side is not None:
-                ts.append(t)
-                xs.append(x)
+                if not nodes:
+                    ts.append(t)
+                    xs.append(x)
                 status = f"event:{crossed[0][0].kind}"
                 break
         dense = None
@@ -546,22 +532,13 @@ def integrate(
 
         if truncate_at is not None:
             t_ev, x_ev, kind = truncate_at
-            if record_steps:  # the event node replaces the step's end
+            if nodes:  # the event node replaces the step's end
                 ts.pop()
                 xs.pop()
             ts.append(t_ev)
             xs.append(x_ev)
             status = f"event:{kind}"
             break
-
-    steps = np.array(kept).reshape(-1, 2 + 8 * n)
-    if t_samples:  # those up to the last node go in before it
-        t_last = ts[-1]
-        floor = 1e-14 * max(1.0, abs(t_last))
-        reached = dense_at(steps, [tau for tau in t_samples
-                                   if (tau - t_last) * direction <= floor])
-        ts[1:1] = t_samples[:len(reached)]
-        xs[1:1] = list(reached)
 
     return Trajectory(
         ts=np.array(ts),
@@ -572,7 +549,7 @@ def integrate(
         n_rejected=n_rejected,
         n_rhs=n_rhs + 6 * (n_accepted + n_rejected),
         side=side,
-        steps=steps,
+        steps=np.array(kept).reshape(-1, 2 + 8 * n),
     )
 
 

@@ -35,6 +35,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
     VWBoundError,
+    read_text,
 )
 from .expr import MatrixFunction, Num, VectorFunction, parse_expr
 from .quadratic import QuadraticProblem
@@ -333,9 +334,4 @@ def _build(name: str, given: dict, n: int):
 
 def load_problem_document(path) -> ProblemDocument:
     """Read and parse a problem document file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from None
-    return parse_problem_text(text, source=str(path))
+    return parse_problem_text(read_text(path), source=str(path))

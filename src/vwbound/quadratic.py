@@ -52,6 +52,8 @@ from .expr import (
 from .growth import (
     GrowthPair,
     bound_excursion,
+    bound_from_interior,
+    bound_from_threshold,
     growth_integral,
     growth_integral_inv,
     sup_bound_curve,
@@ -600,10 +602,8 @@ def check_v_star(
     ``F^-1(F(nu) + w_plus - omega_tilde)`` and ``F^-1(w_plus - omega0)``.
     Positive slack means the region cap is compatible with entry disks.
     """
-    term1 = growth_integral_inv(
-        gp, max(0.0, growth_integral(gp, max(nu, gp.v0)) + w_plus - omega_tilde)
-    )
-    term2 = growth_integral_inv(gp, max(0.0, w_plus - omega0))
+    term1 = bound_from_interior(gp, max(nu, gp.v0), w_plus, omega_tilde)
+    term2 = bound_from_threshold(gp, w_plus, omega0)
     required = max(term1, term2)
     return (term1, term2), v_star - required
 

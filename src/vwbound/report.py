@@ -20,7 +20,7 @@ import io
 
 import numpy as np
 
-from .errors import DocumentError, DomainError, InfeasibleConditionE
+from .errors import DocumentError, DomainError, InfeasibleConditionE, read_text
 from .quadratic import Certificate, ConditionResult, closed_form_ceiling
 
 __all__ = [
@@ -60,14 +60,6 @@ def _fmt(value) -> str:
     if isinstance(value, np.ndarray):
         return " ".join("%.17g" % float(v) for v in value)
     return str(value)
-
-
-def _read(path) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from None
 
 
 class RunReport:
@@ -145,7 +137,7 @@ class RunReport:
 
     @classmethod
     def load(cls, path) -> "RunReport":
-        return cls.from_text(_read(path))
+        return cls.from_text(read_text(path))
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -154,7 +146,7 @@ class RunReport:
 
 def load_report_or_csv(path) -> RunReport:
     """Read a report file or its CSV twin (:func:`render_csv`)."""
-    text = _read(path)
+    text = read_text(path)
     if text.lstrip().startswith("key,value"):
         return parse_csv_report(text)
     return RunReport.from_text(text)

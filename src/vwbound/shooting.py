@@ -28,12 +28,16 @@ centre and the chart's basis vector carries every probe's orbit as
 ``p + u q`` (:class:`_PairOrbits`): a probe reads its exit and side off
 that run's nodes, in closed form, and the rung reads its patch and x(0)
 off the dense output of the steps the run keeps over them (:func:`_patch`,
-:func:`_pair_xi`), so that no orbit is integrated twice.  Otherwise each
-probe is an integration (:func:`classify_start`): on a one-dimensional
-disk whose C does not depend on t it reads the sign of the exit chart
-coordinate, and locates the exit only when the last step could have
-moved that coordinate across zero (see :func:`vwbound.ode.integrate`);
-otherwise, and on larger disks, the exit is located and charted.  The
+:func:`_pair_xi`), so that no orbit is integrated twice; an x(0) read so
+counts only where every level counts as inside at 0, so that rounding
+cannot hide an exit.  Otherwise each probe is an integration
+(:func:`classify_start`): on a one-dimensional disk whose C does not
+depend on t it reads the sign of the exit chart coordinate, and locates
+the exit only when the last step could have moved that coordinate
+across zero (see :func:`vwbound.ode.integrate`); otherwise, and on
+larger disks, the exit is located and charted.  The patch of such a
+start is sampled the same way as a pair run's, off the steps its own
+run keeps over the claim, with that run's end node as the last row.  The
 path is chosen from the problem alone: there is no setting for it.
 
 Given the region, the work on one rung does not depend on any other, so
@@ -118,6 +122,8 @@ XI_TOL = 1e-5
 # the growth clock inequality |dF(V)/dt| <= dW/dt may fail by this much
 # at a node before verify_bound counts it as a violation
 CLOCK_TOL = 1e-6
+# classify calls a search on a disk of dimension >= 2 may spend
+BUDGET = 2000
 
 
 @dataclass
@@ -182,14 +188,12 @@ class ShootingConfig:
 
     ``integrator_tol`` is the integrator's local error tolerance, in
     ``[ode.TOL_MIN, ode.TOL_MAX]``; ``horizon_span`` how far a start must
-    stay to count as trapped; ``budget`` the classify calls a search on
-    a disk of dimension >= 2 may spend; ``bracket`` the chart interval a
+    stay to count as trapped; ``bracket`` the chart interval a
     one-dimensional search starts from (default the whole disk).
     """
 
     integrator_tol: float = 1e-8
     horizon_span: float = 36.0
-    budget: int = 2000
     bracket: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -237,31 +241,25 @@ def classify_start(
     chart: DiskChart,
     u,
     horizon: float,
-    v0: float,
-    v_star: float,
-    tol: float = 1e-8,
-    events=None,
-    exit_row=None,
+    tol: float,
+    events,
+    exit_row,
 ) -> Stayed | Exited:
     """Integrate from the charted start until the horizon or the first
-    boundary crossing (W = w+-, V = V*); step-size underflow is reported
-    as an exit of kind ``blowup`` at the last reachable point.
+    boundary crossing (W = w+-, V = V*), the region levels ``events`` of
+    :func:`make_region_events`; step-size underflow is reported as an
+    exit of kind ``blowup`` at the last reachable point.
 
     A probe reads only where and how its orbit ends, so the run records
     no per-step nodes: the trajectory holds the start and the end or
-    exit node, with the located events and the step counters.
-    ``events`` are the region levels of :func:`make_region_events`, built
-    here when not given.  With ``exit_row`` (see :func:`_exit_row`) an
-    exit whose chart side the last step cannot change is not located
+    exit node, with the located events and the step counters.  With an
+    ``exit_row`` (see :func:`_exit_row`; ``None`` for none) an exit whose
+    chart side the last step cannot change is not located
     (:attr:`Exited.side`)."""
     x0 = chart.point(u)
-    if events is None:
-        events = make_region_events(
-            qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
-        )
     try:
         traj = integrate(qp.rhs, chart.t, x0, horizon, tol=tol, events=events,
-                         t_samples=(), exit_row=exit_row)
+                         nodes=False, exit_row=exit_row)
     except StepSizeUnderflow as exc:
         return Exited(t=exc.t, kind="blowup", x=np.asarray(exc.x), traj=None)
     if traj.status == "reached_end":
@@ -436,6 +434,19 @@ class _PairOrbits:
         k = int(at.min())
         return k, [ev for ev, k_ev in zip(self.events, at) if k_ev == k]
 
+    def inside_at_end(self, u: float, x: np.ndarray) -> bool:
+        """Whether every level counts as inside at the last node of the
+        orbit ``x`` from ``chart.point(u)``, by the rounding rule."""
+        x = x[-1:]
+        x_abs = np.abs(x)
+        b = self.mag_p[-1:] + abs(u) * self.mag_q[-1:] + x_abs
+        mat = self.mat if self.mat.ndim == 2 else self.mat[-1:]
+        values = self._pairing(mat, x, x)
+        bounds = self._pairing(np.abs(mat), x_abs + self.eps * b, b)
+        g = self.direction * (values[self.which] - self.level)
+        r = self.slack * bounds[self.which] + self.eps * np.abs(self.level)
+        return bool((g < -r).all())
+
     def probe(self, u: float) -> Stayed | Exited | None:
         """:func:`classify_start` at ``chart.point(u)`` in closed form, or
         ``None`` when no node may decide it."""
@@ -519,10 +530,8 @@ def find_trapped_start(
     def probe(u):
         res = None if closed is None else closed.probe(float(u[0]))
         if res is None:
-            res = classify_start(
-                qp, chart, u, horizon, v0, v_star, config.integrator_tol,
-                events, exit_row,
-            )
+            res = classify_start(qp, chart, u, horizon, config.integrator_tol,
+                                 events, exit_row)
             if res.traj is not None:  # None after a blow-up
                 counted(res.traj)
         return res
@@ -576,7 +585,6 @@ def find_trapped_start(
                      kinds)
 
     # n_plus >= 2: refine around the longest-staying start
-    budget = config.budget
     spent = 0
     rho = 0.5 * chart.radius
     center = np.zeros(chart.n_plus)
@@ -584,7 +592,7 @@ def find_trapped_start(
     best_exit = -math.inf
     kinds: set[str] = set()
 
-    while spent < budget:
+    while spent < BUDGET:
         candidates = [center]
         for k in range(chart.n_plus):
             for sign in (+1.0, -1.0):
@@ -608,7 +616,7 @@ def find_trapped_start(
         if rho <= u_tol:
             return found(best_u, spent, rho, False, kinds)
     raise BudgetExhausted(
-        f"{budget} classify calls spent without localizing a trapped start "
+        f"{BUDGET} classify calls spent without localizing a trapped start "
         f"on the {chart.n_plus}-dimensional disk at t_j = {t_j:g} "
         "(heuristic search; this does not disprove existence)"
     )
@@ -666,10 +674,14 @@ def _patch(qp, start, run, claim, tol) -> np.ndarray:
     kept steps, on the orbit the search probed (one integrated from the
     start would drift off it by the chart resolution times ``e^(t -
     start.t)``), or of a pair run to the claim's end when the search run
-    ends before it; else integrated."""
+    ends before it; else integrated to the claim's end, on the dense
+    output of the steps kept over the claim and the run's end node."""
     if not start.closed_form:
-        return integrate(qp.rhs, start.t, start.chart.point(start.u),
-                         claim[-1], tol=tol, t_samples=claim[:-1]).xs[1:]
+        run = integrate(qp.rhs, start.t, start.chart.point(start.u),
+                        claim[-1], tol=tol, nodes=False,
+                        keep=[(claim[0], claim[-1])])
+        return np.vstack([dense_at(run.steps, claim[:-1]).reshape(-1, qp.n),
+                          run.xs[-1:]])
     pairs = dense_at(run.steps, claim)
     if len(pairs) < claim.size:
         run = _pair_run(qp, start.chart, float(claim[-1]), tol,
@@ -682,7 +694,9 @@ def _pair_xi(qp, start, run, events) -> Trajectory | None:
     """The orbit of the closed-form ``start`` to t = 0 off its pair run:
     the run's nodes before 0 and the dense state at 0, the ``events``
     read off them by :class:`_PairOrbits`' rules.  It holds the start
-    and the end or exit node; ``None`` when the run ends before 0."""
+    and the end or exit node; ``None`` when the run ends before 0.  An
+    orbit that crosses no level but at 0 is not inside by every level
+    (its exit may be hidden by rounding) has the status ``undecided``."""
     at_0 = dense_at(run.steps, [0.0])
     if not len(at_0):
         return None
@@ -696,6 +710,8 @@ def _pair_xi(qp, start, run, events) -> Trajectory | None:
     k, status = -1, "reached_end"
     if hit is not None:
         k, status = hit[0], f"event:{hit[1][0].kind}"
+    elif not orbits.inside_at_end(u, xs):
+        status = "undecided"
     return Trajectory(ts=nodes.ts[[0, k]], xs=xs[[0, k]], status=status)
 
 
@@ -707,7 +723,7 @@ def _xi_orbit(qp, start, tol, events) -> Trajectory:
         run = _pair_run(qp, start.chart, 0.0, tol, [(0.0, 0.0)])
         return _pair_xi(qp, start, run, events)
     return integrate(qp.rhs, start.t, start.chart.point(start.u), 0.0,
-                     tol=tol, events=events, t_samples=())
+                     tol=tol, events=events, nodes=False)
 
 
 def _run_share(task, share) -> list:
@@ -941,8 +957,9 @@ def bounded_solution(
             traj = _xi_orbit(qp, start, config.integrator_tol, exits)
         if traj.status != "reached_end":
             notes.append(
-                f"orbit from t_j = {t_j:g} leaves the region at "
-                f"t = {traj.t_end:.6g} before reaching 0; xi_{j} unavailable"
+                f"orbit from t_j = {t_j:g} does not reach 0 inside the "
+                f"region ({traj.status} at t = {traj.t_end:.6g}); xi_{j} "
+                "unavailable"
             )
             break
         xi_j = traj.x_end

@@ -658,9 +658,10 @@ _EDITS = {**_WELL_FORMED, **_MALFORMED}
 
 
 class TestTrajectoryReader:
-    """``cli._read_trajectory_csv`` parses a well-formed file in one pass
-    and reads any other file row by row; either way it returns what the
-    row loop it replaced returns, bit for bit, or raises its error."""
+    """``cli._read_trajectory_csv`` reads the file once, parses well-formed
+    text in one pass and scans any other text for its first bad line;
+    either way it returns what the row loop it replaced returns, bit for
+    bit, or raises its error."""
 
     @pytest.fixture(params=["saddle", "nonlinear"])
     def solve_csv(self, request, solve_dir, nonlinear_solve_dir):
@@ -678,10 +679,10 @@ class TestTrajectoryReader:
 
     def test_well_formed_files_take_the_one_pass(self, solve_csv, tmp_path,
                                                  monkeypatch):
-        def refuse(path, n):
-            raise AssertionError("the row loop read a well-formed file")
+        def refuse(lines, n, path):
+            raise AssertionError("the line scan read a well-formed file")
 
-        monkeypatch.setattr(cli, "_read_trajectory_rows", refuse)
+        monkeypatch.setattr(cli, "_first_bad_line", refuse)
         for name, edit in _WELL_FORMED.items():
             path = tmp_path / "edited.csv"
             path.write_text(edit(solve_csv), encoding="utf-8", newline="")
@@ -689,12 +690,39 @@ class TestTrajectoryReader:
 
     @pytest.mark.parametrize("at", ["first line", "late row"])
     def test_undecodable_bytes(self, solve_csv, tmp_path, at):
+        # where the reader departs from the row loop, which let a
+        # UnicodeDecodeError out: it names the file, the byte and its line
         data = solve_csv.encode("utf-8")
         cut = data.index(b"\n") if at == "first line" else len(data) - 40
         path = tmp_path / "latin1.csv"
         path.write_bytes(data[:cut] + b"\xe9" + data[cut:])
-        assert (_read_outcome(cli._read_trajectory_csv, path, 2)
-                == _read_outcome(_read_rows_oracle, path, 2))
+        assert _read_outcome(_read_rows_oracle, path, 2)[0] == \
+            "UnicodeDecodeError"
+        line = data.count(b"\n", 0, cut) + 1
+        assert _read_outcome(cli._read_trajectory_csv, path, 2) == (
+            "DocumentError",
+            f"cannot read {path}: byte {cut} is not UTF-8 (invalid "
+            f"continuation byte) — line {line}", line)
+
+    @pytest.mark.parametrize("edit", ["as written", "ragged row"])
+    def test_opens_the_file_once(self, solve_csv, tmp_path, monkeypatch,
+                                 edit):
+        # a well-formed file and one the line scan refuses alike
+        path = tmp_path / "edited.csv"
+        path.write_text(_EDITS[edit](solve_csv), encoding="utf-8")
+        opened = []
+        real_open = open
+
+        def counting(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting)
+        try:
+            cli._read_trajectory_csv(path, 2)
+        except DocumentError:
+            assert edit == "ragged row"
+        assert opened == [str(path)]
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "missing.csv"
@@ -922,6 +950,44 @@ class TestReport:
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         assert main(["report", str(empty)]) == 64
+
+
+class TestUndecodableInput:
+    """A byte that is not UTF-8 in any input file is a document error
+    (exit 64) naming the file and the line, not a traceback."""
+
+    @staticmethod
+    def _latin1(path, tmp_path):
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        cut = text.index("\n", text.index("\n") + 1)  # end of line 2
+        bad = tmp_path / ("latin1-" + pathlib.Path(path).name)
+        bad.write_bytes(text[:cut].encode() + b" # caf\xe9"
+                        + text[cut:].encode())
+        return str(bad)
+
+    def _refused(self, argv, bad, capsys):
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {bad}: byte ")
+        assert "is not UTF-8" in captured.err and "line 2" in captured.err
+
+    def test_problem_document(self, ref_doc, tmp_path, capsys):
+        bad = self._latin1(ref_doc, tmp_path)
+        self._refused(["certify", bad], bad, capsys)
+
+    def test_certificate(self, ref_doc, cert_file, tmp_path, capsys):
+        bad = self._latin1(cert_file, tmp_path)
+        self._refused(["solve", ref_doc, "--cert", bad, "--out",
+                       str(tmp_path / "run")], bad, capsys)
+        assert not (tmp_path / "run").exists()
+        self._refused(["report", bad], bad, capsys)
+
+    def test_trajectory(self, ref_doc, cert_file, solve_dir, tmp_path,
+                        capsys):
+        bad = self._latin1(solve_dir / "trajectory.csv", tmp_path)
+        self._refused(["verify", ref_doc, "--cert", cert_file, "--traj",
+                       bad], bad, capsys)
 
 
 def _readme_flags():

@@ -1,5 +1,6 @@
 """Every toolkit error survives a pickle round trip: a rung search run in
-another process hands its failure back that way."""
+another process hands its failure back that way.  The one reader of
+input files reads what text-mode ``open`` reads."""
 
 import inspect
 import pickle
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from vwbound import errors
-from vwbound.errors import VWBoundError
+from vwbound.errors import VWBoundError, read_text
 
 # constructor arguments of one instance of every error class
 SAMPLES = {
@@ -23,7 +24,6 @@ SAMPLES = {
     "DegeneratePencil": ("eigenvalue inside the band", 4),
     "EmptyPositiveSubspace": ("C(0) has no positive eigenvalues",),
     "NoUpperBracket": (1.5, 2.0, 0.25),
-    "WindowExhausted": ("never reaches the level",),
     "InfeasibleConditionE": ("no finite constants", (0.5, [1.0, 2.0])),
     "ConditionGFailed": ("no positive characteristic value",),
     "StepSizeUnderflow": (1.25, np.array([3.0, -4.0])),
@@ -52,3 +52,14 @@ def test_pickle_round_trip(name):
     assert back.args == exc.args
     # attributes, arrays included, come back equal
     assert repr(vars(back)) == repr(vars(exc))
+
+
+@pytest.mark.parametrize("data", [
+    b"a = 1\nb = 2\n", b"a = 1\r\nb = 2\r\n", b"a = 1\rb = 2\r",
+    b"a\r\r\nb\n\r", b"\xef\xbb\xbfcaf\xc3\xa9\r\n", b"",
+], ids=["LF", "CRLF", "CR", "mixed", "BOM and accent", "empty"])
+def test_read_text_is_the_text_mode_read(tmp_path, data):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with open(path, "r", encoding="utf-8") as fh:
+        assert read_text(path) == fh.read()

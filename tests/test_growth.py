@@ -13,22 +13,14 @@ from scipy.integrate import quad
 
 from conftest import simpson_fixed
 from vwbound import growth
-from vwbound.errors import (
-    DomainError,
-    InfeasibleConditionE,
-    NoUpperBracket,
-    WindowExhausted,
-)
+from vwbound.errors import DomainError, InfeasibleConditionE, NoUpperBracket
 from vwbound.growth import (
     GrowthPair,
     bound_excursion,
     bound_from_interior,
     bound_from_threshold,
-    bound_mixed,
-    global_sup_bound,
     growth_integral,
     growth_integral_inv,
-    return_time,
     sup_bound_curve,
 )
 
@@ -281,32 +273,22 @@ class TestCeilings:
         expected = growth_integral(gp, v_start) + 0.03
         assert growth_integral(gp, v) == pytest.approx(expected, rel=1e-9)
 
-    def test_mixed_takes_larger_branch(self):
+    def test_interior_form_sums_left_to_right(self):
+        # certify's V* check takes its first required ceiling from here:
+        # F(v) + w_sup - w_start, summed left to right, keeps the bits
+        # the check had when it summed inline
         gp = make_pair()
-        v_start = 2.0 * gp.v0
-        mixed = bound_mixed(gp, v_start, 0.02, 0.0, -0.02)
-        assert mixed == pytest.approx(
-            max(
-                bound_from_interior(gp, v_start, 0.02, 0.0),
-                bound_from_threshold(gp, 0.02, -0.02),
-            )
-        )
-
-    def test_mixed_rejects_double_negative(self):
-        gp = make_pair()
-        with pytest.raises(DomainError):
-            bound_mixed(gp, gp.v0, -1.0, 0.5, 0.5)
+        for v_start, w_sup, w_start in ((3.0 * gp.v0, 0.02, 0.0171),
+                                        (gp.v0, 0.02, -0.013),
+                                        (1.7 * gp.v0, 0.0199, 0.0333)):
+            inline = growth_integral_inv(gp, max(
+                0.0, growth_integral(gp, v_start) + w_sup - w_start))
+            assert bound_from_interior(gp, v_start, w_sup, w_start) == inline
 
     def test_excursion_half_budget(self):
         gp = make_pair()
         v = bound_excursion(gp, 0.02, -0.02)
         assert growth_integral(gp, v) == pytest.approx(0.02, rel=1e-9)
-
-    def test_global_bound_is_excursion_form(self):
-        gp = make_pair()
-        assert global_sup_bound(gp, 0.02, -0.02) == pytest.approx(
-            bound_excursion(gp, 0.02, -0.02)
-        )
 
     def test_sup_bound_curve_envelopes(self):
         gp = make_pair()
@@ -314,7 +296,7 @@ class TestCeilings:
         w_up = 0.02 * np.ones_like(ts)
         w_lo = -0.02 * np.ones_like(ts)
         curve = sup_bound_curve(gp, ts, w_up, w_lo)
-        const = global_sup_bound(gp, 0.02, -0.02)
+        const = bound_excursion(gp, 0.02, -0.02)
         assert np.allclose(curve, const, rtol=1e-12)
 
     def test_sup_bound_curve_uses_future_sup_past_inf(self):
@@ -369,24 +351,3 @@ class TestCeilings:
         with pytest.raises(NoUpperBracket) as info:
             sup_bound_curve(gp, np.arange(3.0), w_up, w_lo)
         assert info.value.z == 0.5 * (6.0 * reach + 4.0 * reach)
-
-
-class TestReturnTime:
-    def test_constant_rate_closed_form(self):
-        ts = np.linspace(-10.0, 10.0, 401)
-        alpha = 2.0 * np.ones_like(ts)
-        gp = make_pair()
-        g0 = gp.g(gp.v0)
-        theta = return_time(ts, alpha, 0.0, 0.02, -0.02, g0)
-        assert theta == pytest.approx(0.04 / g0 / 2.0, rel=1e-9)
-
-    def test_window_exhausted(self):
-        ts = np.linspace(0.0, 1.0, 11)
-        alpha = 1e-6 * np.ones_like(ts)
-        with pytest.raises(WindowExhausted):
-            return_time(ts, alpha, 0.0, 1.0, -1.0, 1.0)
-
-    def test_zero_target_immediate(self):
-        ts = np.linspace(0.0, 1.0, 11)
-        alpha = np.ones_like(ts)
-        assert return_time(ts, alpha, 0.3, -0.5, 0.5, 1.0) == 0.3

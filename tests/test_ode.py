@@ -38,6 +38,19 @@ def oscillator_rhs(t, x):
     return np.array([x[1], (1.0 - x[0] ** 2) * x[1] - x[0]])
 
 
+def sampled(rhs, t0, x0, t_end, taus, **kwargs):
+    """The orbit sampled as a caller samples one: a run without per-step
+    nodes that keeps its steps over ``taus``, in the order they are
+    reached; its start, the dense output at each of ``taus`` it reached
+    and its end or exit node."""
+    run = integrate(rhs, t0, x0, t_end, nodes=False,
+                    keep=[(taus[0], taus[-1])], **kwargs)
+    xs = dense_at(run.steps, taus).reshape(-1, run.xs.shape[1])
+    return dataclasses.replace(
+        run, ts=np.array([t0, *taus[:len(xs)], run.t_end]),
+        xs=np.vstack([run.xs[:1], xs, run.xs[-1:]]))
+
+
 class TestAccuracy:
     def test_exponential_error(self):
         traj = integrate(linear_rhs, 0.0, np.array([1.0, 1.0]), 2.0, tol=1e-9)
@@ -85,26 +98,32 @@ class TestAccuracy:
 
 class TestSampling:
     def test_samples_are_exact_nodes(self):
-        samples = np.array([0.3, 1.1, 1.9])
-        traj = integrate(
-            linear_rhs, 0.0, np.array([1.0, 1.0]), 2.0, tol=1e-9,
-            t_samples=samples,
-        )
+        samples = [0.3, 1.1, 1.9]
+        traj = sampled(linear_rhs, 0.0, np.array([1.0, 1.0]), 2.0, samples,
+                       tol=1e-9)
         assert np.array_equal(traj.ts, np.array([0.0, 0.3, 1.1, 1.9, 2.0]))
+        # the samples are those of the steps a recorded run takes
+        full = integrate(linear_rhs, 0.0, np.array([1.0, 1.0]), 2.0,
+                         tol=1e-9, keep=[(0.3, 1.9)])
+        assert traj.steps.tobytes() == full.steps.tobytes()
+        assert traj.xs[-1].tobytes() == full.x_end.tobytes()
 
     def test_empty_samples(self):
+        # without nodes a run holds only its start and its end
         traj = integrate(
             linear_rhs, 0.0, np.array([1.0, 1.0]), 2.0, tol=1e-9,
-            t_samples=np.array([]),
+            nodes=False,
         )
+        full = integrate(linear_rhs, 0.0, np.array([1.0, 1.0]), 2.0,
+                         tol=1e-9)
         assert np.array_equal(traj.ts, np.array([0.0, 2.0]))
+        assert np.array_equal(traj.xs, full.xs[[0, -1]])
+        assert (traj.n_accepted, traj.n_rejected) == (full.n_accepted,
+                                                      full.n_rejected)
 
     def test_dense_output_accuracy(self):
-        samples = np.linspace(0.1, 1.9, 50)
-        traj = integrate(
-            linear_rhs, 0.0, np.array([1.0, 1.0]), 2.0, tol=1e-10,
-            t_samples=samples,
-        )
+        traj = sampled(linear_rhs, 0.0, np.array([1.0, 1.0]), 2.0,
+                       np.linspace(0.1, 1.9, 50).tolist(), tol=1e-10)
         exact = np.exp(np.outer(traj.ts, [1.0, -1.0]))
         assert np.max(np.abs(traj.xs - exact)) < 1e-8
 
@@ -325,8 +344,8 @@ class TestStepLoop:
             lambda t, x: np.array(qp.rhs(t, x.tolist())), 0.0, x0, 4.0, 1e-9
         )
         samples = np.linspace(0.2, 3.8, 19)
-        traj = integrate(qp.rhs, 0.0, np.array(x0), 4.0, tol=1e-9,
-                         t_samples=samples)
+        traj = sampled(qp.rhs, 0.0, np.array(x0), 4.0, samples.tolist(),
+                       tol=1e-9)
         want = [x0]
         for tau in samples:
             t, x, hs, ks, *_ = next(
@@ -570,8 +589,7 @@ class TestStepLoopProperty:
             for tau in taus
             for s in [next(s for s in steps if _due(tau, s, direction))]
         ]
-        traj = integrate(rhs, t0, np.array(x0), t_end, tol=tol,
-                         t_samples=taus)
+        traj = sampled(rhs, t0, np.array(x0), t_end, taus, tol=tol)
         assert traj.ts.tolist() == [t0, *taus, t_end]
         assert traj.xs.tobytes() == np.array(
             [x0, *dense, steps[-1][5]]).tobytes()
@@ -645,13 +663,14 @@ class TestFloatKernel:
         runs = {}
         for name, kwargs in (
             ("events", {"events": events}),
-            ("samples", {"t_samples": np.linspace(0.2, 3.8, 19)}),
+            ("samples", {"nodes": False, "keep": [(0.2, 3.8)]}),
         ):
             a, b = (integrate(f, 0.0, x0, 4.0, tol=1e-9, **kwargs)
                     for f in (qp.rhs, array_rhs))
             runs[name] = a
             assert np.array_equal(a.ts, b.ts)
             assert np.array_equal(a.xs, b.xs)
+            assert np.array_equal(a.steps, b.steps)
             assert [(e.kind, e.t, e.x.tolist()) for e in a.events] == [
                 (e.kind, e.t, e.x.tolist()) for e in b.events
             ]
@@ -659,7 +678,9 @@ class TestFloatKernel:
                 b.status, b.n_accepted, b.n_rejected, b.n_rhs
             )
         assert runs["events"].status == "event:W_hits_wplus"
-        assert runs["samples"].ts.size == 21
+        assert runs["samples"].ts.size == 2
+        assert dense_at(runs["samples"].steps,
+                        np.linspace(0.2, 3.8, 19)).shape == (19, 2)
 
     def test_compiled_domain_error_reaches_caller(self):
         # x' = x ln x - 1 from 0.5 reaches x = 0 before t = 1
@@ -681,7 +702,7 @@ class TestFloatKernel:
     def test_non_finite_step_is_rejected(self, rhs, x0):
         with pytest.raises(StepSizeUnderflow) as info:
             integrate(rhs, 0.0, np.array([x0]), 10.0, tol=1e-9,
-                      t_samples=np.linspace(0.1, 9.9, 99))
+                      nodes=False, keep=[(0.1, 9.9)])
         assert np.all(np.isfinite(info.value.x))
         assert info.value.t < 2.0
 
@@ -691,8 +712,9 @@ class TestCsvAndCurves:
         qp = make_reference_problem()
         ev = EventSpec("across", lambda t, x: qp.quad_w(t, x) - 0.01,
                        terminal=False)
-        traj = integrate(qp.rhs, 0.0, np.array([0.05, 0.1]), 2.0, tol=1e-9,
-                         events=[ev], t_samples=np.linspace(0.2, 1.8, 9))
+        traj = sampled(qp.rhs, 0.0, np.array([0.05, 0.1]), 2.0,
+                       np.linspace(0.2, 1.8, 9).tolist(), tol=1e-9,
+                       events=[ev])
         path = tmp_path / "traj.csv"
         v = [qp.quad_v(t, x) for t, x in zip(traj.ts.tolist(),
                                              traj.xs.tolist())]
@@ -752,8 +774,8 @@ class TestCsvAndCurves:
         dt = 1e-6
         t_mid = np.linspace(-1.0, 1.0, 21)
         samples = np.sort(np.concatenate([t_mid - dt, t_mid, t_mid + dt]))
-        traj = integrate(qp.rhs, -1.0 - 1e-3, np.array([-0.04, 0.06]),
-                         1.0 + 1e-3, tol=1e-12, t_samples=samples)
+        traj = sampled(qp.rhs, -1.0 - 1e-3, np.array([-0.04, 0.06]),
+                       1.0 + 1e-3, samples.tolist(), tol=1e-12)
         curves = eval_v_w_along(qp, traj)
         ts = curves.ts
         for i, t in enumerate(ts):
@@ -771,8 +793,8 @@ class TestCsvAndCurves:
         from vwbound.quadratic import certify
 
         cert = certify(qp)
-        traj = integrate(qp.rhs, 0.0, np.array([-0.05, 0.05]), 2.0,
-                         tol=1e-9, t_samples=np.linspace(0.2, 1.8, 17))
+        traj = sampled(qp.rhs, 0.0, np.array([-0.05, 0.05]), 2.0,
+                       np.linspace(0.2, 1.8, 17).tolist(), tol=1e-9)
         curves = eval_v_w_along(qp, traj, gp=cert.growth_pair())
         # the trapped solution stays below v0 = 0.02, so no clock runs
         assert np.all(curves.v < 0.021)
@@ -820,8 +842,8 @@ class TestStackedCurves:
     @pytest.mark.parametrize("with_clock", [False, True])
     def test_equals_the_per_node_loop(self, moving_problem, with_clock):
         qp = moving_problem
-        traj = integrate(qp.rhs, -2.0, np.array([0.15, -0.1]), 2.0,
-                         tol=1e-9, t_samples=np.linspace(-1.9, 1.9, 77))
+        traj = sampled(qp.rhs, -2.0, np.array([0.15, -0.1]), 2.0,
+                       np.linspace(-1.9, 1.9, 77).tolist(), tol=1e-9)
         gp = None
         if with_clock:
             # the threshold splits the nodes, so f_dot is nan below it
@@ -861,8 +883,8 @@ class TestExitRow:
         events = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
                                     qp.w_minus, 0.02, 0.15)
         args = (qp.rhs, -5.0, [0.01, 0.0], 20.0)
-        located = integrate(*args, tol=1e-8, events=events, t_samples=())
-        lean = integrate(*args, tol=1e-8, events=events, t_samples=(),
+        located = integrate(*args, tol=1e-8, events=events, nodes=False)
+        lean = integrate(*args, tol=1e-8, events=events, nodes=False,
                          exit_row=([1.0, 0.0], [1.0, 0.0]))
         assert located.status == lean.status == "event:W_hits_wplus"
         assert located.side is None and lean.side == 1.0
@@ -872,12 +894,18 @@ class TestExitRow:
         assert (lean.n_accepted, lean.n_rejected, lean.n_rhs) == (
             located.n_accepted, located.n_rejected, located.n_rhs)
 
-    def test_runs_with_samples_still_locate(self):
+    def test_runs_with_nodes_end_at_the_step(self):
+        # a run that records its steps reads the sign as well, and the
+        # step it ends in is its last node, once
         qp = make_reference_problem()
         events = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
                                     qp.w_minus, 0.02, 0.15)
-        traj = integrate(qp.rhs, -5.0, [0.01, 0.0], 20.0, tol=1e-8,
-                         events=events, t_samples=[-4.0],
+        args = (qp.rhs, -5.0, [0.01, 0.0], 20.0)
+        lean = integrate(*args, tol=1e-8, events=events, nodes=False,
                          exit_row=([1.0, 0.0], [1.0, 0.0]))
-        assert traj.side is None
-        assert [ev.kind for ev in traj.events] == ["W_hits_wplus"]
+        traj = integrate(*args, tol=1e-8, events=events,
+                         exit_row=([1.0, 0.0], [1.0, 0.0]))
+        assert traj.side == lean.side == 1.0 and traj.events == []
+        assert traj.ts.size == traj.n_accepted + 1
+        assert traj.ts[-1] == lean.t_end and np.all(np.diff(traj.ts) > 0.0)
+        assert traj.xs[-1].tobytes() == lean.x_end.tobytes()

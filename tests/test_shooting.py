@@ -29,6 +29,7 @@ from vwbound.errors import (
 from vwbound.expr import MatrixFunction, VectorFunction, compile_stepper
 from vwbound.growth import growth_integral_inv
 from vwbound.ode import (
+    dense_at,
     eval_v_w_along,
     integrate,
     make_region_events,
@@ -137,13 +138,18 @@ class TestDiskChart:
             make_disk_chart(qp, 0.0)
 
 
+def _classify(qp, chart, u, horizon):
+    """An integrated probe with the region levels at v0 = 0.02, V* = 0.15,
+    its exit located."""
+    events = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus,
+                                0.02, 0.15)
+    return classify_start(qp, chart, u, horizon, 1e-8, events, None)
+
+
 class TestClassifyStart:
     def test_center_exit_matches_closed_form(self, reference_problem):
         chart = make_disk_chart(reference_problem, -5.0)
-        res = classify_start(
-            reference_problem, chart, np.array([0.0]), horizon=20.0,
-            v0=0.02, v_star=0.15,
-        )
+        res = _classify(reference_problem, chart, np.array([0.0]), 20.0)
         assert not res.is_stayed
         assert res.kind == "W_hits_wplus"
 
@@ -164,10 +170,7 @@ class TestClassifyStart:
         # the orbit from the centre passes V = v0 on its way out (W = w+
         # forces V >= w+ = v0), but only the exit itself is located
         chart = make_disk_chart(reference_problem, -5.0)
-        res = classify_start(
-            reference_problem, chart, np.array([0.0]), horizon=20.0,
-            v0=0.02, v_star=0.15,
-        )
+        res = _classify(reference_problem, chart, np.array([0.0]), 20.0)
         assert [ev.kind for ev in res.traj.events] == ["W_hits_wplus"]
 
     @pytest.mark.parametrize("u, horizon", [
@@ -179,8 +182,7 @@ class TestClassifyStart:
         # or exit node, and otherwise ends exactly as a recorded run
         qp = reference_problem
         chart = make_disk_chart(qp, -5.0)
-        res = classify_start(qp, chart, np.array([u]), horizon=horizon,
-                             v0=0.02, v_star=0.15)
+        res = _classify(qp, chart, np.array([u]), horizon)
         full = integrate(qp.rhs, -5.0, chart.point([u]), horizon, tol=1e-8,
                          events=make_region_events(qp.quad_w, qp.quad_v,
                                                    qp.w_plus, qp.w_minus,
@@ -200,20 +202,15 @@ class TestClassifyStart:
 
     def test_boundary_start_exits_immediately(self, reference_problem):
         chart = make_disk_chart(reference_problem, -5.0)
-        res = classify_start(
-            reference_problem, chart, np.array([chart.radius]),
-            horizon=20.0, v0=0.02, v_star=0.15,
-        )
+        res = _classify(reference_problem, chart, np.array([chart.radius]),
+                        20.0)
         assert not res.is_stayed
         assert res.t == -5.0
 
     def test_trapped_center_stays(self, reference_problem):
         chart = make_disk_chart(reference_problem, -5.0)
         u_star = particular_x1(-5.0)
-        res = classify_start(
-            reference_problem, chart, np.array([u_star]), horizon=10.0,
-            v0=0.02, v_star=0.15,
-        )
+        res = _classify(reference_problem, chart, np.array([u_star]), 10.0)
         assert res.is_stayed
 
 
@@ -242,9 +239,10 @@ class TestTrappedStart:
         assert got.stayed
         assert got.u == pytest.approx(np.zeros(2), abs=1e-12)
 
-    def test_multidim_budget_exhausted(self):
+    def test_multidim_budget_exhausted(self, monkeypatch):
         qp = make_3d_problem(force=0.1)
-        cfg = ShootingConfig(horizon_span=8.0, budget=5)
+        cfg = ShootingConfig(horizon_span=8.0)
+        monkeypatch.setattr(shooting, "BUDGET", 5)
         with pytest.raises(BudgetExhausted) as info:
             find_trapped_start(qp, -5.0, 0.02, 0.15, config=cfg)
         assert "does not disprove existence" in str(info.value)
@@ -284,9 +282,8 @@ class TestLeanProbe:
         classify = shooting.classify_start
         counts = {"unlocated": 0, "located": 0, "stayed": 0}
 
-        def spy(qp, chart, u, horizon, v0, v_star, tol, events, exit_row):
-            res = classify(qp, chart, u, horizon, v0, v_star, tol, events,
-                           exit_row)
+        def spy(qp, chart, u, horizon, tol, events, exit_row):
+            res = classify(qp, chart, u, horizon, tol, events, exit_row)
             if res.is_stayed:
                 counts["stayed"] += 1
                 return res
@@ -294,8 +291,7 @@ class TestLeanProbe:
                 counts["located"] += 1
                 return res
             counts["unlocated"] += 1
-            ref = classify(qp, chart, u, horizon, v0, v_star, tol, events,
-                           None)
+            ref = classify(qp, chart, u, horizon, tol, events, None)
             assert ref.side is None
             assert ref.kind == res.kind
             # the bisection reads only the sign of the side
@@ -323,9 +319,10 @@ class TestLeanProbe:
         chart = make_disk_chart(qp, -5.0)
         events = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
                                     qp.w_minus, 0.02, 0.15)
-        lean = classify_start(qp, chart, np.array([0.0]), 20.0, 0.02, 0.15,
-                              1e-8, events, shooting._exit_row(qp, chart))
-        plain = classify_start(qp, chart, np.array([0.0]), 20.0, 0.02, 0.15)
+        lean = classify_start(qp, chart, np.array([0.0]), 20.0, 1e-8, events,
+                              shooting._exit_row(qp, chart))
+        plain = classify_start(qp, chart, np.array([0.0]), 20.0, 1e-8, events,
+                               None)
         assert lean.kind == plain.kind == "W_hits_wminus"
         assert lean.side is None and lean.x[0] == 0.0
         assert (lean.t, lean.x.tolist()) == (plain.t, plain.x.tolist())
@@ -406,9 +403,8 @@ class TestClosedFormProbe:
             qp, chart, shooting._pair_run(qp, chart, horizon, 1e-8), events)
 
         def integrated(u):
-            return classify_start(qp, chart, np.array([u]), horizon, v0,
-                                  v_star, 1e-8, events,
-                                  shooting._exit_row(qp, chart))
+            return classify_start(qp, chart, np.array([u]), horizon, 1e-8,
+                                  events, shooting._exit_row(qp, chart))
 
         def side(res):
             return math.copysign(1.0, shooting._exit_side(qp, chart, res))
@@ -498,14 +494,15 @@ def _count_integrations(monkeypatch):
 
 def _separate_patch(qp, start, claim, tol):
     """The patch as a run of its own gave it: the pair system integrated
-    to the claim's end with the claim's other times as samples, combined
-    as ``p + u q``; and the start of that run's last, clipped step."""
+    to the claim's end, sampled on the dense output of its steps at the
+    claim's other times and at its end node, combined as ``p + u q``; and
+    the start of that run's last, clipped step."""
     x0 = np.concatenate([np.zeros(qp.n), start.chart.basis[:, 0]])
     run = integrate(qp.pair_rhs, start.t, x0, float(claim[-1]), tol=tol,
-                    t_samples=claim[:-1])
-    steps = integrate(qp.pair_rhs, start.t, x0, float(claim[-1]), tol=tol)
+                    keep=[(claim[0], claim[-1])])
+    pairs = np.vstack([dense_at(run.steps, claim[:-1]), run.xs[-1:]])
     u = float(start.u[0])
-    return run.xs[1:, :qp.n] + u * run.xs[1:, qp.n:], steps.ts[-2]
+    return pairs[:, :qp.n] + u * pairs[:, qp.n:], run.ts[-2]
 
 
 def _separate_xi(qp, start, tol):
@@ -601,7 +598,10 @@ class TestSearchRunReuse:
     def test_xi_rung_below_the_horizon(self, monkeypatch):
         # the search run from t = -40 ends at -4, so the rung has no x(0):
         # the walk, should it get there, runs the pair system to 0 and
-        # reads the region levels off its nodes, as the rung would have
+        # reads the region levels off its nodes, as the rung would have.
+        # No node's level value clears its rounding bound (which grows
+        # like e^40), so no exit is read, but x(0) is not inside either:
+        # W = 36 there against w+ = 0.02, and the orbit is undecided
         doc = load_problem_document(str(DEMOS / "saddle.problem"))
         qp = doc.to_problem()
         cert = certify(qp)
@@ -619,8 +619,10 @@ class TestSearchRunReuse:
         orbits = shooting._PairOrbits(qp, rung.start.chart, nodes, exits)
         u = float(rung.start.u[0])
         hit = orbits.first_exit(u, orbits.states(u))
-        assert (orbit.status == "reached_end") == (hit is None)
-        assert orbit.ts[0] == -40.0
+        assert hit is None and orbit.status == "undecided"
+        assert orbit.ts.tolist() == [-40.0, 0.0]
+        assert qp.quad_w(0.0, orbit.x_end) > 1000.0 * qp.w_plus
+        assert not orbits.inside_at_end(u, orbits.states(u))
 
     def test_pair_run_that_underflows_integrates_the_orbits(
         self, monkeypatch,
