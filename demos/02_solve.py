@@ -5,7 +5,10 @@ Shooting for the trapped solution
 The saddle has exactly one solution that never leaves the region: every
 other start blows up through the growing direction.  The shooting stage
 finds it by bisecting entry-disk starts at ever earlier times t_j and
-watching which side of the disk the escape happens on.
+watching which side of the disk the escape happens on.  The system is
+linear, so one run carries the orbit of every start: the bisection
+starts from a cell of a few rounding steps around the start whose
+growing coordinate vanishes at the end of that run.
 
 The closed form (variation of constants) is
 
@@ -38,11 +41,11 @@ doc = load_problem_document(os.path.join(HERE, "saddle.problem"))
 qp = doc.to_problem()
 cert = certify(qp, seed=doc.seed)
 
-# one bisection, shown in isolation: the trapped start at t = -5 is the
+# one search, shown in isolation: the trapped start at t = -5 is the
 # disk coordinate u* with x(-5) = (u*, 0); compare with the closed form
 start = find_trapped_start(qp, -5.0, cert.v0, cert.v_star)
 print(f"trapped start at t = -5: u* = {start.u[0]:.12g}  "
-      f"({start.iterations} bisection steps)")
+      f"({start.iterations} probes, bracket {start.bracket_width:.1e})")
 print(f"closed form:             {exact(-5.0)[0]:.12g}")
 print()
 

@@ -346,7 +346,6 @@ def attach_solution(rep: RunReport, sol, exit_code: int) -> None:
     rep.add("solution.coverage.lo", float(sol.traj.ts[0]))
     rep.add("solution.coverage.hi", float(sol.traj.ts[-1]))
     rep.add("solution.nodes", int(sol.traj.ts.size))
-    _put_numbered(rep, "solution.note", sol.notes)
     # what the search did, per rung: counts only, so reports of one
     # problem compare across machines
     rep.add("stats.shooting.rungs", len(sol.rungs))

@@ -5,10 +5,11 @@ Starts are taken on the ellipsoidal disk ``M_t = { x in L_+(t) :
 exits through one of the watched boundaries; the sign of its L_+ chart
 coordinate at the exit is a topological invariant of the exit map (a
 trapped start must sit between starts that exit on opposite sides),
-so for a one-dimensional positive subspace plain bisection localizes a
-trapped start to machine resolution.  Higher-dimensional disks use a
-budgeted refinement heuristic (existence is topological; localization is
-not guaranteed and failures say so).
+so for a one-dimensional positive subspace bisection localizes a trapped
+start to machine resolution; the evidence is the final bracket, not the
+halvings that led to it.  Higher-dimensional disks use a budgeted
+refinement heuristic (existence is topological; localization is not
+guaranteed and failures say so).
 
 The returned trajectory is assembled from a ladder of trapped starts, one
 per ``|T-| / J_COUNT`` of time (the spacing of the xi schedule, so the
@@ -25,9 +26,12 @@ depend on the state and the disk is one-dimensional, the flow is affine
 in the start, so one run of the ``2n``-state pair system
 (:attr:`~vwbound.quadratic.QuadraticProblem.pair_rhs`) from the disk
 centre and the chart's basis vector carries every probe's orbit as
-``p + u q`` (:class:`_PairOrbits`): a probe reads its exit and side off
-that run's nodes, in closed form, and the rung reads its patch and x(0)
-off the dense output of the steps the run keeps over them (:func:`_patch`,
+``p + u q`` (:class:`_PairOrbits`): the bisection starts from a cell of
+a few u_tol around ``-s_p(T) / s_q(T)``, from the chart coordinates of
+``p`` and ``q`` at the horizon T, so a search takes a few probes instead
+of ~53; a probe reads its exit and side off that run's nodes, in closed
+form, and the rung reads its patch and x(0) off the dense output of the
+steps the run keeps over them (:func:`_patch`,
 :func:`_pair_xi`), so that no orbit is integrated twice; an x(0) read so
 counts only where every level counts as inside at 0, so that rounding
 cannot hide an exit.  Otherwise each probe is an integration
@@ -124,6 +128,11 @@ XI_TOL = 1e-5
 CLOCK_TOL = 1e-6
 # classify calls a search on a disk of dimension >= 2 may spend
 BUDGET = 2000
+# a closed-form search's first bracket: this many u_tol either side of the
+# horizon root, widened by SEED_GROWTH until its ends exit on opposite
+# sides; on saddle 42 probes for 14 rungs, none widened (716 from the disk)
+SEED_HALF_WIDTH = 4.0
+SEED_GROWTH = 256.0
 
 
 @dataclass
@@ -189,7 +198,7 @@ class ShootingConfig:
     ``integrator_tol`` is the integrator's local error tolerance, in
     ``[ode.TOL_MIN, ode.TOL_MAX]``; ``horizon_span`` how far a start must
     stay to count as trapped; ``bracket`` the chart interval a
-    one-dimensional search starts from (default the whole disk).
+    one-dimensional search brackets the start in (default the whole disk).
     """
 
     integrator_tol: float = 1e-8
@@ -411,16 +420,26 @@ class _PairOrbits:
         xm = x @ mat if mat.ndim == 2 else (x[:, None, :] @ mat)[:, 0, :]
         return ((xm * np.tile(y, self.n_forms)) @ self.blocks).T
 
+    def _levels(self, u: float, x: np.ndarray, rows: slice):
+        """The rounding rule's ``(g, r)`` at the nodes ``rows`` of the
+        orbit ``x`` from ``chart.point(u)``, a row per level."""
+        x = x[rows]
+        x_abs = np.abs(x)
+        b = self.mag_p[rows] + abs(u) * self.mag_q[rows] + x_abs
+        mat, mat_abs = self.mat, self.mat_abs
+        if mat.ndim == 3:
+            mat, mat_abs = mat[rows], mat_abs[rows]
+        values = self._pairing(mat, x, x)
+        bounds = self._pairing(mat_abs, x_abs + self.eps * b, b)
+        g = self.direction * (values[self.which] - self.level)
+        r = self.slack * bounds[self.which] + self.eps * np.abs(self.level)
+        return g, r
+
     def first_exit(self, u: float, x: np.ndarray):
         """``(k, events)``: the first node ``k >= 1`` where the orbit ``x``
         from ``chart.point(u)`` crosses a level, by the rounding rule, and
         the events crossed there; ``None`` when it crosses none."""
-        x_abs = np.abs(x)
-        b = self.mag_p + abs(u) * self.mag_q + x_abs
-        values = self._pairing(self.mat, x, x)
-        bounds = self._pairing(self.mat_abs, x_abs + self.eps * b, b)
-        g = self.direction * (values[self.which] - self.level)
-        r = self.slack * bounds[self.which] + self.eps * np.abs(self.level)
+        g, r = self._levels(u, x, slice(None))
         out, inside = g > r, g < -r
         # per level, the last node up to each one where it counted (node 0
         # when none did, which then counts as inside only if it was)
@@ -437,15 +456,17 @@ class _PairOrbits:
     def inside_at_end(self, u: float, x: np.ndarray) -> bool:
         """Whether every level counts as inside at the last node of the
         orbit ``x`` from ``chart.point(u)``, by the rounding rule."""
-        x = x[-1:]
-        x_abs = np.abs(x)
-        b = self.mag_p[-1:] + abs(u) * self.mag_q[-1:] + x_abs
-        mat = self.mat if self.mat.ndim == 2 else self.mat[-1:]
-        values = self._pairing(mat, x, x)
-        bounds = self._pairing(np.abs(mat), x_abs + self.eps * b, b)
-        g = self.direction * (values[self.which] - self.level)
-        r = self.slack * bounds[self.which] + self.eps * np.abs(self.level)
+        g, r = self._levels(u, x, slice(-1, None))
         return bool((g < -r).all())
+
+    def root_at_end(self) -> float | None:
+        """The start whose chart coordinate vanishes at the run's last
+        node, ``-s_p / s_q`` there; ``None`` when that is not finite."""
+        chart = _exit_chart(self.qp, self.chart, float(self.ts[-1]))
+        s_p = float(chart.coords(self.p[-1])[0])
+        s_q = float(chart.coords(self.q[-1])[0])
+        u = -s_p / s_q if s_q else math.nan
+        return u if math.isfinite(u) else None
 
     def probe(self, u: float) -> Stayed | Exited | None:
         """:func:`classify_start` at ``chart.point(u)`` in closed form, or
@@ -489,13 +510,18 @@ def find_trapped_start(
     region until ``t_j + horizon_span``.
 
     One-dimensional positive subspace: bisection on the chart interval,
-    steered by the sign of the exit chart coordinate.  Raises
-    :class:`NoSignChange` when both bracket ends exit the same side.
-    With A free of the state, the probes are read off one run of the pair
-    system to the horizon, its steps kept over the ``keep`` windows
-    (:class:`_PairOrbits`; the start is then ``closed_form`` and carries
-    the run), and only a probe no node may decide is integrated
-    (:func:`classify_start`), as every probe is otherwise.
+    steered by the sign of the exit chart coordinate, from a bracket
+    (``config.bracket``, default the disk) whose ends exit on opposite
+    sides.  Raises :class:`NoSignChange` when both ends exit the same
+    side.  With A free of the state, the probes are read off one run of
+    the pair system to the horizon, its steps kept over the ``keep``
+    windows (:class:`_PairOrbits`; the start is then ``closed_form`` and
+    carries the run), and only a probe no node may decide is integrated
+    (:func:`classify_start`), as every probe is otherwise.  Such a
+    search bisects from a cell around the run's horizon root
+    (:meth:`_PairOrbits.root_at_end`), widened while both its ends exit
+    on one side; its last widening is the bracket.  A start that stays
+    ends the search.
 
     Higher-dimensional disks: budgeted refinement around the start with
     the latest exit (a heuristic — existence is guaranteed by the
@@ -505,7 +531,7 @@ def find_trapped_start(
     config = config or ShootingConfig()
     chart = make_disk_chart(qp, t_j)
     horizon = t_j + config.horizon_span
-    u_tol = 4.0 * np.finfo(float).eps * chart.radius
+    u_tol = 4.0 * float(np.finfo(float).eps) * chart.radius
 
     steps = [0, 0]  # accepted and rejected, over the integrations so far
     events = make_region_events(
@@ -554,22 +580,36 @@ def find_trapped_start(
 
     if chart.n_plus == 1:
         lo, hi = config.bracket or (-chart.radius, chart.radius)
-        side_lo, res_lo = side_of(lo)
-        if side_lo is None:
-            return found(np.array([lo]), 1, hi - lo, True)
-        side_hi, res_hi = side_of(hi)
-        if side_hi is None:
-            return found(np.array([hi]), 2, hi - lo, True)
-        if side_lo * side_hi > 0.0:
-            raise NoSignChange(
-                f"both bracket ends [{lo:.6g}, {hi:.6g}] exit with chart "
-                f"side {math.copysign(1.0, side_lo):+.0f} at t_j = {t_j:g}",
-                side=math.copysign(1.0, side_lo),
-            )
-        if side_lo > 0.0:
-            lo, hi = hi, lo  # keep the negative side at lo
-        kinds = {res_lo.kind, res_hi.kind}
-        iters = 2
+        # the bracket starts as a cell around the horizon root of a pair
+        # run, else as the whole of (lo, hi)
+        guess = None if closed is None else closed.root_at_end()
+        half = math.inf if guess is None else SEED_HALF_WIDTH * u_tol
+        guess = 0.0 if guess is None else min(max(guess, lo), hi)
+        sides = {}  # cell end -> its exit side
+        kinds = set()
+        iters = 0
+        while True:
+            cell = (max(lo, guess - half), min(hi, guess + half))
+            for end in cell:
+                if end not in sides:
+                    sides[end], res = side_of(end)
+                    iters += 1
+                    if sides[end] is None:
+                        return found(np.array([end]), iters,
+                                     cell[1] - cell[0], True, kinds)
+                    kinds.add(res.kind)
+            side_lo, side_hi = sides[cell[0]], sides[cell[1]]
+            if side_lo * side_hi <= 0.0:
+                break
+            if cell == (lo, hi):
+                raise NoSignChange(
+                    f"both bracket ends [{lo:.6g}, {hi:.6g}] exit with chart "
+                    f"side {math.copysign(1.0, side_lo):+.0f} at "
+                    f"t_j = {t_j:g}",
+                    side=math.copysign(1.0, side_lo),
+                )
+            half *= SEED_GROWTH
+        lo, hi = cell[::-1] if side_lo > 0.0 else cell  # negative side at lo
         while abs(hi - lo) > u_tol and iters < 200:
             mid = 0.5 * (lo + hi)
             side_mid, res_mid = side_of(mid)
@@ -850,7 +890,6 @@ class BoundedSolutionResult:
     sup_v_time: float
     starts: list  # TrappedStart per ladder rung
     rungs: list  # TrappedStart per rung searched, by time
-    notes: list = field(default_factory=list)
 
 
 def _read(part):
@@ -896,7 +935,6 @@ def bounded_solution(
     exits = make_region_events(
         qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
     )
-    notes: list[str] = []
 
     # the xi schedule and the trajectory ladder, reaching high enough
     # that the last settled span (t_k + SETTLE, t_k + SETTLE + spacing]
@@ -949,6 +987,7 @@ def bounded_solution(
     converged_at = 0
     prev_xi = None
     prev_d = math.inf
+    stopped = ""  # why the walk stopped before converging, if it did
     for j, t_j in enumerate(xi_times, start=1):
         r = rung(t_j)
         start = _read(r.start)
@@ -956,10 +995,10 @@ def bounded_solution(
         if traj is None:
             traj = _xi_orbit(qp, start, config.integrator_tol, exits)
         if traj.status != "reached_end":
-            notes.append(
-                f"orbit from t_j = {t_j:g} does not reach 0 inside the "
-                f"region ({traj.status} at t = {traj.t_end:.6g}); xi_{j} "
-                "unavailable"
+            stopped = (
+                f"; the orbit from t_j = {t_j:g} does not reach 0 inside "
+                f"the region ({traj.status} at t = {traj.t_end:.6g}), so "
+                f"xi_{j} is unavailable"
             )
             break
         xi_j = traj.x_end
@@ -975,7 +1014,7 @@ def bounded_solution(
     if not converged_at:
         raise NotConverged(
             "xi increments never dropped below the tolerance "
-            f"{XI_TOL:g} on the available rungs",
+            f"{XI_TOL:g} on the available rungs{stopped}",
             xi_sequence=xi_sequence,
         )
     xi = xi_sequence[-1][2]
@@ -1004,7 +1043,6 @@ def bounded_solution(
              if isinstance(r.start, TrappedStart)),
             key=lambda s: s.t,
         ),
-        notes=notes,
     )
 
 

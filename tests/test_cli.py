@@ -227,6 +227,26 @@ class TestSolve:
         assert rep.get_int("solution.exit.code") == 4
         assert rep.has("solution.error")
 
+    def test_unavailable_xi_is_named(self, ref_doc, cert_file, tmp_path,
+                                     capsys, monkeypatch):
+        # an xi orbit that does not reach 0 inside the region stops the
+        # walk; why is part of the exit-4 message
+        def undecided(qp, start, run, events):
+            return Trajectory(ts=np.array([start.t, 0.0]),
+                              xs=np.zeros((2, qp.n)), status="undecided")
+
+        monkeypatch.setattr(shooting, "_pair_xi", undecided)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        code = main(["solve", ref_doc, "--cert", cert_file,
+                     "--out", str(tmp_path)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solve failed: xi increments never dropped")
+        assert ("the orbit from t_j = -5 does not reach 0 inside the region "
+                "(undecided at t = 0), so xi_1 is unavailable\n") in err
+        rep = RunReport.load(tmp_path / "solve-report.txt")
+        assert f"solve failed: {rep.get('solution.error')}\n" == err
+
 
     def test_failed_rung_in_a_worker_exits_as_in_one_process(
         self, ref_doc, cert_file, tmp_path, capsys, monkeypatch,

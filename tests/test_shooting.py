@@ -224,13 +224,22 @@ class TestTrappedStart:
         # the bisection separates them by the sign of x1 at exit
         assert got.exit_kinds == ("W_hits_wplus",)
 
-    def test_same_side_bracket_refused(self, reference_problem):
+    def test_same_side_bracket_refused(self, monkeypatch,
+                                       reference_problem):
+        # the horizon root lies below the bracket: the first cell sits at
+        # the bracket's lower end and widens until it is the bracket
         chart = make_disk_chart(reference_problem, -5.0)
-        cfg = ShootingConfig(bracket=(0.5 * chart.radius, chart.radius))
+        lo, hi = 0.5 * chart.radius, chart.radius
+        seen = _probed(monkeypatch)
         with pytest.raises(NoSignChange) as info:
             find_trapped_start(reference_problem, -5.0, 0.02, 0.15,
-                               config=cfg)
+                               config=ShootingConfig(bracket=(lo, hi)))
         assert info.value.side == 1.0
+        assert str(info.value) == ("both bracket ends [0.0707107, 0.141421] "
+                                   "exit with chart side +1 at t_j = -5")
+        assert min(seen) == lo and max(seen) == hi and len(seen) > 3
+        assert all(shooting._exit_side(reference_problem, chart, res) > 0.0
+                   for res in seen.values())
 
     def test_multidim_disk_origin_trapped(self):
         qp = make_3d_problem(force=0.0)
@@ -376,24 +385,15 @@ class TestClosedFormProbe:
     """With A free of the state, a probe on a one-dimensional disk reads
     its orbit off one run of the pair system (shooting._PairOrbits).  More
     than 1e-6 from the root, where rounding cannot flip what a probe sees,
-    it must see what an integrated probe sees."""
+    it must see what an integrated probe sees: on a grid over the disk,
+    and at distances ``r 2^-k`` either side of the root."""
 
     @pytest.mark.parametrize("name", ["saddle", "t-dependent-c",
                                       "rotated-3"])
-    def test_sides_and_kinds_are_the_integrated_ones(self, monkeypatch,
-                                                     tmp_path, name):
+    def test_sides_and_kinds_are_the_integrated_ones(self, tmp_path, name):
         qp = _closed_form_problem(name, tmp_path)
         t, v0, v_star = -5.0, 0.02, 0.15
-        visited = []
-        probe = shooting._PairOrbits.probe
-
-        def spy(orbits, u):
-            visited.append(u)
-            return probe(orbits, u)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(shooting._PairOrbits, "probe", spy)
-            start = find_trapped_start(qp, t, v0, v_star)
+        start = find_trapped_start(qp, t, v0, v_star)
         assert start.closed_form and start.chart.n_plus == 1
         chart = start.chart
         horizon = t + ShootingConfig().horizon_span
@@ -411,7 +411,9 @@ class TestClosedFormProbe:
 
         root = float(start.u[0])
         grid = np.linspace(-chart.radius, chart.radius, 41)[1:-1].tolist()
-        starts = [u for u in grid + visited if abs(u - root) > 1e-6]
+        near = [root + sign * chart.radius * 2.0 ** -k
+                for k in range(1, 20) for sign in (-1.0, 1.0)]
+        starts = [u for u in grid + near if abs(u - root) > 1e-6]
         assert len(starts) > 50
         for u in starts:
             closed, ref = orbits.probe(u), integrated(u)
@@ -423,6 +425,103 @@ class TestClosedFormProbe:
             assert closed.t == ref.t == t
             assert closed.kind == ref.kind == "W_hits_wplus"
             assert side(closed) == side(ref) == math.copysign(1.0, u)
+
+
+def _probed(monkeypatch):
+    """``{u: result}`` of every closed-form probe the searches make."""
+    seen = {}
+    probe = shooting._PairOrbits.probe
+
+    def spy(orbits, u):
+        seen[u] = probe(orbits, u)
+        return seen[u]
+
+    monkeypatch.setattr(shooting._PairOrbits, "probe", spy)
+    return seen
+
+
+def _assert_bracketed(start, seen):
+    """The start stayed, and the probed starts nearest it on either side
+    exit on opposite decided sides, at most its bracket width apart."""
+    u = float(start.u[0])
+    assert start.stayed and seen[u].is_stayed
+    below = max(v for v in seen if v < u)
+    above = min(v for v in seen if v > u)
+    assert above - below <= start.bracket_width
+    assert seen[below].side * seen[above].side == -1.0
+
+
+# the start found by bisecting the whole disk (the search before the
+# seeded bracket), by problem, at t = -5, -10, -20 and -35
+FULL_DISK_STARTS = {
+    "saddle": ("-0x1.fcf6a24dde624p-5", "0x1.e3691d849e480p-7",
+               "0x1.9d957c085eca8p-6", "0x1.858993dab9914p-6"),
+    "t-dependent-c": ("-0x1.c75f8c9ce55d4p-5", "0x1.dc8a362a8715cp-7",
+                      "0x1.a8fba691d4f6cp-6", "0x1.a66ace08c1736p-6"),
+    "rotated-3": ("0x1.ae40dbb365432p-8", "0x1.f0abc558d7ad9p-8",
+                  "-0x1.ff1b9e8f16e57p-9", "0x1.2e3b1fa6a658ep-7"),
+}
+
+
+class TestSeededBracket:
+    """A closed-form search starts its bracket from a cell of a few u_tol
+    around the start whose chart coordinate vanishes at the horizon, and
+    widens the cell until its ends exit on opposite sides."""
+
+    @pytest.mark.parametrize("name", sorted(FULL_DISK_STARTS))
+    def test_same_start_as_the_whole_disk(self, monkeypatch, tmp_path,
+                                          name):
+        qp = _closed_form_problem(name, tmp_path)
+        seen = _probed(monkeypatch)
+        for t, want in zip((-5.0, -10.0, -20.0, -35.0),
+                           FULL_DISK_STARTS[name]):
+            seen.clear()
+            start = find_trapped_start(qp, t, 0.02, 0.15)
+            u_tol = 4.0 * np.finfo(float).eps * start.chart.radius
+            assert abs(start.u[0] - float.fromhex(want)) <= 4.0 * u_tol, t
+            assert start.closed_form and start.iterations <= 6
+            _assert_bracketed(start, seen)
+
+    @pytest.mark.parametrize("offset", [1e-9, -3e-3, 0.5])
+    def test_a_cell_that_misses_the_root_widens(self, monkeypatch, offset):
+        # the cell around a guess moved off the horizon root has both ends
+        # on one side; it widens until they differ, clipped to the disk,
+        # and the bisection then finds the same start
+        qp = make_reference_problem()
+        want = find_trapped_start(qp, -5.0, 0.02, 0.15)
+        root = shooting._PairOrbits.root_at_end
+        monkeypatch.setattr(shooting._PairOrbits, "root_at_end",
+                            lambda orbits: root(orbits) + offset)
+        seen = _probed(monkeypatch)
+        got = find_trapped_start(qp, -5.0, 0.02, 0.15)
+        u_tol = 4.0 * np.finfo(float).eps * got.chart.radius
+        assert abs(got.u[0] - want.u[0]) <= 4.0 * u_tol
+        assert got.iterations > want.iterations + 2
+        _assert_bracketed(got, seen)
+
+    def test_horizon_root_stays_on_a_short_horizon(self):
+        # with an 8-unit horizon the starts that stay fill an interval of
+        # ~5e-4, which holds the horizon root (~2e-5 off the exact start)
+        # and the cell around it: the cell's first end is the start
+        qp = make_reference_problem()
+        got = find_trapped_start(qp, -5.0, 0.02, 0.15,
+                                 ShootingConfig(horizon_span=8.0))
+        assert got.stayed and got.iterations == 1
+        assert got.u[0] == pytest.approx(particular_x1(-5.0), abs=1e-4)
+
+    def test_probes_per_saddle_solve(self, monkeypatch):
+        # 716 from the whole disk; the same on one and on two CPUs
+        doc = load_problem_document(str(DEMOS / "saddle.problem"))
+        qp = doc.to_problem()
+        cert = certify(qp)
+        counts = []
+        for cpus in (1, 2):
+            _affinity(monkeypatch, cpus)
+            sol = bounded_solution(qp, cert,
+                                   ShootingConfig(integrator_tol=doc.tol))
+            counts.append([r.iterations for r in sol.rungs])
+        assert counts[0] == counts[1]
+        assert sum(counts[0]) <= 84
 
 
 class TestProbeDispatch:
@@ -758,8 +857,8 @@ def assert_same_solution(a, b, qp, tmp_path):
         assert np.array_equal(x, y)
     assert ([(j, t, xi.tolist()) for j, t, xi in a.xi_sequence]
             == [(j, t, xi.tolist()) for j, t, xi in b.xi_sequence])
-    assert ((a.converged_at_j, a.sup_v, a.sup_v_time, a.notes)
-            == (b.converged_at_j, b.sup_v, b.sup_v_time, b.notes))
+    assert ((a.converged_at_j, a.sup_v, a.sup_v_time)
+            == (b.converged_at_j, b.sup_v, b.sup_v_time))
     for field_a, field_b in ((a.starts, b.starts), (a.rungs, b.rungs)):
         assert ([_rung_record(s) for s in field_a]
                 == [_rung_record(s) for s in field_b])
