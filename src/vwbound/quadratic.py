@@ -526,7 +526,6 @@ def limits_from_tail(
 
 @dataclass
 class ConditionResult:
-    name: str
     passed: bool
     margin: float = math.nan
     window_certified: bool = False
@@ -646,7 +645,7 @@ def certify(
         ) from None
     min_b_eig = float(np.min(np.linalg.eigvalsh(grid.b)[:, 0]))
     conditions["a"] = ConditionResult(
-        name="B positive definite", passed=min_b_eig > 0.0, margin=min_b_eig
+        passed=min_b_eig > 0.0, margin=min_b_eig
     )
 
     # (b) C finite and nondegenerate with constant signature on the whole
@@ -660,7 +659,6 @@ def certify(
     lam_minus, lam_plus = lambda_extremes(pencil)
     eigs = np.abs(np.concatenate([proj.eigs_minus, proj.eigs_plus], axis=-1))
     conditions["b"] = ConditionResult(
-        name="C nondegenerate, constant signature",
         passed=True,
         margin=float(np.min(np.min(eigs, axis=-1) / np.max(eigs, axis=-1))),
         note=f"signature (+{proj.n_plus}, -{proj.n_minus})",
@@ -690,7 +688,6 @@ def certify(
     # (c) sign conventions (the ambient domain is the whole space here,
     # so the containment part is automatic)
     conditions["c"] = ConditionResult(
-        name="region sign conventions",
         passed=(qp.w_minus < 0.0 < qp.w_plus) and v0 > 0.0,
         margin=min(qp.w_plus, -qp.w_minus, v0),
         note="ambient domain is all of R^(1+n)",
@@ -700,7 +697,6 @@ def certify(
     margin_hi = float(np.min(qp.w_plus - lam_plus * v0))
     margin_lo = float(np.min(lam_minus * v0 - qp.w_minus))
     conditions["d"] = ConditionResult(
-        name="entry/exit disk inclusions",
         passed=margin_hi >= 0.0 and margin_lo >= 0.0,
         margin=min(margin_hi, margin_lo),
     )
@@ -708,7 +704,6 @@ def certify(
     # (g) + tail limits
     tail = limits_from_tail(ts, lam_mp, lam_minus, qp.w_plus, v0)
     conditions["g"] = ConditionResult(
-        name="positive tail of lam_minus_plus",
         passed=True,
         margin=float(np.max(lam_mp[ts <= tail.tail_span[1]])),
         window_certified=True,
@@ -770,7 +765,6 @@ def certify(
         notes.append(f"V* chosen automatically as {v_star:.9g}")
 
     conditions["e"] = ConditionResult(
-        name="growth constants fit",
         passed=True,
         margin=v0 - best.c2**2,
         note=(
@@ -789,7 +783,6 @@ def certify(
     alpha = alpha_curve(qp, ts, v0, v_star, rng, grid, sampling)
     if np.any(np.isnan(alpha)):
         conditions["f"] = ConditionResult(
-            name="alpha integral divergence",
             passed=False,
             window_certified=True,
             note="alpha had empty sample sets on the grid",
@@ -804,7 +797,6 @@ def certify(
         target = (qp.w_plus - qp.w_minus) / g_v0
         passed_f = min(int_left, int_right) >= target
         conditions["f"] = ConditionResult(
-            name="alpha integral divergence",
             passed=passed_f,
             margin=min(int_left, int_right) - target,
             window_certified=True,
@@ -814,7 +806,6 @@ def certify(
             ),
         )
     conditions["B"] = ConditionResult(
-        name="return-clock divergence (general form)",
         passed=conditions["f"].passed,
         margin=conditions["f"].margin,
         window_certified=True,
@@ -831,7 +822,6 @@ def certify(
         v_star, gp, tail.nu, tail.omega_tilde, tail.omega0, qp.w_plus
     )
     conditions["V*"] = ConditionResult(
-        name="ceiling strictly above required entries",
         passed=slack > 0.0,
         margin=slack,
         note=f"required max({term1:.9g}, {term2:.9g})",
@@ -846,7 +836,6 @@ def certify(
     )
     clock_at_vmax = growth_integral(gp, gp.vmax)
     conditions["A"] = ConditionResult(
-        name="growth clock unbounded",
         passed=clock_at_vmax > needed_clock,
         margin=clock_at_vmax - needed_clock,
         window_certified=True,

@@ -298,7 +298,7 @@ def condition_failure_report(doc, tag: str, exc, exit_code: int) -> RunReport:
     with ``exc``: ``doc``'s header, the tag and the condition's row."""
     rep = _header(doc, exit_code, doc.n, doc.source)
     rep.add("failed.condition", tag)
-    _put(rep, ConditionResult(name=tag, passed=False, note=str(exc)),
+    _put(rep, ConditionResult(passed=False, note=str(exc)),
          _condition_keys(tag))
     return rep
 
@@ -318,7 +318,7 @@ def certificate_from_report(rep: RunReport) -> Certificate:
         ``solution.*`` and ``stats.*``, are not read.
     """
     conditions = {
-        tag: ConditionResult(name=tag, **_get(rep, _condition_keys(tag)))
+        tag: ConditionResult(**_get(rep, _condition_keys(tag)))
         for tag in CONDITION_ORDER
     }
     cert = Certificate(**_get(rep, _HEADER_KEYS + _SCALAR_KEYS + _CURVE_KEYS),

@@ -48,13 +48,14 @@ Given the region, the work on one rung does not depend on any other, so
 :func:`bounded_solution` runs every rung's task up front (:class:`Rung`):
 the search for its trapped start, then its patch of the returned
 trajectory with V and W at each node and, on an xi rung whose search run
-reaches 0, x(0).  The tasks are spread over the CPUs the process may use:
-the calling process and ``w - 1`` forked workers (``w`` the size of its
-CPU affinity set, at most one per rung) each take an interleaved share,
-and the workers send their rungs back through pipes.  The caller then
-walks the xi orbits until they converge, integrating only those no task
-read, and assembles the patches.  A process stops its share at its first
-failed search, and the caller runs a rung nobody ran when it reads it.
+reaches 0, x(0), one list of them (:func:`_rung_schedule`).  The tasks
+are spread over the CPUs the process may use: the calling process and
+``w - 1`` forked workers (``w`` the size of its CPU affinity set, at most
+one per rung) each run an interleaved share in list order up to its first
+failed search, and the workers send their rungs back through pipes.  The
+caller walks the xi orbits until they converge, integrating only those no
+task read, then reads every start in list order and assembles the patches,
+so no skipped rung is read before the failure that skipped it raises.
 There is no setting for this; the results, and so every output, are the
 same for any ``w``, and with one CPU nothing forks.
 """
@@ -70,6 +71,7 @@ import numpy as np
 
 from .errors import (
     BudgetExhausted,
+    DocumentError,
     EmptyPositiveSubspace,
     NoSignChange,
     NotConverged,
@@ -683,10 +685,9 @@ class Rung:
 
 def _run_rung(qp, t, v0, v_star, config, claim, exits=None) -> Rung:
     """The task of the rung at ``t``: the search, whose pair run keeps its
-    steps over ``claim`` and, given the region levels ``exits`` of an xi
-    rung, over t = 0; then what the rung reads off it."""
-    claimed = claim is not None and claim.size > 0
-    windows = [(claim[0], claim[-1])] if claimed else []
+    steps over ``claim`` (if not ``None``) and, given the region levels
+    ``exits`` of an xi rung, over t = 0; then what the rung reads off it."""
+    windows = [] if claim is None else [(claim[0], claim[-1])]
     if exits is not None:
         windows = sorted(windows + [(0.0, 0.0)])
     try:
@@ -695,7 +696,7 @@ def _run_rung(qp, t, v0, v_star, config, claim, exits=None) -> Rung:
         return Rung(exc)
     run, start.pair_run = start.pair_run, None
     rung = Rung(start)
-    if claimed:
+    if claim is not None:
         try:
             xs = _patch(qp, start, run, claim, config.integrator_tol)
         except VWBoundError as exc:
@@ -767,11 +768,11 @@ def _xi_orbit(qp, start, tol, events) -> Trajectory:
 
 
 def _run_share(task, share) -> list:
-    """``task`` at each time of ``share`` in order, until a rung search
-    fails; ``None`` for the times after that, which nothing searched."""
+    """``task`` at each position of ``share`` in order, until a rung search
+    fails; ``None`` for the positions after that, which nothing searched."""
     out = []
-    for t in share:
-        out.append(task(t))
+    for k in share:
+        out.append(task(k))
         if isinstance(out[-1].start, VWBoundError):
             break
     return out + [None] * (len(share) - len(out))
@@ -818,14 +819,14 @@ def _reap(pid: int, pipe, kill: bool) -> int:
 
 
 def search_rungs(task, times) -> list:
-    """Run the rung task ``task(t)``, a :class:`Rung`, at each of
-    ``times``: per time, in order, its rung, or ``None`` where the
-    process that had it stopped at an earlier failed search of its share.
+    """Run the rung task ``task(k)``, a :class:`Rung`, at each position
+    ``k`` of ``times``: per position, in order, its rung, or ``None``
+    where the process that had it stopped at an earlier failed search.
 
-    With ``w`` processes the calling process runs ``times[0::w]`` and
-    forked worker ``i`` runs ``times[i::w]``, pickling its rungs into a
-    pipe; a share whose fork fails is run by the calling process.  Every
-    worker has been reaped when this returns or raises.
+    With ``w`` processes the calling process runs positions ``0::w`` and
+    forked worker ``i`` runs ``i::w``, each share in order, pickling its
+    rungs into a pipe; a share whose fork fails is run by the calling
+    process.  Every worker has been reaped when this returns or raises.
 
     Raises
     ------
@@ -848,11 +849,11 @@ def search_rungs(task, times) -> list:
                 local.append(i)
                 continue
             if pid == 0:
-                _serve_share(write_end, task, times[i::w])
+                _serve_share(write_end, task, range(i, len(times), w))
             os.close(write_end)
             workers.append((i, pid, os.fdopen(read_end, "rb")))
         for i in local:
-            results[i::w] = _run_share(task, times[i::w])
+            results[i::w] = _run_share(task, range(i, len(times), w))
         payloads = [pipe.read() for _, _, pipe in workers]
     finally:
         statuses = [_reap(pid, pipe, kill=payloads is None)
@@ -888,8 +889,33 @@ class BoundedSolutionResult:
     converged_at_j: int
     sup_v: float
     sup_v_time: float
-    starts: list  # TrappedStart per ladder rung
     rungs: list  # TrappedStart per rung searched, by time
+
+
+def _rung_schedule(t_lo: float, t_hi: float) -> list:
+    """The rungs of a solve on ``(t_lo, t_hi)`` as ``(t, claim, xi)``, in
+    the order it reads them: xi rung ``t_j = -j * spacing`` at position
+    ``j - 1``, then the ladder rungs above; ``claim`` holds a ladder rung's
+    grid nodes (``None`` for none).  See :func:`bounded_solution`."""
+    spacing = abs(t_lo) / J_COUNT
+    times = [-j * spacing for j in range(1, J_COUNT + 1)]
+    k = 0  # the ladder t_k = T- + k spacing; t_k is t_j at j = J_COUNT - k
+    while t_lo + k * spacing + SETTLE + spacing < t_hi:
+        k += 1
+        if k >= J_COUNT:
+            times.append(t_lo + k * spacing)
+    grid_start = t_lo + SETTLE
+    n_nodes = int(round((t_hi - grid_start) / SAMPLE_DT))
+    grid = grid_start + SAMPLE_DT * np.arange(n_nodes + 1)
+    claims = [None] * len(times)
+    prev_end = -math.inf
+    for i in range(k + 1):  # the ladder rungs, in time order
+        at = J_COUNT - 1 - i if i < J_COUNT else i
+        span_end = min(times[at] + SETTLE + spacing, t_hi)
+        claim = grid[(grid > prev_end + 1e-12) & (grid <= span_end + 1e-12)]
+        claims[at] = claim if claim.size else None
+        prev_end = span_end
+    return [(t, claims[at], at < J_COUNT) for at, t in enumerate(times)]
 
 
 def _read(part):
@@ -908,12 +934,14 @@ def bounded_solution(
     ``[T- + SETTLE, T+]`` with nodes ``SAMPLE_DT`` apart.
 
     The ladder ``t_k = T- + k * spacing``, ``spacing = |T-| / J_COUNT``,
-    supplies trapped starts; rungs below zero double as the xi schedule
+    supplies trapped starts; the xi schedule ``t_j = -j * spacing``
     (``xi_j = x_j(0)``, converged at the first j with two consecutive
-    increments below ``XI_TOL``).  Each rung contributes the span
-    ``(t_k + SETTLE, t_k + SETTLE + spacing]``, where its transient has
-    decayed and its chart-resolution error not yet grown; the spans tile
-    the window, so every node carries the same error band.
+    increments below ``XI_TOL``) shares its rungs below zero.  Each
+    ladder rung claims the grid nodes of its span ``(t_k + SETTLE, t_k +
+    SETTLE + spacing]``, where its transient has decayed and its
+    chart-resolution error not yet grown, less the claims below it; the
+    claims tile the window, so every node carries the same error band.
+    The rungs form one list (:func:`_rung_schedule`), read in order.
 
     Raises
     ------
@@ -922,74 +950,36 @@ def bounded_solution(
         whose orbits reach t = 0 (diagnostic: window too short or
         tolerance too tight); the observed sequence is attached.
     NoSignChange, BudgetExhausted
-        From the search of the first rung read that has no start.
+        From the first rung in list order whose search found no start.
+    DocumentError
+        When the walk converges but the window leaves no grid node.
     RungWorkerLost
         When a forked worker of :func:`search_rungs` ends without its
         results.
     """
     config = config or ShootingConfig()
     t_lo, t_hi = qp.window
-    spacing = abs(t_lo) / J_COUNT
-    v0 = cert.v0
-    v_star = cert.v_star
     exits = make_region_events(
-        qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, v0, v_star
+        qp.quad_w, qp.quad_v, qp.w_plus, qp.w_minus, cert.v0, cert.v_star
     )
-
-    # the xi schedule and the trajectory ladder, reaching high enough
-    # that the last settled span (t_k + SETTLE, t_k + SETTLE + spacing]
-    # covers T+
-    xi_times = [-j * spacing for j in range(1, J_COUNT + 1)]
-    ladder = [t_lo]
-    while ladder[-1] + SETTLE + spacing < t_hi:
-        ladder.append(t_lo + len(ladder) * spacing)
-
-    # the two share a rung whenever their times coincide
-    times: dict[float, float] = {}
-    for t in xi_times + ladder:
-        times.setdefault(round(t, 9), t)
-
-    # the grid nodes each ladder rung claims: its settled span, less what
-    # the rungs below it claimed
-    grid_start = t_lo + SETTLE
-    n_nodes = int(round((t_hi - grid_start) / SAMPLE_DT))
-    grid = grid_start + SAMPLE_DT * np.arange(n_nodes + 1)
-    claims = {}
-    prev_end = -math.inf
-    for t in ladder:
-        key = round(t, 9)
-        span_end = min(times[key] + SETTLE + spacing, t_hi)
-        claims[key] = grid[(grid > prev_end + 1e-12)
-                           & (grid <= span_end + 1e-12)]
-        prev_end = span_end
+    schedule = _rung_schedule(t_lo, t_hi)
 
     # every rung's task runs up front, spread over the CPUs; a failed part
     # raises where it is read
-    xi_keys = {round(t, 9) for t in xi_times}
+    def task(k):
+        t, claim, xi = schedule[k]
+        return _run_rung(qp, t, cert.v0, cert.v_star, config, claim,
+                         exits if xi else None)
 
-    def task(t):
-        key = round(t, 9)
-        return _run_rung(qp, t, v0, v_star, config, claims.get(key),
-                         exits if key in xi_keys else None)
+    found = search_rungs(task, [t for t, _, _ in schedule])
 
-    found = dict(zip(times, search_rungs(task, list(times.values()))))
-
-    def rung(t: float) -> Rung:
-        """The rung at ``t``, run here when its process stopped early."""
-        key = round(t, 9)
-        if found[key] is None:
-            found[key] = task(times[key])
-        return found[key]
-
-    # xi bookkeeping: t_j = -j * |T-| / J_COUNT, walked until two
-    # consecutive increments drop below the tolerance
+    # the xi walk, until two consecutive increments drop below the
+    # tolerance
     xi_sequence: list[tuple[int, float, np.ndarray]] = []
     converged_at = 0
-    prev_xi = None
     prev_d = math.inf
     stopped = ""  # why the walk stopped before converging, if it did
-    for j, t_j in enumerate(xi_times, start=1):
-        r = rung(t_j)
+    for j, ((t_j, _, _), r) in enumerate(zip(schedule[:J_COUNT], found), 1):
         start = _read(r.start)
         traj = r.xi
         if traj is None:
@@ -1001,30 +991,33 @@ def bounded_solution(
                 f"xi_{j} is unavailable"
             )
             break
-        xi_j = traj.x_end
-        xi_sequence.append((j, t_j, xi_j))
-        if prev_xi is not None:
-            d = float(np.linalg.norm(xi_j - prev_xi))
+        xi_sequence.append((j, t_j, traj.x_end))
+        if j > 1:
+            d = float(np.linalg.norm(traj.x_end - xi_sequence[-2][2]))
             if d <= XI_TOL and prev_d <= XI_TOL:
                 converged_at = j
+                break
             prev_d = d
-        prev_xi = xi_j
-        if converged_at:
-            break
     if not converged_at:
         raise NotConverged(
             "xi increments never dropped below the tolerance "
             f"{XI_TOL:g} on the available rungs{stopped}",
             xi_sequence=xi_sequence,
         )
-    xi = xi_sequence[-1][2]
 
-    starts = [_read(rung(t).start) for t in ladder]
+    # every start, in list order, so that the first failed search raises
+    for r in found:
+        _read(r.start)
+    rungs = sorted(found, key=lambda r: r.start.t)
 
-    # quilt assembly: the claims tile the grid in ladder order, and each
+    # quilt assembly: the claims tile the grid in time order, and each
     # patch holds exactly its claim's nodes
-    patches = [_read(r.patch) for r in map(rung, ladder)
-               if r.patch is not None]
+    patches = [_read(r.patch) for r in rungs if r.patch is not None]
+    if not patches:
+        raise DocumentError(
+            f"the window ({t_lo:g}, {t_hi:g}) leaves no trajectory node in "
+            f"[T- + SETTLE, T+] = [{t_lo + SETTLE:g}, {t_hi:g}] (SETTLE = "
+            f"{SETTLE:g})", key="window")
     ts, xs, vs, ws = (np.concatenate(part) for part in zip(*patches))
     traj = Trajectory(ts=ts, xs=xs, events=[], status="reached_end")
     i_max = int(np.argmax(vs))
@@ -1032,17 +1025,12 @@ def bounded_solution(
         traj=traj,
         v=vs,
         w=ws,
-        xi=xi,
+        xi=xi_sequence[-1][2],
         xi_sequence=xi_sequence,
         converged_at_j=converged_at,
         sup_v=float(vs[i_max]),
         sup_v_time=float(traj.ts[i_max]),
-        starts=starts,
-        rungs=sorted(
-            (r.start for r in map(rung, times.values())
-             if isinstance(r.start, TrappedStart)),
-            key=lambda s: s.t,
-        ),
+        rungs=[r.start for r in rungs],
     )
 
 

@@ -227,6 +227,20 @@ class TestSolve:
         assert rep.get_int("solution.exit.code") == 4
         assert rep.has("solution.error")
 
+    def test_window_without_grid_nodes_is_a_usage_error(
+        self, ref_doc, cert_file, tmp_path, capsys,
+    ):
+        # the walk converges on (-11.9, 0.05), but the trajectory grid
+        # [T- + SETTLE, T+] holds no node: no quilt can be assembled
+        out = tmp_path / "run"
+        code = main(["solve", ref_doc, "--cert", cert_file,
+                     "--window=-11.9,0.05", "--out", str(out)])
+        assert code == 64
+        assert capsys.readouterr().err == (
+            "error: the window (-11.9, 0.05) leaves no trajectory node in "
+            "[T- + SETTLE, T+] = [0.1, 0.05] (SETTLE = 12) — key 'window'\n")
+        assert list(out.iterdir()) == []
+
     def test_unavailable_xi_is_named(self, ref_doc, cert_file, tmp_path,
                                      capsys, monkeypatch):
         # an xi orbit that does not reach 0 inside the region stops the

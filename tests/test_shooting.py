@@ -669,12 +669,13 @@ class TestSearchRunReuse:
         _affinity(monkeypatch, 1)
         calls = _count_integrations(monkeypatch)
         sol = bounded_solution(qp, cert, ShootingConfig(integrator_tol=doc.tol))
-        assert len(sol.rungs) == len(sol.starts) == 14
+        # on +-40 every rung is a ladder rung, with a patch
+        assert len(sol.rungs) == 14
         if demo == "saddle":
             assert sorted(calls) == sorted(r.t for r in sol.rungs)
         else:
             assert len(calls) == (sum(r.iterations for r in sol.rungs)
-                                  + len(sol.starts) + sol.converged_at_j)
+                                  + len(sol.rungs) + sol.converged_at_j)
 
     def test_claim_past_the_search_run(self, monkeypatch):
         # a claim that ends past t + horizon_span (a window wider than
@@ -742,7 +743,7 @@ class TestSearchRunReuse:
         sol = bounded_solution(qp, cert, ShootingConfig(integrator_tol=doc.tol))
         assert not any(r.closed_form for r in sol.rungs)
         assert len(calls) == (sum(r.iterations for r in sol.rungs)
-                              + len(sol.starts) + sol.converged_at_j)
+                              + len(sol.rungs) + sol.converged_at_j)
         assert verify_bound(qp, cert, sol.traj).passed
         assert np.max(np.abs(sol.xi - np.array([-0.05, 0.05]))) < 1e-6
 
@@ -820,14 +821,81 @@ def test_every_ladder_rung_contributes(reference_solution_run,
                              reference_certificate)
     for sol, t_plus, n_rungs in ((reference_solution_run, 40.0, 14),
                                  (short, 12.0, 8)):
-        spacing = sol.starts[1].t - sol.starts[0].t
-        assert len(sol.starts) == n_rungs
+        # every rung of these windows is a ladder rung
+        spacing = sol.rungs[1].t - sol.rungs[0].t
+        assert len(sol.rungs) == n_rungs
         assert sol.traj.t_end == pytest.approx(t_plus, abs=1e-9)
-        for start in sol.starts:
+        for start in sol.rungs:
             lo = start.t + shooting.SETTLE
             span = (sol.traj.ts > lo - 1e-9) & (sol.traj.ts <= lo + spacing)
             assert np.count_nonzero(span) > 0, start.t
-        assert [r.t for r in sol.rungs] == [s.t for s in sol.starts]
+
+
+def _rounded_schedule(t_lo, t_hi):
+    """The rung list as the solve once built it, the oracle of
+    ``shooting._rung_schedule``: the xi schedule and the ladder merged by
+    start times rounded to 9 decimals (an xi time wins a shared rung),
+    with the claims and the xi rungs keyed the same way.  Returns the
+    times, the claims, the xi keys, the ladder and the grid."""
+    J, settle = shooting.J_COUNT, shooting.SETTLE
+    spacing = abs(t_lo) / J
+    xi_times = [-j * spacing for j in range(1, J + 1)]
+    ladder = [t_lo]
+    while ladder[-1] + settle + spacing < t_hi:
+        ladder.append(t_lo + len(ladder) * spacing)
+    times = {}
+    for t in xi_times + ladder:
+        times.setdefault(round(t, 9), t)
+    grid_start = t_lo + settle
+    n_nodes = int(round((t_hi - grid_start) / shooting.SAMPLE_DT))
+    grid = grid_start + shooting.SAMPLE_DT * np.arange(n_nodes + 1)
+    claims = {}
+    prev_end = -math.inf
+    for t in ladder:
+        key = round(t, 9)
+        span_end = min(times[key] + settle + spacing, t_hi)
+        claims[key] = grid[(grid > prev_end + 1e-12)
+                           & (grid <= span_end + 1e-12)]
+        prev_end = span_end
+    return times, claims, {round(t, 9) for t in xi_times}, ladder, grid
+
+
+@pytest.mark.parametrize("window, n_ladder, n_xi_only", [
+    ((-40.0, 40.0), 14, 0),
+    ((-40.0, 12.0), 8, 0),
+    ((-16.0, 5.0), 5, 3),
+    # spacing 4.6625: t_lo + k spacing misses -(8 - k) spacing by an ulp
+    # at k = 5 and 7, and the rung takes the xi time
+    ((-37.3, 40.0), 15, 0),
+    ((-200.0, 200.0), 16, 0),
+    # the grid [T- + SETTLE, T+] is empty: the one ladder rung claims
+    # nothing
+    ((-11.9, 0.05), 1, 7),
+])
+def test_rung_schedule_is_the_rounded_union(window, n_ladder, n_xi_only):
+    times, claims, xi_keys, ladder, grid = _rounded_schedule(*window)
+    assert len(ladder) == n_ladder
+    assert len(times) - n_ladder == n_xi_only
+    got = shooting._rung_schedule(*window)
+    assert [t.hex() for t, _, _ in got] == [t.hex() for t in times.values()]
+    assert [xi for _, _, xi in got] == [key in xi_keys for key in times]
+    assert [i for i, (_, _, xi) in enumerate(got) if xi] == list(range(8))
+    for (_, claim, _), key in zip(got, times):
+        want = claims.get(key)
+        if want is None or not want.size:
+            assert claim is None
+        else:
+            assert claim.tobytes() == want.tobytes()
+    # the claims tile the grid in time order
+    tiles = [claim for _, claim, _ in sorted(got, key=lambda r: r[0])
+             if claim is not None]
+    assert np.concatenate([grid[:0]] + tiles).tobytes() == grid.tobytes()
+
+
+# the rungs of a solve on +-40, in the order it reads them: the xi
+# schedule, then the ladder rungs above it
+RUNGS_40 = [-5.0, -10.0, -15.0, -20.0, -25.0, -30.0, -35.0, -40.0,
+            0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
 
 
 def _affinity(monkeypatch, cpus: int):
@@ -859,9 +927,8 @@ def assert_same_solution(a, b, qp, tmp_path):
             == [(j, t, xi.tolist()) for j, t, xi in b.xi_sequence])
     assert ((a.converged_at_j, a.sup_v, a.sup_v_time)
             == (b.converged_at_j, b.sup_v, b.sup_v_time))
-    for field_a, field_b in ((a.starts, b.starts), (a.rungs, b.rungs)):
-        assert ([_rung_record(s) for s in field_a]
-                == [_rung_record(s) for s in field_b])
+    assert ([_rung_record(s) for s in a.rungs]
+            == [_rung_record(s) for s in b.rungs])
 
 
 @pytest.fixture(scope="module")
@@ -900,12 +967,13 @@ class TestRungProcesses:
     def test_one_cpu_forks_nothing(self, monkeypatch, forked,
                                    reference_problem, reference_certificate):
         _affinity(monkeypatch, 1)
+        times = [-5.0, -10.0]
 
-        def task(t):
-            return shooting._run_rung(reference_problem, t, 0.02, 0.15,
+        def task(k):
+            return shooting._run_rung(reference_problem, times[k], 0.02, 0.15,
                                       ShootingConfig(), None)
 
-        got = shooting.search_rungs(task, [-5.0, -10.0])
+        got = shooting.search_rungs(task, times)
         assert forked == []
         assert [r.start.t for r in got] == [-5.0, -10.0]
         assert [r.patch for r in got] == [None] * 2
@@ -935,22 +1003,12 @@ class TestRungProcesses:
         assert_same_solution(got, one_process_run, reference_problem,
                              tmp_path)
 
-    @pytest.mark.parametrize("cpus, failing, searched", [
-        # one process: the search stops at -25, and the ladder's rungs
-        # below it are searched where they are read
-        (1, -25.0, [(0, -5.0), (0, -10.0), (0, -15.0), (0, -20.0),
-                    (0, -25.0), (0, -40.0), (0, -35.0), (0, -30.0)]),
-        # the worker stops at -30; the caller searches its whole share,
-        # then -40 when the ladder reads it
-        (2, -30.0, [(0, -5.0), (0, -15.0), (0, -25.0), (0, -35.0),
-                    (0, 0.0), (0, 10.0), (0, 20.0), (0, -40.0),
-                    (1, -10.0), (1, -20.0), (1, -30.0)]),
-    ])
-    def test_failed_search_stops_its_share(
-        self, monkeypatch, forked, tmp_path, reference_problem,
-        reference_certificate, cpus, failing, searched,
-    ):
+    @staticmethod
+    def _log_searches(monkeypatch, tmp_path, failing=None):
+        """Log each search as (0 in the caller or 1 in a worker, t), and
+        fail the one at ``failing``; returns the reader of the log."""
         log = tmp_path / "searched"
+        log.touch()
         parent = os.getpid()
         search = shooting.find_trapped_start
 
@@ -961,15 +1019,71 @@ class TestRungProcesses:
                 raise NoSignChange(f"no sign change at t_j = {t:g}")
             return search(qp, t, *args, **kwargs)
 
-        _affinity(monkeypatch, cpus)
         monkeypatch.setattr(shooting, "find_trapped_start", logged)
+        return lambda: [(int(w), float(t)) for w, t in
+                        (line.split() for line in log.read_text().splitlines())]
+
+    @pytest.mark.parametrize("cpus, failing, searched", [
+        # one process: the search stops at -25, and nothing after it in
+        # the list is searched
+        (1, -25.0, [(0, -5.0), (0, -10.0), (0, -15.0), (0, -20.0),
+                    (0, -25.0)]),
+        # the worker stops at -30; the caller searches its whole share
+        (2, -30.0, [(0, -5.0), (0, -15.0), (0, -25.0), (0, -35.0),
+                    (0, 0.0), (0, 10.0), (0, 20.0),
+                    (1, -10.0), (1, -20.0), (1, -30.0)]),
+    ])
+    def test_failed_search_stops_its_share(
+        self, monkeypatch, forked, tmp_path, reference_problem,
+        reference_certificate, cpus, failing, searched,
+    ):
+        _affinity(monkeypatch, cpus)
+        searches = self._log_searches(monkeypatch, tmp_path, failing)
         with pytest.raises(NoSignChange,
                            match=f"no sign change at t_j = {failing:g}$"):
             bounded_solution(reference_problem, reference_certificate)
         assert_reaped(forked)
-        got = [(int(w), float(t)) for w, t in
-               (line.split() for line in log.read_text().splitlines())]
-        assert sorted(got, key=lambda r: r[0]) == searched
+        assert sorted(searches(), key=lambda r: r[0]) == searched
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing", [
+        -10.0,  # an xi rung the walk reads (it converges at t = -20)
+        -35.0,  # an xi rung past convergence, also a ladder rung
+        10.0,  # a ladder rung only
+    ])
+    def test_failure_raises_in_list_order(
+        self, monkeypatch, forked, tmp_path, reference_problem,
+        reference_certificate, cpus, failing,
+    ):
+        # each process searches its share of the list in order, up to its
+        # failure, and the solve raises that rung's error: no rung is
+        # searched after the failure is read
+        _affinity(monkeypatch, cpus)
+        searches = self._log_searches(monkeypatch, tmp_path, failing)
+        with pytest.raises(NoSignChange,
+                           match=f"no sign change at t_j = {failing:g}$"):
+            bounded_solution(reference_problem, reference_certificate)
+        assert_reaped(forked)
+        want = []
+        for i in range(cpus):
+            share = RUNGS_40[i::cpus]
+            if failing in share:
+                share = share[:share.index(failing) + 1]
+            want += [(i, t) for t in share]
+        assert sorted(searches(), key=lambda r: r[0]) == want
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_every_rung_searched_once(
+        self, monkeypatch, forked, tmp_path, reference_problem,
+        reference_certificate, cpus,
+    ):
+        _affinity(monkeypatch, cpus)
+        searches = self._log_searches(monkeypatch, tmp_path)
+        sol = bounded_solution(reference_problem, reference_certificate)
+        assert_reaped(forked)
+        assert sorted(searches(), key=lambda r: r[0]) == [
+            (i, t) for i in range(cpus) for t in RUNGS_40[i::cpus]]
+        assert [r.t for r in sol.rungs] == sorted(RUNGS_40)
 
     def test_dead_worker_is_named(self, monkeypatch, forked,
                                   reference_problem, reference_certificate):
