@@ -163,21 +163,28 @@ def cmd_solve(args) -> int:
         )
     cert = certificate_from_report(rep)
     qp = doc.to_problem()
+    (t_lo, t_hi), (c_lo, c_hi) = qp.window, cert.window
+    if t_lo < c_lo or t_hi > c_hi:
+        raise DocumentError(
+            f"the window ({t_lo:g}, {t_hi:g}) leaves the certificate's "
+            f"window ({c_lo:g}, {c_hi:g})", key="window")
     try:
         config = ShootingConfig(integrator_tol=doc.tol)
     except ValueError as exc:
         raise DocumentError(str(exc), key="tol") from None
+    # the output directory is made only once there is something to write
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "solve-report.txt")
     try:
         sol = bounded_solution(qp, cert, config)
     except (NotConverged, BudgetExhausted, NoSignChange) as exc:
         attach_solve_failure(rep, exc, EXIT_NOT_CONVERGED)
+        os.makedirs(out_dir, exist_ok=True)
         rep.write(report_path)
         sys.stderr.write(f"solve failed: {exc}\n")
         return EXIT_NOT_CONVERGED
     attach_solution(rep, sol, EXIT_OK)
+    os.makedirs(out_dir, exist_ok=True)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), sol.traj,
                          sol.v, sol.w)
     write_xi_csv(os.path.join(out_dir, "xi.csv"), sol.xi_sequence)

@@ -11,15 +11,14 @@ halvings that led to it.  Higher-dimensional disks use a budgeted
 refinement heuristic (existence is topological; localization is not
 guaranteed and failures say so).
 
-The returned trajectory is assembled from a ladder of trapped starts, one
-per ``|T-| / J_COUNT`` of time (the spacing of the xi schedule, so the
-two share their searches), each contributing only the span where its
-initial transient has died out and its chart-coordinate error has not yet
-amplified.  A single orbit integrated across the whole window would lose
-roughly ``(t - t_start)/ln(10)`` digits to the unstable directions and
-could not meet the verification tolerances; the ladder keeps every
-contributed node within a fixed error band instead.  The ``xi_j = x_j(0)``
-bookkeeping and its convergence rule are unchanged.
+The returned trajectory is assembled from a ladder of trapped starts,
+``|T-| / m`` apart, ``m = max(J_COUNT, ceil(|T-| / MAX_SPACING))``; its
+J_COUNT rungs just below 0 are the xi schedule (``xi_j = x_j(0)``).  Each
+rung contributes only the span where its initial transient has died out
+and its chart-coordinate error has not yet amplified, which ends inside
+its search horizon: a single orbit across the window would lose roughly
+``(t - t_start)/ln(10)`` digits to the unstable directions, while the
+ladder keeps every node within a fixed error band.
 
 A probe answers which side its orbit leaves through.  When A does not
 depend on the state and the disk is one-dimensional, the flow is affine
@@ -29,20 +28,18 @@ centre and the chart's basis vector carries every probe's orbit as
 ``p + u q`` (:class:`_PairOrbits`): the bisection starts from a cell of
 a few u_tol around ``-s_p(T) / s_q(T)``, from the chart coordinates of
 ``p`` and ``q`` at the horizon T, so a search takes a few probes instead
-of ~53; a probe reads its exit and side off that run's nodes, in closed
-form, and the rung reads its patch and x(0) off the dense output of the
-steps the run keeps over them (:func:`_patch`,
-:func:`_pair_xi`), so that no orbit is integrated twice; an x(0) read so
-counts only where every level counts as inside at 0, so that rounding
-cannot hide an exit.  Otherwise each probe is an integration
-(:func:`classify_start`): on a one-dimensional disk whose C does not
-depend on t it reads the sign of the exit chart coordinate, and locates
-the exit only when the last step could have moved that coordinate
-across zero (see :func:`vwbound.ode.integrate`); otherwise, and on
-larger disks, the exit is located and charted.  The patch of such a
-start is sampled the same way as a pair run's, off the steps its own
-run keeps over the claim, with that run's end node as the last row.  The
-path is chosen from the problem alone: there is no setting for it.
+of ~53; a probe reads its exit and side off that run's nodes, and the
+rung its patch and x(0) off the dense output of the steps the run keeps
+over them (:func:`_patch`, :func:`_pair_xi`), so no orbit is integrated
+twice; such an x(0) counts only where every level counts as inside at 0,
+so that rounding cannot hide an exit.  Otherwise each probe is an
+integration (:func:`classify_start`): on a one-dimensional disk whose C
+does not depend on t it reads the sign of the exit chart coordinate, and
+locates the exit only when the last step could have moved that
+coordinate across zero (see :func:`vwbound.ode.integrate`); otherwise
+the exit is located and charted.  Such a start's patch is read the same
+way off its own run to the claim's end.  The path is chosen from the
+problem alone: there is no setting for it.
 
 Given the region, the work on one rung does not depend on any other, so
 :func:`bounded_solution` runs every rung's task up front (:class:`Rung`):
@@ -111,8 +108,8 @@ __all__ = [
     "write_xi_csv",
 ]
 
-# the xi schedule t_j = -j |T-| / J_COUNT, j = 1..J_COUNT; the trajectory
-# ladder t_k = T- + k |T-| / J_COUNT shares its rungs
+# the xi schedule t_j = -j spacing, j = 1..J_COUNT; the trajectory ladder
+# t_k = T- + k spacing shares its rungs (see _rung_schedule)
 J_COUNT = 8
 # transient discarded at the head of each ladder patch
 SETTLE = 12.0
@@ -125,6 +122,14 @@ SAMPLE_DT = 0.02
 # converge.  For the same reason the chart-coordinate bisection runs to
 # the machine floor, 4 eps radius.
 XI_TOL = 1e-5
+# the largest rung spacing.  A rung's claim ends by t + SETTLE + spacing,
+# inside its search horizon t + 36 when spacing <= 24.  The xi walk needs
+# two increments <= XI_TOL from three rungs whose start transient r
+# exp(-|t_j|) has fallen below XI_TOL (|t_j| > 9.6 for the demos' disk
+# radius r = 0.14) and whose chart resolution 4 eps r exp(|t_j|) has not
+# reached it (|t_j| < 25): spacing <= 15.5 / 3.  5, the spacing on +-40,
+# leaves every window with |T-| <= 40 as it was.
+MAX_SPACING = 5.0
 # the growth clock inequality |dF(V)/dt| <= dW/dt may fail by this much
 # at a node before verify_bound counts it as a violation
 CLOCK_TOL = 1e-6
@@ -671,12 +676,10 @@ def find_trapped_start(
 @dataclass
 class Rung:
     """What the task of one rung computed, in the process that searched
-    it: the trapped start, or the toolkit error its search raised; the
-    quilt patch when the rung claims nodes (the node times, the states, V
-    and W at each), or the toolkit error that raised, raised where the
-    caller reads it; and on an xi rung whose pair run reaches 0, the orbit
-    to 0.
-    """
+    it: the trapped start and, when the rung claims nodes, its quilt patch
+    (the node times, the states, V and W at each), each or the toolkit
+    error it raised, raised where the caller reads it; and on an xi rung
+    whose pair run reaches 0, the orbit to 0."""
 
     start: TrappedStart | VWBoundError
     patch: tuple | VWBoundError | None = None
@@ -714,9 +717,11 @@ def _patch(qp, start, run, claim, tol) -> np.ndarray:
     closed-form start ``p + u q`` on the dense output of its search run's
     kept steps, on the orbit the search probed (one integrated from the
     start would drift off it by the chart resolution times ``e^(t -
-    start.t)``), or of a pair run to the claim's end when the search run
-    ends before it; else integrated to the claim's end, on the dense
-    output of the steps kept over the claim and the run's end node."""
+    start.t)``); else integrated to the claim's end, on the dense output
+    of the steps kept over the claim and the run's end node.  A claim ends
+    by ``start.t + SETTLE + MAX_SPACING``, inside the horizon ``start.t +
+    36`` that :func:`bounded_solution` searches to, so a search run that
+    ends before its claim is a programming error and raises."""
     if not start.closed_form:
         run = integrate(qp.rhs, start.t, start.chart.point(start.u),
                         claim[-1], tol=tol, nodes=False,
@@ -725,9 +730,8 @@ def _patch(qp, start, run, claim, tol) -> np.ndarray:
                           run.xs[-1:]])
     pairs = dense_at(run.steps, claim)
     if len(pairs) < claim.size:
-        run = _pair_run(qp, start.chart, float(claim[-1]), tol,
-                        [(claim[0], claim[-1])])
-        pairs = dense_at(run.steps, claim)
+        raise RuntimeError(f"the search run from t = {start.t:g} ends "
+                           f"before its claim's end {claim[-1]:g}")
     return pairs[:, :qp.n] + float(start.u[0]) * pairs[:, qp.n:]
 
 
@@ -895,27 +899,33 @@ class BoundedSolutionResult:
 def _rung_schedule(t_lo: float, t_hi: float) -> list:
     """The rungs of a solve on ``(t_lo, t_hi)`` as ``(t, claim, xi)``, in
     the order it reads them: xi rung ``t_j = -j * spacing`` at position
-    ``j - 1``, then the ladder rungs above; ``claim`` holds a ladder rung's
-    grid nodes (``None`` for none).  See :func:`bounded_solution`."""
-    spacing = abs(t_lo) / J_COUNT
-    times = [-j * spacing for j in range(1, J_COUNT + 1)]
-    k = 0  # the ladder t_k = T- + k spacing; t_k is t_j at j = J_COUNT - k
+    ``j - 1``, then the other ladder rungs ``t_lo + k * spacing`` in time
+    order; ``claim`` holds a ladder rung's grid nodes (``None`` for none).
+    ``spacing = |t_lo| / m``, ``m = max(J_COUNT, ceil(|t_lo| /
+    MAX_SPACING))``, and ladder rung ``k`` is xi rung ``m - k`` when that
+    is in ``1..J_COUNT``.  See :func:`bounded_solution`."""
+    m = max(J_COUNT, math.ceil(abs(t_lo) / MAX_SPACING))
+    spacing = abs(t_lo) / m
+    k = 0  # the last ladder rung
     while t_lo + k * spacing + SETTLE + spacing < t_hi:
         k += 1
-        if k >= J_COUNT:
-            times.append(t_lo + k * spacing)
+    # (t, ladder index) of each rung, in list order
+    rungs = [(-j * spacing, m - j) for j in range(1, J_COUNT + 1)]
+    rungs += [(t_lo + i * spacing, i) for i in range(k + 1)
+              if not m - J_COUNT <= i < m]
     grid_start = t_lo + SETTLE
     n_nodes = int(round((t_hi - grid_start) / SAMPLE_DT))
     grid = grid_start + SAMPLE_DT * np.arange(n_nodes + 1)
-    claims = [None] * len(times)
+    claims = {}  # ladder index -> claim
     prev_end = -math.inf
-    for i in range(k + 1):  # the ladder rungs, in time order
-        at = J_COUNT - 1 - i if i < J_COUNT else i
-        span_end = min(times[at] + SETTLE + spacing, t_hi)
+    for t, i in sorted(rungs, key=lambda rung: rung[1])[:k + 1]:
+        span_end = min(t + SETTLE + spacing, t_hi)
         claim = grid[(grid > prev_end + 1e-12) & (grid <= span_end + 1e-12)]
-        claims[at] = claim if claim.size else None
+        # a node past T+ by rounding is T+, inside the certificate's grid
+        claims[i] = np.minimum(claim, t_hi) if claim.size else None
         prev_end = span_end
-    return [(t, claims[at], at < J_COUNT) for at, t in enumerate(times)]
+    return [(t, claims.get(i), at < J_COUNT)
+            for at, (t, i) in enumerate(rungs)]
 
 
 def _read(part):
@@ -933,7 +943,7 @@ def bounded_solution(
     """Find the V-bounded solution and return it on
     ``[T- + SETTLE, T+]`` with nodes ``SAMPLE_DT`` apart.
 
-    The ladder ``t_k = T- + k * spacing``, ``spacing = |T-| / J_COUNT``,
+    The ladder ``t_k = T- + k * spacing``, ``spacing <= MAX_SPACING``,
     supplies trapped starts; the xi schedule ``t_j = -j * spacing``
     (``xi_j = x_j(0)``, converged at the first j with two consecutive
     increments below ``XI_TOL``) shares its rungs below zero.  Each
@@ -981,9 +991,7 @@ def bounded_solution(
     stopped = ""  # why the walk stopped before converging, if it did
     for j, ((t_j, _, _), r) in enumerate(zip(schedule[:J_COUNT], found), 1):
         start = _read(r.start)
-        traj = r.xi
-        if traj is None:
-            traj = _xi_orbit(qp, start, config.integrator_tol, exits)
+        traj = r.xi or _xi_orbit(qp, start, config.integrator_tol, exits)
         if traj.status != "reached_end":
             stopped = (
                 f"; the orbit from t_j = {t_j:g} does not reach 0 inside "
@@ -1022,16 +1030,10 @@ def bounded_solution(
     traj = Trajectory(ts=ts, xs=xs, events=[], status="reached_end")
     i_max = int(np.argmax(vs))
     return BoundedSolutionResult(
-        traj=traj,
-        v=vs,
-        w=ws,
-        xi=xi_sequence[-1][2],
-        xi_sequence=xi_sequence,
-        converged_at_j=converged_at,
-        sup_v=float(vs[i_max]),
-        sup_v_time=float(traj.ts[i_max]),
-        rungs=[r.start for r in rungs],
-    )
+        traj=traj, v=vs, w=ws, xi=xi_sequence[-1][2],
+        xi_sequence=xi_sequence, converged_at_j=converged_at,
+        sup_v=float(vs[i_max]), sup_v_time=float(traj.ts[i_max]),
+        rungs=[r.start for r in rungs])
 
 
 # ---------------------------------------------------------------------------
@@ -1083,26 +1085,35 @@ def verify_bound(
     notes: list[str] = []
 
     # conservative envelope between certificate grid points: sup over
-    # s >= t from the left grid neighbour, inf over s <= t from the right;
-    # an argument F cannot reach below Vmax leaves its nodes without a
-    # ceiling, which is a violation
-    idx = np.searchsorted(cert.ts, traj.ts, side="right") - 1
-    idx = np.clip(idx, 0, cert.ts.size - 2)
+    # s >= t from the left grid neighbour, inf over s <= t from the right,
+    # the last interval's at the grid's last time; a node outside the grid,
+    # or whose argument F cannot reach below Vmax, has no ceiling, which is
+    # a violation
+    inside = np.flatnonzero((traj.ts >= cert.ts[0]) & (traj.ts <= cert.ts[-1]))
+    if inside.size < traj.ts.size:
+        violations.append(
+            f"{traj.ts.size - inside.size} of the {traj.ts.size} nodes lie "
+            f"outside the certificate grid [{cert.ts[0]:g}, {cert.ts[-1]:g}],"
+            " where no ceiling is certified"
+        )
+    idx = np.searchsorted(cert.ts, traj.ts[inside], side="right") - 1
+    idx = np.minimum(idx, cert.ts.size - 2)
     ceiling, misses = envelope_ceilings(
         lambda z: growth_integral_inv(gp, z), cert.lam_plus * cert.v0,
         cert.lam_minus * cert.v0, idx, idx + 1,
     )
     for first, exc in misses:
         violations.append(
-            f"no envelope ceiling from t = {float(traj.ts[first]):.6g}: F "
-            f"never reaches {exc.z:.6g} below Vmax = {exc.vmax:.6g} "
+            f"no envelope ceiling from t = {float(traj.ts[inside[first]]):.6g}"
+            f": F never reaches {exc.z:.6g} below Vmax = {exc.vmax:.6g} "
             f"(F(Vmax) = {exc.reached:.6g})"
         )
-    slack_env = float(np.min(ceiling - curves.v))
+    gaps = ceiling - curves.v[inside]
+    slack_env = float(np.min(gaps, initial=math.inf))
     if not slack_env > 0.0:
         violations.append(
             f"V exceeds the envelope ceiling by {-slack_env:.3e} at "
-            f"t = {traj.ts[int(np.argmin(ceiling - curves.v))]:.6g}"
+            f"t = {traj.ts[inside[int(np.argmin(gaps))]]:.6g}"
         )
 
     i_max = int(np.argmax(curves.v))
@@ -1144,7 +1155,8 @@ def verify_bound(
         notes.append("no nodes with V > v0; growth-clock check vacuous")
 
     t0, t1 = float(traj.ts[0]), float(traj.ts[-1])
-    if t0 > cert.window[0] + 1e-9 or t1 < cert.window[1] - 1e-9:
+    if inside.size == traj.ts.size and (
+            t0 > cert.window[0] + 1e-9 or t1 < cert.window[1] - 1e-9):
         notes.append(
             f"trajectory covers [{t0:g}, {t1:g}], a subwindow of "
             f"[{cert.window[0]:g}, {cert.window[1]:g}]; comparisons "
@@ -1152,31 +1164,19 @@ def verify_bound(
         )
 
     return VerifyReport(
-        passed=not violations,
-        coverage=(t0, t1),
-        n_nodes=int(traj.ts.size),
-        sup_v=sup_v,
-        sup_v_time=float(traj.ts[i_max]),
-        slack_envelope=slack_env,
-        slack_const=slack_const,
-        slack_closed_form=slack_closed,
-        w_range_margin=w_margin,
-        clock_margin=clock_margin,
-        clock_nodes=clock_nodes,
-        violations=violations,
-        notes=notes,
-    )
+        passed=not violations, coverage=(t0, t1), n_nodes=int(traj.ts.size),
+        sup_v=sup_v, sup_v_time=float(traj.ts[i_max]),
+        slack_envelope=slack_env, slack_const=slack_const,
+        slack_closed_form=slack_closed, w_range_margin=w_margin,
+        clock_margin=clock_margin, clock_nodes=clock_nodes,
+        violations=violations, notes=notes)
 
 
 def write_xi_csv(path, xi_sequence):
     """CSV of the xi convergence sequence: ``j,t_j,xi_1,...,xi_n``."""
+    n = len(xi_sequence[0][2]) if xi_sequence else 0
     with open(path, "w", encoding="utf-8") as fh:
-        if xi_sequence:
-            n = len(xi_sequence[0][2])
-        else:
-            n = 0
-        cols = ",".join(f"xi_{i + 1}" for i in range(n))
-        fh.write(f"j,t_j,{cols}\n")
+        fh.write("j,t_j," + ",".join(f"xi_{i + 1}" for i in range(n)) + "\n")
         for j, t_j, xi in xi_sequence:
             row = ",".join(f"{val:.17g}" for val in xi)
             fh.write(f"{j},{t_j:.17g},{row}\n")

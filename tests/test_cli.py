@@ -239,7 +239,23 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "error: the window (-11.9, 0.05) leaves no trajectory node in "
             "[T- + SETTLE, T+] = [0.1, 0.05] (SETTLE = 12) — key 'window'\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["-40,60", "-50,40"])
+    def test_window_outside_the_certificate_is_a_usage_error(
+        self, ref_doc, cert_file, tmp_path, capsys, window,
+    ):
+        # the certificate says nothing past its own window (+-40 here);
+        # the refusal comes before the search and leaves no directory
+        out = tmp_path / "run"
+        code = main(["solve", ref_doc, "--cert", cert_file,
+                     f"--window={window}", "--out", str(out)])
+        assert code == 64
+        lo, hi = window.split(",")
+        assert capsys.readouterr().err == (
+            f"error: the window ({lo}, {hi}) leaves the certificate's window "
+            "(-40, 40) — key 'window'\n")
+        assert not out.exists()
 
     def test_unavailable_xi_is_named(self, ref_doc, cert_file, tmp_path,
                                      capsys, monkeypatch):
@@ -461,6 +477,26 @@ class TestVerify:
                 "reaches 1000.01 below Vmax = 20000") in captured.out
         rep = RunReport.load(str(out))
         assert rep.get_int("verify.exit.code") == 5
+
+    def test_node_past_the_certificate_grid_is_a_violation(
+            self, ref_doc, cert_file, solve_dir, tmp_path, capsys):
+        # the certificate's grid ends at 40, so a node at t = 1000 has no
+        # ceiling; the node at 40 keeps the last interval's, and a file
+        # reaching past the grid is not a subwindow
+        text = (solve_dir / "trajectory.csv").read_text()
+        assert text.splitlines()[-1].startswith("40,")
+        bad, out = tmp_path / "past.csv", tmp_path / "verify.txt"
+        bad.write_text(text + "1000,-0.05,0.05,0.005,0\n")
+        code = main(["verify", ref_doc, "--cert", cert_file,
+                     "--traj", str(bad), "--out", str(out)])
+        assert code == 5
+        assert ("violation: 1 of the 3402 nodes lie outside the certificate "
+                "grid [-40, 40], where no ceiling is certified"
+                in capsys.readouterr().out)
+        rep = RunReport.load(str(out))
+        assert rep.get_float("verify.coverage.hi") == 1000.0
+        assert not any("subwindow" in rep.get(key) for key in rep.keys()
+                       if key.startswith("verify.note"))
 
     @pytest.mark.parametrize("states,times", [
         ("nan", None), ("inf", None), ("-inf", None), (None, "nan"),
@@ -1270,6 +1306,24 @@ class TestRuntimeImports:
         # the command line is read against cli.COMMANDS; argparse would
         # bring gettext, and its first message lookup locale
         assert not pipeline_modules & {"argparse", "gettext", "locale"}
+
+
+class TestWideWindow:
+    def test_saddle_on_200(self, tmp_path, capsys):
+        # the rungs stay MAX_SPACING = 5 apart however wide the window:
+        # 78 of them on +-200, and the walk converges as on +-40
+        cert, out = str(tmp_path / "cert.txt"), tmp_path / "run"
+        doc = str(SADDLE_DOC)
+        assert main(["certify", doc, "--window=-200,200", "--out", cert]) == 2
+        assert main(["solve", doc, "--window=-200,200", "--cert", cert,
+                     "--out", str(out)]) == 0
+        assert main(["verify", doc, "--cert", cert,
+                     "--traj", str(out / "trajectory.csv")]) == 0
+        rep = RunReport.load(out / "solve-report.txt")
+        assert rep.get_int("stats.shooting.rungs") == 78
+        xi = [rep.get_float(f"solution.xi.{i}") for i in (1, 2)]
+        assert np.max(np.abs(np.array(xi) - [-0.05, 0.05])) < 1e-6
+        assert "verify pass" in capsys.readouterr().out
 
 
 class TestRotatedSaddle:

@@ -619,7 +619,7 @@ def _claim(t):
 
 class TestSearchRunReuse:
     """A closed-form rung reads its patch and x(0) off the steps its search
-    run kept, and integrates again only where that run ends too soon."""
+    run kept; only an x(0) past the run's end is integrated again."""
 
     @pytest.mark.parametrize("name", ["saddle", "rotated-3"])
     def test_patch_and_xi_are_the_separate_runs(self, tmp_path, name):
@@ -677,23 +677,18 @@ class TestSearchRunReuse:
             assert len(calls) == (sum(r.iterations for r in sol.rungs)
                                   + len(sol.rungs) + sol.converged_at_j)
 
-    def test_claim_past_the_search_run(self, monkeypatch):
-        # a claim that ends past t + horizon_span (a window wider than
-        # +-192 makes one) is read off a second pair run, to its end
+    def test_patch_past_the_search_run_is_refused(self):
+        # a claim ends by t + SETTLE + MAX_SPACING, inside the horizon
+        # t + 36, on every window; one past it is a programming error,
+        # not a short patch
         doc = load_problem_document(str(DEMOS / "saddle.problem"))
         qp = doc.to_problem()
         cert = certify(qp)
         config = ShootingConfig(integrator_tol=doc.tol)
         claim = -5.0 + shooting.SETTLE + 0.02 * np.arange(1, 1401)
         assert claim[-1] > -5.0 + config.horizon_span
-        calls = _count_integrations(monkeypatch)
-        rung = shooting._run_rung(qp, -5.0, cert.v0, cert.v_star, config,
-                                  claim)
-        assert calls == [-5.0, -5.0]
-        want, clipped = _separate_patch(qp, rung.start, claim, doc.tol)
-        same = claim <= clipped
-        assert rung.patch[1][same].tobytes() == want[same].tobytes()
-        assert np.max(np.abs(rung.patch[1] - want)) < 1e-9
+        with pytest.raises(RuntimeError, match="ends before its claim's end"):
+            shooting._run_rung(qp, -5.0, cert.v0, cert.v_star, config, claim)
 
     def test_xi_rung_below_the_horizon(self, monkeypatch):
         # the search run from t = -40 ends at -4, so the rung has no x(0):
@@ -838,7 +833,11 @@ def _rounded_schedule(t_lo, t_hi):
     with the claims and the xi rungs keyed the same way.  Returns the
     times, the claims, the xi keys, the ladder and the grid."""
     J, settle = shooting.J_COUNT, shooting.SETTLE
-    spacing = abs(t_lo) / J
+    # the fewest rungs from T- to 0, at least J, at most MAX_SPACING apart
+    m = J
+    while abs(t_lo) / m > shooting.MAX_SPACING:
+        m += 1
+    spacing = abs(t_lo) / m
     xi_times = [-j * spacing for j in range(1, J + 1)]
     ladder = [t_lo]
     while ladder[-1] + settle + spacing < t_hi:
@@ -848,7 +847,9 @@ def _rounded_schedule(t_lo, t_hi):
         times.setdefault(round(t, 9), t)
     grid_start = t_lo + settle
     n_nodes = int(round((t_hi - grid_start) / shooting.SAMPLE_DT))
-    grid = grid_start + shooting.SAMPLE_DT * np.arange(n_nodes + 1)
+    # no node past T+
+    grid = np.minimum(grid_start + shooting.SAMPLE_DT * np.arange(n_nodes + 1),
+                      t_hi)
     claims = {}
     prev_end = -math.inf
     for t in ladder:
@@ -867,10 +868,13 @@ def _rounded_schedule(t_lo, t_hi):
     # spacing 4.6625: t_lo + k spacing misses -(8 - k) spacing by an ulp
     # at k = 5 and 7, and the rung takes the xi time
     ((-37.3, 40.0), 15, 0),
-    ((-200.0, 200.0), 16, 0),
+    # spacing 5, 40 rungs to T- (spacing 25 and 16 rungs without the cap)
+    ((-200.0, 200.0), 78, 0),
     # the grid [T- + SETTLE, T+] is empty: the one ladder rung claims
     # nothing
     ((-11.9, 0.05), 1, 7),
+    # the last grid node, -388 + 0.02 * 20015, is past T+ by 1.1e-14
+    ((-400.0, 12.3), 81, 0),
 ])
 def test_rung_schedule_is_the_rounded_union(window, n_ladder, n_xi_only):
     times, claims, xi_keys, ladder, grid = _rounded_schedule(*window)
@@ -890,6 +894,23 @@ def test_rung_schedule_is_the_rounded_union(window, n_ladder, n_xi_only):
     tiles = [claim for _, claim, _ in sorted(got, key=lambda r: r[0])
              if claim is not None]
     assert np.concatenate([grid[:0]] + tiles).tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("t_lo", [-1.0, -37.3, -40.0, -45.0, -123.4, -200.0,
+                                  -555.0, -1000.0])
+@pytest.mark.parametrize("t_hi", [0.05, 12.3, 40.0, 200.0, 1000.0])
+def test_every_claim_ends_inside_its_search_horizon(t_lo, t_hi):
+    schedule = shooting._rung_schedule(t_lo, t_hi)
+    horizon = ShootingConfig().horizon_span
+    for t, claim, _ in schedule:
+        if claim is not None:
+            assert claim[-1] <= min(t + horizon, t_hi)
+    xi = [t for t, _, is_xi in schedule if is_xi]
+    spacing = -xi[0]
+    assert spacing <= shooting.MAX_SPACING
+    assert xi == [-j * spacing for j in range(1, shooting.J_COUNT + 1)]
+    if t_lo <= -40.0 and t_lo % 5.0 == 0.0:
+        assert xi == [-5.0 * j for j in range(1, 9)]
 
 
 # the rungs of a solve on +-40, in the order it reads them: the xi
