@@ -234,9 +234,9 @@ def dense_at(steps, taus) -> np.ndarray:
     i = i[:m]
     powers = np.array([(th, th**2, th**3, th**4)
                        for th in ((taus[:m] - t[i]) / hs[i]).tolist()])
-    q = steps[:, 2 + n:].reshape(-1, 7, n).mT @ _P  # (steps, n, 4)
+    q = steps[i, 2 + n:].reshape(-1, 7, n).mT @ _P  # (m, n, 4)
     return steps[i, 2:2 + n] + hs[i, None] * (
-        q[i] @ powers.reshape(-1, 4, 1))[..., 0]
+        q @ powers.reshape(-1, 4, 1))[..., 0]
 
 
 # the nonzero rows of _P: stage index, weights of theta..theta^4, and the
@@ -549,7 +549,7 @@ def integrate(
         n_rejected=n_rejected,
         n_rhs=n_rhs + 6 * (n_accepted + n_rejected),
         side=side,
-        steps=np.array(kept).reshape(-1, 2 + 8 * n),
+        steps=np.fromiter(kept, float, len(kept)).reshape(-1, 2 + 8 * n),
     )
 
 

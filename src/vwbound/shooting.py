@@ -33,13 +33,22 @@ rung its patch and x(0) off the dense output of the steps the run keeps
 over them (:func:`_patch`, :func:`_pair_xi`), so no orbit is integrated
 twice; such an x(0) counts only where every level counts as inside at 0,
 so that rounding cannot hide an exit.  Otherwise each probe is an
-integration (:func:`classify_start`): on a one-dimensional disk whose C
-does not depend on t it reads the sign of the exit chart coordinate, and
-locates the exit only when the last step could have moved that
-coordinate across zero (see :func:`vwbound.ode.integrate`); otherwise
-the exit is located and charted.  Such a start's patch is read the same
-way off its own run to the claim's end.  The path is chosen from the
-problem alone: there is no setting for it.
+integration (:func:`classify_start`) from a start time and state: on a
+one-dimensional disk whose C does not depend on t it reads the sign of
+the exit chart coordinate, and locates the exit only when the last step
+could have moved that coordinate across zero (see
+:func:`vwbound.ode.integrate`); otherwise the exit is located and
+charted.  On a one-dimensional disk the bisection restarts its probes
+forward in time (:class:`_Chords`): the two bracket ends are orbits
+that exit on opposite sides, so the chord between their states at any
+later time, inside the region, holds a start that stays as well (the
+straddle refinement of Nusse & Yorke 1989, the bisection with restarts
+of edge tracking, Skufca, Yorke & Eckhardt 2006).  A probe starts at the
+midpoint of the latest short chord before the rung first reads its
+orbit, and skips the stretch its bracket ends already share; the start
+found is that (time, state) pair, and its patch and x(0) are integrated
+from it.  The path is chosen from the problem alone: there is no setting
+for it.
 
 Given the region, the work on one rung does not depend on any other, so
 :func:`bounded_solution` runs every rung's task up front (:class:`Rung`):
@@ -135,11 +144,35 @@ MAX_SPACING = 5.0
 CLOCK_TOL = 1e-6
 # classify calls a search on a disk of dimension >= 2 may spend
 BUDGET = 2000
-# a closed-form search's first bracket: this many u_tol either side of the
-# horizon root, widened by SEED_GROWTH until its ends exit on opposite
-# sides; on saddle 42 probes for 14 rungs, none widened (716 from the disk)
+# a closed-form search's first cell: this many u_tol either side of the
+# horizon root; on saddle 42 probes for 14 rungs, no cell missed (716 from
+# the disk).  A cell whose ends exit on one side widens to the whole
+# bracket at once, and the search bisects the flank between the bracket
+# end and the cell end that exit on opposite sides: at most the bracket's
+# halvings, so a missed cell costs at most its own two probes.  (Widening
+# by a finite factor G costs two probes per widening and leaves a flank
+# up to G times the root's distance: 58-64 probes on the reference disk
+# for a root 3e-3 to 0.07 off at G = 256, against 52 for the whole disk.)
 SEED_HALF_WIDTH = 4.0
-SEED_GROWTH = 256.0
+# the checkpoint spacing of an integrated bisection's restarts (_Chords).
+# Orbits of the bracket separate like e^(lambda t), lambda = 1 for the
+# demos' unstable mode, so between checkpoints a chord grows ~e-fold: the
+# latest checkpoint whose chord is short enough is at most one unit before
+# the time it reaches RESTART_CHORD, one unit more to integrate against the
+# ln(1 / RESTART_CHORD) ~ 6.9 each restarted probe needs to read its side,
+# and a probe reads at most SETTLE / RESTART_DT = 12 states off its run
+RESTART_DT = 1.0
+# the longest chord a probe restarts on, over the disk radius r.  A probe
+# restarted on a chord of length L integrates ~ln(r / L) units to read its
+# side, so a longer chord saves more; but the orbits between the ends
+# bend away from the chord by ~kappa L^2, with kappa <~ 1 / r while the
+# state-dependent part of A is at most its constant part over the disk
+# (far less for the demos' 0.5 x1 x2), so the midpoint splits them at
+# 1/2 +- kappa L = 1/2 +- 1e-3: every probe still halves the bracket, and
+# the chart coordinate u that labels each end stays that of its orbit at
+# the disk to within ~1e-6 r.  Larger chords save little: 54 432 steps at
+# 1e-2 against 57 121 on the nonlinear demo
+RESTART_CHORD = 1e-3
 
 
 @dataclass
@@ -205,7 +238,9 @@ class ShootingConfig:
     ``integrator_tol`` is the integrator's local error tolerance, in
     ``[ode.TOL_MIN, ode.TOL_MAX]``; ``horizon_span`` how far a start must
     stay to count as trapped; ``bracket`` the chart interval a
-    one-dimensional search brackets the start in (default the whole disk).
+    one-dimensional search brackets the start in (default the whole disk):
+    its ends are the search's first pair of bracket ends, from which a
+    closed-form search seeds its cell and an integrated one its chords.
     """
 
     integrator_tol: float = 1e-8
@@ -254,28 +289,30 @@ class Exited:
 
 def classify_start(
     qp: QuadraticProblem,
-    chart: DiskChart,
-    u,
+    t0: float,
+    x0,
     horizon: float,
     tol: float,
     events,
     exit_row,
+    keep=(),
 ) -> Stayed | Exited:
-    """Integrate from the charted start until the horizon or the first
-    boundary crossing (W = w+-, V = V*), the region levels ``events`` of
+    """Integrate from the state ``x0`` at ``t0`` (a charted start, or a
+    restart on a bracket's chord) until the horizon or the first boundary
+    crossing (W = w+-, V = V*), the region levels ``events`` of
     :func:`make_region_events`; step-size underflow is reported as an
     exit of kind ``blowup`` at the last reachable point.
 
     A probe reads only where and how its orbit ends, so the run records
     no per-step nodes: the trajectory holds the start and the end or
-    exit node, with the located events and the step counters.  With an
-    ``exit_row`` (see :func:`_exit_row`; ``None`` for none) an exit whose
-    chart side the last step cannot change is not located
+    exit node, with the located events and the step counters, and the
+    steps over the ``keep`` windows (:func:`vwbound.ode.integrate`).  With
+    an ``exit_row`` (see :func:`_exit_row`; ``None`` for none) an exit
+    whose chart side the last step cannot change is not located
     (:attr:`Exited.side`)."""
-    x0 = chart.point(u)
     try:
-        traj = integrate(qp.rhs, chart.t, x0, horizon, tol=tol, events=events,
-                         nodes=False, exit_row=exit_row)
+        traj = integrate(qp.rhs, t0, x0, horizon, tol=tol, events=events,
+                         nodes=False, exit_row=exit_row, keep=keep)
     except StepSizeUnderflow as exc:
         return Exited(t=exc.t, kind="blowup", x=np.asarray(exc.x), traj=None)
     if traj.status == "reached_end":
@@ -289,6 +326,12 @@ def classify_start(
 class TrappedStart:
     """Localized trapped start on one disk.
 
+    The start is the state ``x0`` at ``t0``: the charted point ``u`` at
+    the disk's time ``t`` unless an integrated bisection restarted on its
+    bracket's chords (:class:`_Chords`), whose last midpoint it then is,
+    at a ``t0`` no later than the first time the caller reads the orbit;
+    ``u`` is then the chart coordinate that labels it, that of its orbit
+    at ``t`` to within ~1e-6 of the disk radius (see ``RESTART_CHORD``).
     ``closed_form`` says that the search read its probes off one run of
     the pair system (:class:`_PairOrbits`), ``pair_run``, which the rung
     task reads and drops.  ``steps_accepted`` and ``steps_rejected`` sum
@@ -300,6 +343,8 @@ class TrappedStart:
 
     t: float
     u: np.ndarray
+    t0: float
+    x0: np.ndarray
     chart: DiskChart
     iterations: int
     bracket_width: float
@@ -505,6 +550,98 @@ class _PairOrbits:
                       side=math.copysign(1.0, side))
 
 
+class _Chords:
+    """The restarts of an integrated bisection on a one-dimensional disk
+    (:func:`find_trapped_start`), at the checkpoints ``ts``: every
+    ``RESTART_DT`` from the disk's time ``chart.t`` to ``read_from``, the
+    first time the caller reads the start's orbit.
+
+    A bracket end is an integrated orbit, kept as ``(i, xs)``: its states
+    ``xs`` (float lists) at the checkpoints ``ts[i:]`` it reached before it
+    left the region, read off the dense output of the one window its run
+    kept (:meth:`keep`, :meth:`record`).  A restarted probe starts at a
+    checkpoint, whose state is its first.  The invariant: every chord a
+    probe restarts on joins two states of orbits that exit on opposite
+    sides, and lies inside the region by every level (:meth:`restart`), as
+    the bracket at the disk does; so some start on it stays, up to the
+    integrator's tolerance, as for a start on the disk.
+    """
+
+    def __init__(self, qp: QuadraticProblem, chart: DiskChart, events,
+                 read_from: float):
+        span = math.floor((read_from - chart.t) / RESTART_DT + 1e-9)
+        self.ts = chart.t + RESTART_DT * np.arange(1.0, span + 1.0)
+        self.n = qp.n
+        self.bound = (RESTART_CHORD * chart.radius) ** 2  # of |chord|^2
+        forms: dict = {}  # level matrix -> its index
+        for ev in events:
+            forms.setdefault(ev.form[0], len(forms))
+        # per checkpoint, each level matrix there as float lists
+        self.mats = list(zip(*(m.stack(self.ts).tolist() for m in forms)))
+        self.levels = [(forms[ev.form[0]], ev.form[1], float(ev.direction))
+                       for ev in events]
+
+    def keep(self, at) -> list:
+        """The window a probe started at ``at`` (a checkpoint ``(i, x)``,
+        ``None`` at the disk) keeps: its checkpoints after the start."""
+        first = 0 if at is None else at[0] + 1
+        return [(self.ts[first], self.ts[-1])] if first < self.ts.size else []
+
+    def record(self, at, res: Stayed | Exited) -> tuple:
+        """The bracket end ``(i, xs)`` of the probe ``res`` started at
+        ``at``: its states at the checkpoints before its exit."""
+        first = 0 if at is None else at[0] + 1
+        xs = np.empty((0, self.n))
+        if res.traj is not None and first < self.ts.size:
+            xs = dense_at(res.traj.steps, self.ts[first:]).reshape(-1, self.n)
+        if not res.is_stayed:
+            xs = xs[self.ts[first:first + len(xs)] < res.t]
+        if at is None:
+            return 0, xs.tolist()
+        return at[0], [at[1].tolist()] + xs.tolist()
+
+    def restart(self, a: tuple, b: tuple):
+        """The latest checkpoint at which the chord between the bracket
+        ends ``a`` and ``b`` is at most ``RESTART_CHORD`` radii long and
+        inside the region by every level, and the chord's midpoint there:
+        ``(i, x)``, or ``None`` when there is none.
+
+        A level ``g = d (<M x, x> - c)`` (inside where negative, ``d`` its
+        direction) along the chord ``x_a + s (x_b - x_a)`` is ``(1 - s)
+        g_a + s g_b - d s (1 - s) <M delta, delta>``, ``delta = x_b -
+        x_a``, at most ``max(g_a, g_b) + max(0, -d <M delta, delta>) / 4``.
+        """
+        (i_a, xs_a), (i_b, xs_b) = a, b
+        for i in range(min(i_a + len(xs_a), i_b + len(xs_b)) - 1,
+                       max(i_a, i_b) - 1, -1):
+            xa, xb = xs_a[i - i_a], xs_b[i - i_b]
+            delta = [q - p for p, q in zip(xa, xb)]
+            if sum(v * v for v in delta) <= self.bound and self._inside(
+                    self.mats[i], xa, xb, delta):
+                return i, 0.5 * (np.array(xa) + np.array(xb))
+        return None
+
+    def _inside(self, mats, xa, xb, delta) -> bool:
+        """Whether the chord from ``xa`` to ``xb = xa + delta`` lies inside
+        by every level, the level matrices ``mats``, by :meth:`restart`'s
+        bound; plain float loops, as ``n`` is small."""
+        forms = []  # <M x, x> at x_a, x_b and delta, per level matrix M
+        for m in mats:
+            values = []
+            for x in (xa, xb, delta):
+                total = 0.0
+                for row, u in zip(m, x):
+                    total += u * sum([w * v for w, v in zip(row, x)])
+                values.append(total)
+            forms.append(values)
+        for f, c, d in self.levels:
+            g_a, g_b, bend = forms[f]
+            if max(d * (g_a - c), d * (g_b - c)) + 0.25 * max(0.0, -d * bend) \
+                    >= 0.0:
+                return False
+        return True
+
+
 def find_trapped_start(
     qp: QuadraticProblem,
     t_j: float,
@@ -520,15 +657,34 @@ def find_trapped_start(
     steered by the sign of the exit chart coordinate, from a bracket
     (``config.bracket``, default the disk) whose ends exit on opposite
     sides.  Raises :class:`NoSignChange` when both ends exit the same
-    side.  With A free of the state, the probes are read off one run of
-    the pair system to the horizon, its steps kept over the ``keep``
-    windows (:class:`_PairOrbits`; the start is then ``closed_form`` and
-    carries the run), and only a probe no node may decide is integrated
-    (:func:`classify_start`), as every probe is otherwise.  Such a
-    search bisects from a cell around the run's horizon root
-    (:meth:`_PairOrbits.root_at_end`), widened while both its ends exit
-    on one side; its last widening is the bracket.  A start that stays
-    ends the search.
+    side.  ``keep`` holds the windows the caller reads the start's orbit
+    over.
+
+    With A free of the state, the probes are read off one run of the pair
+    system to the horizon, its steps kept over the ``keep`` windows
+    (:class:`_PairOrbits`; the start is then ``closed_form`` and carries
+    the run), and only a probe no node may decide is integrated from the
+    disk (:func:`classify_start`).  Such a search bisects from a cell
+    around the run's horizon root (:meth:`_PairOrbits.root_at_end`); when
+    both its ends exit on one side, the cell widens to the bracket, and
+    the search bisects only the flank whose ends exit on opposite sides.
+    A root outside the bracket seeds no cell.
+
+    Otherwise every probe is integrated, and a bracket end is an orbit:
+    the bisection restarts forward in time (:class:`_Chords`).  Each probe
+    starts at the midpoint of the chord between the two ends' states at
+    the latest checkpoint, no later than the first ``keep`` window (the
+    disk's time when there is none), where that chord is at most
+    ``RESTART_CHORD`` times the disk radius and lies inside the region by
+    every level; while there is none it starts on the disk.  Every chord
+    joins two states, inside the region, of orbits that exit on opposite
+    sides, which is what the bracket at ``t_j`` guarantees, so a start
+    that stays lies on it.  The ends keep the chart coordinates of the
+    disk as labels: the bisection halves them to the same resolution
+    ``u_tol`` in the same number of ``iterations``, and the start found
+    is the midpoint of the last chord, at its time.
+
+    Either way a start that stays ends the search.
 
     Higher-dimensional disks: budgeted refinement around the start with
     the latest exit (a heuristic — existence is guaranteed by the
@@ -550,7 +706,7 @@ def find_trapped_start(
         steps[0] += traj.n_accepted
         steps[1] += traj.n_rejected
 
-    closed = run = None
+    closed = run = chords = None
     if chart.n_plus == 1 and not qp.a.depends_on_state:
         try:
             run = _pair_run(qp, chart, horizon, config.integrator_tol, keep)
@@ -559,44 +715,63 @@ def find_trapped_start(
         else:
             counted(run)
             closed = _PairOrbits(qp, chart, run, events)
+    if chart.n_plus == 1 and closed is None:
+        chords = _Chords(qp, chart, events,
+                         min((a for a, _ in keep), default=t_j))
+        if not chords.ts.size:  # the caller reads the orbit from t_j on
+            chords = None
 
-    def probe(u):
+    def start_of(u, at):
+        """The time and state of the charted start ``u``, or of the
+        restart ``at = (i, x)`` on a chord (see :class:`_Chords`)."""
+        if at is None:
+            return chart.t, chart.point(u)
+        return float(chords.ts[at[0]]), at[1]
+
+    def probe(u, at=None):
         res = None if closed is None else closed.probe(float(u[0]))
         if res is None:
-            res = classify_start(qp, chart, u, horizon, config.integrator_tol,
-                                 events, exit_row)
+            res = classify_start(qp, *start_of(u, at), horizon,
+                                 config.integrator_tol, events, exit_row,
+                                 () if chords is None else chords.keep(at))
             if res.traj is not None:  # None after a blow-up
                 counted(res.traj)
         return res
 
-    def found(u, iterations, bracket_width, stayed, kinds=()):
+    def found(u, iterations, bracket_width, stayed, kinds=(), at=None):
+        t0, x0 = start_of(u, at)
         return TrappedStart(
-            t=t_j, u=np.asarray(u), chart=chart, iterations=iterations,
-            bracket_width=bracket_width, stayed=stayed,
-            exit_kinds=tuple(sorted(kinds)),
+            t=t_j, u=np.asarray(u), t0=t0, x0=x0, chart=chart,
+            iterations=iterations, bracket_width=bracket_width,
+            stayed=stayed, exit_kinds=tuple(sorted(kinds)),
             steps_accepted=steps[0], steps_rejected=steps[1],
             closed_form=closed is not None,
             pair_run=run,
         )
 
-    def side_of(u_scalar: float):
-        res = probe([u_scalar])
+    def side_of(u_scalar: float, at=None):
+        res = probe([u_scalar], at)
+        if chords is not None:
+            ends[u_scalar] = chords.record(at, res)
         if res.is_stayed:
             return None, res
         return _exit_side(qp, chart, res), res
 
     if chart.n_plus == 1:
         lo, hi = config.bracket or (-chart.radius, chart.radius)
-        # the bracket starts as a cell around the horizon root of a pair
-        # run, else as the whole of (lo, hi)
+        # the first cell: a few u_tol around the horizon root of a pair run
+        # when that lies in (lo, hi); a cell whose ends exit on one side
+        # widens to the whole of (lo, hi)
         guess = None if closed is None else closed.root_at_end()
-        half = math.inf if guess is None else SEED_HALF_WIDTH * u_tol
-        guess = 0.0 if guess is None else min(max(guess, lo), hi)
-        sides = {}  # cell end -> its exit side
+        cells = [(lo, hi)]
+        if guess is not None and lo <= guess <= hi:
+            half = SEED_HALF_WIDTH * u_tol
+            cells.insert(0, (max(lo, guess - half), min(hi, guess + half)))
+        sides = {}  # probed start -> its exit side
+        ends = {}  # probed start -> its orbit's checkpoints (_Chords)
         kinds = set()
         iters = 0
-        while True:
-            cell = (max(lo, guess - half), min(hi, guess + half))
+        for cell in cells:
             for end in cell:
                 if end not in sides:
                     sides[end], res = side_of(end)
@@ -605,31 +780,35 @@ def find_trapped_start(
                         return found(np.array([end]), iters,
                                      cell[1] - cell[0], True, kinds)
                     kinds.add(res.kind)
-            side_lo, side_hi = sides[cell[0]], sides[cell[1]]
-            if side_lo * side_hi <= 0.0:
+            if sides[cell[0]] * sides[cell[1]] <= 0.0:
                 break
-            if cell == (lo, hi):
-                raise NoSignChange(
-                    f"both bracket ends [{lo:.6g}, {hi:.6g}] exit with chart "
-                    f"side {math.copysign(1.0, side_lo):+.0f} at "
-                    f"t_j = {t_j:g}",
-                    side=math.copysign(1.0, side_lo),
-                )
-            half *= SEED_GROWTH
-        lo, hi = cell[::-1] if side_lo > 0.0 else cell  # negative side at lo
+        else:
+            side = math.copysign(1.0, sides[lo])
+            raise NoSignChange(
+                f"both bracket ends [{lo:.6g}, {hi:.6g}] exit with chart side "
+                f"{side:+.0f} at t_j = {t_j:g}", side=side)
+        # the sign change lies between two neighbouring probed starts: on
+        # the flank of a missed cell, the bracket end to the cell end
+        probed = sorted(sides)
+        lo, hi = next((a, b) for a, b in zip(probed, probed[1:])
+                      if sides[a] * sides[b] <= 0.0)
+        lo, hi = (hi, lo) if sides[lo] > 0.0 else (lo, hi)  # negative at lo
         while abs(hi - lo) > u_tol and iters < 200:
             mid = 0.5 * (lo + hi)
-            side_mid, res_mid = side_of(mid)
+            at = None if chords is None else chords.restart(ends[lo], ends[hi])
+            side_mid, res_mid = side_of(mid, at)
             iters += 1
             if side_mid is None:
-                return found(np.array([mid]), iters, abs(hi - lo), True, kinds)
+                return found(np.array([mid]), iters, abs(hi - lo), True, kinds,
+                             at)
             kinds.add(res_mid.kind)
             if side_mid > 0.0:
                 hi = mid
             else:
                 lo = mid
+        at = None if chords is None else chords.restart(ends[lo], ends[hi])
         return found(np.array([0.5 * (lo + hi)]), iters, abs(hi - lo), False,
-                     kinds)
+                     kinds, at)
 
     # n_plus >= 2: refine around the longest-staying start
     spent = 0
@@ -717,15 +896,15 @@ def _patch(qp, start, run, claim, tol) -> np.ndarray:
     closed-form start ``p + u q`` on the dense output of its search run's
     kept steps, on the orbit the search probed (one integrated from the
     start would drift off it by the chart resolution times ``e^(t -
-    start.t)``); else integrated to the claim's end, on the dense output
+    start.t)``); else integrated from ``(start.t0, start.x0)``, no later
+    than the claim's first time, to the claim's end, on the dense output
     of the steps kept over the claim and the run's end node.  A claim ends
     by ``start.t + SETTLE + MAX_SPACING``, inside the horizon ``start.t +
     36`` that :func:`bounded_solution` searches to, so a search run that
     ends before its claim is a programming error and raises."""
     if not start.closed_form:
-        run = integrate(qp.rhs, start.t, start.chart.point(start.u),
-                        claim[-1], tol=tol, nodes=False,
-                        keep=[(claim[0], claim[-1])])
+        run = integrate(qp.rhs, start.t0, start.x0, claim[-1], tol=tol,
+                        nodes=False, keep=[(claim[0], claim[-1])])
         return np.vstack([dense_at(run.steps, claim[:-1]).reshape(-1, qp.n),
                           run.xs[-1:]])
     pairs = dense_at(run.steps, claim)
@@ -763,12 +942,13 @@ def _pair_xi(qp, start, run, events) -> Trajectory | None:
 def _xi_orbit(qp, start, tol, events) -> Trajectory:
     """The orbit of ``start`` to t = 0 where no rung task read it: a pair
     run to 0 read by :func:`_pair_xi` for a closed-form start, else
-    integrated with the region levels ``events`` watched."""
+    integrated from ``(start.t0, start.x0)`` with the region levels
+    ``events`` watched."""
     if start.closed_form:
         run = _pair_run(qp, start.chart, 0.0, tol, [(0.0, 0.0)])
         return _pair_xi(qp, start, run, events)
-    return integrate(qp.rhs, start.t, start.chart.point(start.u), 0.0,
-                     tol=tol, events=events, nodes=False)
+    return integrate(qp.rhs, start.t0, start.x0, 0.0, tol=tol, events=events,
+                     nodes=False)
 
 
 def _run_share(task, share) -> list:

@@ -352,6 +352,18 @@ class TestSolve:
         assert totals[0] == totals[1]
         assert 0 < seen[0] < seen[1]
 
+    def test_nonlinear_search_steps(self, nonlinear_solve_dir):
+        # a count, not a time: the restarted probes integrate ~4 000 steps
+        # per rung (57 121 in all; 88 503 when every probe ran from its
+        # rung's time) in the same ~731 halvings
+        rep = RunReport.load(nonlinear_solve_dir / "solve-report.txt")
+        rungs = [f"stats.shooting.rung.{i}" for i in
+                 range(1, rep.get_int("stats.shooting.rungs") + 1)]
+        steps = sum(rep.get_int(f"{r}.steps_accepted") for r in rungs)
+        iterations = sum(rep.get_int(f"{r}.iterations") for r in rungs)
+        assert steps <= 65_000
+        assert abs(iterations - 731) <= 0.05 * 731
+
     @staticmethod
     def column_and_verifys(request, ref_doc, run, offset, name):
         # a value column of the solve's CSV (offset 1 is V, 2 is W) and the
