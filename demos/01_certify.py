@@ -22,13 +22,12 @@ from vwbound.report import render_table, report_from_certificate
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 # parse the document and build the problem object
-doc = load_problem_document(os.path.join(HERE, "saddle.problem"))
-qp = doc.to_problem()
+qp = load_problem_document(os.path.join(HERE, "saddle.problem")).to_problem()
 
 # run the condition pipeline; this fits the growth constants, chooses V*
 # automatically (the document says "v_star = auto") and samples the
 # spectral curves on the grid
-cert = certify(qp, seed=doc.seed)
+cert = certify(qp)
 
 # the fitted scalar data: V' and W' are controlled by
 #   |dV/dt| <= c1 |Lam_V| sqrt(V) ... fitted as  2 phi <= c1 |Lam_V|

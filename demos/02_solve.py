@@ -37,9 +37,8 @@ def exact(t):
     return np.array([-s, s])
 
 
-doc = load_problem_document(os.path.join(HERE, "saddle.problem"))
-qp = doc.to_problem()
-cert = certify(qp, seed=doc.seed)
+qp = load_problem_document(os.path.join(HERE, "saddle.problem")).to_problem()
+cert = certify(qp)
 
 # one search, shown in isolation: the trapped start at t = -5 is the
 # disk coordinate u* with x(-5) = (u*, 0); compare with the closed form

@@ -17,9 +17,8 @@ from vwbound.shooting import bounded_solution, verify_bound
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-doc = load_problem_document(os.path.join(HERE, "saddle.problem"))
-qp = doc.to_problem()
-cert = certify(qp, seed=doc.seed)
+qp = load_problem_document(os.path.join(HERE, "saddle.problem")).to_problem()
+cert = certify(qp)
 sol = bounded_solution(qp, cert)
 
 # the honest check: measured sup V against three independent ceilings

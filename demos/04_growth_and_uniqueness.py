@@ -24,9 +24,8 @@ from vwbound.quadratic import certify, uniqueness_quadratic
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-doc = load_problem_document(os.path.join(HERE, "saddle.problem"))
-qp = doc.to_problem()
-cert = certify(qp, seed=doc.seed)
+qp = load_problem_document(os.path.join(HERE, "saddle.problem")).to_problem()
+cert = certify(qp)
 gp = cert.growth_pair()
 
 # the clock starts at the threshold v0 and runs strictly uphill

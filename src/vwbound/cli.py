@@ -119,7 +119,7 @@ def cmd_certify(args) -> int:
     _apply_overrides(doc, args)
     qp = doc.to_problem()
     try:
-        cert = certify(qp, sigma_grid=_sigma_grid(args), seed=doc.seed)
+        cert = certify(qp, sigma_grid=_sigma_grid(args))
     except tuple(cls for cls, _ in _FAILURE_TAGS) as exc:
         tag = next(t for cls, t in _FAILURE_TAGS if isinstance(exc, cls))
         sys.stderr.write(f"condition ({tag}) failed: {exc}\n")

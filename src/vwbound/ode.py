@@ -594,9 +594,8 @@ def make_region_events(
 
 
 def write_trajectory_csv(path, traj: Trajectory, v, w):
-    """Plot-ready CSV: header ``t,x1,...,xn,V,W``, one row per node,
-    events appended as ``#event,kind,t,x1,...,xn`` comment lines.  The V
-    and W columns are ``v`` and ``w``, their values at each node (as
+    """Plot-ready CSV: header ``t,x1,...,xn,V,W``, one row per node.  The
+    V and W columns are ``v`` and ``w``, their values at each node (as
     ``BoundedSolutionResult.v`` and ``.w`` hold them).
 
     Each row is formatted once, from Python floats, by one ``%.17g``
@@ -610,9 +609,6 @@ def write_trajectory_csv(path, traj: Trajectory, v, w):
         fh.write(f"t,{cols},V,W\n")
         for k in range(0, len(table), 1024):
             fh.writelines(row % tuple(r) for r in table[k:k + 1024].tolist())
-        for ev in traj.events:
-            row = ",".join(f"{val:.17g}" for val in ev.x)
-            fh.write(f"#event,{ev.kind},{ev.t:.17g},{row}\n")
 
 
 def quad_along(m: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -607,12 +607,9 @@ def check_v_star(
     return (term1, term2), v_star - required
 
 
-def certify(
-    qp: QuadraticProblem,
-    sigma_grid=SIGMA_GRID,
-    seed: int | None = None,
-) -> Certificate:
-    """Run the full condition pipeline and assemble a :class:`Certificate`.
+def certify(qp: QuadraticProblem, sigma_grid=SIGMA_GRID) -> Certificate:
+    """Run the full condition pipeline, drawing region states from
+    ``qp.seed``, and assemble a :class:`Certificate`.
 
     Condition tags in the result:
 
@@ -626,8 +623,7 @@ def certify(
     * (A) growth clock reaches every needed value by Vmax (window-certified)
     * (B) same integral evidence as (f), the general-form condition
     """
-    seed = qp.seed if seed is None else seed
-    rng = default_rng(seed)
+    rng = default_rng(qp.seed)
     t_lo, t_hi = qp.window
     ts = np.linspace(t_lo, t_hi, qp.n_grid)
     conditions: dict[str, ConditionResult] = {}
@@ -879,7 +875,7 @@ def certify(
         alpha=alpha,
         ceiling=ceiling,
         conditions=conditions,
-        seed=seed,
+        seed=qp.seed,
         notes=notes,
         sampling=sampling,
     )

@@ -5,11 +5,11 @@ Starts are taken on the ellipsoidal disk ``M_t = { x in L_+(t) :
 exits through one of the watched boundaries; the sign of its L_+ chart
 coordinate at the exit is a topological invariant of the exit map (a
 trapped start must sit between starts that exit on opposite sides),
-so for a one-dimensional positive subspace bisection localizes a trapped
-start to machine resolution; the evidence is the final bracket, not the
-halvings that led to it.  Higher-dimensional disks use a budgeted
-refinement heuristic (existence is topological; localization is not
-guaranteed and failures say so).
+so for a one-dimensional positive subspace bisection from the whole disk
+localizes a trapped start to machine resolution; the evidence is the
+final bracket, not the halvings that led to it.  Higher-dimensional
+disks use a budgeted refinement heuristic (existence is topological;
+localization is not guaranteed and failures say so).
 
 The returned trajectory is assembled from a ladder of trapped starts,
 ``|T-| / m`` apart, ``m = max(J_COUNT, ceil(|T-| / MAX_SPACING))``; its
@@ -45,10 +45,11 @@ later time, inside the region, holds a start that stays as well (the
 straddle refinement of Nusse & Yorke 1989, the bisection with restarts
 of edge tracking, Skufca, Yorke & Eckhardt 2006).  A probe starts at the
 midpoint of the latest short chord before the rung first reads its
-orbit, and skips the stretch its bracket ends already share; the start
-found is that (time, state) pair, and its patch and x(0) are integrated
-from it.  The path is chosen from the problem alone: there is no setting
-for it.
+orbit, inside the region by the problem's compiled forms of W and V,
+and skips the stretch its bracket ends already share; the start found
+is that (time, state) pair, and its patch and x(0) are integrated from
+it.  The path and the bracket are chosen from the problem alone: there
+is no setting for either.
 
 Given the region, the work on one rung does not depend on any other, so
 :func:`bounded_solution` runs every rung's task up front (:class:`Rung`):
@@ -237,15 +238,12 @@ class ShootingConfig:
 
     ``integrator_tol`` is the integrator's local error tolerance, in
     ``[ode.TOL_MIN, ode.TOL_MAX]``; ``horizon_span`` how far a start must
-    stay to count as trapped; ``bracket`` the chart interval a
-    one-dimensional search brackets the start in (default the whole disk):
-    its ends are the search's first pair of bracket ends, from which a
-    closed-form search seeds its cell and an integrated one its chords.
+    stay to count as trapped.  A one-dimensional search always brackets
+    the start by the whole disk (:func:`find_trapped_start`).
     """
 
     integrator_tol: float = 1e-8
     horizon_span: float = 36.0
-    bracket: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not TOL_MIN <= self.integrator_tol <= TOL_MAX:
@@ -573,11 +571,7 @@ class _Chords:
         self.ts = chart.t + RESTART_DT * np.arange(1.0, span + 1.0)
         self.n = qp.n
         self.bound = (RESTART_CHORD * chart.radius) ** 2  # of |chord|^2
-        forms: dict = {}  # level matrix -> its index
-        for ev in events:
-            forms.setdefault(ev.form[0], len(forms))
-        # per checkpoint, each level matrix there as float lists
-        self.mats = list(zip(*(m.stack(self.ts).tolist() for m in forms)))
+        forms = {q.matrix: q for q in (qp.quad_w, qp.quad_v)}
         self.levels = [(forms[ev.form[0]], ev.form[1], float(ev.direction))
                        for ev in events]
 
@@ -617,29 +611,18 @@ class _Chords:
             xa, xb = xs_a[i - i_a], xs_b[i - i_b]
             delta = [q - p for p, q in zip(xa, xb)]
             if sum(v * v for v in delta) <= self.bound and self._inside(
-                    self.mats[i], xa, xb, delta):
+                    float(self.ts[i]), xa, xb, delta):
                 return i, 0.5 * (np.array(xa) + np.array(xb))
         return None
 
-    def _inside(self, mats, xa, xb, delta) -> bool:
-        """Whether the chord from ``xa`` to ``xb = xa + delta`` lies inside
-        by every level, the level matrices ``mats``, by :meth:`restart`'s
-        bound; plain float loops, as ``n`` is small."""
-        forms = []  # <M x, x> at x_a, x_b and delta, per level matrix M
-        for m in mats:
-            values = []
-            for x in (xa, xb, delta):
-                total = 0.0
-                for row, u in zip(m, x):
-                    total += u * sum([w * v for w, v in zip(row, x)])
-                values.append(total)
-            forms.append(values)
-        for f, c, d in self.levels:
-            g_a, g_b, bend = forms[f]
-            if max(d * (g_a - c), d * (g_b - c)) + 0.25 * max(0.0, -d * bend) \
-                    >= 0.0:
-                return False
-        return True
+    def _inside(self, t, xa, xb, delta) -> bool:
+        """Whether the chord from ``xa`` to ``xb = xa + delta`` at ``t``
+        lies inside by every level, by :meth:`restart`'s bound on the
+        compiled form of the level's matrix (``qp.quad_w`` or ``quad_v``)."""
+        return all(
+            max(d * (q(t, xa) - c), d * (q(t, xb) - c))
+            + 0.25 * max(0.0, -d * q(t, delta)) < 0.0
+            for q, c, d in self.levels)
 
 
 def find_trapped_start(
@@ -654,11 +637,11 @@ def find_trapped_start(
     region until ``t_j + horizon_span``.
 
     One-dimensional positive subspace: bisection on the chart interval,
-    steered by the sign of the exit chart coordinate, from a bracket
-    (``config.bracket``, default the disk) whose ends exit on opposite
-    sides.  Raises :class:`NoSignChange` when both ends exit the same
-    side.  ``keep`` holds the windows the caller reads the start's orbit
-    over.
+    steered by the sign of the exit chart coordinate, from the whole disk
+    ``[-r, r]``, whose ends must exit on opposite sides.  Raises
+    :class:`NoSignChange` when both ends exit the same side: a forcing
+    strong enough to move the bounded solution off the disk.  ``keep``
+    holds the windows the caller reads the start's orbit over.
 
     With A free of the state, the probes are read off one run of the pair
     system to the horizon, its steps kept over the ``keep`` windows
@@ -666,9 +649,9 @@ def find_trapped_start(
     the run), and only a probe no node may decide is integrated from the
     disk (:func:`classify_start`).  Such a search bisects from a cell
     around the run's horizon root (:meth:`_PairOrbits.root_at_end`); when
-    both its ends exit on one side, the cell widens to the bracket, and
-    the search bisects only the flank whose ends exit on opposite sides.
-    A root outside the bracket seeds no cell.
+    both its ends exit on one side, the cell widens to the whole disk,
+    and the search bisects only the flank whose ends exit on opposite
+    sides.  A root off the disk seeds no cell.
 
     Otherwise every probe is integrated, and a bracket end is an orbit:
     the bisection restarts forward in time (:class:`_Chords`).  Each probe
@@ -758,10 +741,10 @@ def find_trapped_start(
         return _exit_side(qp, chart, res), res
 
     if chart.n_plus == 1:
-        lo, hi = config.bracket or (-chart.radius, chart.radius)
+        lo, hi = -chart.radius, chart.radius
         # the first cell: a few u_tol around the horizon root of a pair run
-        # when that lies in (lo, hi); a cell whose ends exit on one side
-        # widens to the whole of (lo, hi)
+        # when that lies on the disk; a cell whose ends exit on one side
+        # widens to the whole disk
         guess = None if closed is None else closed.root_at_end()
         cells = [(lo, hi)]
         if guess is not None and lo <= guess <= hi:

@@ -151,7 +151,7 @@ def reference_problem():
 
 @pytest.fixture(scope="session")
 def reference_certificate(reference_problem):
-    return certify(reference_problem, seed=42)
+    return certify(reference_problem)
 
 
 @pytest.fixture(scope="session")

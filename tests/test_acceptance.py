@@ -16,7 +16,7 @@ from conftest import (
 )
 from vwbound.cli import main
 from vwbound.errors import NoSignChange
-from vwbound.expr import MatrixFunction
+from vwbound.expr import MatrixFunction, VectorFunction
 from vwbound.growth import (
     GrowthPair,
     bound_excursion,
@@ -33,7 +33,6 @@ from vwbound.quadratic import (
 )
 from vwbound.report import RunReport, report_from_certificate
 from vwbound.shooting import (
-    ShootingConfig,
     bounded_solution,
     find_trapped_start,
     verify_bound,
@@ -325,8 +324,9 @@ def test_criterion_7_uniqueness_and_replay(capsys, reference_problem,
         problems.append("divergence flag not set")
     # a second full solve from an independent certification seed must
     # land on the same trajectory
-    cert7 = certify(reference_problem, seed=7)
-    sol7 = bounded_solution(reference_problem, cert7)
+    qp7 = make_reference_problem(seed=7)
+    cert7 = certify(qp7)
+    sol7 = bounded_solution(qp7, cert7)
     a, b = reference_solution_run.traj, sol7.traj
     if a.ts.size != b.ts.size or not np.allclose(a.ts, b.ts, atol=1e-12):
         problems.append("node grids differ")
@@ -343,7 +343,7 @@ def test_criterion_7_uniqueness_and_replay(capsys, reference_problem,
     assert elapsed < budget
 
 
-def test_criterion_8_negative_controls(capsys, tmp_path, reference_problem,
+def test_criterion_8_negative_controls(capsys, tmp_path,
                                        reference_certificate,
                                        reference_solution_run,
                                        reference_document_path):
@@ -376,13 +376,17 @@ def test_criterion_8_negative_controls(capsys, tmp_path, reference_problem,
     failed = RunReport.load(out)
     if failed.get("failed.condition") != "e":
         problems.append("failing condition not named (e)")
-    # same-side bracket -> NoSignChange
-    cfg = ShootingConfig(bracket=(0.07, 0.14))
+    # a forcing that moves the bounded solution off the disk: both disk
+    # ends exit on one side -> NoSignChange
+    strong = make_reference_problem(f0=VectorFunction.from_strings(
+        ["0.3*sin(t)", "0.3*cos(t)"], n_states=2))
     try:
-        find_trapped_start(reference_problem, -5.0, 0.02, 0.15, config=cfg)
-        problems.append("same-side bracket did not raise")
-    except NoSignChange:
-        pass
+        find_trapped_start(strong, -5.0, 0.02, 0.15)
+        problems.append("same-side disk did not raise")
+    except NoSignChange as exc:
+        if str(exc) != ("both bracket ends [-0.141421, 0.141421] exit with "
+                        "chart side +1 at t_j = -5"):
+            problems.append(f"same-side disk message: {exc}")
     elapsed = time.perf_counter() - t_start
     ok = not problems and elapsed < budget
     _verdict(capsys, 8, "negative controls hit exits 5, 3(e), NoSignChange",

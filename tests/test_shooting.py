@@ -53,6 +53,17 @@ from vwbound.shooting import (
 )
 
 
+# a forcing of the reference problem strong enough to move its bounded
+# solution off the disk at t = -5: both disk ends exit on one side
+STRONG_FORCING = VectorFunction.from_strings(["0.3*sin(t)", "0.3*cos(t)"],
+                                             n_states=2)
+SAME_SIDE_MESSAGE = ("both bracket ends [-0.141421, 0.141421] exit with "
+                     "chart side +1 at t_j = -5")
+# the reference problem's state-dependent variant (the nonlinear demo's A)
+NONLINEAR_A = MatrixFunction.from_strings(
+    [["1 + 0.5*x1*x2", "0"], ["0", "-1"]], n_states=2)
+
+
 def particular_x1(t):
     # first component of the trapped solution: -eps/2 (sin t + cos t)
     return -0.5 * EPS_REF * (math.sin(t) + math.cos(t))
@@ -225,22 +236,45 @@ class TestTrappedStart:
         # the bisection separates them by the sign of x1 at exit
         assert got.exit_kinds == ("W_hits_wplus",)
 
-    def test_same_side_bracket_refused(self, monkeypatch,
-                                       reference_problem):
-        # the horizon root lies below the bracket, so it seeds no cell: the
-        # bracket's two ends are probed, exit on one side, and are refused
-        chart = make_disk_chart(reference_problem, -5.0)
-        lo, hi = 0.5 * chart.radius, chart.radius
+    def test_same_side_disk_refused(self, monkeypatch):
+        # a forcing strong enough to move the bounded solution off the
+        # disk: the horizon root lies off it, so it seeds no cell, and the
+        # disk's two ends are probed, exit on one side, and are refused
+        qp = make_reference_problem(f0=STRONG_FORCING)
+        chart = make_disk_chart(qp, -5.0)
         seen = _probed(monkeypatch)
         with pytest.raises(NoSignChange) as info:
-            find_trapped_start(reference_problem, -5.0, 0.02, 0.15,
-                               config=ShootingConfig(bracket=(lo, hi)))
+            find_trapped_start(qp, -5.0, 0.02, 0.15)
         assert info.value.side == 1.0
-        assert str(info.value) == ("both bracket ends [0.0707107, 0.141421] "
-                                   "exit with chart side +1 at t_j = -5")
-        assert sorted(seen) == [lo, hi]
-        assert all(shooting._exit_side(reference_problem, chart, res) > 0.0
+        assert str(info.value) == SAME_SIDE_MESSAGE
+        assert sorted(seen) == [-chart.radius, chart.radius]
+        assert all(shooting._exit_side(qp, chart, res) > 0.0
                    for res in seen.values())
+
+    @pytest.mark.parametrize("keep", [(), [(7.0, 12.0)]])
+    def test_same_side_disk_refused_integrated(self, monkeypatch, keep):
+        # the same refusal on the integrated path, with and without the
+        # windows that let the bisection restart on chords
+        qp = make_reference_problem(f0=STRONG_FORCING, a=NONLINEAR_A)
+        chart = make_disk_chart(qp, -5.0)
+        classify = shooting.classify_start
+        seen = []
+
+        def spy(qp, t0, x0, *args):
+            res = classify(qp, t0, x0, *args)
+            seen.append((t0, chart.coords(x0)[0], res))
+            return res
+
+        monkeypatch.setattr(shooting, "classify_start", spy)
+        with pytest.raises(NoSignChange) as info:
+            find_trapped_start(qp, -5.0, 0.02, 0.15, keep=keep)
+        assert info.value.side == 1.0
+        assert str(info.value) == SAME_SIDE_MESSAGE
+        assert [(t0, u) for t0, u, _ in seen] == [
+            (-5.0, pytest.approx(-chart.radius, rel=1e-15)),
+            (-5.0, pytest.approx(chart.radius, rel=1e-15))]
+        assert all(shooting._exit_side(qp, chart, res) > 0.0
+                   for _, _, res in seen)
 
     def test_multidim_disk_origin_trapped(self):
         qp = make_3d_problem(force=0.0)
@@ -696,6 +730,77 @@ class TestRestartedSearch:
             orbit = integrate(qp.rhs, start.t0, start.x0, claim[-1],
                               tol=doc.tol, events=events, nodes=False)
             assert orbit.status == "reached_end", start.t
+
+
+def _float_loop_inside(mats, levels, xa, xb, delta):
+    """The chord verdict as ``_Chords`` once computed it, the oracle of
+    ``_Chords._inside``: ``<M x, x>`` in plain float loops over the level
+    matrices ``mats`` at the checkpoint, ``levels`` as ``(matrix index,
+    value c, direction d)``.  Returns the verdict and each level's bound
+    ``max(d g_a, d g_b) + max(0, -d <M delta, delta>) / 4``."""
+    forms = []  # <M x, x> at x_a, x_b and delta, per level matrix M
+    for m in mats:
+        values = []
+        for x in (xa, xb, delta):
+            total = 0.0
+            for row, u in zip(m, x):
+                total += u * sum([w * v for w, v in zip(row, x)])
+            values.append(total)
+        forms.append(values)
+    bounds = []
+    for f, c, d in levels:
+        g_a, g_b, bend = forms[f]
+        bounds.append(max(d * (g_a - c), d * (g_b - c))
+                      + 0.25 * max(0.0, -d * bend))
+    return all(b < 0.0 for b in bounds), bounds
+
+
+@pytest.mark.parametrize("name", ["nonlinear", "t-dependent-c"])
+def test_chord_verdict_is_the_float_loop_one(name):
+    # chords at the checkpoints of a restarted search, drawn so that many
+    # cross W = w+-, V = V* or both; wherever no level's bound is within
+    # rounding of zero, the compiled forms give the float loops' verdict
+    if name == "nonlinear":
+        qp = load_problem_document(str(DEMOS / "nonlinear.problem")) \
+            .to_problem()
+    else:
+        qp = make_reference_problem(
+            a=NONLINEAR_A, c=MatrixFunction.from_strings(
+                [["1 + 0.2*sin(0.3*t)", "0"], ["0", "-1"]], n_states=2,
+                symmetric=True))
+    chart = make_disk_chart(qp, -5.0)
+    v0, v_star = 0.02, 0.05
+    events = make_region_events(qp.quad_w, qp.quad_v, qp.w_plus,
+                                qp.w_minus, v0, v_star)
+    chords = shooting._Chords(qp, chart, events, 12.0)
+    assert chords.ts.size == 17
+    index = {}  # level matrix -> its index, as the float loops had it
+    for ev in events:
+        index.setdefault(ev.form[0], len(index))
+    levels = [(index[ev.form[0]], ev.form[1], float(ev.direction))
+              for ev in events]
+    stacks = [m.stack(chords.ts).tolist() for m in index]
+    rng = np.random.default_rng(3)
+    verdicts, crossed, compared = set(), set(), 0
+    for i, t in enumerate(chords.ts.tolist()):
+        mats = [stack[i] for stack in stacks]
+        for _ in range(300):
+            xa = rng.uniform(-0.25, 0.25, size=2)
+            xb = xa + rng.standard_normal(2) * 10.0 ** rng.uniform(-4.0, -0.5)
+            xa, xb = xa.tolist(), xb.tolist()
+            delta = [q - p for p, q in zip(xa, xb)]
+            want, bounds = _float_loop_inside(mats, levels, xa, xb, delta)
+            for ev in events:
+                if (ev.level(t, xa) < 0.0) != (ev.level(t, xb) < 0.0):
+                    crossed.add(ev.kind)
+            if any(abs(b) <= 1e-12 * (1.0 + abs(c))
+                   for b, (_, c, _) in zip(bounds, levels)):
+                continue
+            assert chords._inside(t, xa, xb, delta) == want, (t, xa, xb)
+            verdicts.add(want)
+            compared += 1
+    assert verdicts == {True, False} and compared > 5000
+    assert crossed == {"W_hits_wplus", "W_hits_wminus", "V_hits_Vstar"}
 
 
 def _count_integrations(monkeypatch):
